@@ -165,7 +165,8 @@ def _region_vii(nt: NormalizedTriple) -> FrameDecision:
 
 def _region_x(nt: NormalizedTriple) -> FrameDecision:
     # c1 = 2a-b forces a rational ratio
-    assert nt.is_rational, "c1 = 2a-b is impossible over an irrational ratio"
+    if not nt.is_rational:
+        raise OracleInconsistency("c1 = 2a-b is impossible over an irrational ratio")
     p, q = nt.rational
     f = nt.floor_cb
     ok = f + 1 == p and (nt.c0 - (nt.b - nt.a + nt.b / q)).sign() <= 0
@@ -177,7 +178,8 @@ def _region_x(nt: NormalizedTriple) -> FrameDecision:
 
 
 def _region_xi(nt: NormalizedTriple) -> FrameDecision:
-    assert nt.is_rational, "c1 = 0 is impossible over an irrational ratio"
+    if not nt.is_rational:
+        raise OracleInconsistency("c1 = 0 is impossible over an irrational ratio")
     p, q = nt.rational
     f = nt.floor_cb
     ok = f == p and (nt.c0 - (nt.a - nt.b / q)).sign() >= 0
@@ -257,22 +259,29 @@ def cond_XII(nt: NormalizedTriple) -> Optional[IrrationalParams]:
 
 def _grid_units(nt: NormalizedTriple) -> Tuple[int, int, int, int]:
     """(p, q, gamma1, j0): everything in units of b/q."""
+    if not (nt.is_rational and nt.c_on_grid):
+        raise RegionUnsupported("the grid certificate needs a/b = p/q and c on the b/q grid")
     p, q = nt.rational
-    r1 = nt.c1.ratio(nt.b)
-    r0 = nt.c0.ratio(nt.b)
-    assert r1 is not None and r0 is not None
-    gamma1 = r1 * q
-    j0 = r0 * q
-    assert gamma1.denominator == 1 and j0.denominator == 1, "c is off the grid"
+    gamma1 = nt.c1.ratio(nt.b) * q
+    j0 = nt.c0.ratio(nt.b) * q
+    if gamma1.denominator != 1 or j0.denominator != 1:
+        raise OracleInconsistency("c is on the grid but c0 or c1 is not")
     return p, q, int(gamma1), int(j0)
 
 
-def _case8_matches(nt: NormalizedTriple):
-    """Generate (d1, d2, d3, d4, N, delta_units, e_count, excl_ok) for every
-    tuple passing the structural conditions; excl_ok is the final exclusion
-    clause that separates NotFrame from a measure-critical frame."""
+def _xiii_candidates(nt: NormalizedTriple):
+    """Yield (witness, excl_ok) for every obstruction candidate, in search
+    order: case 6, case 7, then the case-8 tuples passing the structural
+    conditions.  excl_ok is the final exclusion clause that separates
+    NotFrame from a measure-critical frame."""
     p, q, gamma1, j0 = _grid_units(nt)
     f = nt.floor_cb
+    g1 = gcd(p, gamma1)
+    if j0 < g1:
+        yield RationalParams(case_id=6), f * (g1 - j0) != g1
+    g2 = gcd(p, gamma1 + q)
+    if q - j0 < g2:
+        yield RationalParams(case_id=7), (f + 1) * (g2 + j0 - q) != g2
     qp = q - p  # b-a in grid units
     s = 1
     while p - s * qp > 0:
@@ -303,27 +312,19 @@ def _case8_matches(nt: NormalizedTriple):
                     lim_high = min(Fraction(j0 - qp), Fraction(bd, N))
                     if not (lim_low < delta < lim_high):
                         continue
-                    excl_ok = abs(delta) + Fraction(p, N * f + w) != Fraction(bd, N)
-                    yield d1, d2, d3, d4, N, delta, count, excl_ok
+                    witness = RationalParams(
+                        case_id=8, d1=d1, d2=d2, d3=d3, d4=d4, N=N,
+                        delta=nt.b * (delta / q), e_count=count,
+                    )
+                    yield witness, abs(delta) + Fraction(p, N * f + w) != Fraction(bd, N)
         s += 1
 
 
 def cond_XIII(nt: NormalizedTriple) -> Optional[RationalParams]:
     """NotFrame witness on the rational on-grid generic region, if any."""
-    p, q, gamma1, j0 = _grid_units(nt)
-    f = nt.floor_cb
-    g1 = gcd(p, gamma1)
-    if j0 < g1 and f * (g1 - j0) != g1:
-        return RationalParams(case_id=6)
-    g2 = gcd(p, gamma1 + q)
-    if q - j0 < g2 and (f + 1) * (g2 + j0 - q) != g2:
-        return RationalParams(case_id=7)
-    for d1, d2, d3, d4, N, delta, count, excl_ok in _case8_matches(nt):
+    for witness, excl_ok in _xiii_candidates(nt):
         if excl_ok:
-            return RationalParams(
-                case_id=8, d1=d1, d2=d2, d3=d3, d4=d4, N=N,
-                delta=nt.b * (delta / q), e_count=count,
-            )
+            return witness
     return None
 
 
@@ -338,12 +339,7 @@ def characterize_S_nonempty(nt: NormalizedTriple) -> bool:
     if tag is RegionTag.XII:
         return _search_obstruction_irrational(nt) is not None
     if tag is RegionTag.XIII:
-        p, q, gamma1, j0 = _grid_units(nt)
-        if j0 < gcd(p, gamma1):
-            return True
-        if q - j0 < gcd(p, gamma1 + q):
-            return True
-        return any(True for _ in _case8_matches(nt))
+        return any(True for _ in _xiii_candidates(nt))
     raise RegionUnsupported(f"no invariant-set characterization on region {tag}")
 
 
@@ -354,13 +350,15 @@ def characterize_S_nonempty(nt: NormalizedTriple) -> bool:
 
 def classify_off_grid(nt: NormalizedTriple) -> FrameDecision:
     """Round c down/up to the grid bZ/q; frame iff both neighbours are."""
-    assert nt.is_rational and not nt.c_on_grid
+    if not nt.is_rational or nt.c_on_grid:
+        raise RegionUnsupported("off-grid rounding needs a/b = p/q and c off the b/q grid")
     _, q = nt.rational
     k = floor_div(nt.c * q, nt.b)
     c_down = nt.b * Fraction(k, q)
     c_up = nt.b * Fraction(k + 1, q)
     low = classify(nt.a, nt.b, c_down)
     high = classify(nt.a, nt.b, c_up)
-    assert low.region is not RegionTag.XIV and high.region is not RegionTag.XIV
+    if RegionTag.XIV in (low.region, high.region):
+        raise OracleInconsistency("a grid neighbour of c classified as off the grid")
     verdict = "Frame" if (low.is_frame and high.is_frame) else "NotFrame"
     return FrameDecision(verdict, RegionTag.XIV, RecursionPair(low, high))

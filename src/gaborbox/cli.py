@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -28,6 +30,7 @@ from .classifier import (
     RationalParams,
     RecursionPair,
     classify,
+    classify_triple,
 )
 from .dynsys import (
     InvariantSetReport,
@@ -52,7 +55,7 @@ from .exactnum import (
     square_free_decompose,
     surd_context,
 )
-from .lattice import NormalizedTriple, normalize, region_tag
+from .lattice import PeriodicSet, RegionTag, normalize, region_tag
 from .sampling import sampling_stable
 
 
@@ -76,7 +79,11 @@ def _tokenize(text: str) -> List[Tuple[str, object, int]]:
             raise NumberSyntaxError(f"unexpected character {ch!r}", i + 1)
         col = i + 1
         if m.lastgroup == "int":
-            tokens.append(("int", int(m.group()), col))
+            try:
+                value = int(m.group())
+            except ValueError:  # longer than the interpreter's int-string limit
+                raise NumberSyntaxError("integer literal is too long", col) from None
+            tokens.append(("int", value, col))
         elif m.lastgroup == "name":
             tokens.append(("name", m.group(), col))
         else:
@@ -245,8 +252,20 @@ def parse_context(spec: str) -> NumberContext:
 # ---------------------------------------------------------------------------
 
 
-def _intervals_json(S) -> List[List[str]]:
+def _intervals_json(S: PeriodicSet) -> List[List[str]]:
     return [[lo.render(), hi.render()] for lo, hi in S.intervals]
+
+
+def _intervals_text(S: PeriodicSet) -> str:
+    return " ".join(f"[{lo.render()}, {hi.render()})" for lo, hi in S.intervals)
+
+
+def _decision_json(d: FrameDecision) -> dict:
+    return {
+        "verdict": d.verdict,
+        "region": str(d.region),
+        "witness": _witness_json(d.witness),
+    }
 
 
 def _witness_json(w) -> Optional[dict]:
@@ -269,56 +288,29 @@ def _witness_json(w) -> Optional[dict]:
     if isinstance(w, RecursionPair):
         return {
             "kind": "recursion-pair",
-            "low": {
-                "verdict": w.low.verdict,
-                "region": str(w.low.region),
-                "witness": _witness_json(w.low.witness),
-            },
-            "high": {
-                "verdict": w.high.verdict,
-                "region": str(w.high.region),
-                "witness": _witness_json(w.high.witness),
-            },
+            "low": _decision_json(w.low),
+            "high": _decision_json(w.high),
         }
     return {"kind": "unknown", "repr": repr(w)}
 
 
-def _marks_json(report: InvariantSetReport) -> Optional[dict]:
-    if report.marks is None:
-        return None
+def _invariant_set_json(report: Optional[InvariantSetReport]) -> dict:
+    """The S / Ya / theta / marks block; every value is null without a report."""
+    if report is None:
+        return dict.fromkeys(("S", "Ya", "theta", "marks"))
     m = report.marks
-    out = {"kind": m.kind, "points": [p.render() for p in m.points]}
-    if m.generator is not None:
-        out["generator"] = m.generator.render()
-        out["order"] = m.order
-    return out
-
-
-def _try_invariant_set(nt: NormalizedTriple) -> Optional[InvariantSetReport]:
-    try:
-        return compute_S(nt)
-    except GaborBoxError:
-        return None
-
-
-def _classify_payload(nt: NormalizedTriple, decision: FrameDecision,
-                      timings: Dict[str, float]) -> dict:
-    report = _try_invariant_set(nt)
-    payload = {
-        "verdict": decision.verdict,
-        "region": str(decision.region),
-        "witness": _witness_json(decision.witness),
-        "S": _intervals_json(report.S) if report is not None else None,
-        "Ya": report.Ya.render() if report is not None else None,
-        "theta": (
-            report.theta.render()
-            if report is not None and report.theta is not None
-            else None
-        ),
-        "marks": _marks_json(report) if report is not None else None,
-        "timings": timings,
+    marks = None
+    if m is not None:
+        marks = {"kind": m.kind, "points": [p.render() for p in m.points]}
+        if m.generator is not None:
+            marks["generator"] = m.generator.render()
+            marks["order"] = m.order
+    return {
+        "S": _intervals_json(report.S),
+        "Ya": report.Ya.render(),
+        "theta": report.theta.render() if report.theta is not None else None,
+        "marks": marks,
     }
-    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -348,11 +340,19 @@ def _read_triple(args) -> Tuple[NumberContext, ExactReal, ExactReal, ExactReal]:
 def _cmd_classify(args) -> int:
     _, a, b, c = _read_triple(args)
     t0 = time.perf_counter()
-    decision = classify(a, b, c)
-    t1 = time.perf_counter()
     nt = normalize(a, b, c)
+    decision = classify_triple(nt)
+    t1 = time.perf_counter()
     if args.json:
-        payload = _classify_payload(nt, decision, {"classify_s": t1 - t0})
+        try:
+            report = compute_S(nt)
+        except GaborBoxError:
+            report = None  # no invariant-set construction on this region
+        payload = {
+            **_decision_json(decision),
+            **_invariant_set_json(report),
+            "timings": {"classify_s": t1 - t0},
+        }
         print(json.dumps(payload, indent=2))
     else:
         print(f"{decision.verdict} (region {decision.region})")
@@ -371,10 +371,7 @@ def _cmd_invariant_set(args) -> int:
     if args.json:
         payload = {
             "region": str(region_tag(nt)),
-            "S": _intervals_json(report.S),
-            "Ya": report.Ya.render(),
-            "theta": report.theta.render() if report.theta is not None else None,
-            "marks": _marks_json(report),
+            **_invariant_set_json(report),
             "rational_extras": (
                 {
                     "N1": report.rational_extras.N1,
@@ -402,8 +399,7 @@ def _cmd_invariant_set(args) -> int:
         if report.S.is_empty:
             print("S is empty")
         else:
-            parts = " ".join(f"[{lo.render()}, {hi.render()})" for lo, hi in report.S.intervals)
-            print(f"S = {parts}  (mod {nt.a.render()})")
+            print(f"S = {_intervals_text(report.S)}  (mod {nt.a.render()})")
             print(f"measure Ya = {report.Ya.render()}")
             print(f"theta = {report.theta.render()}")
             m = report.marks
@@ -418,8 +414,7 @@ def _cmd_invariant_set(args) -> int:
                     f"delta'={e.delta_prime.render()} h={e.h.render()}"
                 )
         for step in report.chain:
-            holes = " ".join(f"[{lo.render()}, {hi.render()})" for lo, hi in step.hole.intervals)
-            print(f"  step {step.index}: {step.status} {holes}")
+            print(f"  step {step.index}: {step.status} {_intervals_text(step.hole)}")
     return 0
 
 
@@ -446,7 +441,12 @@ def _cmd_sampling(args) -> int:
     return 0 if decision.stable else 3
 
 
+_MAX_ORBIT_STEPS = 100_000
+
+
 def _cmd_orbit(args) -> int:
+    if not 0 <= args.steps <= _MAX_ORBIT_STEPS:
+        raise UnsupportedRange(f"--steps must lie in [0, {_MAX_ORBIT_STEPS}], got {args.steps}")
     ctx, a, b, c = _read_triple(args)
     nt = normalize(a, b, c)
     if not maps_defined(nt):
@@ -529,9 +529,12 @@ def _sweep_row(payload) -> List[Tuple[str, str]]:
 
 def region_sweep(qmax: int, amin: Fraction, amax: Fraction, cmin: Fraction,
                  cmax: Fraction, step_c: Fraction, workers: int = 1):
-    """Classify the whole (a, c) grid at b = 1; returns (avals, cvals, rows)."""
+    """Classify the whole (a, c) grid at b = 1; returns (avals, cvals, rows).
+
+    workers is clamped to [1, os.cpu_count()]."""
     avals, cvals = _sweep_axes(qmax, amin, amax, cmin, cmax, step_c)
     payloads = [(af, cvals) for af in avals]
+    workers = max(1, min(workers, os.cpu_count() or 1))
     if workers > 1:
         import concurrent.futures
 
@@ -589,11 +592,17 @@ def _cmd_selftest(args) -> int:
 
     failures: List[str] = []
     checked = 0
-    for nt in on_grid_survey(args.qmax, 1, 5):
+    tally: Counter = Counter()
+    for nt in on_grid_survey(args.qmax, 1, 8, regions=tuple(RegionTag)):
+        d = classify_triple(nt)
+        tally[(str(d.region), d.verdict)] += 1
         clash = triple_pipeline_check(nt)
         checked += 1
         if clash is not None:
             failures.append(clash)
+    print(f"swept {checked} on-grid triples (q <= {args.qmax}, b = 1, c in (1, 8))")
+    for (tag, verdict), n in sorted(tally.items()):
+        print(f"  region {tag:>4}  {verdict:>8}  {n:5d}")
     # a handful of fixed verdicts, one of them off the rational field
     expected = [
         ("13/17", "1", "77/17", "rational", "Frame"),
@@ -647,7 +656,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("orbit", help="iterate the forward or backward map")
     _add_triple_flags(sp)
     sp.add_argument("--t", required=True, help="starting point")
-    sp.add_argument("--steps", type=int, default=20)
+    sp.add_argument("--steps", type=int, default=20,
+                    help=f"number of map steps, 0 to {_MAX_ORBIT_STEPS}")
     sp.add_argument("--map", choices=("forward", "backward"), default="forward")
     sp.set_defaults(func=_cmd_orbit)
 
@@ -660,7 +670,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--step-c", dest="step_c", default="1/8")
     sp.add_argument("--out", required=True, help="output PPM (P6) path")
     sp.add_argument("--csv", default=None, help="optional CSV path")
-    sp.add_argument("--workers", type=int, default=1)
+    sp.add_argument("--workers", type=int, default=1,
+                    help="worker processes, clamped to [1, CPU count]")
     sp.set_defaults(func=_cmd_region_plot)
 
     sp = sub.add_parser("selftest", help="cross-check all verdict pipelines on a built-in grid")

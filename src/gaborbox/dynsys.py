@@ -17,7 +17,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple, Union
 
-from .errors import EmptySet, IterationCapExceeded, RegionUnsupported
+from .errors import (
+    EmptySet,
+    IterationCapExceeded,
+    OracleInconsistency,
+    RegionUnsupported,
+)
 from .exactnum import ExactReal, floor_div, mod, rat
 from .lattice import (
     NormalizedTriple,
@@ -256,9 +261,9 @@ def _propagate_rational(nt: NormalizedTriple) -> Tuple[PeriodicSet, List[HoleCha
     S = covered.complement()
     if S.is_empty:
         chain.append(HoleChainStep(len(chain), PeriodicSet.full(a), HoleStatus.SENTINEL))
-    else:
+    elif not S.intersect(bh).is_empty:
         # the construction must have buried both absorbers inside the holes
-        assert S.intersect(bh).is_empty, "invariant set touches the forward absorber"
+        raise OracleInconsistency("invariant set touches the forward absorber")
     return S, chain
 
 
@@ -322,7 +327,8 @@ def surgery_report(
     marks: Marks
     extras: Optional[RationalExtras] = None
     if nt.is_rational:
-        assert ratio is not None, "rational lattice must give commensurable rotation"
+        if ratio is None:
+            raise OracleInconsistency("rational lattice must give commensurable rotation")
         v = ratio.denominator
         g = Ya / v
         marks = Marks(
@@ -346,25 +352,27 @@ def _finite_marks(nt, S, theta, Ya) -> Marks:
         r = (n * theta - y_c0).ratio(Ya)
         if r is not None and r.denominator == 1:
             return Marks(kind="finite", points=tuple(pts))
-    raise AssertionError("mark-count search failed; conjugacy data is corrupt")
+    raise OracleInconsistency("mark-count search failed; conjugacy data is corrupt")
 
 
 def _rational_extras(nt, S: PeriodicSet, h: ExactReal, order: int) -> RationalExtras:
     bh_lo, bh_hi = black_hole_R(nt)
     gap = _cyclic_gap_containing(S, bh_lo, bh_hi)
     if gap is None:
-        raise AssertionError("forward absorber is not inside a hole of S")
+        raise OracleInconsistency("forward absorber is not inside a hole of S")
     g_lo, g_hi = gap
     delta = bh_lo - g_lo
     delta_prime = bh_hi - g_hi
-    assert (delta * delta_prime).is_zero(), "absorber gap must be flush on one side"
+    if not (delta * delta_prime).is_zero():
+        raise OracleInconsistency("absorber gap must be flush on one side")
     big_size = (nt.b - nt.a) + delta - delta_prime
     gaps = S.complement().components_cyclic()
     n_big = sum(1 for lo, hi in gaps if (hi - lo - big_size).is_zero())
     N1 = n_big - 1
     N2 = order - n_big
     identity = (N1 + N2 + 1) * (h + delta - delta_prime) + (N1 + 1) * (nt.b - nt.a)
-    assert (identity - nt.a).is_zero(), "gap bookkeeping violates the length identity"
+    if not (identity - nt.a).is_zero():
+        raise OracleInconsistency("gap bookkeeping violates the length identity")
     return RationalExtras(N1, N2, delta, delta_prime, h)
 
 

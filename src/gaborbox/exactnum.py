@@ -21,6 +21,7 @@ from .errors import (
     ContextMismatch,
     NonPositiveModulus,
     NotOnLattice,
+    OracleInconsistency,
     PrecisionExhausted,
 )
 
@@ -69,7 +70,8 @@ def _pi_enclosure(bits: int) -> Tuple[Fraction, Fraction]:
 
     lo = _raw_mpf_to_fraction(libmp.mpf_pi(bits, "d"))
     hi = _raw_mpf_to_fraction(libmp.mpf_pi(bits, "u"))
-    assert lo < hi
+    if not lo < hi:
+        raise OracleInconsistency(f"pi enclosure at {bits} bits is not an interval")
     return lo, hi
 
 
@@ -219,10 +221,6 @@ class ExactReal:
             return ExactReal(RATIONAL, Fraction(other), Fraction(0))
         return NotImplemented
 
-    @property
-    def is_rational_value(self) -> bool:
-        return self.x1 == 0
-
     # -- ring operations ---------------------------------------------------
     def __add__(self, other):
         o = self._coerce(other)
@@ -316,7 +314,7 @@ class ExactReal:
             lhs = self.x0 * self.x0
             rhs = self.x1 * self.x1 * self.ctx.d
             if lhs == rhs:
-                raise AssertionError(
+                raise OracleInconsistency(
                     "sqrt(d) compared equal to a rational; context is corrupt"
                 )
             return s0 if lhs > rhs else s1
@@ -354,6 +352,10 @@ class ExactReal:
         return self.x0 == o.x0 and self.x1 == o.x1
 
     def __hash__(self):
+        # a rational value equals its copy in every context, so it must hash
+        # like that copy (and like the plain Fraction)
+        if self.x1 == 0:
+            return hash(self.x0)
         return hash((self.ctx, self.x0, self.x1))
 
     def __lt__(self, other):
@@ -398,10 +400,6 @@ def _render_fraction(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def sign(x: ExactReal) -> int:
-    return x.sign()
-
-
 def floor_div(t: ExactReal, a: ExactReal) -> int:
     """The unique integer k with k*a <= t < (k+1)*a, for a > 0; exact."""
     if not isinstance(t, ExactReal):
@@ -429,7 +427,7 @@ def floor_div(t: ExactReal, a: ExactReal) -> int:
             for k in (k_hi, k_lo):
                 if (t - k * a).sign() >= 0 and (t - (k + 1) * a).sign() < 0:
                     return k
-            raise AssertionError("floor_div certification failed for both candidates")
+            raise OracleInconsistency("floor_div certification failed for both candidates")
         ctx.refine()
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
 from .errors import NonPositiveInput, PeriodMismatch
-from .exactnum import RATIONAL, ExactReal, floor_div, mod, rat
+from .exactnum import ExactReal, floor_div, mod, rat
 
 
 class RegionTag(enum.Enum):
@@ -59,7 +59,7 @@ class PeriodicSet:
             if (lo - zero).sign() < 0 or (hi - period).sign() > 0:
                 raise ValueError("interval endpoints must lie inside [0, period]")
             kept.append((lo, hi))
-        kept.sort(key=_IntervalKey)
+        kept.sort(key=lambda iv: iv[0])
         merged: List[Interval] = []
         for lo, hi in kept:
             if merged and (lo - merged[-1][1]).sign() <= 0:
@@ -206,33 +206,6 @@ class PeriodicSet:
     def __repr__(self):
         body = " u ".join(f"[{lo.render()},{hi.render()})" for lo, hi in self.intervals)
         return f"PeriodicSet({body or 'empty'} mod {self.period.render()})"
-
-
-class _IntervalKey:
-    """Sort key wrapping exact comparisons (avoids float round trips)."""
-
-    __slots__ = ("iv",)
-
-    def __init__(self, iv: Interval):
-        self.iv = iv
-
-    def __lt__(self, other: "_IntervalKey") -> bool:
-        return (self.iv[0] - other.iv[0]).sign() < 0
-
-
-def set_algebra(op: str, *args):
-    """Dispatcher mirroring the documented set-operation surface."""
-    table = {
-        "union": lambda a, b: a.union(b),
-        "intersect": lambda a, b: a.intersect(b),
-        "complement": lambda a: a.complement(),
-        "shift": lambda a, t: a.shift(t),
-        "measure": lambda a: a.measure(),
-        "restrict": lambda a, lo, hi: a.restrict(lo, hi),
-    }
-    if op not in table:
-        raise ValueError(f"unknown set operation {op!r}")
-    return table[op](*args)
 
 
 @dataclass(frozen=True)

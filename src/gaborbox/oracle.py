@@ -92,13 +92,14 @@ def build_grid_model(nt: NormalizedTriple) -> GridModel:
     p, q = nt.rational
     cb = nt.c.ratio(nt.b)
     k_c = cb * q
-    assert k_c.denominator == 1
     f = nt.floor_cb
     j0 = k_c.numerator - f * q
-    assert 0 < j0 < p, "c0 index must sit strictly inside (0, p)"
     j1 = (f * q) % p
     e = k_c.numerator % p
-    assert e == (j0 + j1) % p
+    if k_c.denominator != 1 or not 0 < j0 < p or e != (j0 + j1) % p:
+        raise OracleInconsistency(
+            f"grid indices of c break their identities: c/b*q = {k_c}, j0 = {j0}"
+        )
     return GridModel(nt, p, q, f, j0, j1, e)
 
 

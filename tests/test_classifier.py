@@ -17,7 +17,7 @@ from gaborbox.classifier import (
     cond_XIII,
 )
 from gaborbox.dynsys import compute_S
-from gaborbox.errors import NonPositiveInput
+from gaborbox.errors import NonPositiveInput, RegionUnsupported
 from gaborbox.exactnum import pi_context, surd_context
 
 PI = pi_context()
@@ -265,6 +265,18 @@ def test_xiv_snap_values():
     assert pair.high.verdict == verdict("6/7", 1, "24/7")
     assert pair.low.region is RegionTag.XIII
     assert pair.high.region is RegionTag.XIII
+
+
+def test_grid_searches_reject_triples_outside_their_region():
+    on_grid = nt_of("13/17", 1, "77/17")
+    off_grid = nt_of("13/17", 1, "151/34")
+    irrational = normalize(PI.num(0, F(1, 4)), rat(1), PI.num(23, F(-11, 2)))
+    for nt in (on_grid, irrational):
+        with pytest.raises(RegionUnsupported):
+            classify_off_grid(nt)
+    for nt in (off_grid, irrational):
+        with pytest.raises(RegionUnsupported):
+            cond_XIII(nt)
 
 
 def test_dilation_invariance_spot():

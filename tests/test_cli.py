@@ -1,7 +1,9 @@
 """CLI: number grammar, subcommands, exit codes, and raster determinism."""
 
 import json
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -211,10 +213,43 @@ def test_orbit_needs_map_region(capsys):
     assert "error:" in err
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="interpreter has no int-string limit")
+def test_oversized_integer_literal_is_a_syntax_error(capsys):
+    code, _, err = run(capsys, "classify", "--a", "1/2", "--b", "1", "--c", "2*" + "9" * 5000)
+    assert code == 1
+    assert err.startswith("error:")
+    assert "column 3" in err
+
+
+@pytest.mark.parametrize("steps", ["-3", "100001"])
+def test_orbit_rejects_steps_out_of_range(capsys, steps):
+    code, _, err = run(
+        capsys, "orbit", "--a", "13/17", "--b", "1", "--c", "77/17",
+        "--t", "0", "--steps", steps,
+    )
+    assert code == 1
+    assert "--steps" in err
+
+
+GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[c["name"] for c in GOLDEN])
+def test_json_payloads_match_golden(capsys, case):
+    code, out, _ = run(capsys, *case["argv"])
+    payload = json.loads(out)
+    payload.pop("timings", None)
+    assert code == case["exit_code"]
+    # compare the serialized text so that key order counts too
+    assert json.dumps(payload, indent=2) == json.dumps(case["payload"], indent=2)
+
+
 def test_selftest_passes(capsys):
     code, out, _ = run(capsys, "selftest", "--qmax", "4")
     assert code == 0
     assert "checks agree" in out
+    assert "region XIII" in out  # the per-region tally
 
 
 # -- region plot -------------------------------------------------------------------
@@ -258,6 +293,39 @@ def test_region_sweep_workers_match(tmp_path):
     serial = region_sweep(3, F(0), F(1), F(0), F(3), F(1, 2), workers=1)
     parallel = region_sweep(3, F(0), F(1), F(0), F(3), F(1, 2), workers=2)
     assert serial == parallel
+
+
+def test_region_sweep_clamps_workers(monkeypatch):
+    import concurrent.futures
+
+    pools = []
+
+    class FakePool:  # records the pool size instead of starting processes
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    args = (3, F(0), F(1), F(0), F(3), F(1, 2))
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    serial = region_sweep(*args, workers=1)
+    for asked in (-5, 0):
+        assert region_sweep(*args, workers=asked) == serial
+    assert pools == []
+    assert region_sweep(*args, workers=10**6) == serial
+    assert region_sweep(*args, workers=3) == serial
+    assert pools == [4, 3]
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    assert region_sweep(*args, workers=8) == serial
+    assert pools == [4, 3]
 
 
 def test_region_plot_rejects_bad_ranges(capsys):

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gaborbox import PeriodicSet
 from gaborbox.errors import ContextMismatch, NotOnLattice
 from gaborbox.exactnum import (
     RATIONAL,
@@ -44,6 +45,24 @@ def test_rational_mixes_into_any_context():
     y = rat(F(3, 4))
     assert (x + y).x0 == F(7, 4)
     assert (x + y).x1 == F(1, 2)
+
+
+@given(fractions)
+def test_equal_values_hash_equal_across_contexts(x):
+    values = [x, rat(x), PI.num(x, 0), SQRT2.num(x, 0)]
+    for v in values:
+        assert v == rat(x)
+        assert hash(v) == hash(x)
+    assert PI.num(x, 0) in {rat(x)}
+
+
+def test_equal_periodic_sets_hash_equal_across_contexts():
+    half = F(1, 2)
+    x = PeriodicSet.make(rat(1), [(rat(0), rat(half))])
+    y = PeriodicSet.make(PI.num(1, 0), [(PI.num(0, 0), PI.num(half, 0))])
+    assert x == y
+    assert hash(x) == hash(y)
+    assert y in {x}
 
 
 def test_surd_context_normalizes_square_factor():

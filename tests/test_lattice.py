@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from gaborbox import NormalizedTriple, PeriodicSet, RegionTag, normalize, rat, region_tag
 from gaborbox.errors import NonPositiveInput, PeriodMismatch
 from gaborbox.exactnum import pi_context, surd_context
-from gaborbox.lattice import black_hole_R, black_hole_Rt, set_algebra
+from gaborbox.lattice import black_hole_R, black_hole_Rt
 
 PI = pi_context()
 
@@ -144,14 +144,6 @@ def test_period_mismatch_raises():
     y = PeriodicSet.make(rat(2), [(rat(0), rat(1))])
     with pytest.raises(PeriodMismatch):
         x.union(y)
-
-
-def test_set_algebra_helper_matches_methods():
-    p = rat(1)
-    x = PeriodicSet.make(p, [iv(0, "1/2")])
-    y = PeriodicSet.make(p, [iv("1/4", "3/4")])
-    assert set_algebra("union", x, y) == x.union(y)
-    assert set_algebra("intersect", x, y) == x.intersect(y)
 
 
 # -- randomized algebra laws ------------------------------------------------------
