@@ -197,41 +197,50 @@ def _region_xi(nt: NormalizedTriple) -> FrameDecision:
 
 def _search_obstruction_irrational(nt: NormalizedTriple):
     """Find the (d1, d2) tuple passing the membership, window and count
-    conditions; by exactness of the lattice there is at most one verdict."""
+    conditions; by exactness of the lattice there is at most one verdict.
+
+    For each s the membership condition s*c1 - c0 + (d1+1)(b-a) = m*a is
+    two rational equations in (m, d1+1), one per coordinate; a and b-a are
+    independent over Q exactly when a/b is irrational, so Cramer's rule
+    leaves one candidate per s instead of a scan over d1."""
     a, b, c = nt.a, nt.b, nt.c
     f = nt.floor_cb
     ba = b - a
+    det = ba.x0 * a.x1 - a.x0 * ba.x1
+    if det == 0:
+        raise RegionUnsupported("the obstruction solve needs an irrational a/b")
     matches = []
-    s = 1
-    while (s * ba - a).sign() < 0:  # number of gaps stays below a/(b-a)
-        for d1 in range(s):
-            d2 = s - 1 - d1
-            if (c - (f * b + (d1 + 1) * ba)).sign() <= 0:
-                continue
-            if ((f * b + b - (d2 + 1) * ba) - c).sign() <= 0:
-                continue
-            m_ratio = (s * nt.c1 - nt.c0 + (d1 + 1) * ba).ratio(a)
-            if m_ratio is None or m_ratio.denominator != 1:
-                continue
-            m = int(m_ratio)
-            expr = c - (d1 + 1) * (f + 1) * ba - (d2 + 1) * f * ba
-            e_ratio = expr.ratio(a)
-            if e_ratio is None or e_ratio.denominator != 1:
-                raise OracleInconsistency(
-                    "collapse count is integral but the length combination "
-                    "misses the coarse lattice"
-                )
-            modulus = a - s * ba
-            base = nt.c1 - m * ba
-            width = nt.c0 - (d1 + 1) * ba
-            count = 0
-            for k in range(1, s + 1):
-                if (mod(k * base, modulus) - width).sign() < 0:
-                    count += 1
-            if count != d1:
-                continue
-            matches.append((d1, d2, m, count, expr))
-        s += 1
+    # s*(b-a) < a: the number of gaps stays below a/(b-a), never equal to it
+    for s in range(1, floor_div(a, ba) + 1):
+        r0 = s * nt.c1.x0 - nt.c0.x0
+        r1 = s * nt.c1.x1 - nt.c0.x1
+        m = (ba.x0 * r1 - r0 * ba.x1) / det
+        d1 = (a.x0 * r1 - a.x1 * r0) / det - 1
+        if m.denominator != 1 or d1.denominator != 1 or not 0 <= d1 < s:
+            continue
+        m, d1 = int(m), int(d1)
+        d2 = s - 1 - d1
+        if (c - (f * b + (d1 + 1) * ba)).sign() <= 0:
+            continue
+        if ((f * b + b - (d2 + 1) * ba) - c).sign() <= 0:
+            continue
+        expr = c - (d1 + 1) * (f + 1) * ba - (d2 + 1) * f * ba
+        e_ratio = expr.ratio(a)
+        if e_ratio is None or e_ratio.denominator != 1:
+            raise OracleInconsistency(
+                "collapse count is integral but the length combination "
+                "misses the coarse lattice"
+            )
+        modulus = a - s * ba
+        base = nt.c1 - m * ba
+        width = nt.c0 - (d1 + 1) * ba
+        count = 0
+        for k in range(1, s + 1):
+            if (mod(k * base, modulus) - width).sign() < 0:
+                count += 1
+        if count != d1:
+            continue
+        matches.append((d1, d2, m, count, expr))
     if len(matches) > 1:
         verdicts = {(e - a).is_zero() for (_, _, _, _, e) in matches}
         if len(verdicts) != 1:
@@ -283,40 +292,38 @@ def _xiii_candidates(nt: NormalizedTriple):
     if q - j0 < g2:
         yield RationalParams(case_id=7), (f + 1) * (g2 + j0 - q) != g2
     qp = q - p  # b-a in grid units
+    # Case 8: every condition depends on w = d1 + d3 + 1 alone.  gcd(q-p, p)
+    # is 1, so val = N*gamma1 + w*(q-p) = 0 mod p fixes w mod p, and N <= p
+    # leaves at most one w in [1, N-1]; the window count must equal d1,
+    # which then fixes d3.  One candidate per (s, N), in the scan's order.
+    inv_qp = pow(qp, -1, p)
     s = 1
     while p - s * qp > 0:
         bd = p - s * qp
-        for N in range(s + 1, p + 1):
+        for N in range(s + 1, bd + 1):  # N divides bd
             if bd % N:
                 continue
-            for d1 in range(s):
-                d2 = s - 1 - d1
-                for d3 in range(N - s):
-                    d4 = N - s - 1 - d3
-                    w = d1 + d3 + 1
-                    val = N * gamma1 + w * qp
-                    if val % p:
-                        continue
-                    if (s * val - w * p) % (N * p):
-                        continue
-                    if gcd(val, N * p) != p:
-                        continue
-                    count = sum(
-                        1 for k in range(1, s + 1)
-                        if 0 < (k * val) % (N * p) < w * p
-                    )
-                    if count != d1:
-                        continue
-                    delta = Fraction(j0) - (d1 + 1) * qp - Fraction(w * bd, N)
-                    lim_low = -min(Fraction(p - j0), Fraction(bd, N))
-                    lim_high = min(Fraction(j0 - qp), Fraction(bd, N))
-                    if not (lim_low < delta < lim_high):
-                        continue
-                    witness = RationalParams(
-                        case_id=8, d1=d1, d2=d2, d3=d3, d4=d4, N=N,
-                        delta=nt.b * (delta / q), e_count=count,
-                    )
-                    yield witness, abs(delta) + Fraction(p, N * f + w) != Fraction(bd, N)
+            w = (-N * gamma1 * inv_qp) % p
+            if not 0 < w < N:
+                continue
+            val = N * gamma1 + w * qp
+            Np = N * p
+            if (s * val - w * p) % Np or gcd(val, Np) != p:
+                continue
+            d1 = sum(1 for k in range(1, s + 1) if 0 < (k * val) % Np < w * p)
+            d3 = w - 1 - d1
+            if d1 >= s or not 0 <= d3 < N - s:
+                continue
+            delta = Fraction(j0) - (d1 + 1) * qp - Fraction(w * bd, N)
+            lim_low = -min(Fraction(p - j0), Fraction(bd, N))
+            lim_high = min(Fraction(j0 - qp), Fraction(bd, N))
+            if not (lim_low < delta < lim_high):
+                continue
+            witness = RationalParams(
+                case_id=8, d1=d1, d2=s - 1 - d1, d3=d3, d4=N - s - 1 - d3, N=N,
+                delta=nt.b * (delta / q), e_count=d1,
+            )
+            yield witness, abs(delta) + Fraction(p, N * f + w) != Fraction(bd, N)
         s += 1
 
 

@@ -21,6 +21,7 @@ import sys
 import time
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .classifier import (
@@ -192,6 +193,7 @@ class _Parser:
             self.expect_op(")")
             if arg[1] == 0:
                 return Fraction(0), None
+            _check_radicand(arg[1])
             s, d = square_free_decompose(arg[1])
             if d == 1:
                 return Fraction(s), None
@@ -231,6 +233,15 @@ def _ctx_name(ctx: NumberContext) -> str:
     return f"sqrt:{ctx.d}"
 
 
+# the square-free part of D is found by trial division, about sqrt(D) steps
+_MAX_RADICAND = 10**12
+
+
+def _check_radicand(d: int) -> None:
+    if d > _MAX_RADICAND:
+        raise UnsupportedRange(f"sqrt argument must be at most 10**12, got {len(str(d))} digits")
+
+
 def parse_context(spec: str) -> NumberContext:
     if spec == "rational":
         return RATIONAL
@@ -241,6 +252,7 @@ def parse_context(spec: str) -> NumberContext:
         d = int(m.group(1))
         if d < 2:
             raise UnsupportedRange(f"sqrt context needs an integer >= 2, got {d}")
+        _check_radicand(d)
         return surd_context(d)
     raise UnsupportedRange(
         f"unknown context {spec!r}; use rational, pi or sqrt:D"
@@ -486,6 +498,9 @@ for _r, _rgb in _REGION_BASE.items():
     PALETTE[(_r, "NotFrame")] = tuple(v // 3 for v in _rgb)
 
 
+_MAX_CELLS = 10**6
+
+
 def _sweep_axes(qmax: int, amin: Fraction, amax: Fraction,
                 cmin: Fraction, cmax: Fraction, step_c: Fraction):
     if qmax < 1:
@@ -496,23 +511,23 @@ def _sweep_axes(qmax: int, amin: Fraction, amax: Fraction,
         raise UnsupportedRange("need cmin < cmax")
     if step_c <= 0:
         raise UnsupportedRange("step-c must be positive")
-    avals = sorted(
-        {
-            Fraction(p, q)
-            for q in range(1, qmax + 1)
-            for p in range(1, int(amax * q) + 1)
-            if amin < Fraction(p, q) <= amax
-        }
-    )
+    ncols = -((cmin - cmax) // step_c) - 1  # k >= 1 with cmin + k*step_c < cmax
+    avals = []
+    for q in range(1, qmax + 1):  # each reduced p/q once, at its own q
+        for p in range(max(1, (amin * q).__floor__() + 1), (amax * q).__floor__() + 1):
+            if gcd(p, q) == 1:
+                avals.append(Fraction(p, q))
+                if len(avals) * ncols > _MAX_CELLS:
+                    raise UnsupportedRange(
+                        f"the sweep has more than {_MAX_CELLS} cells; "
+                        "lower --qmax or narrow the a or c range"
+                    )
     if not avals:
         raise UnsupportedRange("no lattice steps a = p/q fall inside (amin, amax]")
-    cvals = []
-    k = 1
-    while cmin + k * step_c < cmax:
-        cvals.append(cmin + k * step_c)
-        k += 1
-    if not cvals:
+    if not ncols:
         raise UnsupportedRange("no window lengths fall inside (cmin, cmax)")
+    avals.sort()
+    cvals = [cmin + k * step_c for k in range(1, ncols + 1)]
     return avals, cvals
 
 
@@ -587,9 +602,16 @@ def _cmd_region_plot(args) -> int:
     return 0
 
 
+_MAX_SELFTEST_QMAX = 64
+
+
 def _cmd_selftest(args) -> int:
     from .oracle import on_grid_survey, triple_pipeline_check
 
+    if not 1 <= args.qmax <= _MAX_SELFTEST_QMAX:
+        raise UnsupportedRange(
+            f"--qmax must lie in [1, {_MAX_SELFTEST_QMAX}], got {args.qmax}"
+        )
     failures: List[str] = []
     checked = 0
     tally: Counter = Counter()
@@ -675,7 +697,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_region_plot)
 
     sp = sub.add_parser("selftest", help="cross-check all verdict pipelines on a built-in grid")
-    sp.add_argument("--qmax", type=int, default=6)
+    sp.add_argument("--qmax", type=int, default=6,
+                    help=f"largest denominator q, 1 to {_MAX_SELFTEST_QMAX}")
     sp.set_defaults(func=_cmd_selftest)
 
     return ap

@@ -10,7 +10,9 @@ storage.  All endpoints are ExactReal, all comparisons exact.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, List, Optional, Tuple
 
 from .errors import NonPositiveInput, PeriodMismatch
@@ -38,6 +40,9 @@ class RegionTag(enum.Enum):
 
 
 Interval = Tuple[ExactReal, ExactReal]
+
+_start = itemgetter(0)
+_end = itemgetter(1)
 
 
 @dataclass(frozen=True)
@@ -140,34 +145,91 @@ class PeriodicSet:
                 f"periods differ: {self.period!r} vs {other.period!r}"
             )
 
+    # Operands are canonical, so every result below is emitted in canonical
+    # order directly: the larger operand is searched by bisect (ends and
+    # starts are both increasing) and copied by slices, and exact
+    # comparisons are only spent where the smaller operand lands.
+
     def union(self, other: "PeriodicSet") -> "PeriodicSet":
         self._check(other)
-        return PeriodicSet.make(self.period, list(self.intervals) + list(other.intervals))
+        big, small = self.intervals, other.intervals
+        if len(big) < len(small):
+            big, small = small, big
+        if not small:
+            return PeriodicSet(self.period, big)
+        out: List[Interval] = []
+        pos = 0
+        for lo, hi in small:
+            i = bisect_left(big, lo, pos, key=_end)  # first one reaching lo
+            j = bisect_right(big, hi, i, key=_start)  # first one past hi
+            out.extend(big[pos:i])
+            if i < j:
+                if big[i][0] < lo:
+                    lo = big[i][0]
+                if hi < big[j - 1][1]:
+                    hi = big[j - 1][1]
+            if i == pos and out and not out[-1][1] < lo:
+                # an interval of big already merged above reaches this one
+                out[-1] = (out[-1][0], hi if out[-1][1] < hi else out[-1][1])
+            else:
+                out.append((lo, hi))
+            pos = j
+        out.extend(big[pos:])
+        return PeriodicSet(self.period, tuple(out))
 
     def intersect(self, other: "PeriodicSet") -> "PeriodicSet":
         self._check(other)
+        big, small = self.intervals, other.intervals
+        if len(big) < len(small):
+            big, small = small, big
         out: List[Interval] = []
-        for alo, ahi in self.intervals:
-            for blo, bhi in other.intervals:
-                lo = alo if (alo - blo).sign() >= 0 else blo
-                hi = ahi if (ahi - bhi).sign() <= 0 else bhi
-                if (hi - lo).sign() > 0:
-                    out.append((lo, hi))
-        return PeriodicSet.make(self.period, out)
+        pos = 0
+        for lo, hi in small:
+            i = bisect_right(big, lo, pos, key=_end)  # first one ending past lo
+            j = bisect_left(big, hi, i, key=_start)  # first one starting at hi or later
+            for blo, bhi in big[i:j]:
+                out.append((lo if blo < lo else blo, bhi if bhi < hi else hi))
+            pos = max(i, j - 1)
+        return PeriodicSet(self.period, tuple(out))
 
     def complement(self) -> "PeriodicSet":
         gaps: List[Interval] = []
         cursor = rat(0)
         for lo, hi in self.intervals:
-            if (lo - cursor).sign() > 0:
+            if cursor < lo:
                 gaps.append((cursor, lo))
             cursor = hi
-        if (self.period - cursor).sign() > 0:
+        if cursor < self.period:
             gaps.append((cursor, self.period))
-        return PeriodicSet.make(self.period, gaps)
+        return PeriodicSet(self.period, tuple(gaps))
 
     def minus(self, other: "PeriodicSet") -> "PeriodicSet":
-        return self.intersect(other.complement())
+        self._check(other)
+        mine, cuts = self.intervals, other.intervals
+        if len(mine) <= len(cuts):
+            hit = range(len(mine))
+        else:  # only the intervals some cut reaches need work
+            hit, j = [], 0
+            for lo, hi in cuts:
+                i = bisect_right(mine, lo, j, key=_end)  # mine[:j] is already listed
+                j = bisect_left(mine, hi, i, key=_start)
+                hit.extend(range(i, j))
+        out: List[Interval] = []
+        prev = 0
+        for t in hit:
+            out.extend(mine[prev:t])
+            lo, hi = mine[t]
+            i = bisect_right(cuts, lo, key=_end)
+            j = bisect_left(cuts, hi, i, key=_start)
+            for clo, chi in cuts[i:j]:
+                if lo < clo:
+                    out.append((lo, clo))
+                lo = chi
+            if lo < hi:
+                out.append((lo, hi))
+            prev = t + 1
+        out.extend(mine[prev:])
+        return PeriodicSet(self.period, tuple(out))
 
     def shift(self, t: ExactReal) -> "PeriodicSet":
         """The set + t, reduced back into [0, period)."""

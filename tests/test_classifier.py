@@ -277,6 +277,10 @@ def test_grid_searches_reject_triples_outside_their_region():
     for nt in (off_grid, irrational):
         with pytest.raises(RegionUnsupported):
             cond_XIII(nt)
+    # a rational a/b leaves the XII solve without a unique candidate
+    for nt in (on_grid, off_grid):
+        with pytest.raises(RegionUnsupported):
+            cond_XII(nt)
 
 
 def test_dilation_invariance_spot():

@@ -1,14 +1,20 @@
 """CLI: number grammar, subcommands, exit codes, and raster determinism."""
 
+import contextlib
+import io
 import json
+import os
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaborbox import compute_S, normalize, rat
-from gaborbox.cli import main, parse_context, parse_number, region_sweep, PALETTE
+from gaborbox.cli import PALETTE, _sweep_axes, main, parse_context, parse_number, region_sweep
 from gaborbox.errors import ContextMismatch, NumberSyntaxError, UnsupportedRange
 from gaborbox.exactnum import RATIONAL, pi_context, surd_context
 
@@ -230,6 +236,105 @@ def test_orbit_rejects_steps_out_of_range(capsys, steps):
     )
     assert code == 1
     assert "--steps" in err
+
+
+_HUGE = "9" * 54
+
+
+@pytest.mark.parametrize("argv", [
+    ["--context", f"sqrt:{_HUGE}", "--a", "1/2", "--b", "1", "--c", "3"],
+    ["--a", f"sqrt({_HUGE})/4", "--b", "1", "--c", "3"],
+])
+def test_oversized_radicand_is_rejected_before_factoring(capsys, argv):
+    t0 = time.monotonic()
+    code, _, err = run(capsys, "classify", *argv)
+    assert code == 1
+    assert "10**12" in err
+    assert time.monotonic() - t0 < 1.0
+
+
+def test_radicand_bound_is_inclusive():
+    bound = 10**12  # = 2**12 * 5**12, a perfect square
+    assert parse_number(f"sqrt({bound})", RATIONAL) == rat(10**6)
+    with pytest.raises(UnsupportedRange):
+        parse_number(f"sqrt({bound + 1})", RATIONAL)
+    with pytest.raises(UnsupportedRange):
+        parse_context(f"sqrt:{bound + 1}")
+
+
+@pytest.mark.parametrize("qmax", ["0", "65", "100000"])
+def test_selftest_rejects_qmax_out_of_range(capsys, qmax):
+    code, _, err = run(capsys, "selftest", "--qmax", qmax)
+    assert code == 1
+    assert "--qmax" in err
+
+
+def test_region_plot_rejects_oversized_sweep(capsys, tmp_path):
+    out = tmp_path / "big.ppm"
+    t0 = time.monotonic()
+    code, _, err = run(
+        capsys, "region-plot", "--qmax", "100000", "--cmin", "0", "--cmax", "1000",
+        "--out", str(out),
+    )
+    assert code == 1
+    assert "cells" in err
+    assert not out.exists()
+    assert time.monotonic() - t0 < 1.0
+
+
+def test_region_plot_cell_bound_is_inclusive():
+    # rows a = 1..1000 (q = 1), columns c = 1..ncols
+    avals, cvals = _sweep_axes(1, F(0), F(1000), F(0), F(1001), F(1))
+    assert len(avals) * len(cvals) == 10**6
+    with pytest.raises(UnsupportedRange):
+        _sweep_axes(1, F(0), F(1000), F(0), F(1002), F(1))
+
+
+_NUMBERS = [
+    "1", "3", "1/2", "13/17", "77/17", "75/17", "6/7", "23/7", "7/2", "pi/4",
+    "23-11*pi/2", "7/10*sqrt(2)", "sqrt(2)/2", "1/2*sqrt(3)", "15-13*sqrt(3)/2",
+    "sqrt(4)", "sqrt(0)", "0", "-1/2", "1/0", "", "abc", "2**3", "sqrt(x)",
+    "pi*pi", "1/pi", f"sqrt({_HUGE})", "9" * 5000,
+]
+_CONTEXTS = ["rational", "pi", "sqrt:2", "sqrt:3", "sqrt:8", "sqrt:1", "sqrt:",
+             f"sqrt:{_HUGE}", "bogus"]
+_VALID_TRIPLES = [
+    ("13/17", "1", "77/17", "rational"), ("13/17", "1", "75/17", "rational"),
+    ("6/7", "1", "23/7", "rational"), ("3/4", "1", "3", "rational"),
+    ("pi/4", "1", "23-11*pi/2", "pi"), ("1/2*sqrt(3)", "1", "15-13*sqrt(3)/2", "sqrt:3"),
+]
+_number = st.sampled_from(_NUMBERS)
+_triple_flags = st.one_of(
+    st.sampled_from(_VALID_TRIPLES),
+    st.tuples(_number, _number, _number, st.sampled_from(_CONTEXTS)),
+).map(lambda t: [f"--a={t[0]}", f"--b={t[1]}", f"--c={t[2]}", f"--context={t[3]}"])
+_json = st.sampled_from([[], ["--json"]])
+_argvs = st.one_of(
+    st.tuples(st.sampled_from(["classify", "invariant-set", "sampling"]),
+              _triple_flags, _json).map(lambda t: [t[0], *t[1], *t[2]]),
+    st.tuples(_triple_flags, _number,
+              st.one_of(st.integers(-3, 20), st.sampled_from([100_001, 10**9])),
+              st.sampled_from(["forward", "backward"])).map(
+        lambda t: ["orbit", *t[0], f"--t={t[1]}", f"--steps={t[2]}", f"--map={t[3]}"]),
+    # small sweeps, or huge ones that the cell bound must stop at once
+    st.one_of(
+        st.tuples(st.integers(-1, 3), st.sampled_from(["0", "2", "3", "nope"])),
+        st.tuples(st.sampled_from([10**5, 10**9]), st.just("1000")),
+    ).map(lambda t: ["region-plot", f"--qmax={t[0]}", "--cmin=0", f"--cmax={t[1]}",
+                     "--step-c=1/2", f"--out={os.devnull}"]),
+    st.sampled_from([-1, 0, 1, 2, 65, 10**5]).map(lambda q: ["selftest", f"--qmax={q}"]),
+)
+
+
+@given(argv=_argvs)
+@settings(max_examples=200, deadline=None)
+def test_cli_exit_codes_are_0_1_or_3(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 3), (argv, code)
+    if code == 1:
+        assert err.getvalue().startswith("error: ") or "FAIL" in err.getvalue()
 
 
 GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
