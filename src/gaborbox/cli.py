@@ -45,11 +45,13 @@ from .errors import (
     GaborBoxError,
     NumberSyntaxError,
     UnsupportedRange,
+    UsageError,
 )
 from .exactnum import (
     RATIONAL,
     ExactReal,
     NumberContext,
+    check_radicand,
     mod,
     pi_context,
     rat,
@@ -193,7 +195,7 @@ class _Parser:
             self.expect_op(")")
             if arg[1] == 0:
                 return Fraction(0), None
-            _check_radicand(arg[1])
+            check_radicand(arg[1])
             s, d = square_free_decompose(arg[1])
             if d == 1:
                 return Fraction(s), None
@@ -233,15 +235,6 @@ def _ctx_name(ctx: NumberContext) -> str:
     return f"sqrt:{ctx.d}"
 
 
-# the square-free part of D is found by trial division, about sqrt(D) steps
-_MAX_RADICAND = 10**12
-
-
-def _check_radicand(d: int) -> None:
-    if d > _MAX_RADICAND:
-        raise UnsupportedRange(f"sqrt argument must be at most 10**12, got {len(str(d))} digits")
-
-
 def parse_context(spec: str) -> NumberContext:
     if spec == "rational":
         return RATIONAL
@@ -252,7 +245,6 @@ def parse_context(spec: str) -> NumberContext:
         d = int(m.group(1))
         if d < 2:
             raise UnsupportedRange(f"sqrt context needs an integer >= 2, got {d}")
-        _check_radicand(d)
         return surd_context(d)
     raise UnsupportedRange(
         f"unknown context {spec!r}; use rational, pi or sqrt:D"
@@ -499,6 +491,9 @@ for _r, _rgb in _REGION_BASE.items():
 
 
 _MAX_CELLS = 10**6
+# the row walk takes one step per q <= qmax and one per numerator p tried,
+# whether or not p/q lands in the sweep
+_MAX_ROW_STEPS = 2 * 10**6
 
 
 def _sweep_axes(qmax: int, amin: Fraction, amax: Fraction,
@@ -513,8 +508,18 @@ def _sweep_axes(qmax: int, amin: Fraction, amax: Fraction,
         raise UnsupportedRange("step-c must be positive")
     ncols = -((cmin - cmax) // step_c) - 1  # k >= 1 with cmin + k*step_c < cmax
     avals = []
+    lo_n, lo_d = amin.numerator, amin.denominator
+    hi_n, hi_d = amax.numerator, amax.denominator
+    steps = qmax
     for q in range(1, qmax + 1):  # each reduced p/q once, at its own q
-        for p in range(max(1, (amin * q).__floor__() + 1), (amax * q).__floor__() + 1):
+        p_lo, p_hi = max(1, lo_n * q // lo_d + 1), hi_n * q // hi_d + 1
+        steps += max(0, p_hi - p_lo)
+        if steps > _MAX_ROW_STEPS:  # checked before any work when qmax alone is too large
+            raise UnsupportedRange(
+                f"the row walk takes more than {_MAX_ROW_STEPS} steps (one per q <= --qmax "
+                "and one per numerator tried); lower --qmax or narrow the a range"
+            )
+        for p in range(p_lo, p_hi):
             if gcd(p, q) == 1:
                 avals.append(Fraction(p, q))
                 if len(avals) * ncols > _MAX_CELLS:
@@ -656,8 +661,16 @@ def _cmd_selftest(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises UsageError instead of exiting 2, so a bad command line exits 1
+    like every other error; subcommand parsers inherit the class."""
+
+    def error(self, message):
+        raise UsageError(f"{message}\n{self.format_usage().rstrip()}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="gaborbox",
         description="Exact frame classification for box-window Gabor systems.",
     )
@@ -704,9 +717,31 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# flags that take an exact number; argparse would read a value such as -1/2
+# or -pi/4 as an option of its own, so "--a -1/2" is passed on as "--a=-1/2"
+_NUMBER_FLAGS = frozenset(
+    ("--a", "--b", "--c", "--t", "--amin", "--amax", "--cmin", "--cmax", "--step-c")
+)
+
+
+def _attach_number_values(argv: Sequence[str]) -> List[str]:
+    out: List[str] = []
+    i = 0
+    while i < len(argv):
+        if argv[i] in _NUMBER_FLAGS and i + 1 < len(argv):
+            out.append(f"{argv[i]}={argv[i + 1]}")
+            i += 2
+        else:
+            out.append(argv[i])
+            i += 1
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
     try:
+        args = build_parser().parse_args(_attach_number_values(argv))
         return args.func(args)
     except GaborBoxError as e:
         print(f"error: {e}", file=sys.stderr)

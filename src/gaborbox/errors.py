@@ -58,6 +58,10 @@ class UnsupportedRange(GaborBoxError):
     """A sweep range is empty, inverted, or otherwise outside what is supported."""
 
 
+class UsageError(GaborBoxError):
+    """The command line does not match the CLI's grammar of subcommands and flags."""
+
+
 class NumberSyntaxError(GaborBoxError):
     """An expression failed to parse; carries the 1-based offending column."""
 

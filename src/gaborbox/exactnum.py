@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
@@ -23,12 +22,24 @@ from .errors import (
     NotOnLattice,
     OracleInconsistency,
     PrecisionExhausted,
+    UnsupportedRange,
 )
 
 RationalLike = Union[int, Fraction]
 
 _PI_START_BITS = 64
 _DEFAULT_MAX_BITS = 4096
+
+# square_free_decompose trial-divides, about sqrt(D) steps
+_MAX_RADICAND = 10**12
+
+
+def check_radicand(d: int) -> None:
+    """UnsupportedRange for a radicand too large to factor by trial division."""
+    if d > _MAX_RADICAND:
+        raise UnsupportedRange(
+            f"sqrt argument must be at most 10**12, got a {d.bit_length()}-bit integer"
+        )
 
 
 def square_free_decompose(n: int) -> Tuple[int, int]:
@@ -96,6 +107,7 @@ class NumberContext:
         if kind == "surd":
             if d is None or d < 2:
                 raise ValueError("surd context needs an integer d >= 2")
+            check_radicand(d)
             s, d0 = square_free_decompose(d)
             if d0 == 1:
                 raise ValueError(f"sqrt({d}) is rational; use the rational context")
@@ -188,57 +200,81 @@ def surd_context(d: int, max_bits: int = _DEFAULT_MAX_BITS) -> NumberContext:
 
 def rat(x: RationalLike) -> "ExactReal":
     """Shorthand for a rational-context value."""
-    return ExactReal(RATIONAL, Fraction(x), Fraction(0))
+    return _make(RATIONAL, Fraction(x), _ZERO)
 
 
-@dataclass(frozen=True)
+# the tau coefficient of results known to be rational; Fractions are
+# immutable, so one instance serves them all
+_ZERO = Fraction(0)
+
+
 class ExactReal:
-    """x0 + x1*tau with exact rational coefficients; immutable."""
+    """x0 + x1*tau with exact rational coefficients; immutable.
 
-    ctx: NumberContext
-    x0: Fraction
-    x1: Fraction
+    ExactReal(ctx, x0, x1) is the validating constructor.  Results of the
+    arithmetic come from the unchecked `_make`, whose context is either the
+    join of the operands' contexts or carries a zero tau coefficient.
+    """
 
-    def __post_init__(self):
-        if self.ctx.kind == "rational" and self.x1 != 0:
+    __slots__ = ("ctx", "x0", "x1")
+
+    def __init__(self, ctx: NumberContext, x0: Fraction, x1: Fraction):
+        if ctx.kind == "rational" and x1 != 0:
             raise ContextMismatch("rational context cannot carry a tau coefficient")
+        _set_ctx(self, ctx)
+        _set_x0(self, x0)
+        _set_x1(self, x1)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"ExactReal is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"ExactReal is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return ExactReal, (self.ctx, self.x0, self.x1)
 
     # -- plumbing ----------------------------------------------------------
     def _join(self, other: "ExactReal") -> NumberContext:
-        if self.ctx != other.ctx:
-            # a pure rational is welcome in any context
-            if self.ctx.kind == "rational":
-                return other.ctx
-            if other.ctx.kind == "rational":
-                return self.ctx
-            raise ContextMismatch(f"cannot mix {self.ctx!r} with {other.ctx!r}")
-        return self.ctx
+        ctx, octx = self.ctx, other.ctx
+        # a pure rational is welcome in any context
+        if ctx is octx or ctx == octx or octx.kind == "rational":
+            return ctx
+        if ctx.kind == "rational":
+            return octx
+        raise ContextMismatch(f"cannot mix {ctx!r} with {octx!r}")
 
     def _coerce(self, other) -> "ExactReal":
         if isinstance(other, ExactReal):
             return other
         if isinstance(other, (int, Fraction)):
-            return ExactReal(RATIONAL, Fraction(other), Fraction(0))
+            return _make(RATIONAL, Fraction(other), _ZERO)
         return NotImplemented
 
     # -- ring operations ---------------------------------------------------
+    # A zero tau coefficient is passed through (or replaced by _ZERO) rather
+    # than computed: most values the engine builds are rational.
     def __add__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
         ctx = self._join(o)
-        return ExactReal(ctx, self.x0 + o.x0, self.x1 + o.x1)
+        x1, y1 = self.x1, o.x1
+        return _make(ctx, self.x0 + o.x0, x1 + y1 if x1 and y1 else x1 or y1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExactReal(self.ctx, -self.x0, -self.x1)
+        x1 = self.x1
+        return _make(self.ctx, -self.x0, -x1 if x1 else _ZERO)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return self.__add__(-o)
+        ctx = self._join(o)
+        x1, y1 = self.x1, o.x1
+        return _make(ctx, self.x0 - o.x0, (x1 - y1 if x1 else -y1) if y1 else x1)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -251,12 +287,14 @@ class ExactReal:
         if o is NotImplemented:
             return o
         ctx = self._join(o)
-        cross = self.x0 * o.x1 + self.x1 * o.x0
-        if self.x1 != 0 and o.x1 != 0:
-            if ctx.kind == "surd":
-                return ExactReal(ctx, self.x0 * o.x0 + self.x1 * o.x1 * ctx.d, cross)
-            raise ValueError("product of two pi-terms leaves the linear form")
-        return ExactReal(ctx, self.x0 * o.x0, cross)
+        x0, x1, y0, y1 = self.x0, self.x1, o.x0, o.x1
+        if not x1:
+            return _make(ctx, x0 * y0, x0 * y1 if y1 else _ZERO)
+        if not y1:
+            return _make(ctx, x0 * y0, x1 * y0)
+        if ctx.kind == "surd":
+            return _make(ctx, x0 * y0 + x1 * y1 * ctx.d, x0 * y1 + x1 * y0)
+        raise ValueError("product of two pi-terms leaves the linear form")
 
     __rmul__ = __mul__
 
@@ -265,85 +303,70 @@ class ExactReal:
         if o is NotImplemented:
             return o
         ctx = self._join(o)
-        if o.x0 == 0 and o.x1 == 0:
-            raise ZeroDivisionError("division by exact zero")
-        if o.x1 == 0:
-            return ExactReal(ctx, self.x0 / o.x0, self.x1 / o.x0)
+        x0, x1, y0, y1 = self.x0, self.x1, o.x0, o.x1
+        if not y1:
+            if not y0:
+                raise ZeroDivisionError("division by exact zero")
+            return _make(ctx, x0 / y0, x1 / y0 if x1 else _ZERO)
         if ctx.kind == "surd":
-            # multiply by the conjugate; the norm x0^2 - d*x1^2 is a nonzero rational
-            norm = o.x0 * o.x0 - ctx.d * o.x1 * o.x1
-            num = self * ExactReal(ctx, o.x0, -o.x1)
-            return ExactReal(ctx, num.x0 / norm, num.x1 / norm)
+            # multiply by the conjugate; the norm y0^2 - d*y1^2 is a nonzero rational
+            d = ctx.d
+            norm = y0 * y0 - d * y1 * y1
+            return _make(ctx, (x0 * y0 - x1 * y1 * d) / norm, (x1 * y0 - x0 * y1) / norm)
         q = self.ratio(o)
         if q is None:
             raise ValueError("quotient leaves the linear form over pi")
-        return ExactReal(ctx, q, Fraction(0))
+        return _make(ctx, q, _ZERO)
 
     def ratio(self, other: "ExactReal") -> Optional[Fraction]:
         """self/other as an exact Fraction, or None if the quotient is not rational."""
         o = self._coerce(other)
         self._join(o)
-        if o.x0 == 0 and o.x1 == 0:
-            raise ZeroDivisionError("ratio with exact zero")
-        if o.x1 == 0:
-            if self.x1 != 0:
-                return None
-            return self.x0 / o.x0
-        if o.x0 == 0:
-            if self.x0 != 0:
-                return None
-            return self.x1 / o.x1
-        if self.x0 == 0 and self.x1 == 0:
-            return Fraction(0)
-        q = self.x1 / o.x1
-        if self.x0 == q * o.x0:
-            return q
-        return None
+        x0, x1, y0, y1 = self.x0, self.x1, o.x0, o.x1
+        if not y1:
+            if not y0:
+                raise ZeroDivisionError("ratio with exact zero")
+            return None if x1 else x0 / y0
+        if not y0:
+            return None if x0 else x1 / y1
+        if not x0 and not x1:
+            return _ZERO
+        q = x1 / y1
+        return q if x0 == q * y0 else None
 
     # -- decisions ----------------------------------------------------------
     def sign(self) -> int:
         """Exact sign in {-1, 0, +1}; refines the pi enclosure as needed."""
-        if self.x1 == 0:
-            return _sgn(self.x0)
-        if self.x0 == 0:
-            return _sgn(self.x1)  # tau > 0 for every supported basis
-        s0, s1 = _sgn(self.x0), _sgn(self.x1)
-        if s0 == s1:
-            return s0
-        if self.ctx.kind == "surd":
-            lhs = self.x0 * self.x0
-            rhs = self.x1 * self.x1 * self.ctx.d
-            if lhs == rhs:
-                raise OracleInconsistency(
-                    "sqrt(d) compared equal to a rational; context is corrupt"
-                )
-            return s0 if lhs > rhs else s1
-        # pi context: refine until the interval excludes zero
-        while True:
-            lo, hi = self.interval()
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
-            self.ctx.refine()
+        x0, x1 = self.x0, self.x1
+        if not x1:
+            return _sgn(x0)
+        return _sign(self.ctx, x0.numerator, x0.denominator, x1.numerator, x1.denominator)
 
     def interval(self) -> Tuple[Fraction, Fraction]:
         """Rational interval containing the value, at current enclosure precision."""
-        if self.x1 == 0 or self.ctx.kind == "rational":
-            return self.x0, self.x0
-        tlo, thi = self.ctx.enclosure()
-        if self.x1 > 0:
-            return self.x0 + self.x1 * tlo, self.x0 + self.x1 * thi
-        return self.x0 + self.x1 * thi, self.x0 + self.x1 * tlo
+        return _interval(self.ctx, self.x0, self.x1)
 
     def __float__(self):
         lo, hi = self.interval()
         return float((lo + hi) / 2)
 
     def is_zero(self) -> bool:
-        return self.x0 == 0 and self.x1 == 0
+        return not self.x0 and not self.x1
 
     # -- order --------------------------------------------------------------
+    def _cmp(self, other: "ExactReal") -> int:
+        """sign(self - other) in {-1, 0, +1}, without building the difference."""
+        ctx = self._join(other)
+        # the coefficients of the difference, as integer numerators over
+        # (unreduced) positive denominators
+        x0, x1, y0, y1 = self.x0, self.x1, other.x0, other.x1
+        n0 = x0.numerator * y0.denominator - y0.numerator * x0.denominator
+        if x1 is y1:  # one shared tau coefficient (often the zero) cancels
+            return (n0 > 0) - (n0 < 0)
+        n1 = x1.numerator * y1.denominator - y1.numerator * x1.denominator
+        return _sign(ctx, n0, x0.denominator * y0.denominator,
+                     n1, x1.denominator * y1.denominator)
+
     def __eq__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
@@ -354,21 +377,25 @@ class ExactReal:
     def __hash__(self):
         # a rational value equals its copy in every context, so it must hash
         # like that copy (and like the plain Fraction)
-        if self.x1 == 0:
+        if not self.x1:
             return hash(self.x0)
         return hash((self.ctx, self.x0, self.x1))
 
     def __lt__(self, other):
-        return (self - other).sign() < 0
+        o = self._coerce(other)
+        return o if o is NotImplemented else self._cmp(o) < 0
 
     def __le__(self, other):
-        return (self - other).sign() <= 0
+        o = self._coerce(other)
+        return o if o is NotImplemented else self._cmp(o) <= 0
 
     def __gt__(self, other):
-        return (self - other).sign() > 0
+        o = self._coerce(other)
+        return o if o is NotImplemented else self._cmp(o) > 0
 
     def __ge__(self, other):
-        return (self - other).sign() >= 0
+        o = self._coerce(other)
+        return o if o is NotImplemented else self._cmp(o) >= 0
 
     # -- rendering ----------------------------------------------------------
     def render(self) -> str:
@@ -390,8 +417,61 @@ class ExactReal:
         return f"ExactReal({self.render()})"
 
 
+_new = object.__new__
+_set_ctx = ExactReal.ctx.__set__
+_set_x0 = ExactReal.x0.__set__
+_set_x1 = ExactReal.x1.__set__
+
+
+def _make(ctx: NumberContext, x0: Fraction, x1: Fraction) -> ExactReal:
+    """ExactReal without the context check (see the class docstring)."""
+    v = _new(ExactReal)
+    _set_ctx(v, ctx)
+    _set_x0(v, x0)
+    _set_x1(v, x1)
+    return v
+
+
 def _sgn(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
+    n = x.numerator
+    return (n > 0) - (n < 0)
+
+
+def _sign(ctx: NumberContext, n0: int, d0: int, n1: int, d1: int) -> int:
+    """Exact sign of n0/d0 + (n1/d1)*tau for d0, d1 > 0, in integers as far
+    as a surd goes; shared by ExactReal.sign and ExactReal._cmp."""
+    s0, s1 = (n0 > 0) - (n0 < 0), (n1 > 0) - (n1 < 0)
+    if s0 == s1 or not s1:
+        return s0
+    if not s0:
+        return s1  # tau > 0 for every supported basis
+    if ctx.kind == "surd":
+        # |x0| against |x1|*sqrt(d), squared and cleared of denominators
+        lhs = n0 * n0 * d1 * d1
+        rhs = n1 * n1 * ctx.d * d0 * d0
+        if lhs == rhs:
+            raise OracleInconsistency(
+                "sqrt(d) compared equal to a rational; context is corrupt"
+            )
+        return s0 if lhs > rhs else s1
+    # pi context: refine until the interval excludes zero
+    x0, x1 = Fraction(n0, d0), Fraction(n1, d1)
+    while True:
+        lo, hi = _interval(ctx, x0, x1)
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+        ctx.refine()
+
+
+def _interval(ctx: NumberContext, x0: Fraction, x1: Fraction) -> Tuple[Fraction, Fraction]:
+    if not x1 or ctx.kind == "rational":
+        return x0, x0
+    tlo, thi = ctx.enclosure()
+    if x1 > 0:
+        return x0 + x1 * tlo, x0 + x1 * thi
+    return x0 + x1 * thi, x0 + x1 * tlo
 
 
 def _render_fraction(x: Fraction) -> str:
@@ -409,8 +489,8 @@ def floor_div(t: ExactReal, a: ExactReal) -> int:
     if a.sign() <= 0:
         raise NonPositiveModulus(f"floor_div modulus {a!r} is not positive")
     ctx = t._join(a)
-    if t.x1 == 0 and a.x1 == 0:
-        return (t.x0 / a.x0).__floor__()
+    if not t.x1 and not a.x1:
+        return t.x0 // a.x0
     q = t.ratio(a)
     if q is not None:
         return q.__floor__()
@@ -425,7 +505,7 @@ def floor_div(t: ExactReal, a: ExactReal) -> int:
         k_hi = (thi / alo).__floor__()
         if k_hi - k_lo <= 1:
             for k in (k_hi, k_lo):
-                if (t - k * a).sign() >= 0 and (t - (k + 1) * a).sign() < 0:
+                if t._cmp(k * a) >= 0 and t._cmp((k + 1) * a) < 0:
                     return k
             raise OracleInconsistency("floor_div certification failed for both candidates")
         ctx.refine()

@@ -12,11 +12,12 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, List, Optional, Tuple
 
 from .errors import NonPositiveInput, PeriodMismatch
-from .exactnum import ExactReal, floor_div, mod, rat
+from .exactnum import _ZERO, ExactReal, _make, floor_div, mod, rat
 
 
 class RegionTag(enum.Enum):
@@ -56,20 +57,19 @@ class PeriodicSet:
     @classmethod
     def make(cls, period: ExactReal, pairs: Iterable[Interval]) -> "PeriodicSet":
         """Canonicalize pairs already lying inside [0, period]."""
-        zero = rat(0)
         kept: List[Interval] = []
         for lo, hi in pairs:
-            if (hi - lo).sign() <= 0:
+            if hi <= lo:
                 continue  # empty (or inverted, which callers never produce)
-            if (lo - zero).sign() < 0 or (hi - period).sign() > 0:
+            if lo.sign() < 0 or hi > period:
                 raise ValueError("interval endpoints must lie inside [0, period]")
             kept.append((lo, hi))
-        kept.sort(key=lambda iv: iv[0])
+        kept.sort(key=_start)
         merged: List[Interval] = []
         for lo, hi in kept:
-            if merged and (lo - merged[-1][1]).sign() <= 0:
+            if merged and lo <= merged[-1][1]:
                 plo, phi = merged[-1]
-                merged[-1] = (plo, hi if (hi - phi).sign() > 0 else phi)
+                merged[-1] = (plo, hi if hi > phi else phi)
             else:
                 merged.append((lo, hi))
         return cls(period, tuple(merged))
@@ -80,14 +80,14 @@ class PeriodicSet:
         reduced mod period and split at the seam."""
         reduced: List[Interval] = []
         for lo, hi in pairs:
-            if (hi - lo).sign() <= 0:
+            if hi <= lo:
                 continue
-            if (hi - lo - period).sign() > 0:
+            if hi - lo > period:
                 raise ValueError("interval longer than one period")
             shift = floor_div(lo, period)
             lo = lo - shift * period
             hi = hi - shift * period
-            if (hi - period).sign() <= 0:
+            if hi <= period:
                 reduced.append((lo, hi))
             else:
                 reduced.append((lo, period))
@@ -115,32 +115,24 @@ class PeriodicSet:
 
     def contains(self, t: ExactReal) -> bool:
         t = mod(t, self.period)
-        for lo, hi in self.intervals:
-            if (t - lo).sign() >= 0 and (t - hi).sign() < 0:
-                return True
-        return False
+        return any(lo <= t < hi for lo, hi in self.intervals)
 
     def components_cyclic(self) -> List[Interval]:
         """Components with the 0/period seam fused; a wrapped component is
         reported as (lo, hi) with hi > period."""
         ivs = list(self.intervals)
-        if (
-            len(ivs) >= 2
-            and ivs[0][0].is_zero()
-            and (ivs[-1][1] - self.period).sign() == 0
-        ):
+        # a single [0, period) is the full circle and stays as it is
+        if len(ivs) >= 2 and ivs[0][0].is_zero() and ivs[-1][1] == self.period:
             first = ivs.pop(0)
             last = ivs.pop()
             ivs.append((last[0], first[1] + self.period))
-        elif len(ivs) == 1 and ivs[0][0].is_zero() and (ivs[0][1] - self.period).sign() == 0:
-            pass  # full circle; leave as the single [0, period)
         return ivs
 
     # ---- algebra -----------------------------------------------------------
     def _check(self, other: "PeriodicSet") -> None:
         if not isinstance(other, PeriodicSet):
             raise TypeError("expected a PeriodicSet")
-        if not (self.period - other.period).is_zero():
+        if self.period != other.period:
             raise PeriodMismatch(
                 f"periods differ: {self.period!r} vs {other.period!r}"
             )
@@ -237,9 +229,9 @@ class PeriodicSet:
         moved: List[Interval] = []
         for lo, hi in self.intervals:
             nlo, nhi = lo + s, hi + s
-            if (nhi - self.period).sign() <= 0:
+            if nhi <= self.period:
                 moved.append((nlo, nhi))
-            elif (nlo - self.period).sign() >= 0:
+            elif nlo >= self.period:
                 moved.append((nlo - self.period, nhi - self.period))
             else:
                 moved.append((nlo, self.period))
@@ -253,14 +245,7 @@ class PeriodicSet:
     def __eq__(self, other):
         if not isinstance(other, PeriodicSet):
             return NotImplemented
-        if not (self.period - other.period).is_zero():
-            return False
-        if len(self.intervals) != len(other.intervals):
-            return False
-        for (alo, ahi), (blo, bhi) in zip(self.intervals, other.intervals):
-            if not ((alo - blo).is_zero() and (ahi - bhi).is_zero()):
-                return False
-        return True
+        return self.period == other.period and self.intervals == other.intervals
 
     def __hash__(self):
         return hash((self.period, self.intervals))
@@ -294,6 +279,19 @@ def normalize(a: ExactReal, b: ExactReal, c: ExactReal) -> NormalizedTriple:
             raise TypeError(f"{name} must be an ExactReal")
         if v.sign() <= 0:
             raise NonPositiveInput(f"{name} must be positive, got {v!r}")
+    if not (a.x1 or b.x1 or c.x1):
+        # all three rational: the same quantities straight from the integer
+        # numerators and denominators of the coefficients
+        an, ad = a.x0.numerator, a.x0.denominator
+        bn, bd = b.x0.numerator, b.x0.denominator
+        cn, cd = c.x0.numerator, c.x0.denominator
+        fcb, r = divmod(cn * bd, cd * bn)  # c/b = fcb + r/(cd*bn)
+        c0 = _make(c._join(b), Fraction(r, cd * bd), _ZERO)  # c - fcb*b
+        c1 = _make(b._join(a), Fraction(fcb * bn * ad % (an * bd), bd * ad), _ZERO)
+        ratio = Fraction(an * bd, ad * bn)  # a/b
+        q = ratio.denominator
+        rational, on_grid = (ratio.numerator, q), not cn * bd * q % (cd * bn)
+        return NormalizedTriple(a, b, c, fcb, c0, c1, rational, on_grid)
     fcb = floor_div(c, b)
     c0 = c - fcb * b
     k = floor_div(fcb * b, a)
@@ -312,28 +310,27 @@ def normalize(a: ExactReal, b: ExactReal, c: ExactReal) -> NormalizedTriple:
 def region_tag(nt: NormalizedTriple) -> RegionTag:
     """Walk the classification diagram; every positive triple gets one tag."""
     a, b, c = nt.a, nt.b, nt.c
-    ac = (a - c).sign()
+    ac = a._cmp(c)
     if ac > 0:
         return RegionTag.I
     if ac == 0:
         return RegionTag.II
     # now a < c
-    if (b - a).sign() <= 0:
+    if b <= a:
         return RegionTag.III
-    if (b - c).sign() >= 0:
+    if b >= c:
         return RegionTag.IV
     # now a < b < c
     c0, c1 = nt.c0, nt.c1
     ba = b - a
-    if (c0 - a).sign() >= 0:
-        return RegionTag.V if (c0 - ba).sign() <= 0 else RegionTag.VI
-    if (c0 - ba).sign() <= 0:
+    if c0 >= a:
+        return RegionTag.V if c0 <= ba else RegionTag.VI
+    if c0 <= ba:
         return RegionTag.VII
     # now b - a < c0 < a
     if nt.floor_cb == 1:
         return RegionTag.VIII
-    two_a_b = a + a - b
-    s = (c1 - two_a_b).sign()
+    s = c1._cmp(a + a - b)
     if s > 0:
         return RegionTag.IX
     if s == 0:

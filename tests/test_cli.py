@@ -46,6 +46,17 @@ def test_parse_surd_forms():
     assert parse_number("sqrt(0)", RATIONAL) == rat(0)
 
 
+_coef = st.one_of(st.just(0), st.integers(-9, 9),
+                 st.fractions(min_value=-100, max_value=100, max_denominator=50))
+
+
+@given(ctx=st.sampled_from([RATIONAL, surd_context(2), SQ3, surd_context(8), PI]),
+       x0=_coef, x1=_coef)
+def test_render_parses_back_to_the_same_value(ctx, x0, x1):
+    x = ctx.num(x0, 0 if ctx is RATIONAL else x1)
+    assert parse_number(x.render(), ctx) == x
+
+
 def test_syntax_errors_carry_columns():
     with pytest.raises(NumberSyntaxError) as e:
         parse_number("13@17", RATIONAL)
@@ -110,6 +121,30 @@ def test_classify_error_exit(capsys):
     code, _, err = run(capsys, "classify", "--a", "pi/4", "--b", "1", "--c", "3")
     assert code == 1
     assert "--context pi" in err
+
+
+def test_negative_values_reach_the_number_parser(capsys):
+    # argparse alone reads "-1/2" as an option and exits 2
+    code, _, err = run(capsys, "classify", "--a", "-1/2", "--b", "1", "--c", "3")
+    assert code == 1
+    assert "a must be positive" in err
+    orbit = ["orbit", "--a", "13/17", "--b", "1", "--c", "77/17", "--steps", "2"]
+    code, out, _ = run(capsys, *orbit, "--t", "-1/2")
+    assert code == 0
+    assert out.splitlines()[0] == "9/34"  # -1/2 mod 13/17
+    assert run(capsys, *orbit, "--t=-1/2") == (0, out, "")
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["bogus"], ["classify", "--a", "1", "--b", "1"],
+    ["classify", "--a", "1", "--b", "1", "--c", "2", "--bogus"],
+    ["selftest", "--qmax", "x"], ["orbit", "--map", "sideways"],
+])
+def test_usage_errors_exit_1(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error: ")
+    assert "usage: gaborbox" in err
 
 
 def test_classify_json_payload(capsys):
@@ -282,6 +317,19 @@ def test_region_plot_rejects_oversized_sweep(capsys, tmp_path):
     assert time.monotonic() - t0 < 1.0
 
 
+def test_region_plot_bounds_the_row_walk(capsys):
+    # few fractions fall in the a-window, so the cell bound never trips, but
+    # the walk would visit every q <= 10**9
+    t0 = time.monotonic()
+    code, _, err = run(
+        capsys, "region-plot", "--qmax", "1000000000", "--amin", "1/3",
+        "--amax", "1000000001/3000000000", "--cmax", "2", "--out", os.devnull,
+    )
+    assert code == 1
+    assert err.startswith("error:") and "--qmax" in err
+    assert time.monotonic() - t0 < 1.0
+
+
 def test_region_plot_cell_bound_is_inclusive():
     # rows a = 1..1000 (q = 1), columns c = 1..ncols
     avals, cvals = _sweep_axes(1, F(0), F(1000), F(0), F(1001), F(1))
@@ -294,7 +342,7 @@ _NUMBERS = [
     "1", "3", "1/2", "13/17", "77/17", "75/17", "6/7", "23/7", "7/2", "pi/4",
     "23-11*pi/2", "7/10*sqrt(2)", "sqrt(2)/2", "1/2*sqrt(3)", "15-13*sqrt(3)/2",
     "sqrt(4)", "sqrt(0)", "0", "-1/2", "1/0", "", "abc", "2**3", "sqrt(x)",
-    "pi*pi", "1/pi", f"sqrt({_HUGE})", "9" * 5000,
+    "pi*pi", "1/pi", f"sqrt({_HUGE})", "9" * 5000, "-1", "-pi/4", "-sqrt(2)/2", "--json",
 ]
 _CONTEXTS = ["rational", "pi", "sqrt:2", "sqrt:3", "sqrt:8", "sqrt:1", "sqrt:",
              f"sqrt:{_HUGE}", "bogus"]
@@ -304,18 +352,30 @@ _VALID_TRIPLES = [
     ("pi/4", "1", "23-11*pi/2", "pi"), ("1/2*sqrt(3)", "1", "15-13*sqrt(3)/2", "sqrt:3"),
 ]
 _number = st.sampled_from(_NUMBERS)
-_triple_flags = st.one_of(
-    st.sampled_from(_VALID_TRIPLES),
-    st.tuples(_number, _number, _number, st.sampled_from(_CONTEXTS)),
-).map(lambda t: [f"--a={t[0]}", f"--b={t[1]}", f"--c={t[2]}", f"--context={t[3]}"])
+
+
+def _flags(names, values, joined):
+    """--name=value, or --name value (values may start with '-')."""
+    if joined:
+        return [f"--{n}={v}" for n, v in zip(names, values)]
+    return [x for n, v in zip(names, values) for x in (f"--{n}", str(v))]
+
+
+_triple_flags = st.tuples(
+    st.one_of(
+        st.sampled_from(_VALID_TRIPLES),
+        st.tuples(_number, _number, _number, st.sampled_from(_CONTEXTS)),
+    ),
+    st.booleans(),
+).map(lambda t: _flags(("a", "b", "c", "context"), t[0], t[1]))
 _json = st.sampled_from([[], ["--json"]])
 _argvs = st.one_of(
     st.tuples(st.sampled_from(["classify", "invariant-set", "sampling"]),
               _triple_flags, _json).map(lambda t: [t[0], *t[1], *t[2]]),
     st.tuples(_triple_flags, _number,
               st.one_of(st.integers(-3, 20), st.sampled_from([100_001, 10**9])),
-              st.sampled_from(["forward", "backward"])).map(
-        lambda t: ["orbit", *t[0], f"--t={t[1]}", f"--steps={t[2]}", f"--map={t[3]}"]),
+              st.sampled_from(["forward", "backward"]), st.booleans()).map(
+        lambda t: ["orbit", *t[0], *_flags(("t", "steps", "map"), t[1:4], t[4])]),
     # small sweeps, or huge ones that the cell bound must stop at once
     st.one_of(
         st.tuples(st.integers(-1, 3), st.sampled_from(["0", "2", "3", "nope"])),
@@ -323,6 +383,11 @@ _argvs = st.one_of(
     ).map(lambda t: ["region-plot", f"--qmax={t[0]}", "--cmin=0", f"--cmax={t[1]}",
                      "--step-c=1/2", f"--out={os.devnull}"]),
     st.sampled_from([-1, 0, 1, 2, 65, 10**5]).map(lambda q: ["selftest", f"--qmax={q}"]),
+    # command lines that do not parse
+    st.sampled_from([[], ["bogus"], ["classify"], ["classify", "--a"], ["--json"],
+                     ["classify", "--a", "1", "--b", "1", "--c", "2", "--bogus"],
+                     ["orbit", "--a", "13/17", "--b", "1", "--c", "77/17", "--t", "0",
+                      "--steps", "x"], ["region-plot", "--qmax", "2"]]),
 )
 
 

@@ -1,12 +1,13 @@
 """Exact number field: arithmetic, comparisons, floor/mod, lattice gcd."""
 
+import time
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gaborbox import PeriodicSet
-from gaborbox.errors import ContextMismatch, NotOnLattice
+from gaborbox.errors import ContextMismatch, NotOnLattice, UnsupportedRange
 from gaborbox.exactnum import (
     RATIONAL,
     ExactReal,
@@ -68,6 +69,16 @@ def test_equal_periodic_sets_hash_equal_across_contexts():
 def test_surd_context_normalizes_square_factor():
     # sqrt(8) = 2*sqrt(2): both contexts must compare equal
     assert surd_context(8) == surd_context(2)
+
+
+def test_surd_context_bounds_the_radicand_before_factoring():
+    t0 = time.monotonic()
+    for d in (10**12 + 1, 10**18 + 9, 10**5000):
+        with pytest.raises(UnsupportedRange, match=r"at most 10\*\*12"):
+            surd_context(d)
+    assert time.monotonic() - t0 < 1.0
+    # 10**12 - 1 = 3**2 * 111111111111, inside the bound
+    assert surd_context(10**12 - 1).d == 111111111111
 
 
 def test_square_free_decompose():

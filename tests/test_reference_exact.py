@@ -1,0 +1,194 @@
+"""Differential tests: the `__slots__` ExactReal core, its `_cmp` and the
+rational branch of `normalize` against the frozen-dataclass core they
+replaced (`reference_exact.py`), plus the value-class guarantees the
+dataclass used to give (immutability, pickling, copying)."""
+
+import copy
+import operator
+import pickle
+from fractions import Fraction as F
+from math import gcd
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_exact as ref
+from gaborbox.errors import ContextMismatch, GaborBoxError
+from gaborbox.exactnum import (
+    RATIONAL,
+    ExactReal,
+    floor_div,
+    mod,
+    pi_context,
+    rat,
+    surd_context,
+)
+from gaborbox.lattice import PeriodicSet, normalize, region_tag
+
+PI = pi_context()
+SQRT2 = surd_context(2)
+SQRT3 = surd_context(3)
+IRRATIONAL = (SQRT2, SQRT3, PI)
+
+coefs = st.fractions(min_value=-30, max_value=30, max_denominator=12)
+
+
+def _canon(r):
+    """A result of either core in a form the two can be compared by."""
+    if isinstance(r, (ExactReal, ref.ExactReal)):
+        # the context object itself must be the one the old core picked
+        return ("value", id(r.ctx), r.x0, r.x1)
+    if hasattr(r, "floor_cb"):  # a NormalizedTriple
+        return ("triple", *map(_canon, (r.a, r.b, r.c, r.c0, r.c1)),
+                r.floor_cb, r.rational, r.c_on_grid)
+    return ("result", type(r), r)
+
+
+def _outcome(fn, *args):
+    """What a call returned, or the error type and message it raised."""
+    try:
+        r = fn(*args)
+    except (GaborBoxError, ArithmeticError, AttributeError, TypeError, ValueError) as e:
+        return ("raises", type(e), str(e))
+    return _canon(r)
+
+
+@st.composite
+def operands(draw, n, scalars=True):
+    """n operands sharing one irrational home context: values in that
+    context (often with a zero tau coefficient), rationals that join into it,
+    now and then a value in another context, and with scalars also plain ints
+    and Fractions.  Each comes as (new core, old core)."""
+    home = draw(st.sampled_from(IRRATIONAL))
+    kinds = ("home", "home", "rational", "any") + (("scalar",) if scalars else ())
+    out = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "scalar":
+            s = draw(st.one_of(st.integers(-5, 5), coefs))
+            out.append((s, s))
+            continue
+        if kind == "home":
+            ctx = home
+        elif kind == "rational":
+            ctx = RATIONAL
+        else:
+            ctx = draw(st.sampled_from(IRRATIONAL))
+        x0 = draw(coefs)
+        x1 = F(0) if ctx is RATIONAL else draw(st.one_of(st.just(F(0)), coefs))
+        out.append((ExactReal(ctx, x0, x1), ref.ExactReal(ctx, x0, x1)))
+    return out
+
+
+BINARY = {
+    "+": (operator.add, operator.add),
+    "-": (operator.sub, operator.sub),
+    "*": (operator.mul, operator.mul),
+    "/": (operator.truediv, operator.truediv),
+    "<": (operator.lt, operator.lt),
+    "<=": (operator.le, operator.le),
+    ">": (operator.gt, operator.gt),
+    ">=": (operator.ge, operator.ge),
+    "==": (operator.eq, operator.eq),
+    "ratio": (lambda x, y: x.ratio(y), lambda x, y: x.ratio(y)),
+    "floor_div": (floor_div, ref.floor_div),
+    "mod": (mod, ref.mod),
+}
+
+UNARY = {
+    "neg": operator.neg,
+    "sign": lambda x: x.sign(),
+    "hash": hash,
+    "render": lambda x: x.render(),
+    "is_zero": lambda x: x.is_zero(),
+}
+
+
+@given(ops=operands(2), name=st.sampled_from(sorted(BINARY)))
+@settings(max_examples=1000, deadline=None)
+def test_binary_operations_match_old_core(ops, name):
+    (x_new, x_old), (y_new, y_old) = ops
+    new_fn, old_fn = BINARY[name]
+    assert _outcome(new_fn, x_new, y_new) == _outcome(old_fn, x_old, y_old), (name, x_old, y_old)
+
+
+@given(ops=operands(1, scalars=False), name=st.sampled_from(sorted(UNARY)))
+@settings(max_examples=300, deadline=None)
+def test_unary_operations_match_old_core(ops, name):
+    [(x_new, x_old)] = ops
+    fn = UNARY[name]
+    assert _outcome(fn, x_new) == _outcome(fn, x_old), (name, x_old)
+
+
+@given(ops=operands(3, scalars=False))
+@settings(max_examples=300, deadline=None)
+def test_normalize_and_region_tag_match_old_core_on_drawn_triples(ops):
+    """Irrational triples, rational values in irrational contexts, mixed
+    contexts and non-positive inputs, through both branches of normalize."""
+    new, old = zip(*ops)
+    got, want = _outcome(normalize, *new), _outcome(ref.normalize, *old)
+    assert got == want, old
+    if got[0] == "triple":
+        assert _outcome(region_tag, normalize(*new)) == _outcome(
+            ref.region_tag, ref.normalize(*old)), old
+
+
+def test_normalize_and_region_tag_match_old_core_q_le_20():
+    """Every a = p/q <= 1 with q <= 20, b = 1 and c in (0, 8) on the step
+    1/(2q): on-grid and off-grid cells of every rational region."""
+    one_new, one_old = rat(1), ref.rat(1)
+    triples = off_grid = 0
+    for q in range(1, 21):
+        for p in range(1, q + 1):
+            if gcd(p, q) != 1:
+                continue
+            a_new, a_old = rat(F(p, q)), ref.rat(F(p, q))
+            for k in range(1, 16 * q):
+                c = F(k, 2 * q)
+                nt_new = normalize(a_new, one_new, rat(c))
+                nt_old = ref.normalize(a_old, one_old, ref.rat(c))
+                assert _canon(nt_new) == _canon(nt_old), (p, q, c)
+                assert region_tag(nt_new) is ref.region_tag(nt_old), (p, q, c)
+                triples += 1
+                off_grid += not nt_new.c_on_grid
+    assert triples == 27_792
+    assert 0 < off_grid < triples
+
+
+# -- value-class guarantees ------------------------------------------------------------
+
+def test_exact_real_is_immutable():
+    x = SQRT2.num(1, F(1, 2))
+    for name in ("ctx", "x0", "x1", "other"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, F(3))
+    with pytest.raises(AttributeError):
+        del x.x0
+    assert (x.x0, x.x1) == (F(1), F(1, 2))
+
+
+def test_public_constructor_still_checks_the_context():
+    with pytest.raises(ContextMismatch):
+        ExactReal(RATIONAL, 0, 1)
+    assert ExactReal(RATIONAL, F(2), F(0)) == rat(2)
+
+
+def _values():
+    half = F(1, 2)
+    return [rat(F(-3, 7)), PI.num(23, F(-11, 2)), SQRT3.num(0, half),
+            PeriodicSet.make(rat(1), [(rat(0), rat(half))]),
+            PeriodicSet.make(SQRT2.num(0, half), [(SQRT2.num(-half, half), rat(half))]),
+            normalize(rat(F(13, 17)), rat(1), rat(F(77, 17))),
+            normalize(PI.num(0, F(1, 4)), rat(1), PI.num(23, F(-11, 2)))]
+
+
+@pytest.mark.parametrize("roundtrip", [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy,
+                                       copy.copy], ids=["pickle", "deepcopy", "copy"])
+def test_values_survive_pickle_and_copy(roundtrip):
+    for v in _values():
+        w = roundtrip(v)
+        assert type(w) is type(v)
+        assert w == v
+        assert hash(w) == hash(v)
+        assert repr(w) == repr(v)
