@@ -17,7 +17,7 @@ from typing import Dict, Optional, Tuple
 
 from .errors import OracleInconsistency, RegionUnsupported
 from .exactnum import ExactReal, floor_div, mod
-from .lattice import NormalizedTriple, RegionTag, normalize, region_tag
+from .lattice import NormalizedTriple, RegionTag, normalize
 
 
 @dataclass(frozen=True)
@@ -83,12 +83,11 @@ def classify(a: ExactReal, b: ExactReal, c: ExactReal) -> FrameDecision:
 
 
 def classify_triple(nt: NormalizedTriple) -> FrameDecision:
-    a, b, c = nt.a, nt.b, nt.c
-    tag = region_tag(nt)
+    tag = nt.region
     if tag is RegionTag.I:
         return _not_frame(tag)
     if tag is RegionTag.II:
-        return _frame(tag) if (a - b).sign() <= 0 else _not_frame(tag)
+        return _frame(tag) if nt.a <= nt.b else _not_frame(tag)
     if tag is RegionTag.III:
         return _not_frame(tag)
     if tag is RegionTag.IV:
@@ -130,12 +129,12 @@ def _region_vi(nt: NormalizedTriple) -> FrameDecision:
     g = gcd(f + 1, p)
     gb = nt.b * Fraction(g, q)
     if g != f + 1:
-        if (nt.c0 - (nt.b - gb)).sign() > 0:
+        if nt.c0 > nt.b - gb:
             return _not_frame(RegionTag.VI, GcdCondition(
                 "1", {"gcd(f+1,p)": str(g), "threshold": (nt.b - gb).render()}))
     else:
         thr = nt.b - gb + nt.b / q
-        if (nt.c0 - thr).sign() > 0:
+        if nt.c0 > thr:
             return _not_frame(RegionTag.VI, GcdCondition(
                 "2", {"gcd(f+1,p)": str(g), "threshold": thr.render()}))
     return _frame(RegionTag.VI)
@@ -152,12 +151,12 @@ def _region_vii(nt: NormalizedTriple) -> FrameDecision:
     g = gcd(f, p)
     gb = nt.b * Fraction(g, q)
     if g != f:
-        if (nt.c0 - gb).sign() < 0:
+        if nt.c0 < gb:
             return _not_frame(RegionTag.VII, GcdCondition(
                 "4", {"gcd(f,p)": str(g), "threshold": gb.render()}))
     else:
         thr = gb - nt.b / q
-        if (nt.c0 - thr).sign() < 0:
+        if nt.c0 < thr:
             return _not_frame(RegionTag.VII, GcdCondition(
                 "5", {"gcd(f,p)": str(g), "threshold": thr.render()}))
     return _frame(RegionTag.VII)
@@ -169,7 +168,7 @@ def _region_x(nt: NormalizedTriple) -> FrameDecision:
         raise OracleInconsistency("c1 = 2a-b is impossible over an irrational ratio")
     p, q = nt.rational
     f = nt.floor_cb
-    ok = f + 1 == p and (nt.c0 - (nt.b - nt.a + nt.b / q)).sign() <= 0
+    ok = f + 1 == p and nt.c0 <= nt.b - nt.a + nt.b / q
     if ok:
         return _frame(RegionTag.X)
     return _not_frame(RegionTag.X, GcdCondition(
@@ -182,7 +181,7 @@ def _region_xi(nt: NormalizedTriple) -> FrameDecision:
         raise OracleInconsistency("c1 = 0 is impossible over an irrational ratio")
     p, q = nt.rational
     f = nt.floor_cb
-    ok = f == p and (nt.c0 - (nt.a - nt.b / q)).sign() >= 0
+    ok = f == p and nt.c0 >= nt.a - nt.b / q
     if ok:
         return _frame(RegionTag.XI)
     return _not_frame(RegionTag.XI, GcdCondition(
@@ -220,9 +219,9 @@ def _search_obstruction_irrational(nt: NormalizedTriple):
             continue
         m, d1 = int(m), int(d1)
         d2 = s - 1 - d1
-        if (c - (f * b + (d1 + 1) * ba)).sign() <= 0:
+        if c <= f * b + (d1 + 1) * ba:
             continue
-        if ((f * b + b - (d2 + 1) * ba) - c).sign() <= 0:
+        if f * b + b - (d2 + 1) * ba <= c:
             continue
         expr = c - (d1 + 1) * (f + 1) * ba - (d2 + 1) * f * ba
         e_ratio = expr.ratio(a)
@@ -236,7 +235,7 @@ def _search_obstruction_irrational(nt: NormalizedTriple):
         width = nt.c0 - (d1 + 1) * ba
         count = 0
         for k in range(1, s + 1):
-            if (mod(k * base, modulus) - width).sign() < 0:
+            if mod(k * base, modulus) < width:
                 count += 1
         if count != d1:
             continue
@@ -338,7 +337,7 @@ def cond_XIII(nt: NormalizedTriple) -> Optional[RationalParams]:
 def characterize_S_nonempty(nt: NormalizedTriple) -> bool:
     """Does a nonempty invariant set exist?  Answered from the closed-form
     characterizations, independently of the propagation construction."""
-    tag = region_tag(nt)
+    tag = nt.region
     if tag in (RegionTag.V, RegionTag.IX):
         return False
     if tag in (RegionTag.X, RegionTag.XI):

@@ -58,7 +58,7 @@ from .exactnum import (
     square_free_decompose,
     surd_context,
 )
-from .lattice import PeriodicSet, RegionTag, normalize, region_tag
+from .lattice import PeriodicSet, RegionTag, normalize
 from .sampling import sampling_stable
 
 
@@ -374,7 +374,7 @@ def _cmd_invariant_set(args) -> int:
     t1 = time.perf_counter()
     if args.json:
         payload = {
-            "region": str(region_tag(nt)),
+            "region": str(nt.region),
             **_invariant_set_json(report),
             "rational_extras": (
                 {
@@ -399,7 +399,7 @@ def _cmd_invariant_set(args) -> int:
         }
         print(json.dumps(payload, indent=2))
     else:
-        print(f"region {region_tag(nt)}")
+        print(f"region {nt.region}")
         if report.S.is_empty:
             print("S is empty")
         else:

@@ -30,7 +30,6 @@ from .lattice import (
     RegionTag,
     black_hole_R,
     black_hole_Rt,
-    region_tag,
 )
 
 
@@ -88,12 +87,16 @@ class InvariantSetReport:
     rational_extras: Optional[RationalExtras]
 
 
+# the diagram reaches VIII-XIV exactly through a < b < c and b-a < c0 < a
+_MAP_REGIONS = frozenset((
+    RegionTag.VIII, RegionTag.IX, RegionTag.X, RegionTag.XI,
+    RegionTag.XII, RegionTag.XIII, RegionTag.XIV,
+))
+
+
 def maps_defined(nt: NormalizedTriple) -> bool:
     """The piecewise maps need a < b < c and b-a < c0 < a."""
-    a, b, c = nt.a, nt.b, nt.c
-    if (b - a).sign() <= 0 or (c - b).sign() <= 0:
-        return False
-    return (nt.c0 - (b - a)).sign() > 0 and (nt.c0 - a).sign() < 0
+    return nt.region in _MAP_REGIONS
 
 
 def _require_maps(nt: NormalizedTriple) -> None:
@@ -108,9 +111,9 @@ def apply_R(t: ExactReal, nt: NormalizedTriple) -> ExactReal:
     _require_maps(nt)
     r = mod(t, nt.a)
     lo, hi = black_hole_R(nt)
-    if (r - lo).sign() < 0:
+    if r < lo:
         return t + nt.floor_cb * nt.b + nt.b
-    if (r - hi).sign() < 0:
+    if r < hi:
         return t
     return t + nt.floor_cb * nt.b
 
@@ -121,9 +124,9 @@ def apply_Rt(t: ExactReal, nt: NormalizedTriple) -> ExactReal:
     # one full period of branches starts at c-a
     d = mod(t - (nt.c - nt.a), nt.a)
     seg1 = nt.a - nt.c0
-    if (d - seg1).sign() < 0:
+    if d < seg1:
         return t - nt.floor_cb * nt.b
-    if (d - (seg1 + nt.b - nt.a)).sign() < 0:
+    if d < seg1 + nt.b - nt.a:
         return t
     return t - nt.floor_cb * nt.b - nt.b
 
@@ -167,7 +170,7 @@ def compute_S(nt: NormalizedTriple) -> InvariantSetReport:
     with c on the grid) run the propagation; four degenerate neighbours are
     known in closed form and short-circuit.
     """
-    tag = region_tag(nt)
+    tag = nt.region
     a = nt.a
     if tag in _SHORT_CIRCUIT_EMPTY:
         return InvariantSetReport(
@@ -197,7 +200,6 @@ def _propagate_irrational(nt: NormalizedTriple) -> Tuple[PeriodicSet, List[HoleC
     a, b, f = nt.a, nt.b, nt.floor_cb
     ba = b - a
     bh_lo, bh_hi = black_hole_R(nt)
-    zero = rat(0)
     hole_lo, hole_hi = black_hole_Rt(nt)
     step_cap = floor_div(a, ba) - 1
     chain: List[HoleChainStep] = []
@@ -208,8 +210,8 @@ def _propagate_irrational(nt: NormalizedTriple) -> Tuple[PeriodicSet, List[HoleC
         if (hole_lo - bh_lo).is_zero() and (hole_hi - bh_hi).is_zero():
             chain.append(HoleChainStep(n, here, HoleStatus.FROZEN))
             return covered.complement(), chain
-        in_low = (hole_lo - zero).sign() > 0 and (hole_hi - bh_lo).sign() < 0
-        in_high = (hole_lo - bh_hi).sign() > 0 and (hole_hi - a).sign() < 0
+        in_low = hole_lo.sign() > 0 and hole_hi < bh_lo
+        in_high = hole_lo > bh_hi and hole_hi < a
         if n >= step_cap or not (in_low or in_high):
             chain.append(HoleChainStep(n, here, HoleStatus.SENTINEL))
             return PeriodicSet.empty(a), chain
@@ -357,7 +359,10 @@ def _finite_marks(nt, S, theta, Ya) -> Marks:
 
 def _rational_extras(nt, S: PeriodicSet, h: ExactReal, order: int) -> RationalExtras:
     bh_lo, bh_hi = black_hole_R(nt)
-    gap = _cyclic_gap_containing(S, bh_lo, bh_hi)
+    gaps = S.complement().components_cyclic()  # seam-fused
+    # the gap holding the absorber, which may sit one period on
+    gap = next(((g_lo, g_hi) for g_lo, g_hi in gaps for shift in (rat(0), nt.a)
+                if g_lo <= bh_lo + shift and bh_hi + shift <= g_hi), None)
     if gap is None:
         raise OracleInconsistency("forward absorber is not inside a hole of S")
     g_lo, g_hi = gap
@@ -366,7 +371,6 @@ def _rational_extras(nt, S: PeriodicSet, h: ExactReal, order: int) -> RationalEx
     if not (delta * delta_prime).is_zero():
         raise OracleInconsistency("absorber gap must be flush on one side")
     big_size = (nt.b - nt.a) + delta - delta_prime
-    gaps = S.complement().components_cyclic()
     n_big = sum(1 for lo, hi in gaps if (hi - lo - big_size).is_zero())
     N1 = n_big - 1
     N2 = order - n_big
@@ -374,16 +378,6 @@ def _rational_extras(nt, S: PeriodicSet, h: ExactReal, order: int) -> RationalEx
     if not (identity - nt.a).is_zero():
         raise OracleInconsistency("gap bookkeeping violates the length identity")
     return RationalExtras(N1, N2, delta, delta_prime, h)
-
-
-def _cyclic_gap_containing(S: PeriodicSet, lo: ExactReal, hi: ExactReal):
-    """The complement component (seam-fused) containing [lo, hi), if any."""
-    for g_lo, g_hi in S.complement().components_cyclic():
-        for shift in (rat(0), S.period):
-            s_lo, s_hi = lo + shift, hi + shift
-            if (s_lo - g_lo).sign() >= 0 and (g_hi - s_hi).sign() >= 0:
-                return g_lo, g_hi
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +406,7 @@ def birkhoff_average(
     eps = epsilon if isinstance(epsilon, ExactReal) else None
     if eps is None:
         eps = (nt.b - nt.a) / 8 if epsilon is None else rat(Fraction(epsilon))
-    if eps.sign() <= 0 or (eps - (nt.b - nt.a)).sign() >= 0:
+    if eps.sign() <= 0 or eps >= nt.b - nt.a:
         raise ValueError("bump half-width must satisfy 0 < eps < b-a")
     k1, hi = black_hole_R(nt)  # plateau edges: [c0+a-b, c0-eps]
     lo = k1 - eps
@@ -422,10 +416,10 @@ def birkhoff_average(
         # periodic extension: the support has length < a, so at most one
         # of x, x-a, x+a lands inside it
         for cand in (x, x - a, x + a):
-            if (cand - lo).sign() >= 0 and (cand - hi).sign() < 0:
-                if (cand - k1).sign() < 0:
+            if lo <= cand < hi:
+                if cand < k1:
                     return float(cand - lo) / float(eps)
-                if (cand - k2).sign() <= 0:
+                if cand <= k2:
                     return 1.0
                 return float(hi - cand) / float(eps)
         return 0.0

@@ -27,8 +27,9 @@ from .errors import (
 
 RationalLike = Union[int, Fraction]
 
+# an enclosure starts at 64 bits and doubles up to 4096 (six refinements)
 _PI_START_BITS = 64
-_DEFAULT_MAX_BITS = 4096
+_MAX_BITS = 4096
 
 # square_free_decompose trial-divides, about sqrt(D) steps
 _MAX_RADICAND = 10**12
@@ -101,7 +102,7 @@ class NumberContext:
     values can be shared across worker threads.
     """
 
-    def __init__(self, kind: str, d: Optional[int] = None, max_bits: int = _DEFAULT_MAX_BITS):
+    def __init__(self, kind: str, d: Optional[int] = None):
         if kind not in ("rational", "surd", "pi"):
             raise ValueError(f"unknown context kind {kind!r}")
         if kind == "surd":
@@ -117,7 +118,6 @@ class NumberContext:
             d = None
         self.kind = kind
         self.d = d
-        self.max_bits = max_bits
         self._bits = _PI_START_BITS
         self._lock = threading.Lock()
         self._cache: Optional[Tuple[Fraction, Fraction]] = None
@@ -168,10 +168,10 @@ class NumberContext:
     def refine(self) -> Tuple[Fraction, Fraction]:
         """Halve (at least) the enclosure width; PrecisionExhausted past the cap."""
         with self._lock:
-            if self._bits * 2 > self.max_bits:
+            if self._bits * 2 > _MAX_BITS:
                 raise PrecisionExhausted(
                     f"enclosure for {self.basis_symbol} already at {self._bits} bits "
-                    f"(cap {self.max_bits})"
+                    f"(cap {_MAX_BITS})"
                 )
             self._bits *= 2
             self._cache = self._compute(self._bits)
@@ -190,12 +190,12 @@ class NumberContext:
 RATIONAL = NumberContext("rational")
 
 
-def pi_context(max_bits: int = _DEFAULT_MAX_BITS) -> NumberContext:
-    return NumberContext("pi", max_bits=max_bits)
+def pi_context() -> NumberContext:
+    return NumberContext("pi")
 
 
-def surd_context(d: int, max_bits: int = _DEFAULT_MAX_BITS) -> NumberContext:
-    return NumberContext("surd", d=d, max_bits=max_bits)
+def surd_context(d: int) -> NumberContext:
+    return NumberContext("surd", d=d)
 
 
 def rat(x: RationalLike) -> "ExactReal":

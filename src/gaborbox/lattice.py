@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, List, Optional, Tuple
@@ -257,7 +257,9 @@ class PeriodicSet:
 
 @dataclass(frozen=True)
 class NormalizedTriple:
-    """(a, b, c) together with every derived quantity the classification uses."""
+    """(a, b, c) together with every derived quantity the classification
+    uses, its region included: the diagram is walked once, on construction,
+    and every consumer reads `region`."""
 
     a: ExactReal
     b: ExactReal
@@ -267,6 +269,10 @@ class NormalizedTriple:
     c1: ExactReal
     rational: Optional[Tuple[int, int]]  # (p, q) coprime, a/b = p/q
     c_on_grid: Optional[bool]  # c in bZ/q; None when a/b is irrational
+    region: RegionTag = field(init=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "region", _walk_diagram(self))
 
     @property
     def is_rational(self) -> bool:
@@ -308,6 +314,11 @@ def normalize(a: ExactReal, b: ExactReal, c: ExactReal) -> NormalizedTriple:
 
 
 def region_tag(nt: NormalizedTriple) -> RegionTag:
+    """The region of a normalized triple (decided when it was built)."""
+    return nt.region
+
+
+def _walk_diagram(nt: NormalizedTriple) -> RegionTag:
     """Walk the classification diagram; every positive triple gets one tag."""
     a, b, c = nt.a, nt.b, nt.c
     ac = a._cmp(c)

@@ -18,19 +18,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import FrozenSet, Optional, Tuple
 
+from .dynsys import compute_D, compute_S, maps_defined, measure_identity
 from .errors import BadTruncation, OracleInconsistency, RegionUnsupported
 from .exactnum import ExactReal
-from .lattice import NormalizedTriple, RegionTag, region_tag
-
-# regions where the piecewise maps are defined (a < b < c, b-a < c0 < a)
-# and the triple can be on-grid (XIV is off-grid by definition, XII irrational)
-_DYNAMICS_TAGS = {
-    RegionTag.VIII,
-    RegionTag.IX,
-    RegionTag.X,
-    RegionTag.XI,
-    RegionTag.XIII,
-}
+from .lattice import NormalizedTriple, RegionTag
 
 
 @dataclass(frozen=True)
@@ -84,11 +75,12 @@ class GridModel:
 
 
 def build_grid_model(nt: NormalizedTriple) -> GridModel:
-    if not nt.is_rational or not nt.c_on_grid:
-        raise RegionUnsupported("grid oracle needs a/b = p/q and c on the b/q grid")
-    tag = region_tag(nt)
-    if tag not in _DYNAMICS_TAGS:
-        raise RegionUnsupported(f"maps are not defined on region {tag}")
+    # c on the grid implies a/b = p/q; of VIII-XIV this leaves out XII and XIV
+    if not (maps_defined(nt) and nt.c_on_grid):
+        raise RegionUnsupported(
+            f"no grid route on region {nt.region} with this lattice: it needs "
+            f"a/b = p/q, c on the b/q grid and the maps defined"
+        )
     p, q = nt.rational
     cb = nt.c.ratio(nt.b)
     k_c = cb * q
@@ -142,32 +134,14 @@ def grid_D(gm: GridModel, S: Optional[FrozenSet[int]] = None) -> FrozenSet[int]:
 
 
 def grid_frame_decision(nt: NormalizedTriple) -> str:
-    """'Frame' or 'NotFrame' by an independent route.
+    """'Frame' or 'NotFrame' by an independent route: the integer orbits give
+    S, then D, and the triple is a frame exactly when D is empty.
 
-    On-grid triples inside the maps' region go through the orbit pipeline
-    (S, then D, then the finite-test-set reduction as a consistency check);
-    other regions fall back to the simple closed forms.
+    Only on-grid rational triples where the maps are defined (regions VIII to
+    XIII, XII excluded) have this route; every other triple raises
+    RegionUnsupported.
     """
-    tag = region_tag(nt)
-    if tag in _DYNAMICS_TAGS and nt.is_rational and nt.c_on_grid:
-        gm = build_grid_model(nt)
-        D = grid_D(gm)
-        # reduction to the finite test set {0, b/q, ...} union (c - same):
-        # on the grid both families exhaust all residues, so the reduced and
-        # full emptiness tests must agree identically.
-        test_set = set(range(gm.p)) | {(gm.e - z) % gm.p for z in range(gm.p)}
-        reduced_empty = not (D & test_set)
-        if reduced_empty != (not D):
-            raise OracleInconsistency(
-                f"finite-test-set reduction disagrees with D emptiness on {nt}"
-            )
-        return "Frame" if not D else "NotFrame"
-    if tag in (RegionTag.I, RegionTag.II, RegionTag.III, RegionTag.IV,
-               RegionTag.V, RegionTag.VI, RegionTag.VII):
-        from .classifier import classify  # local import keeps modules acyclic
-
-        return classify(nt.a, nt.b, nt.c).verdict
-    raise RegionUnsupported(f"no oracle route for region {tag} with this lattice")
+    return "Frame" if not grid_D(build_grid_model(nt)) else "NotFrame"
 
 
 # Extreme singular values below this are machine noise from an exactly
@@ -284,9 +258,7 @@ def triple_pipeline_check(nt: NormalizedTriple) -> Optional[str]:
     the grid-orbit route joins in whenever the triple sits on its grid.
     """
     from .classifier import characterize_S_nonempty, classify_triple
-    from .dynsys import compute_D, compute_S, measure_identity
 
-    tag = region_tag(nt)
     verdicts = {"closed-form": classify_triple(nt).verdict}
     try:
         report = compute_S(nt)
@@ -311,8 +283,10 @@ def triple_pipeline_check(nt: NormalizedTriple) -> Optional[str]:
                 )
         except RegionUnsupported:
             pass
-    if tag in _DYNAMICS_TAGS and nt.is_rational and nt.c_on_grid:
+    try:
         verdicts["grid-orbits"] = grid_frame_decision(nt)
+    except RegionUnsupported:
+        pass
     if len(set(verdicts.values())) > 1:
         detail = ", ".join(f"{k}={v}" for k, v in sorted(verdicts.items()))
         return f"verdict clash on {_brief(nt)}: {detail}"
@@ -342,5 +316,5 @@ def on_grid_survey(qmax: int, c_lo: int = 1, c_hi: int = 8, regions=None):
             a = rat(Fraction(p, q))
             for k in range(c_lo * q + 1, c_hi * q):
                 nt = normalize(a, one, rat(Fraction(k, q)))
-                if region_tag(nt) in regions:
+                if nt.region in regions:
                     yield nt

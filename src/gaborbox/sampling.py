@@ -29,9 +29,7 @@ def sampling_stable(a: ExactReal, b: ExactReal, c: ExactReal) -> SamplingDecisio
             raise NonPositiveInput(f"{name} must be positive")
     r = c.ratio(b)
     if r is not None and r.denominator == 1 and r >= 2:
-        return SamplingDecision(
-            stable=(a - b).sign() <= 0, route="DegenerateInteger"
-        )
+        return SamplingDecision(stable=a <= b, route="DegenerateInteger")
     decision = classify(a, b, c)
     return SamplingDecision(
         stable=decision.is_frame,

@@ -3,7 +3,9 @@ test oracle.
 
 `ExactReal` is the frozen-dataclass value class with its arithmetic,
 comparisons and rendering; `rat`, `floor_div` and `mod` are the helpers that
-build and reduce it; `normalize` and `region_tag` are the diagram walk that
+build and reduce it; `NormalizedTriple` is the eight-field triple without the
+region field (whose construction would walk the diagram with `_cmp`, which
+these values lack); `normalize` and `region_tag` are the diagram walk that
 took signs of differences.  They are copied unchanged from the code they
 replaced (only the imports differ); the differential tests in
 `test_reference_exact.py` hold the lean core to their output.
@@ -22,7 +24,7 @@ from gaborbox.errors import (
     OracleInconsistency,
 )
 from gaborbox.exactnum import RATIONAL, NumberContext
-from gaborbox.lattice import NormalizedTriple, RegionTag
+from gaborbox.lattice import RegionTag
 
 RationalLike = Union[int, Fraction]
 
@@ -276,6 +278,24 @@ def mod(t: ExactReal, a: ExactReal) -> ExactReal:
     """t reduced into [0, a)."""
     return t - floor_div(t, a) * a
 
+
+
+@dataclass(frozen=True)
+class NormalizedTriple:
+    """(a, b, c) together with every derived quantity the classification uses."""
+
+    a: ExactReal
+    b: ExactReal
+    c: ExactReal
+    floor_cb: int
+    c0: ExactReal
+    c1: ExactReal
+    rational: Optional[Tuple[int, int]]  # (p, q) coprime, a/b = p/q
+    c_on_grid: Optional[bool]  # c in bZ/q; None when a/b is irrational
+
+    @property
+    def is_rational(self) -> bool:
+        return self.rational is not None
 
 
 def normalize(a: ExactReal, b: ExactReal, c: ExactReal) -> NormalizedTriple:

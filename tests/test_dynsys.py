@@ -7,13 +7,14 @@ semantic formulation (image-under-the-map with an absorbing interval); these
 tests pin the two against each other.
 """
 
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from gaborbox import PeriodicSet, normalize, rat
+from gaborbox import PeriodicSet, RegionTag, normalize, rat
 from gaborbox.errors import EmptySet, RegionUnsupported
-from gaborbox.exactnum import ExactReal, floor_div, mod, pi_context
+from gaborbox.exactnum import ExactReal, floor_div, mod, pi_context, surd_context
 from gaborbox.dynsys import (
     HoleStatus,
     apply_R,
@@ -81,6 +82,64 @@ def test_maps_undefined_outside_region():
     with pytest.raises(RegionUnsupported):
         apply_R(rat(0), nt_of(3, 1, 2))  # a > c
     assert not maps_defined(nt_of("1/4", 1, "9/4"))  # c0 >= a
+
+
+def _maps_defined_by_inequalities(nt):
+    """maps_defined as it was before triples carried their region: the four
+    inequalities checked by exact differences."""
+    a, b, c = nt.a, nt.b, nt.c
+    if (b - a).sign() <= 0 or (c - b).sign() <= 0:
+        return False
+    return (nt.c0 - (b - a)).sign() > 0 and (nt.c0 - a).sign() < 0
+
+
+def test_maps_defined_matches_the_inequalities_q_le_20():
+    """Every a = p/q <= 1 with q <= 20, b = 1 and c in (0, 8) on the step 1/(2q)."""
+    one = rat(1)
+    seen = set()
+    triples = 0
+    for q in range(1, 21):
+        for p in range(1, q + 1):
+            if F(p, q).denominator != q:
+                continue
+            a = rat(F(p, q))
+            for k in range(1, 16 * q):
+                nt = normalize(a, one, rat(F(k, 2 * q)))
+                want = _maps_defined_by_inequalities(nt)
+                assert maps_defined(nt) is want, (p, q, k)
+                seen.add((nt.region, want))
+                triples += 1
+    assert triples == 27_792
+    # every region but the irrational XII, each on one side only
+    assert len(seen) == 13 and RegionTag.XII not in {tag for tag, _ in seen}
+    assert sum(want for _, want in seen) == 6
+
+
+def test_maps_defined_matches_the_inequalities_on_irrational_draws():
+    """1,000 seeded triples in sqrt(2), sqrt(3) and pi with a < 2b and
+    c = k*a + r*b, so that every branch of the inequalities is reached."""
+    rng = random.Random(11)
+    contexts = (surd_context(2), surd_context(3), PI)
+    seen = set()
+    drawn = 0
+    while drawn < 1000:
+        ctx = rng.choice(contexts)
+        b = rat(F(rng.randint(1, 6), rng.randint(1, 3)))
+        a = ctx.num(F(rng.randint(-3, 3), rng.randint(1, 4)),
+                    F(rng.randint(0, 12), rng.randint(1, 16)))
+        if a.sign() <= 0 or a > 2 * b:
+            continue
+        c = rng.randint(-6, 6) * a + b * F(rng.randint(1, 64), rng.randint(1, 8))
+        if c.sign() <= 0:
+            continue
+        nt = normalize(a, b, c)
+        want = _maps_defined_by_inequalities(nt)
+        assert maps_defined(nt) is want, (a, b, c)
+        seen.add((nt.region, want))
+        drawn += 1
+    assert {tag for tag, want in seen if want} >= {RegionTag.VIII, RegionTag.IX, RegionTag.XII}
+    assert {tag for tag, want in seen if not want} == {
+        RegionTag.I, RegionTag.III, RegionTag.IV, RegionTag.V, RegionTag.VI, RegionTag.VII}
 
 
 def test_inverse_on_a_sample():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gaborbox import PeriodicSet
-from gaborbox.errors import ContextMismatch, NotOnLattice, UnsupportedRange
+from gaborbox.errors import ContextMismatch, NotOnLattice, PrecisionExhausted, UnsupportedRange
 from gaborbox.exactnum import (
     RATIONAL,
     ExactReal,
@@ -139,6 +139,21 @@ def test_sign_certifies_tight_surd_combinations():
     # 99/70 > sqrt2 by about 7e-5
     assert SQRT2.num(F(99, 70), -1).sign() == 1
     assert SQRT2.num(F(-99, 70), 1).sign() == -1
+
+
+def test_pi_enclosure_refines_to_4096_bits_then_raises():
+    ctx = pi_context()  # a fresh context starts at 64 bits
+    lo, hi = ctx.enclosure()
+    widths = [hi - lo]
+    for _ in range(6):  # 64 -> 128 -> ... -> 4096
+        lo, hi = ctx.refine()
+        assert lo < F(355, 113) and hi > F(333, 106)
+        widths.append(hi - lo)
+    assert all(0 < w <= v / 2 for v, w in zip(widths, widths[1:]))
+    assert widths[-1] < F(1, 2**4000) < widths[-2]
+    with pytest.raises(PrecisionExhausted):
+        ctx.refine()
+    assert ctx.enclosure() == (lo, hi)
 
 
 @given(x0=small_fractions, x1=small_fractions)

@@ -1,5 +1,6 @@
 """Normalization, the region decision diagram, and periodic interval algebra."""
 
+from dataclasses import fields
 from fractions import Fraction as F
 
 import pytest
@@ -70,6 +71,31 @@ def test_region_tags_walkthrough():
     assert region_tag(nt_of("4/5", 1, "9/2")) is RegionTag.XI  # c1 = 4 mod 4/5 = 0
     assert region_tag(nt_of("13/17", 1, "77/17")) is RegionTag.XIII
     assert region_tag(nt_of("13/17", 1, "22/5")) is RegionTag.XIV
+
+
+def test_each_triple_walks_the_diagram_once(monkeypatch):
+    from gaborbox import classify, lattice
+    from gaborbox.oracle import triple_pipeline_check
+
+    walks = []
+    walk = lattice._walk_diagram
+    monkeypatch.setattr(lattice, "_walk_diagram", lambda nt: walks.append(nt) or walk(nt))
+    # closed form, construction, S characterization and grid orbits all read nt.region
+    assert triple_pipeline_check(nt_of("13/17", 1, "77/17")) is None
+    assert len(walks) == 1
+    walks.clear()
+    # the off-grid triple and its two grid neighbours
+    assert classify(rat(F(13, 17)), rat(1), rat(F(22, 5))).region is RegionTag.XIV
+    assert len(walks) == 3
+
+
+def test_region_is_derived_not_compared():
+    nt = nt_of("13/17", 1, "77/17")
+    assert nt.region is region_tag(nt) is RegionTag.XIII
+    with pytest.raises(TypeError):
+        NormalizedTriple(nt.a, nt.b, nt.c, nt.floor_cb, nt.c0, nt.c1, nt.rational,
+                         nt.c_on_grid, RegionTag.I)
+    assert "region" not in {f.name for f in fields(nt) if f.compare}
 
 
 def test_region_tag_irrational_is_xii():

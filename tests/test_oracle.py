@@ -107,10 +107,17 @@ def test_grid_verdicts_on_fixtures():
     assert grid_frame_decision(NT75) == "NotFrame"
 
 
-def test_grid_verdict_closed_form_fallback():
-    # regions I-VII route through the closed forms
-    assert grid_frame_decision(nt_of(4, 1, 3)) == "NotFrame"
-    assert grid_frame_decision(nt_of("3/4", 4, 3)) == "Frame"
+def test_grid_verdict_has_no_closed_form_fallback():
+    # the grid route stays independent of the classifier: regions I-VII,
+    # even on their grid, and the off-grid XIV have no route
+    on_grid = [nt_of(a, b, c) for a, b, c in (
+        (4, 1, 3), (3, 1, 3), ("3/4", "1/2", 3), ("3/4", 4, 3), ("1/4", 1, "9/4"),
+        ("2/5", 1, "14/5"), ("3/4", 1, 3))]
+    assert [str(nt.region) for nt in on_grid] == ["I", "II", "III", "IV", "V", "VI", "VII"]
+    assert all(nt.c_on_grid for nt in on_grid)
+    for nt in on_grid + [nt_of("13/17", 1, "22/5")]:
+        with pytest.raises(RegionUnsupported):
+            grid_frame_decision(nt)
 
 
 # -- numeric diagnostic ---------------------------------------------------------------

@@ -17,3 +17,51 @@ def test_package_has_no_assert_statements():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_package_compares_instead_of_taking_signs_of_differences():
+    # `x < y` and `_cmp` decide an order without building x - y
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "sign" and isinstance(node.func.value, ast.BinOp)
+                  and isinstance(node.func.value.op, ast.Sub)]
+    assert found == []
+
+
+GRID_ORACLE = ("GridModel", "build_grid_model", "_orbit_avoids", "grid_S", "grid_D",
+               "grid_frame_decision")
+
+
+def test_grid_oracle_names_nothing_from_the_classifier():
+    # the grid route cross-checks the closed forms, so it must not use them
+    classifier = ast.parse((SRC / "classifier.py").read_text(encoding="utf-8"))
+    forbidden = {"classifier"} | {
+        node.name for node in classifier.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    } | {
+        target.id for node in classifier.body if isinstance(node, ast.Assign)
+        for target in node.targets if isinstance(target, ast.Name)
+    }
+    oracle = ast.parse((SRC / "oracle.py").read_text(encoding="utf-8"))
+    defs = {node.name: node for node in oracle.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert set(GRID_ORACLE) <= set(defs)
+    found = []
+    for name in GRID_ORACLE:
+        for node in ast.walk(defs[name]):
+            if isinstance(node, ast.ImportFrom):
+                found += [f"{name}: from {node.module} import"] * (
+                    node.module is None or "classifier" in node.module)
+                found += [f"{name}: imports {alias.name}" for alias in node.names
+                          if alias.name in forbidden]
+            elif isinstance(node, ast.Import):
+                found += [f"{name}: import {alias.name}" for alias in node.names
+                          if "classifier" in alias.name]
+            elif isinstance(node, ast.Name) and node.id in forbidden:
+                found.append(f"{name}: names {node.id}")
+            elif isinstance(node, ast.Attribute) and node.attr in forbidden:
+                found.append(f"{name}: names .{node.attr}")
+    assert found == []
