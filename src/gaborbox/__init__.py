@@ -13,7 +13,6 @@ from .exactnum import (
     ExactReal,
     NumberContext,
     floor_div,
-    lattice_gcd,
     mod,
     pi_context,
     rat,
@@ -29,7 +28,6 @@ __all__ = [
     "ExactReal",
     "NumberContext",
     "floor_div",
-    "lattice_gcd",
     "mod",
     "pi_context",
     "rat",

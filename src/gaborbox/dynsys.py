@@ -360,9 +360,12 @@ def _finite_marks(nt, S, theta, Ya) -> Marks:
 def _rational_extras(nt, S: PeriodicSet, h: ExactReal, order: int) -> RationalExtras:
     bh_lo, bh_hi = black_hole_R(nt)
     gaps = S.complement().components_cyclic()  # seam-fused
-    # the gap holding the absorber, which may sit one period on
-    gap = next(((g_lo, g_hi) for g_lo, g_hi in gaps for shift in (rat(0), nt.a)
-                if g_lo <= bh_lo + shift and bh_hi + shift <= g_hi), None)
+    # the absorber [c0+a-b, c0) lies in [0, a).  Had it lain past the seam
+    # of a seam-fused gap (g_lo, first_hi + a), in [0, first_hi), delta and
+    # delta' below would both be negative and the flush test would raise, so
+    # a lookup one period on could not succeed either
+    gap = next(((g_lo, g_hi) for g_lo, g_hi in gaps
+                if g_lo <= bh_lo and bh_hi <= g_hi), None)
     if gap is None:
         raise OracleInconsistency("forward absorber is not inside a hole of S")
     g_lo, g_hi = gap

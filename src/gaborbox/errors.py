@@ -18,10 +18,6 @@ class NonPositiveModulus(GaborBoxError):
     """floor/mod operation asked for a modulus that is not > 0."""
 
 
-class NotOnLattice(GaborBoxError):
-    """A value that must be an integer multiple of the lattice step is not."""
-
-
 class PrecisionExhausted(GaborBoxError):
     """An enclosure was refined past its configured bit cap without deciding."""
 

@@ -19,7 +19,6 @@ from typing import Optional, Tuple, Union
 from .errors import (
     ContextMismatch,
     NonPositiveModulus,
-    NotOnLattice,
     OracleInconsistency,
     PrecisionExhausted,
     UnsupportedRange,
@@ -62,29 +61,43 @@ def square_free_decompose(n: int) -> Tuple[int, int]:
     return s, d
 
 
-def _raw_mpf_to_fraction(raw) -> Fraction:
-    # raw is mpmath's (sign, mantissa, exponent, bitcount) tuple; the
-    # mantissa may be a gmpy2 integer, which must not leak into Fractions
-    # (pre-3.12 Fraction arithmetic would keep the foreign type alive)
-    sign, man, exp, _ = raw
-    val = Fraction(int(man))
-    exp = int(exp)
-    if exp >= 0:
-        val *= 2**exp
-    else:
-        val /= 2 ** (-exp)
-    return -val if sign else val
+def _arctan_inv(x: int, scale: int) -> Tuple[int, int]:
+    """(s, n) with |s - scale*arctan(1/x)| < n, for an integer x >= 2.
+
+    Term k of arctan(1/x) = sum (-1)**k / ((2k+1) * x**(2k+1)) is taken as
+    the floor of scale times it (nested floor divisions by positive integers
+    give the floor of the exact quotient), so each kept term is low by less
+    than one unit.  The sum stops at the first k with scale < x**(2k+1):
+    that term is below one unit, and the alternating tail it starts is no
+    larger.  With K terms kept the error is under K + 1 units.
+    """
+    power = scale // x  # floor(scale / x**(2k+1))
+    x2 = x * x
+    total = k = 0
+    while power:
+        term = power // (2 * k + 1)
+        total += -term if k & 1 else term
+        power //= x2
+        k += 1
+    return total, k + 1
 
 
 def _pi_enclosure(bits: int) -> Tuple[Fraction, Fraction]:
-    """Certified rational interval containing pi, width about 2**-bits."""
-    from mpmath import libmp
+    """Certified rational interval lo < pi < hi with hi - lo <= 2**-bits.
 
-    lo = _raw_mpf_to_fraction(libmp.mpf_pi(bits, "d"))
-    hi = _raw_mpf_to_fraction(libmp.mpf_pi(bits, "u"))
-    if not lo < hi:
-        raise OracleInconsistency(f"pi enclosure at {bits} bits is not an interval")
-    return lo, hi
+    Machin's formula pi = 16*arctan(1/5) - 4*arctan(1/239), summed in
+    integers at scale 2**(bits + 20), is within err = 16*n5 + 4*n239 units
+    of pi*scale (n5, n239 from _arctan_inv); lo and hi sit err units either
+    side.  With B = bits + 20 the two series keep at most B/4.64 + 1/2 and
+    B/15.8 + 1/2 terms, so 2*err < 8*B + 80, which is below 2**20 for bits
+    up to 100,000 (the refine cap is 4096): hi - lo = 2*err/scale <= 2**-bits.
+    """
+    scale = 1 << (bits + 20)
+    s5, n5 = _arctan_inv(5, scale)
+    s239, n239 = _arctan_inv(239, scale)
+    mid = 16 * s5 - 4 * s239
+    err = 16 * n5 + 4 * n239
+    return Fraction(mid - err, scale), Fraction(mid + err, scale)
 
 
 def _sqrt_enclosure(d: int, bits: int) -> Tuple[Fraction, Fraction]:
@@ -514,17 +527,3 @@ def floor_div(t: ExactReal, a: ExactReal) -> int:
 def mod(t: ExactReal, a: ExactReal) -> ExactReal:
     """t reduced into [0, a)."""
     return t - floor_div(t, a) * a
-
-
-def lattice_gcd(x: ExactReal, y: ExactReal, r: ExactReal) -> ExactReal:
-    """gcd of x and y inside the lattice r*Z (all three positive)."""
-    for v, name in ((x, "x"), (y, "y"), (r, "r")):
-        if v.sign() <= 0:
-            raise NotOnLattice(f"lattice_gcd argument {name} must be positive")
-    ints = []
-    for v in (x, y):
-        q = v.ratio(r)
-        if q is None or q.denominator != 1:
-            raise NotOnLattice(f"{v!r} is not an integer multiple of {r!r}")
-        ints.append(q.numerator)
-    return math.gcd(*ints) * r

@@ -132,7 +132,7 @@ class PeriodicSet:
     def _check(self, other: "PeriodicSet") -> None:
         if not isinstance(other, PeriodicSet):
             raise TypeError("expected a PeriodicSet")
-        if self.period != other.period:
+        if other.period is not self.period and self.period != other.period:
             raise PeriodMismatch(
                 f"periods differ: {self.period!r} vs {other.period!r}"
             )

@@ -1,4 +1,4 @@
-"""Exact number field: arithmetic, comparisons, floor/mod, lattice gcd."""
+"""Exact number field: arithmetic, comparisons, floor/mod, the pi enclosure."""
 
 import time
 from fractions import Fraction as F
@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gaborbox import PeriodicSet
-from gaborbox.errors import ContextMismatch, NotOnLattice, PrecisionExhausted, UnsupportedRange
+from gaborbox.errors import ContextMismatch, PrecisionExhausted, UnsupportedRange
 from gaborbox.exactnum import (
     RATIONAL,
     ExactReal,
+    _pi_enclosure,
     floor_div,
-    lattice_gcd,
     mod,
     pi_context,
     rat,
@@ -156,6 +156,19 @@ def test_pi_enclosure_refines_to_4096_bits_then_raises():
     assert ctx.enclosure() == (lo, hi)
 
 
+def test_pi_enclosure_contains_mpmath_pi_at_every_level():
+    # differential check of the integer Machin sum against mpmath's pi at
+    # twice the precision, at every multiple of 64 bits up to the cap
+    mpmath = pytest.importorskip("mpmath")
+    for bits in range(64, 4097, 64):
+        lo, hi = _pi_enclosure(bits)
+        with mpmath.workprec(2 * bits):
+            ref = +mpmath.pi
+        ref = F(int(ref.man)) * F(2) ** int(ref.exp)
+        assert lo < ref < hi, bits
+        assert hi - lo <= F(1, 2**bits), bits
+
+
 @given(x0=small_fractions, x1=small_fractions)
 def test_sign_matches_float(x0, x1):
     v = PI.num(x0, x1)
@@ -214,19 +227,6 @@ def test_mod_lands_in_window():
     r = mod(t, a)
     assert r.sign() >= 0
     assert (r - a).sign() < 0
-
-
-# -- lattice gcd -------------------------------------------------------------
-
-def test_lattice_gcd_pulls_integer_gcd():
-    r = PI.num(0, F(1, 17))
-    assert lattice_gcd(6 * r, 15 * r, r) == 3 * r
-
-
-def test_lattice_gcd_rejects_off_lattice_input():
-    r = rat(F(1, 17))
-    with pytest.raises(NotOnLattice):
-        lattice_gcd(rat(F(1, 2)), rat(F(3, 17)), r)
 
 
 # -- rendering ---------------------------------------------------------------

@@ -172,6 +172,16 @@ def test_period_mismatch_raises():
         x.union(y)
 
 
+def test_equal_periods_held_by_distinct_objects_match():
+    # _check settles a shared period object by identity; equal periods that
+    # are different objects (here in two contexts) still pass the exact test
+    x = PeriodicSet.make(rat(1), [iv(0, "1/2")])
+    y = PeriodicSet.make(pi_context().num(1), [iv("1/4", "3/4")])
+    assert x.period is not y.period
+    assert x.union(y).intervals == (iv(0, "3/4"),)
+    assert x.minus(y).intervals == (iv(0, "1/4"),)
+
+
 # -- randomized algebra laws ------------------------------------------------------
 
 endpoints = st.lists(

@@ -1,6 +1,9 @@
 """Rules every module of the package follows."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "gaborbox"
@@ -65,3 +68,53 @@ def test_grid_oracle_names_nothing_from_the_classifier():
             elif isinstance(node, ast.Attribute) and node.attr in forbidden:
                 found.append(f"{name}: names .{node.attr}")
     assert found == []
+
+
+def _imported_modules(tree):
+    """(top-level module name, line) for every import in the tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((alias.name.split(".")[0], node.lineno) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0], node.lineno
+
+
+def _package_imports(module):
+    """file:line of every import of `module` in the package."""
+    return {f"{path.name}:{line}" for path in sorted(SRC.rglob("*.py"))
+            for name, line in _imported_modules(ast.parse(path.read_text(encoding="utf-8")))
+            if name == module}
+
+
+def test_package_imports_no_mpmath():
+    # pi is enclosed by an integer Machin sum; the package needs no mpmath
+    assert _package_imports("mpmath") == set()
+
+
+def test_numpy_is_imported_only_by_the_numeric_diagnostic():
+    oracle = ast.parse((SRC / "oracle.py").read_text(encoding="utf-8"))
+    diagnostic = next(node for node in oracle.body if isinstance(node, ast.FunctionDef)
+                      and node.name == "numeric_frame_bounds")
+    allowed = {f"oracle.py:{line}" for name, line in _imported_modules(diagnostic)
+               if name == "numpy"}
+    assert allowed
+    assert _package_imports("numpy") == allowed
+
+
+def test_pi_decisions_leave_mpmath_unloaded():
+    # a fresh interpreter, so an import made by another test cannot hide one
+    script = (
+        "import contextlib, io, sys\n"
+        "from fractions import Fraction as F\n"
+        "from gaborbox import classify, pi_context\n"
+        "from gaborbox import cli\n"
+        "P = pi_context()\n"
+        "classify(P.num(0, F(1, 4)), P.num(1), P.num(23, F(-11, 2)))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    rc = cli.main(['selftest', '--qmax', '2'])\n"
+        "print(rc, 'mpmath' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.split() == ["0", "False"]
