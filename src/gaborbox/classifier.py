@@ -12,12 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Dict, Optional, Tuple
+from math import gcd, isqrt
+from typing import Dict, List, Optional, Tuple
 
 from .errors import OracleInconsistency, RegionUnsupported
 from .exactnum import ExactReal, floor_div, mod
-from .lattice import NormalizedTriple, RegionTag, normalize
+from .lattice import NormalizedTriple, RegionTag, grid_triple, normalize
 
 
 @dataclass(frozen=True)
@@ -120,6 +120,21 @@ def classify_triple(nt: NormalizedTriple) -> FrameDecision:
 # ---------------------------------------------------------------------------
 
 
+def _c0_and_step(nt: NormalizedTriple):
+    """c0 and the grid step b/q of a rational triple: integers in units of
+    b/(q*D) when it has grid units, else the ExactReals themselves."""
+    u = nt.units
+    q = nt.rational[1]
+    if u is None:
+        return nt.c0, nt.b / q
+    return u.C0, u.B // q
+
+
+def _grid_point(nt: NormalizedTriple, n: int) -> str:
+    """n grid steps, n*b/q, rendered for a witness."""
+    return (nt.b * Fraction(n, nt.rational[1])).render()
+
+
 def _region_vi(nt: NormalizedTriple) -> FrameDecision:
     # c0 >= a and c0 > b-a: obstruction only on rational ratios
     if not nt.is_rational:
@@ -127,16 +142,12 @@ def _region_vi(nt: NormalizedTriple) -> FrameDecision:
     p, q = nt.rational
     f = nt.floor_cb
     g = gcd(f + 1, p)
-    gb = nt.b * Fraction(g, q)
-    if g != f + 1:
-        if nt.c0 > nt.b - gb:
-            return _not_frame(RegionTag.VI, GcdCondition(
-                "1", {"gcd(f+1,p)": str(g), "threshold": (nt.b - gb).render()}))
-    else:
-        thr = nt.b - gb + nt.b / q
-        if nt.c0 > thr:
-            return _not_frame(RegionTag.VI, GcdCondition(
-                "2", {"gcd(f+1,p)": str(g), "threshold": thr.render()}))
+    c0, step = _c0_and_step(nt)
+    # threshold b - g*b/q (case 1), one grid step higher when g = f+1 (case 2)
+    case, n = ("1", q - g) if g != f + 1 else ("2", q - g + 1)
+    if c0 > n * step:
+        return _not_frame(RegionTag.VI, GcdCondition(
+            case, {"gcd(f+1,p)": str(g), "threshold": _grid_point(nt, n)}))
     return _frame(RegionTag.VI)
 
 
@@ -149,16 +160,12 @@ def _region_vii(nt: NormalizedTriple) -> FrameDecision:
     p, q = nt.rational
     f = nt.floor_cb
     g = gcd(f, p)
-    gb = nt.b * Fraction(g, q)
-    if g != f:
-        if nt.c0 < gb:
-            return _not_frame(RegionTag.VII, GcdCondition(
-                "4", {"gcd(f,p)": str(g), "threshold": gb.render()}))
-    else:
-        thr = gb - nt.b / q
-        if nt.c0 < thr:
-            return _not_frame(RegionTag.VII, GcdCondition(
-                "5", {"gcd(f,p)": str(g), "threshold": thr.render()}))
+    c0, step = _c0_and_step(nt)
+    # threshold g*b/q (case 4), one grid step lower when g = f (case 5)
+    case, n = ("4", g) if g != f else ("5", g - 1)
+    if c0 < n * step:
+        return _not_frame(RegionTag.VII, GcdCondition(
+            case, {"gcd(f,p)": str(g), "threshold": _grid_point(nt, n)}))
     return _frame(RegionTag.VII)
 
 
@@ -168,25 +175,25 @@ def _region_x(nt: NormalizedTriple) -> FrameDecision:
         raise OracleInconsistency("c1 = 2a-b is impossible over an irrational ratio")
     p, q = nt.rational
     f = nt.floor_cb
-    ok = f + 1 == p and nt.c0 <= nt.b - nt.a + nt.b / q
-    if ok:
+    c0, step = _c0_and_step(nt)
+    n = q - p + 1  # b - a + b/q
+    if f + 1 == p and c0 <= n * step:
         return _frame(RegionTag.X)
     return _not_frame(RegionTag.X, GcdCondition(
-        "X", {"p": str(p), "f+1": str(f + 1),
-              "threshold": (nt.b - nt.a + nt.b / q).render()}))
+        "X", {"p": str(p), "f+1": str(f + 1), "threshold": _grid_point(nt, n)}))
 
 
 def _region_xi(nt: NormalizedTriple) -> FrameDecision:
     if not nt.is_rational:
         raise OracleInconsistency("c1 = 0 is impossible over an irrational ratio")
-    p, q = nt.rational
+    p, _ = nt.rational
     f = nt.floor_cb
-    ok = f == p and nt.c0 >= nt.a - nt.b / q
-    if ok:
+    c0, step = _c0_and_step(nt)
+    n = p - 1  # a - b/q
+    if f == p and c0 >= n * step:
         return _frame(RegionTag.XI)
     return _not_frame(RegionTag.XI, GcdCondition(
-        "XI", {"p": str(p), "f": str(f),
-               "threshold": (nt.a - nt.b / q).render()}))
+        "XI", {"p": str(p), "f": str(f), "threshold": _grid_point(nt, n)}))
 
 
 # ---------------------------------------------------------------------------
@@ -270,11 +277,25 @@ def _grid_units(nt: NormalizedTriple) -> Tuple[int, int, int, int]:
     if not (nt.is_rational and nt.c_on_grid):
         raise RegionUnsupported("the grid certificate needs a/b = p/q and c on the b/q grid")
     p, q = nt.rational
-    gamma1 = nt.c1.ratio(nt.b) * q
-    j0 = nt.c0.ratio(nt.b) * q
-    if gamma1.denominator != 1 or j0.denominator != 1:
-        raise OracleInconsistency("c is on the grid but c0 or c1 is not")
-    return p, q, int(gamma1), int(j0)
+    u = nt.units
+    if u is None or u.B != q:
+        raise OracleInconsistency("c is on the grid but its grid units are not")
+    return p, q, u.C1, u.C0
+
+
+def _divisors_above(n: int, s: int) -> List[int]:
+    """The divisors of n greater than s, ascending, from the pairs
+    (i, n // i) with i <= sqrt(n)."""
+    low, high = [], []
+    # past i*s >= n neither i nor n // i exceeds s
+    for i in range(1, min(isqrt(n), (n - 1) // s) + 1):
+        if not n % i:
+            if i > s:
+                low.append(i)
+            high.append(n // i)
+    if low and low[-1] == high[-1]:
+        high.pop()  # n = i*i
+    return low + high[::-1]
 
 
 def _xiii_candidates(nt: NormalizedTriple):
@@ -294,14 +315,12 @@ def _xiii_candidates(nt: NormalizedTriple):
     # Case 8: every condition depends on w = d1 + d3 + 1 alone.  gcd(q-p, p)
     # is 1, so val = N*gamma1 + w*(q-p) = 0 mod p fixes w mod p, and N <= p
     # leaves at most one w in [1, N-1]; the window count must equal d1,
-    # which then fixes d3.  One candidate per (s, N), in the scan's order.
+    # which then fixes d3.  One candidate per (s, N), N running over the
+    # divisors of bd above s in ascending order.
     inv_qp = pow(qp, -1, p)
-    s = 1
-    while p - s * qp > 0:
-        bd = p - s * qp
-        for N in range(s + 1, bd + 1):  # N divides bd
-            if bd % N:
-                continue
+    s, bd = 1, p - qp
+    while bd > s:  # bd falls and s rises, so no N in (s, bd] is left after
+        for N in _divisors_above(bd, s):
             w = (-N * gamma1 * inv_qp) % p
             if not 0 < w < N:
                 continue
@@ -313,25 +332,33 @@ def _xiii_candidates(nt: NormalizedTriple):
             d3 = w - 1 - d1
             if d1 >= s or not 0 <= d3 < N - s:
                 continue
-            delta = Fraction(j0) - (d1 + 1) * qp - Fraction(w * bd, N)
-            lim_low = -min(Fraction(p - j0), Fraction(bd, N))
-            lim_high = min(Fraction(j0 - qp), Fraction(bd, N))
-            if not (lim_low < delta < lim_high):
+            # delta and its window limits, all times N: integers
+            delta_n = N * (j0 - (d1 + 1) * qp) - w * bd
+            if not (-min(N * (p - j0), bd) < delta_n < min(N * (j0 - qp), bd)):
                 continue
             witness = RationalParams(
                 case_id=8, d1=d1, d2=s - 1 - d1, d3=d3, d4=N - s - 1 - d3, N=N,
-                delta=nt.b * (delta / q), e_count=d1,
+                delta=nt.b * Fraction(delta_n, N * q), e_count=d1,
             )
-            yield witness, abs(delta) + Fraction(p, N * f + w) != Fraction(bd, N)
-        s += 1
+            # |delta| + p/(N*f + w) != bd/N, times N*(N*f + w) > 0
+            yield witness, (bd - abs(delta_n)) * (N * f + w) != Np
+        s, bd = s + 1, bd - qp
+
+
+def _xiii_search(nt: NormalizedTriple) -> Tuple[Optional[RationalParams], bool]:
+    """One walk of the candidates: the NotFrame witness, if any, and whether
+    any candidate turned up at all (a nonempty invariant set)."""
+    found = False
+    for witness, excl_ok in _xiii_candidates(nt):
+        if excl_ok:
+            return witness, True
+        found = True
+    return None, found
 
 
 def cond_XIII(nt: NormalizedTriple) -> Optional[RationalParams]:
     """NotFrame witness on the rational on-grid generic region, if any."""
-    for witness, excl_ok in _xiii_candidates(nt):
-        if excl_ok:
-            return witness
-    return None
+    return _xiii_search(nt)[0]
 
 
 def characterize_S_nonempty(nt: NormalizedTriple) -> bool:
@@ -349,6 +376,20 @@ def characterize_S_nonempty(nt: NormalizedTriple) -> bool:
     raise RegionUnsupported(f"no invariant-set characterization on region {tag}")
 
 
+def classify_with_S_existence(nt: NormalizedTriple) -> Tuple[FrameDecision, Optional[bool]]:
+    """classify_triple(nt) and characterize_S_nonempty(nt), None where that
+    has no characterization; on XIII one walk of the candidates gives both."""
+    if nt.region is RegionTag.XIII:
+        w, nonempty = _xiii_search(nt)
+        return (_not_frame(RegionTag.XIII, w) if w is not None
+                else _frame(RegionTag.XIII)), nonempty
+    try:
+        nonempty = characterize_S_nonempty(nt)
+    except RegionUnsupported:
+        nonempty = None
+    return classify_triple(nt), nonempty
+
+
 # ---------------------------------------------------------------------------
 # rational ratio with c off the grid
 # ---------------------------------------------------------------------------
@@ -358,13 +399,14 @@ def classify_off_grid(nt: NormalizedTriple) -> FrameDecision:
     """Round c down/up to the grid bZ/q; frame iff both neighbours are."""
     if not nt.is_rational or nt.c_on_grid:
         raise RegionUnsupported("off-grid rounding needs a/b = p/q and c off the b/q grid")
-    _, q = nt.rational
-    k = floor_div(nt.c * q, nt.b)
-    c_down = nt.b * Fraction(k, q)
-    c_up = nt.b * Fraction(k + 1, q)
-    low = classify(nt.a, nt.b, c_down)
-    high = classify(nt.a, nt.b, c_up)
+    q = nt.rational[1]
+    u = nt.units
+    # k = floor(c*q/b): C // D in grid units; with c/b irrational there are none
+    k = u.C // (u.B // q) if u is not None else floor_div(nt.c * q, nt.b)
+    low = classify_triple(grid_triple(nt, k))
+    high = classify_triple(grid_triple(nt, k + 1))
     if RegionTag.XIV in (low.region, high.region):
         raise OracleInconsistency("a grid neighbour of c classified as off the grid")
     verdict = "Frame" if (low.is_frame and high.is_frame) else "NotFrame"
     return FrameDecision(verdict, RegionTag.XIV, RecursionPair(low, high))
+

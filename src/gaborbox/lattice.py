@@ -13,8 +13,9 @@ import enum
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from operator import itemgetter
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 from .errors import NonPositiveInput, PeriodMismatch
 from .exactnum import _ZERO, ExactReal, _make, floor_div, mod, rat
@@ -255,11 +256,25 @@ class PeriodicSet:
         return f"PeriodicSet({body or 'empty'} mod {self.period.render()})"
 
 
+class GridUnits(NamedTuple):
+    """a, b, c, c0 and c1 of a triple with a/b = p/q and c/b rational, as
+    integers in units of b/(q*D): D is the denominator of c in units of
+    b/q, so D = 1 exactly when c sits on the b/q grid.  Every threshold
+    the decisions compare is an integer in these units."""
+
+    A: int  # p*D
+    B: int  # q*D
+    C: int
+    C0: int  # C - f*B
+    C1: int  # D*(f*q mod p)
+
+
 @dataclass(frozen=True)
 class NormalizedTriple:
     """(a, b, c) together with every derived quantity the classification
     uses, its region included: the diagram is walked once, on construction,
-    and every consumer reads `region`."""
+    and every consumer reads `region`.  `units` holds the triple in integer
+    grid units when it has them (see GridUnits), else None."""
 
     a: ExactReal
     b: ExactReal
@@ -269,14 +284,35 @@ class NormalizedTriple:
     c1: ExactReal
     rational: Optional[Tuple[int, int]]  # (p, q) coprime, a/b = p/q
     c_on_grid: Optional[bool]  # c in bZ/q; None when a/b is irrational
+    units: Optional[GridUnits] = field(init=False, compare=False)
     region: RegionTag = field(init=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "units", _units_of(self))
         object.__setattr__(self, "region", _walk_diagram(self))
 
     @property
     def is_rational(self) -> bool:
         return self.rational is not None
+
+
+def _units_of(nt: NormalizedTriple) -> Optional[GridUnits]:
+    if nt.rational is None:
+        return None
+    b, c = nt.b, nt.c
+    if b.x1 or c.x1:
+        cb = c.ratio(b)
+        if cb is None:
+            return None
+        n, d = cb.numerator, cb.denominator
+    else:  # c/b = n/d straight from the coefficients
+        n, d = c.x0.numerator * b.x0.denominator, c.x0.denominator * b.x0.numerator
+    p, q = nt.rational
+    n *= q  # c/(b/q) = n/d = C/D
+    g = gcd(n, d)
+    C, D = n // g, d // g
+    B, f = q * D, nt.floor_cb
+    return GridUnits(p * D, B, C, C - f * B, D * (f * q % p))
 
 
 def normalize(a: ExactReal, b: ExactReal, c: ExactReal) -> NormalizedTriple:
@@ -294,9 +330,11 @@ def normalize(a: ExactReal, b: ExactReal, c: ExactReal) -> NormalizedTriple:
         fcb, r = divmod(cn * bd, cd * bn)  # c/b = fcb + r/(cd*bn)
         c0 = _make(c._join(b), Fraction(r, cd * bd), _ZERO)  # c - fcb*b
         c1 = _make(b._join(a), Fraction(fcb * bn * ad % (an * bd), bd * ad), _ZERO)
-        ratio = Fraction(an * bd, ad * bn)  # a/b
-        q = ratio.denominator
-        rational, on_grid = (ratio.numerator, q), not cn * bd * q % (cd * bn)
+        a._join(c)  # the walk compares grid units, so mixed contexts raise here
+        n, d = an * bd, ad * bn  # a/b
+        g = gcd(n, d)
+        q = d // g
+        rational, on_grid = (n // g, q), not cn * bd * q % (cd * bn)
         return NormalizedTriple(a, b, c, fcb, c0, c1, rational, on_grid)
     fcb = floor_div(c, b)
     c0 = c - fcb * b
@@ -313,18 +351,41 @@ def normalize(a: ExactReal, b: ExactReal, c: ExactReal) -> NormalizedTriple:
     return NormalizedTriple(a, b, c, fcb, c0, c1, rational, on_grid)
 
 
+def grid_triple(nt: NormalizedTriple, k: int) -> NormalizedTriple:
+    """The on-grid triple (a, b, k*b/q) beside a triple with a/b = p/q, its
+    fields read off the grid index k: what normalize would build."""
+    p, q = nt.rational
+    a, b = nt.a, nt.b
+    f, j0 = divmod(k, q)
+    j1 = f * q % p
+    if b.x1:
+        c, c0, c1 = b * Fraction(k, q), b * Fraction(j0, q), b * Fraction(j1, q)
+    else:  # one Fraction each, in the contexts normalize gives them
+        bn, bdq = b.x0.numerator, b.x0.denominator * q
+        c = _make(b.ctx, Fraction(bn * k, bdq), _ZERO)
+        c0 = _make(b.ctx, Fraction(bn * j0, bdq), _ZERO)
+        c1 = _make(b._join(a), Fraction(bn * j1, bdq), _ZERO)
+    return NormalizedTriple(a, b, c, f, c0, c1, nt.rational, True)
+
+
 def region_tag(nt: NormalizedTriple) -> RegionTag:
     """The region of a normalized triple (decided when it was built)."""
     return nt.region
 
 
 def _walk_diagram(nt: NormalizedTriple) -> RegionTag:
-    """Walk the classification diagram; every positive triple gets one tag."""
-    a, b, c = nt.a, nt.b, nt.c
-    ac = a._cmp(c)
-    if ac > 0:
+    """Walk the classification diagram; every positive triple gets one tag.
+
+    The operands are the integer grid units when the triple has them, else
+    the ExactReals themselves: the same comparisons decide either way."""
+    u = nt.units
+    if u is None:
+        a, b, c, c0, c1 = nt.a, nt.b, nt.c, nt.c0, nt.c1
+    else:
+        a, b, c, c0, c1 = u
+    if a > c:
         return RegionTag.I
-    if ac == 0:
+    if a == c:
         return RegionTag.II
     # now a < c
     if b <= a:
@@ -332,7 +393,6 @@ def _walk_diagram(nt: NormalizedTriple) -> RegionTag:
     if b >= c:
         return RegionTag.IV
     # now a < b < c
-    c0, c1 = nt.c0, nt.c1
     ba = b - a
     if c0 >= a:
         return RegionTag.V if c0 <= ba else RegionTag.VI
@@ -341,12 +401,12 @@ def _walk_diagram(nt: NormalizedTriple) -> RegionTag:
     # now b - a < c0 < a
     if nt.floor_cb == 1:
         return RegionTag.VIII
-    s = c1._cmp(a + a - b)
-    if s > 0:
+    two_a_b = a + a - b
+    if c1 > two_a_b:
         return RegionTag.IX
-    if s == 0:
+    if c1 == two_a_b:
         return RegionTag.X
-    if c1.is_zero():
+    if c1 == 0:
         return RegionTag.XI
     # now 0 < c1 < 2a - b
     if not nt.is_rational:

@@ -82,16 +82,14 @@ def build_grid_model(nt: NormalizedTriple) -> GridModel:
             f"a/b = p/q, c on the b/q grid and the maps defined"
         )
     p, q = nt.rational
-    cb = nt.c.ratio(nt.b)
-    k_c = cb * q
-    f = nt.floor_cb
-    j0 = k_c.numerator - f * q
-    j1 = (f * q) % p
-    e = k_c.numerator % p
-    if k_c.denominator != 1 or not 0 < j0 < p or e != (j0 + j1) % p:
+    u = nt.units
+    j0, j1 = u.C0, u.C1
+    if u.B != q or not 0 < j0 < p:
         raise OracleInconsistency(
-            f"grid indices of c break their identities: c/b*q = {k_c}, j0 = {j0}"
+            f"grid indices of c break their identities: c/b*q = {u.C}/{u.B // q}, j0 = {j0}"
         )
+    f = nt.floor_cb
+    e = u.C % p
     return GridModel(nt, p, q, f, j0, j1, e)
 
 
@@ -257,9 +255,10 @@ def triple_pipeline_check(nt: NormalizedTriple) -> Optional[str]:
     clash.  Usable on any region the invariant-set construction supports;
     the grid-orbit route joins in whenever the triple sits on its grid.
     """
-    from .classifier import characterize_S_nonempty, classify_triple
+    from .classifier import classify_with_S_existence
 
-    verdicts = {"closed-form": classify_triple(nt).verdict}
+    decision, s_nonempty = classify_with_S_existence(nt)
+    verdicts = {"closed-form": decision.verdict}
     try:
         report = compute_S(nt)
     except RegionUnsupported:
@@ -275,14 +274,11 @@ def triple_pipeline_check(nt: NormalizedTriple) -> Optional[str]:
             verdicts["two-solvability"] = (
                 "Frame" if compute_D(nt, report.S).is_empty else "NotFrame"
             )
-        try:
-            if characterize_S_nonempty(nt) != (not report.S.is_empty):
-                return (
-                    f"S-existence clash on {_brief(nt)}: construction says "
-                    f"{'nonempty' if not report.S.is_empty else 'empty'}"
-                )
-        except RegionUnsupported:
-            pass
+        if s_nonempty is not None and s_nonempty != (not report.S.is_empty):
+            return (
+                f"S-existence clash on {_brief(nt)}: construction says "
+                f"{'nonempty' if not report.S.is_empty else 'empty'}"
+            )
     try:
         verdicts["grid-orbits"] = grid_frame_decision(nt)
     except RegionUnsupported:

@@ -2,17 +2,21 @@
 
 `_search_obstruction_irrational` and `_xiii_candidates` are the nested-loop
 certificate searches, and the four set operations are the pairwise
-nested-loop versions that canonicalize through `PeriodicSet.make`.  They
-are copied unchanged from the code they replaced; the differential tests
-in `test_reference_scan.py` hold the faster paths to their output.
+nested-loop versions that canonicalize through `PeriodicSet.make`.
+`_xiii_candidates_n_scan` is the search that tried every N in (s, bd] for
+case 8 with w solved and its window in Fractions, and `_grid_units` is the
+one that read the grid indices off the ExactReals c0 and c1; both scans
+take their indices from it.  They are copied unchanged from the code they
+replaced (one name differs); the differential tests in
+`test_reference_scan.py` hold the faster paths to their output.
 """
 
 from fractions import Fraction
 from math import gcd
-from typing import List
+from typing import List, Tuple
 
-from gaborbox.classifier import RationalParams, _grid_units
-from gaborbox.errors import OracleInconsistency
+from gaborbox.classifier import RationalParams
+from gaborbox.errors import OracleInconsistency, RegionUnsupported
 from gaborbox.exactnum import mod, rat
 from gaborbox.lattice import Interval, NormalizedTriple, PeriodicSet
 
@@ -113,6 +117,66 @@ def _xiii_candidates(nt: NormalizedTriple):
                     yield witness, abs(delta) + Fraction(p, N * f + w) != Fraction(bd, N)
         s += 1
 
+
+def _xiii_candidates_n_scan(nt: NormalizedTriple):
+    """Yield (witness, excl_ok) for every obstruction candidate, in search
+    order: case 6, case 7, then the case-8 tuples passing the structural
+    conditions.  excl_ok is the final exclusion clause that separates
+    NotFrame from a measure-critical frame."""
+    p, q, gamma1, j0 = _grid_units(nt)
+    f = nt.floor_cb
+    g1 = gcd(p, gamma1)
+    if j0 < g1:
+        yield RationalParams(case_id=6), f * (g1 - j0) != g1
+    g2 = gcd(p, gamma1 + q)
+    if q - j0 < g2:
+        yield RationalParams(case_id=7), (f + 1) * (g2 + j0 - q) != g2
+    qp = q - p  # b-a in grid units
+    # Case 8: every condition depends on w = d1 + d3 + 1 alone.  gcd(q-p, p)
+    # is 1, so val = N*gamma1 + w*(q-p) = 0 mod p fixes w mod p, and N <= p
+    # leaves at most one w in [1, N-1]; the window count must equal d1,
+    # which then fixes d3.  One candidate per (s, N), in the scan's order.
+    inv_qp = pow(qp, -1, p)
+    s = 1
+    while p - s * qp > 0:
+        bd = p - s * qp
+        for N in range(s + 1, bd + 1):  # N divides bd
+            if bd % N:
+                continue
+            w = (-N * gamma1 * inv_qp) % p
+            if not 0 < w < N:
+                continue
+            val = N * gamma1 + w * qp
+            Np = N * p
+            if (s * val - w * p) % Np or gcd(val, Np) != p:
+                continue
+            d1 = sum(1 for k in range(1, s + 1) if 0 < (k * val) % Np < w * p)
+            d3 = w - 1 - d1
+            if d1 >= s or not 0 <= d3 < N - s:
+                continue
+            delta = Fraction(j0) - (d1 + 1) * qp - Fraction(w * bd, N)
+            lim_low = -min(Fraction(p - j0), Fraction(bd, N))
+            lim_high = min(Fraction(j0 - qp), Fraction(bd, N))
+            if not (lim_low < delta < lim_high):
+                continue
+            witness = RationalParams(
+                case_id=8, d1=d1, d2=s - 1 - d1, d3=d3, d4=N - s - 1 - d3, N=N,
+                delta=nt.b * (delta / q), e_count=d1,
+            )
+            yield witness, abs(delta) + Fraction(p, N * f + w) != Fraction(bd, N)
+        s += 1
+
+
+def _grid_units(nt: NormalizedTriple) -> Tuple[int, int, int, int]:
+    """(p, q, gamma1, j0): everything in units of b/q."""
+    if not (nt.is_rational and nt.c_on_grid):
+        raise RegionUnsupported("the grid certificate needs a/b = p/q and c on the b/q grid")
+    p, q = nt.rational
+    gamma1 = nt.c1.ratio(nt.b) * q
+    j0 = nt.c0.ratio(nt.b) * q
+    if gamma1.denominator != 1 or j0.denominator != 1:
+        raise OracleInconsistency("c is on the grid but c0 or c1 is not")
+    return p, q, int(gamma1), int(j0)
 
 
 # ---------------------------------------------------------------------------

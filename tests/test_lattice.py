@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gaborbox import NormalizedTriple, PeriodicSet, RegionTag, normalize, rat, region_tag
-from gaborbox.errors import NonPositiveInput, PeriodMismatch
+from gaborbox.errors import ContextMismatch, NonPositiveInput, PeriodMismatch
 from gaborbox.exactnum import pi_context, surd_context
 from gaborbox.lattice import black_hole_R, black_hole_Rt
 
@@ -45,6 +45,27 @@ def test_normalize_irrational():
     # c0 = c - 5 = 18 - 11 pi/2; c1 = 5 mod pi/4 = 5 - 6 pi/4
     assert nt.c0 == PI.num(18, F(-11, 2))
     assert nt.c1 == PI.num(5, F(-3, 2))
+
+
+def test_normalize_grid_units():
+    # in units of b/(q*D): D = 1 on the grid
+    assert nt_of("13/17", 1, "77/17").units == (13, 17, 77, 77 - 4 * 17, 4 * 17 % 13)
+    # c/(b/q) = 231/10, f = 3: D = 10
+    assert nt_of("6/7", 1, "33/10").units == (60, 70, 231, 231 - 3 * 70, 10 * (3 * 7 % 6))
+    # the units of b/q do not depend on the scale of b
+    assert nt_of("13/34", "1/2", "77/34").units == nt_of("13/17", 1, "77/17").units
+    sq2 = surd_context(2)
+    assert normalize(sq2.num(0, F(3, 4)), sq2.num(0, 1), sq2.num(0, F(7, 2))).units == (
+        3, 4, 14, 2, 0)
+    # a/b rational but c/b irrational, and a/b irrational: no units
+    assert normalize(sq2.num(0, F(3, 4)), sq2.num(0, 1), rat(5)).units is None
+    assert normalize(PI.num(0, F(1, 4)), rat(1), PI.num(23, F(-11, 2))).units is None
+
+
+def test_mixed_contexts_raise_on_rational_values():
+    # the walk compares integers, so normalize itself checks a against c
+    with pytest.raises(ContextMismatch):
+        normalize(surd_context(2).num(1), rat(1), surd_context(3).num(3))
 
 
 def test_normalize_rejects_nonpositive():

@@ -8,7 +8,7 @@ import pytest
 from gaborbox import classify, compute_D, compute_S, normalize, rat
 from gaborbox.errors import BadTruncation, RegionUnsupported
 from gaborbox.exactnum import mod, pi_context
-from gaborbox.lattice import PeriodicSet
+from gaborbox.lattice import PeriodicSet, RegionTag
 from gaborbox.dynsys import apply_R, apply_Rt
 from gaborbox.oracle import (
     build_grid_model,
@@ -167,6 +167,20 @@ def test_pipeline_check_fixtures_agree():
     ]
     for nt in triples:
         assert triple_pipeline_check(nt) is None, nt
+
+
+def test_pipeline_walks_the_xiii_candidates_once(monkeypatch):
+    from gaborbox import classifier
+
+    walks = []
+    walk = classifier._xiii_candidates
+    monkeypatch.setattr(classifier, "_xiii_candidates", lambda nt: walks.append(nt) or walk(nt))
+    # a NotFrame witness, a measure-critical candidate (Frame), no candidate
+    for nt in (NT75, NT23_7, nt_of("4/5", 1, "12/5")):
+        walks.clear()
+        assert nt.region is RegionTag.XIII
+        assert triple_pipeline_check(nt) is None
+        assert len(walks) == 1, nt
 
 
 def test_survey_enumerates_on_grid_generic_triples():

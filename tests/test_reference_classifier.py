@@ -1,0 +1,121 @@
+"""Differential tests: the classifier deciding rational triples in integer
+grid units against the ExactReal classifier it replaced
+(`reference_classifier.py`).
+
+Every decision is compared whole: verdict, region and witness, with the
+rendered GcdCondition thresholds, the case-8 delta and both neighbours of
+an off-grid c, and again as its JSON payload.  Every grid model is compared
+field by field.
+"""
+
+from collections import Counter
+from fractions import Fraction as F
+
+import pytest
+
+import reference_classifier as ref
+from gaborbox.classifier import GcdCondition, RationalParams, RecursionPair, classify_triple
+from gaborbox.cli import _decision_json
+from gaborbox.errors import RegionUnsupported
+from gaborbox.exactnum import pi_context, rat, surd_context
+from gaborbox.lattice import normalize
+from gaborbox.oracle import build_grid_model
+
+SQ2 = surd_context(2)
+PI = pi_context()
+B_VALUES = (F(1), F(3, 2), F(7, 5))
+
+
+def _a_values(qmax):
+    """Reduced a = p/q with q <= qmax in (0, 2): a > b occurs for every b."""
+    return sorted({F(p, q) for q in range(1, qmax + 1) for p in range(1, 2 * q)})
+
+
+def _c_values(q, cmax=8):
+    """c in (0, cmax) on step 1/(2q), and on the off-grid steps 1/(3q), 1/(5q)."""
+    return sorted({F(k, m * q) for m in (2, 3, 5) for k in range(1, cmax * m * q)})
+
+
+def _rational_cells(qmax, b_values=B_VALUES, cmax=8):
+    for b in b_values:
+        for a in _a_values(qmax):
+            for c in _c_values(a.denominator, cmax):
+                yield a, b, c
+
+
+def _same(a, b, c, tally):
+    nt = normalize(a, b, c)
+    got, want = classify_triple(nt), ref.classify_triple(nt)
+    assert got == want, (a, b, c)
+    assert _decision_json(got) == _decision_json(want), (a, b, c)
+    try:
+        model = ref.build_grid_model(nt)
+    except RegionUnsupported:
+        with pytest.raises(RegionUnsupported):
+            build_grid_model(nt)
+    else:
+        assert build_grid_model(nt) == model, (a, b, c)
+        tally["grid model"] += 1
+    _count(got, tally)
+
+
+def _count(d, tally):
+    tally[str(d.region), d.verdict] += 1
+    w = d.witness
+    if isinstance(w, GcdCondition):
+        tally["case " + w.case_id] += 1
+    elif isinstance(w, RationalParams):
+        tally[f"case {w.case_id}"] += 1
+    elif isinstance(w, RecursionPair):
+        _count(w.low, tally)
+        _count(w.high, tally)
+
+
+RATIONAL_REGIONS = ("I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX", "X", "XI",
+                    "XIII", "XIV")
+CASES = ("1", "2", "3", "4", "5", "6", "7", "8", "X", "XI")
+
+
+def _covers_everything(tally):
+    regions = {region for key in tally if isinstance(key, tuple) for region in key[:1]}
+    assert set(RATIONAL_REGIONS) <= regions, sorted(regions)
+    for region in ("VI", "VII", "X", "XI", "XIII", "XIV"):
+        assert tally[region, "Frame"] and tally[region, "NotFrame"], region
+    assert all(tally["case " + case] for case in CASES), tally
+    assert tally["grid model"]
+
+
+def test_rational_triples_match_reference():
+    tally = Counter()
+    for a, b, c in _rational_cells(qmax=7):
+        _same(rat(a), rat(b), rat(c), tally)
+    _covers_everything(tally)
+
+
+@pytest.mark.slow
+def test_rational_triples_match_reference_q_le_20():
+    tally = Counter()
+    for a, b, c in _rational_cells(qmax=20):
+        _same(rat(a), rat(b), rat(c), tally)
+    _covers_everything(tally)
+
+
+@pytest.mark.parametrize("ctx", [SQ2, PI], ids=["sqrt2", "pi"])
+def test_rationals_held_in_irrational_contexts_match_reference(ctx):
+    tally = Counter()
+    for a, b, c in _rational_cells(qmax=4):
+        _same(ctx.num(a), ctx.num(b), ctx.num(c), tally)
+    _covers_everything(tally)
+
+
+@pytest.mark.parametrize("c_in_sqrt2", [False, True], ids=["c-rational", "c-in-Q-sqrt2"])
+def test_rational_ratio_of_irrationals_matches_reference(c_in_sqrt2):
+    # a = (p/q)*sqrt2 and b = sqrt2: c/b is rational only when c is in Q*sqrt2,
+    # so a rational c leaves the triple without grid units
+    tally = Counter()
+    for a, _, c in _rational_cells(qmax=5, b_values=(1,)):
+        a, b, c = SQ2.num(0, a), SQ2.num(0, 1), SQ2.num(0, c) if c_in_sqrt2 else rat(c)
+        assert (normalize(a, b, c).units is not None) is c_in_sqrt2
+        _same(a, b, c, tally)
+    for region in ("VI", "VII", "X", "XI", "XIV") + ("XIII",) * c_in_sqrt2:
+        assert tally[region, "Frame"] and tally[region, "NotFrame"], region

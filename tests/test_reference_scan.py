@@ -4,6 +4,7 @@ set algebra against the scans they replaced (`reference_scan.py`)."""
 import random
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +28,26 @@ def test_xiii_candidates_match_scan_q_le_20():
     assert triples == 1735
     # every case, on both sides of the exclusion clause
     assert seen == {(case, ok) for case in (6, 7, 8) for ok in (False, True)}
+
+
+@pytest.mark.slow
+def test_xiii_candidates_match_n_scan_at_p_1999():
+    # a = p/(p+1): b - a is one grid step, so case 8 runs s up to p/2 with
+    # bd = p - s, the longest divisor walks per p
+    p = 1999
+    a, one = rat(F(p, p + 1)), rat(1)
+    rng = random.Random(5)
+    ks = [4001, 4002, 4003, 7001] + rng.sample(range(2 * p + 3, 6 * p), 12)
+    kinds = set()
+    for k in ks:
+        nt = normalize(a, one, rat(F(k, p + 1)))
+        if nt.region is not RegionTag.XIII:
+            continue
+        want = list(ref._xiii_candidates_n_scan(nt))
+        assert list(_xiii_candidates(nt)) == want, k
+        kinds.add(tuple(excl_ok for _, excl_ok in want))
+    # no candidate, a measure-critical one, and a NotFrame witness
+    assert {(), (False,), (True,)} <= kinds, kinds
 
 
 def _xii_draw(seed, count):

@@ -68,6 +68,30 @@ def test_grid_oracle_names_nothing_from_the_classifier():
             elif isinstance(node, ast.Attribute) and node.attr in forbidden:
                 found.append(f"{name}: names .{node.attr}")
     assert found == []
+    # the model reads the grid indices the triple already holds
+    assert any(isinstance(node, ast.Attribute) and node.attr == "units"
+               for node in ast.walk(defs["build_grid_model"]))
+
+
+def _functions(path):
+    """Every function (methods and nested ones included) defined in the file."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+
+
+def test_only_the_diagram_walk_names_region_xiv():
+    # one walk decides every region; a second walk would have to name XIV
+    naming = {fn.name for fn in _functions(SRC / "lattice.py") for node in ast.walk(fn)
+              if isinstance(node, ast.Attribute) and node.attr == "XIV"}
+    assert naming == {"_walk_diagram"}
+
+
+def test_classifier_normalizes_only_in_classify():
+    # the grid neighbours of an off-grid c are built from their indices
+    callers = {fn.name for fn in _functions(SRC / "classifier.py") for node in ast.walk(fn)
+               if isinstance(node, ast.Call) and "normalize" in (
+                   getattr(node.func, "id", None), getattr(node.func, "attr", None))}
+    assert callers == {"classify"}
 
 
 def _imported_modules(tree):
