@@ -258,7 +258,11 @@ def _search_obstruction_irrational(nt: NormalizedTriple):
 
 def cond_XII(nt: NormalizedTriple) -> Optional[IrrationalParams]:
     """NotFrame witness on the irrational generic region, if any."""
-    hit = _search_obstruction_irrational(nt)
+    return _xii_witness(nt, _search_obstruction_irrational(nt))
+
+
+def _xii_witness(nt: NormalizedTriple, hit) -> Optional[IrrationalParams]:
+    """The NotFrame witness a search result gives, if any."""
     if hit is None:
         return None
     d1, d2, m, count, expr = hit
@@ -378,16 +382,21 @@ def characterize_S_nonempty(nt: NormalizedTriple) -> bool:
 
 def classify_with_S_existence(nt: NormalizedTriple) -> Tuple[FrameDecision, Optional[bool]]:
     """classify_triple(nt) and characterize_S_nonempty(nt), None where that
-    has no characterization; on XIII one walk of the candidates gives both."""
-    if nt.region is RegionTag.XIII:
+    has no characterization; on XII one search, on XIII one walk of the
+    candidates, gives both."""
+    tag = nt.region
+    if tag is RegionTag.XII:
+        hit = _search_obstruction_irrational(nt)
+        w, nonempty = _xii_witness(nt, hit), hit is not None
+    elif tag is RegionTag.XIII:
         w, nonempty = _xiii_search(nt)
-        return (_not_frame(RegionTag.XIII, w) if w is not None
-                else _frame(RegionTag.XIII)), nonempty
-    try:
-        nonempty = characterize_S_nonempty(nt)
-    except RegionUnsupported:
-        nonempty = None
-    return classify_triple(nt), nonempty
+    else:
+        try:
+            nonempty = characterize_S_nonempty(nt)
+        except RegionUnsupported:
+            nonempty = None
+        return classify_triple(nt), nonempty
+    return (_not_frame(tag, w) if w is not None else _frame(tag)), nonempty
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from .errors import (
     OracleInconsistency,
     RegionUnsupported,
 )
-from .exactnum import ExactReal, floor_div, mod, rat
+from .exactnum import _ZERO, ExactReal, _make, floor_div, mod, rat
 from .lattice import (
     NormalizedTriple,
     PeriodicSet,
@@ -54,14 +54,22 @@ class HoleChainStep:
 class Marks:
     """Image of the holes on the collapsed circle of circumference Ya.
 
-    kind "cyclic": the marks form the finite cyclic group generator*Z mod Ya.
+    kind "cyclic": the marks form the finite cyclic group generator*Z mod Ya,
+    of the given order; its points are derived when read.
     kind "finite": the marks are the listed points (n*theta mod Ya, n=1..M).
     """
 
     kind: str
-    points: Tuple[ExactReal, ...]
+    listed: Tuple[ExactReal, ...] = ()
     generator: Optional[ExactReal] = None
     order: Optional[int] = None
+
+    @property
+    def points(self) -> Tuple[ExactReal, ...]:
+        if self.kind == "cyclic":
+            g = self.generator
+            return tuple(g * i for i in range(self.order))
+        return self.listed
 
 
 @dataclass(frozen=True)
@@ -227,46 +235,74 @@ def _propagate_irrational(nt: NormalizedTriple) -> Tuple[PeriodicSet, List[HoleC
 
 def _propagate_rational(nt: NormalizedTriple) -> Tuple[PeriodicSet, List[HoleChainStep]]:
     """Breadth-first saturation: push the backward absorber forward, letting
-    portions park inside the forward absorber, until nothing new appears."""
-    a, b, f = nt.a, nt.b, nt.floor_cb
-    ba = b - a
-    bh_lo, bh_hi = black_hole_R(nt)
-    bh = PeriodicSet.make(a, [(bh_lo, bh_hi)])
-    low = PeriodicSet.make(a, [(rat(0), bh_lo)])
-    high = PeriodicSet.make(a, [(bh_hi, a)])
+    portions park inside the forward absorber, until nothing new appears.
+
+    c sits on the grid, so every endpoint and every shift is a whole number
+    of steps b/q: the march runs on integers in those units (nt.units), and
+    its sets are mapped back to ExactReal once, at the end."""
+    u = nt.units
+    A, B = u.A, u.B
+    f = nt.floor_cb
     _, q = nt.rational
-    cap = -floor_div(-a, ba) + q + 2
-    hole0_lo, hole0_hi = black_hole_Rt(nt)
-    front = PeriodicSet.make(a, [(hole0_lo, hole0_hi)])
+    ba = B - A
+    bh_lo, bh_hi = u.C0 + A - B, u.C0
+    bh = PeriodicSet.make(A, [(bh_lo, bh_hi)])
+    low = PeriodicSet.make(A, [(0, bh_lo)])
+    high = PeriodicSet.make(A, [(bh_hi, A)])
+    low_shift, high_shift = (f + 1) * B, f * B
+    cap = -(-A // ba) + q + 2
+    front = PeriodicSet.make(A, [(u.C1, u.C1 + ba)])
     covered = front
-    chain: List[HoleChainStep] = []
+    steps: List[Tuple[PeriodicSet, HoleStatus]] = []
     n = 0
     while not front.is_empty:
         if n > cap:
             raise IterationCapExceeded(
                 f"hole propagation still live after {n} steps; proven bound is {cap}"
             )
-        parked = front.intersect(bh)
         moving = front.minus(bh)
         if moving.is_empty:
-            chain.append(HoleChainStep(n, front, HoleStatus.FROZEN))
+            steps.append((front, HoleStatus.FROZEN))
             break
-        status = HoleStatus.ABSORBED if not parked.is_empty else HoleStatus.PROPAGATING
-        chain.append(HoleChainStep(n, front, status))
+        # whatever of the front lies in the absorber parks there
+        parked = moving.intervals != front.intervals
+        steps.append((front, HoleStatus.ABSORBED if parked else HoleStatus.PROPAGATING))
         image = (
-            moving.intersect(low).shift((f + 1) * b)
-            .union(moving.intersect(high).shift(f * b))
+            moving.intersect(low).shift(low_shift)
+            .union(moving.intersect(high).shift(high_shift))
         )
         front = image.minus(covered)
         covered = covered.union(image)
         n += 1
     S = covered.complement()
     if S.is_empty:
-        chain.append(HoleChainStep(len(chain), PeriodicSet.full(a), HoleStatus.SENTINEL))
+        steps.append((PeriodicSet.full(A), HoleStatus.SENTINEL))
     elif not S.intersect(bh).is_empty:
         # the construction must have buried both absorbers inside the holes
         raise OracleInconsistency("invariant set touches the forward absorber")
-    return S, chain
+    real = _grid_reals(nt, S, *(hole for hole, _ in steps))
+    chain = [HoleChainStep(i, real(hole), status) for i, (hole, status) in enumerate(steps)]
+    return real(S), chain
+
+
+def _grid_reals(nt: NormalizedTriple, *sets: PeriodicSet):
+    """Map from sets in units of b/q (period A) to the same sets over the
+    reals (period a), with one ExactReal k*b/q per distinct endpoint k."""
+    a, b = nt.a, nt.b
+    q = nt.rational[1]
+    ends = {k for E in sets for iv in E.intervals for k in iv}
+    ends.discard(nt.units.A)
+    if b.x1:
+        value = {k: b * Fraction(k, q) for k in ends}
+    else:  # one Fraction each, as lattice.grid_triple builds its values
+        ctx, bn, bdq = b._join(a), b.x0.numerator, b.x0.denominator * q
+        value = {k: _make(ctx, Fraction(bn * k, bdq), _ZERO) for k in ends}
+    value[nt.units.A] = a
+
+    def real(E: PeriodicSet) -> PeriodicSet:
+        return PeriodicSet(a, tuple((value[lo], value[hi]) for lo, hi in E.intervals))
+
+    return real
 
 
 # ---------------------------------------------------------------------------
@@ -333,12 +369,7 @@ def surgery_report(
             raise OracleInconsistency("rational lattice must give commensurable rotation")
         v = ratio.denominator
         g = Ya / v
-        marks = Marks(
-            kind="cyclic",
-            points=tuple(g * i for i in range(v)),
-            generator=g,
-            order=v,
-        )
+        marks = Marks(kind="cyclic", generator=g, order=v)
         extras = _rational_extras(nt, S, g, v)
     else:
         marks = _finite_marks(nt, S, theta, Ya)
@@ -353,7 +384,7 @@ def _finite_marks(nt, S, theta, Ya) -> Marks:
         pts.append(mod(n * theta, Ya))
         r = (n * theta - y_c0).ratio(Ya)
         if r is not None and r.denominator == 1:
-            return Marks(kind="finite", points=tuple(pts))
+            return Marks(kind="finite", listed=tuple(pts))
     raise OracleInconsistency("mark-count search failed; conjugacy data is corrupt")
 
 

@@ -467,13 +467,17 @@ def _sign(ctx: NumberContext, n0: int, d0: int, n1: int, d1: int) -> int:
                 "sqrt(d) compared equal to a rational; context is corrupt"
             )
         return s0 if lhs > rhs else s1
-    # pi context: refine until the interval excludes zero
-    x0, x1 = Fraction(n0, d0), Fraction(n1, d1)
+    # pi context: refine until the value has one sign at both ends of the
+    # enclosure tn/td (it is monotone in tau), read off in integers as the
+    # sign of n0*d1*td + n1*d0*tn
+    a, b = n0 * d1, n1 * d0
     while True:
-        lo, hi = _interval(ctx, x0, x1)
-        if lo > 0:
+        lo, hi = ctx.enclosure()
+        at_lo = a * lo.denominator + b * lo.numerator
+        at_hi = a * hi.denominator + b * hi.numerator
+        if at_lo > 0 and at_hi > 0:
             return 1
-        if hi < 0:
+        if at_lo < 0 and at_hi < 0:
             return -1
         ctx.refine()
 

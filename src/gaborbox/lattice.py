@@ -4,7 +4,8 @@ A PeriodicSet stores a finite disjoint union of half-open intervals inside one
 period [0, a) and stands for that union + aZ.  Storage is canonical: sorted,
 pairwise disjoint, touching intervals merged — except across the 0/a seam,
 which is only fused on demand by cyclic queries (gap analysis), never in
-storage.  All endpoints are ExactReal, all comparisons exact.
+storage.  The endpoints and the period are all ExactReal, or all int (a set
+in integer grid units); every comparison is exact either way.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from operator import itemgetter
-from typing import Iterable, List, NamedTuple, Optional, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Tuple, Union
 
 from .errors import NonPositiveInput, PeriodMismatch
 from .exactnum import _ZERO, ExactReal, _make, floor_div, mod, rat
@@ -41,7 +42,8 @@ class RegionTag(enum.Enum):
         return self.value
 
 
-Interval = Tuple[ExactReal, ExactReal]
+Endpoint = Union[ExactReal, int]
+Interval = Tuple[Endpoint, Endpoint]
 
 _start = itemgetter(0)
 _end = itemgetter(1)
@@ -51,20 +53,15 @@ _end = itemgetter(1)
 class PeriodicSet:
     """Union of half-open intervals in [0, period), implicitly + period*Z."""
 
-    period: ExactReal
+    period: Endpoint
     intervals: Tuple[Interval, ...]
 
     # ---- construction ----------------------------------------------------
     @classmethod
-    def make(cls, period: ExactReal, pairs: Iterable[Interval]) -> "PeriodicSet":
+    def make(cls, period: Endpoint, pairs: Iterable[Interval]) -> "PeriodicSet":
         """Canonicalize pairs already lying inside [0, period]."""
-        kept: List[Interval] = []
-        for lo, hi in pairs:
-            if hi <= lo:
-                continue  # empty (or inverted, which callers never produce)
-            if lo.sign() < 0 or hi > period:
-                raise ValueError("interval endpoints must lie inside [0, period]")
-            kept.append((lo, hi))
+        # empty (or inverted, which callers never produce) pairs drop out
+        kept = [(lo, hi) for lo, hi in pairs if lo < hi]
         kept.sort(key=_start)
         merged: List[Interval] = []
         for lo, hi in kept:
@@ -73,10 +70,13 @@ class PeriodicSet:
                 merged[-1] = (plo, hi if hi > phi else phi)
             else:
                 merged.append((lo, hi))
+        # the first start is the least one and the last end the greatest
+        if merged and (_negative(merged[0][0]) or merged[-1][1] > period):
+            raise ValueError("interval endpoints must lie inside [0, period]")
         return cls(period, tuple(merged))
 
     @classmethod
-    def from_wrapped(cls, period: ExactReal, pairs: Iterable[Interval]) -> "PeriodicSet":
+    def from_wrapped(cls, period: Endpoint, pairs: Iterable[Interval]) -> "PeriodicSet":
         """Like make(), but intervals may live anywhere on the line; they are
         reduced mod period and split at the seam."""
         reduced: List[Interval] = []
@@ -85,37 +85,37 @@ class PeriodicSet:
                 continue
             if hi - lo > period:
                 raise ValueError("interval longer than one period")
-            shift = floor_div(lo, period)
+            shift = lo // period if type(period) is int else floor_div(lo, period)
             lo = lo - shift * period
             hi = hi - shift * period
             if hi <= period:
                 reduced.append((lo, hi))
             else:
                 reduced.append((lo, period))
-                reduced.append((rat(0), hi - period))
+                reduced.append((_zero(period), hi - period))
         return cls.make(period, reduced)
 
     @classmethod
-    def empty(cls, period: ExactReal) -> "PeriodicSet":
+    def empty(cls, period: Endpoint) -> "PeriodicSet":
         return cls(period, ())
 
     @classmethod
-    def full(cls, period: ExactReal) -> "PeriodicSet":
-        return cls(period, ((rat(0), period),))
+    def full(cls, period: Endpoint) -> "PeriodicSet":
+        return cls(period, ((_zero(period), period),))
 
     # ---- basic queries -----------------------------------------------------
     @property
     def is_empty(self) -> bool:
         return not self.intervals
 
-    def measure(self) -> ExactReal:
-        total = rat(0)
+    def measure(self) -> Endpoint:
+        total = _zero(self.period)
         for lo, hi in self.intervals:
             total = total + (hi - lo)
         return total
 
-    def contains(self, t: ExactReal) -> bool:
-        t = mod(t, self.period)
+    def contains(self, t: Endpoint) -> bool:
+        t = _mod(t, self.period)
         return any(lo <= t < hi for lo, hi in self.intervals)
 
     def components_cyclic(self) -> List[Interval]:
@@ -123,7 +123,7 @@ class PeriodicSet:
         reported as (lo, hi) with hi > period."""
         ivs = list(self.intervals)
         # a single [0, period) is the full circle and stays as it is
-        if len(ivs) >= 2 and ivs[0][0].is_zero() and ivs[-1][1] == self.period:
+        if len(ivs) >= 2 and ivs[0][0] == _zero(self.period) and ivs[-1][1] == self.period:
             first = ivs.pop(0)
             last = ivs.pop()
             ivs.append((last[0], first[1] + self.period))
@@ -187,7 +187,7 @@ class PeriodicSet:
 
     def complement(self) -> "PeriodicSet":
         gaps: List[Interval] = []
-        cursor = rat(0)
+        cursor = _zero(self.period)
         for lo, hi in self.intervals:
             if cursor < lo:
                 gaps.append((cursor, lo))
@@ -224,9 +224,9 @@ class PeriodicSet:
         out.extend(mine[prev:])
         return PeriodicSet(self.period, tuple(out))
 
-    def shift(self, t: ExactReal) -> "PeriodicSet":
+    def shift(self, t: Endpoint) -> "PeriodicSet":
         """The set + t, reduced back into [0, period)."""
-        s = mod(t, self.period)
+        s = _mod(t, self.period)
         moved: List[Interval] = []
         for lo, hi in self.intervals:
             nlo, nhi = lo + s, hi + s
@@ -236,10 +236,10 @@ class PeriodicSet:
                 moved.append((nlo - self.period, nhi - self.period))
             else:
                 moved.append((nlo, self.period))
-                moved.append((rat(0), nhi - self.period))
+                moved.append((_zero(self.period), nhi - self.period))
         return PeriodicSet.make(self.period, moved)
 
-    def restrict(self, lo: ExactReal, hi: ExactReal) -> "PeriodicSet":
+    def restrict(self, lo: Endpoint, hi: Endpoint) -> "PeriodicSet":
         """Intersection with the single window [lo, hi) 0 <= lo <= hi <= period."""
         return self.intersect(PeriodicSet.make(self.period, [(lo, hi)]))
 
@@ -252,8 +252,28 @@ class PeriodicSet:
         return hash((self.period, self.intervals))
 
     def __repr__(self):
-        body = " u ".join(f"[{lo.render()},{hi.render()})" for lo, hi in self.intervals)
-        return f"PeriodicSet({body or 'empty'} mod {self.period.render()})"
+        body = " u ".join(f"[{_render(lo)},{_render(hi)})" for lo, hi in self.intervals)
+        return f"PeriodicSet({body or 'empty'} mod {_render(self.period)})"
+
+
+_RAT_ZERO = rat(0)
+
+
+def _zero(period: Endpoint) -> Endpoint:
+    """Zero as an endpoint of a set with this period."""
+    return 0 if type(period) is int else _RAT_ZERO
+
+
+def _negative(x: Endpoint) -> bool:
+    return x < 0 if type(x) is int else x.sign() < 0
+
+
+def _mod(t: Endpoint, period: Endpoint) -> Endpoint:
+    return t % period if type(period) is int else mod(t, period)
+
+
+def _render(x: Endpoint) -> str:
+    return str(x) if type(x) is int else x.render()
 
 
 class GridUnits(NamedTuple):

@@ -6,9 +6,11 @@ comparisons and rendering; `rat`, `floor_div` and `mod` are the helpers that
 build and reduce it; `NormalizedTriple` is the eight-field triple without the
 region field (whose construction would walk the diagram with `_cmp`, which
 these values lack); `normalize` and `region_tag` are the diagram walk that
-took signs of differences.  They are copied unchanged from the code they
-replaced (only the imports differ); the differential tests in
-`test_reference_exact.py` hold the lean core to their output.
+took signs of differences; `_sign` and `_interval` are the sign of
+n0/d0 + (n1/d1)*tau that read the pi enclosure through `Fraction` interval
+arithmetic.  They are copied unchanged from the code they replaced (only the
+imports differ); the differential tests in `test_reference_exact.py` hold the
+lean core to their output.
 """
 
 from __future__ import annotations
@@ -354,3 +356,40 @@ def region_tag(nt: NormalizedTriple) -> RegionTag:
     if not nt.is_rational:
         return RegionTag.XII
     return RegionTag.XIII if nt.c_on_grid else RegionTag.XIV
+
+
+def _sign(ctx: NumberContext, n0: int, d0: int, n1: int, d1: int) -> int:
+    """Exact sign of n0/d0 + (n1/d1)*tau for d0, d1 > 0, in integers as far
+    as a surd goes; shared by ExactReal.sign and ExactReal._cmp."""
+    s0, s1 = (n0 > 0) - (n0 < 0), (n1 > 0) - (n1 < 0)
+    if s0 == s1 or not s1:
+        return s0
+    if not s0:
+        return s1  # tau > 0 for every supported basis
+    if ctx.kind == "surd":
+        # |x0| against |x1|*sqrt(d), squared and cleared of denominators
+        lhs = n0 * n0 * d1 * d1
+        rhs = n1 * n1 * ctx.d * d0 * d0
+        if lhs == rhs:
+            raise OracleInconsistency(
+                "sqrt(d) compared equal to a rational; context is corrupt"
+            )
+        return s0 if lhs > rhs else s1
+    # pi context: refine until the interval excludes zero
+    x0, x1 = Fraction(n0, d0), Fraction(n1, d1)
+    while True:
+        lo, hi = _interval(ctx, x0, x1)
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+        ctx.refine()
+
+
+def _interval(ctx: NumberContext, x0: Fraction, x1: Fraction) -> Tuple[Fraction, Fraction]:
+    if not x1 or ctx.kind == "rational":
+        return x0, x0
+    tlo, thi = ctx.enclosure()
+    if x1 > 0:
+        return x0 + x1 * tlo, x0 + x1 * thi
+    return x0 + x1 * thi, x0 + x1 * tlo

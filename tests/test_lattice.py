@@ -244,3 +244,36 @@ def test_shift_preserves_measure(xs, shift):
 def test_complement_involution(xs):
     x = build(xs)
     assert x.complement().complement() == x
+
+
+# -- integer endpoints ---------------------------------------------------------------------
+
+grid = st.lists(st.integers(0, 60), min_size=2, max_size=8)
+
+
+def build_int(ks):
+    ks = sorted(set(ks))
+    return PeriodicSet.make(60, list(zip(ks[::2], ks[1::2])))
+
+
+def on_reals(E):
+    """An integer set of period 60 as the set of period 1 it stands for."""
+    return PeriodicSet(rat(1), tuple((rat(F(lo, 60)), rat(F(hi, 60))) for lo, hi in E.intervals))
+
+
+@given(xs=grid, ys=grid, shift=st.integers(-200, 200))
+@settings(max_examples=300)
+def test_integer_endpoints_give_the_sets_their_rational_images_give(xs, ys, shift):
+    x, y = build_int(xs), build_int(ys)
+    rx, ry = on_reals(x), on_reals(y)
+    assert rx == build([F(k, 60) for k in xs])
+    for op in ("union", "intersect", "minus"):
+        assert on_reals(getattr(x, op)(y)) == getattr(rx, op)(ry), op
+    assert on_reals(x.complement()) == rx.complement()
+    assert on_reals(x.shift(shift)) == rx.shift(rat(F(shift, 60)))
+    assert rat(F(x.measure(), 60)) == rx.measure()
+    assert [(rat(F(lo, 60)), rat(F(hi, 60))) for lo, hi in x.components_cyclic()] == \
+        rx.components_cyclic()
+    assert x.contains(shift) == rx.contains(rat(F(shift, 60)))
+    with pytest.raises(ValueError):
+        PeriodicSet.make(60, [(-1, 5)])

@@ -183,6 +183,27 @@ def test_pipeline_walks_the_xiii_candidates_once(monkeypatch):
         assert len(walks) == 1, nt
 
 
+def test_pipeline_runs_the_xii_search_once(monkeypatch):
+    from gaborbox import classifier
+    from gaborbox.exactnum import surd_context
+
+    searches = []
+    search = classifier._search_obstruction_irrational
+    monkeypatch.setattr(classifier, "_search_obstruction_irrational",
+                        lambda nt: searches.append(nt) or search(nt))
+    sqrt2 = surd_context(2)
+    # a NotFrame witness, a measure-critical hit (Frame), no hit (Frame)
+    for nt, verdict in ((normalize(PI.num(0, F(1, 4)), rat(1), PI.num(11, F(-7, 4))), "NotFrame"),
+                        (normalize(PI.num(0, F(1, 4)), rat(1), PI.num(23, F(-11, 2))), "Frame"),
+                        (normalize(sqrt2.num(0, F(2, 3)), rat(1), rat(F(7, 2))), "Frame")):
+        searches.clear()
+        assert nt.region is RegionTag.XII
+        assert classify(nt.a, nt.b, nt.c).verdict == verdict
+        searches.clear()
+        assert triple_pipeline_check(nt) is None
+        assert len(searches) == 1, nt
+
+
 def test_survey_enumerates_on_grid_generic_triples():
     survey = list(on_grid_survey(6))
     assert len(survey) == 20

@@ -1,6 +1,7 @@
-"""Differential tests: the `__slots__` ExactReal core, its `_cmp` and the
-rational branch of `normalize` against the frozen-dataclass core they
-replaced (`reference_exact.py`), plus the value-class guarantees the
+"""Differential tests: the `__slots__` ExactReal core, its `_cmp`, the
+integer pi sign and the rational branch of `normalize` against the
+frozen-dataclass core and the `Fraction`-interval sign they replaced
+(`reference_exact.py`), plus the value-class guarantees the
 dataclass used to give (immutability, pickling, copying)."""
 
 import copy
@@ -14,10 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_exact as ref
-from gaborbox.errors import ContextMismatch, GaborBoxError
+from gaborbox.errors import ContextMismatch, GaborBoxError, PrecisionExhausted
 from gaborbox.exactnum import (
     RATIONAL,
     ExactReal,
+    _pi_enclosure,
+    _sign,
     floor_div,
     mod,
     pi_context,
@@ -159,6 +162,51 @@ def test_normalize_and_region_tag_match_old_core_q_le_20():
                 off_grid += not nt_new.c_on_grid
     assert triples == 27_792
     assert 0 < off_grid < triples
+
+
+# -- pi signs in integers ---------------------------------------------------------------
+
+# within 2**-8192 of pi, far finer than the 4096-bit refinement cap
+PI_FINE = _pi_enclosure(8192)[0]
+
+
+@st.composite
+def pi_forms(draw):
+    """(n0, d0, n1, d1) for n0/d0 + (n1/d1)*pi, denominators positive and
+    not always reduced: free draws, and draws within about 2**-bits of zero
+    that take (bits - 64)/64 refinements, past the cap for bits > 4096."""
+    n1 = draw(st.integers(-60, 60).filter(bool))
+    d1 = draw(st.integers(1, 60))
+    kind = draw(st.sampled_from(("free", "near", "near", "cap")))
+    if kind == "free":
+        return draw(st.integers(-600, 600)), draw(st.integers(1, 60)), n1, d1
+    bits = draw(st.integers(8, 4000) if kind == "near" else st.integers(4200, 6000))
+    scale = 1 << bits
+    x0 = -F(n1, d1) * F((PI_FINE * scale).__floor__(), scale)
+    x0 += F(draw(st.integers(-3, 3)), scale << draw(st.integers(0, 8)))
+    k = draw(st.integers(1, 3))
+    return x0.numerator * k, x0.denominator * k, n1, d1
+
+
+@given(form=pi_forms())
+@settings(max_examples=300, deadline=None)
+def test_pi_sign_in_integers_matches_fraction_intervals(form):
+    """The same sign, or the same PrecisionExhausted, after the same
+    refinements, each core on a fresh context."""
+    new_ctx, old_ctx = pi_context(), pi_context()
+    got = _outcome(_sign, new_ctx, *form)
+    want = _outcome(ref._sign, old_ctx, *form)
+    assert got == want, form
+    assert new_ctx._bits == old_ctx._bits, form
+
+
+def test_pi_sign_draws_reach_refinements_and_the_cap():
+    ctx = pi_context()
+    near = _pi_enclosure(1000)[0]  # within 2**-1000 of pi
+    assert _sign(ctx, -near.numerator, near.denominator, 1, 1) == 1
+    assert ctx._bits == 1024
+    with pytest.raises(PrecisionExhausted):
+        _sign(pi_context(), -PI_FINE.numerator, PI_FINE.denominator, 1, 1)
 
 
 # -- value-class guarantees ------------------------------------------------------------

@@ -38,16 +38,21 @@ GRID_ORACLE = ("GridModel", "build_grid_model", "_orbit_avoids", "grid_S", "grid
                "grid_frame_decision")
 
 
-def test_grid_oracle_names_nothing_from_the_classifier():
-    # the grid route cross-checks the closed forms, so it must not use them
+def _classifier_names():
+    """"classifier" and every name its module body defines."""
     classifier = ast.parse((SRC / "classifier.py").read_text(encoding="utf-8"))
-    forbidden = {"classifier"} | {
+    return {"classifier"} | {
         node.name for node in classifier.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
     } | {
         target.id for node in classifier.body if isinstance(node, ast.Assign)
         for target in node.targets if isinstance(target, ast.Name)
     }
+
+
+def test_grid_oracle_names_nothing_from_the_classifier():
+    # the grid route cross-checks the closed forms, so it must not use them
+    forbidden = _classifier_names()
     oracle = ast.parse((SRC / "oracle.py").read_text(encoding="utf-8"))
     defs = {node.name: node for node in oracle.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
@@ -71,6 +76,28 @@ def test_grid_oracle_names_nothing_from_the_classifier():
     # the model reads the grid indices the triple already holds
     assert any(isinstance(node, ast.Attribute) and node.attr == "units"
                for node in ast.walk(defs["build_grid_model"]))
+
+
+def test_dynsys_names_nothing_from_the_oracles_or_the_classifier():
+    # compute_S is the propagation route of the cross-check: it must not
+    # borrow the grid oracle's orbit walk or the closed forms
+    forbidden = {"oracle"} | set(GRID_ORACLE) | _classifier_names()
+    tree = ast.parse((SRC / "dynsys.py").read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            found += [f"from {node.module} import"] * (
+                node.module is None or bool(forbidden & set(node.module.split("."))))
+            found += [f"imports {alias.name}" for alias in node.names
+                      if alias.name in forbidden]
+        elif isinstance(node, ast.Import):
+            found += [f"import {alias.name}" for alias in node.names
+                      if forbidden & set(alias.name.split("."))]
+        elif isinstance(node, ast.Name) and node.id in forbidden:
+            found.append(f"names {node.id}")
+        elif isinstance(node, ast.Attribute) and node.attr in forbidden:
+            found.append(f"names .{node.attr}")
+    assert found == []
 
 
 def _functions(path):
