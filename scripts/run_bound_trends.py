@@ -20,7 +20,12 @@ import time
 
 from gaborbox import classify, normalize, region_tag
 from gaborbox.cli import parse_context, parse_number
+from gaborbox.errors import GaborBoxError
 from gaborbox.oracle import numeric_frame_bounds
+
+
+def half_widths(text):
+    return [int(x) for x in text.split(",")]
 
 
 def main(argv=None):
@@ -30,18 +35,25 @@ def main(argv=None):
     ap.add_argument("--a", required=True)
     ap.add_argument("--b", default="1")
     ap.add_argument("--c", required=True)
-    ap.add_argument("--half-widths", default="8,16,32",
+    ap.add_argument("--half-widths", default=[8, 16, 32],
+                    type=half_widths,
                     help="comma-separated truncation half-widths")
     ap.add_argument("--t-samples", type=int, default=16)
     ap.add_argument("--csv", action="store_true",
                     help="emit machine-readable rows instead of a table")
     args = ap.parse_args(argv)
+    try:
+        return report(args)
+    except GaborBoxError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
 
+
+def report(args):
     ctx = parse_context(args.context)
     a = parse_number(args.a, ctx)
     b = parse_number(args.b, ctx)
     c = parse_number(args.c, ctx)
-    hws = [int(x) for x in args.half_widths.split(",")]
 
     nt = normalize(a, b, c)
     decision = classify(a, b, c)
@@ -53,7 +65,7 @@ def main(argv=None):
         print(f"region {region_tag(nt)}, verdict {decision.verdict}, "
               f"estimator {mode}")
         print(f"{'hw':>5}  {'A_est':>12}  {'B_est':>12}  {'sec':>6}")
-    for hw in hws:
+    for hw in args.half_widths:
         t0 = time.monotonic()
         lo, hi = numeric_frame_bounds(nt, t_samples=args.t_samples, half_width=hw)
         dt = time.monotonic() - t0

@@ -14,6 +14,7 @@ map definitions themselves, which is what makes the cross-check meaningful.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import FrozenSet, Optional, Tuple
@@ -146,6 +147,13 @@ def grid_frame_decision(nt: NormalizedTriple) -> str:
 # singular matrix; snap them to zero so trend comparisons are deterministic.
 _SINGULAR_FLOOR = 1e-10
 
+# Most entries one array of the diagnostic may hold: the rational route's
+# indicator block and its stack of phase symbols, the irrational route's
+# truncated matrix.  2**24 complex entries are 256 MB; the rational route
+# reaches the limit near q = 460 with p close to q, where the SVDs of one
+# call already take seconds.
+_MAX_ENTRIES = 2**24
+
 
 def numeric_frame_bounds(
     nt: NormalizedTriple, t_samples: int = 16, half_width: int = 8
@@ -169,6 +177,9 @@ def numeric_frame_bounds(
     (rows |m| <= half_width, columns kept only when their full support lies
     inside the row window); that variant over-estimates A and only decays
     toward the truth at rate ~1/half_width, so it is trend-only.
+
+    Raises BadTruncation, before building any array, when one array would
+    hold more than 2**24 entries.
     """
     import numpy as np
 
@@ -180,63 +191,76 @@ def numeric_frame_bounds(
     if t_samples < 1:
         raise BadTruncation("need at least one t sample")
 
-    A_est = float("inf")
-    B_est = 0.0
-    for i in range(t_samples):
-        t = (i + 0.5) * a / t_samples
-        if nt.rational is not None:
-            sig_lo, sig_hi = _phase_sampled_extremes(np, nt, t, half_width)
-        else:
+    if nt.rational is not None:
+        p, q = nt.rational
+        A_est, B_est = _phase_sampled_extremes(np, p, q, a, b, c, t_samples, half_width)
+    else:
+        A_est = float("inf")
+        B_est = 0.0
+        for i in range(t_samples):
+            t = (i + 0.5) * a / t_samples
             sig_lo, sig_hi = _windowed_extremes(np, a, b, c, t, half_width)
-        A_est = min(A_est, sig_lo)
-        B_est = max(B_est, sig_hi)
+            A_est = min(A_est, sig_lo)
+            B_est = max(B_est, sig_hi)
     if A_est < _SINGULAR_FLOOR:
         A_est = 0.0
     return A_est, B_est
 
 
-def _phase_sampled_extremes(np, nt: NormalizedTriple, t: float, half_width: int):
-    """Extreme singular values via the q x p shift symbol at sampled phases."""
-    p, q = nt.rational
-    a, b, c = float(nt.a), float(nt.b), float(nt.c)
+def _phase_sampled_extremes(np, p: int, q: int, a: float, b: float, c: float,
+                            t_samples: int, half_width: int):
+    """Extreme singular values of the q x p shift symbol over every (t, phase).
+
+    Entry (m, r) of the symbol at phase theta sums exp(i*theta*j) over the j
+    with chi(t - m*a + (r + p*j)*b) = 1.  All t samples, rows, j and columns
+    go into one indicator block, one einsum over j makes the stack of symbols
+    and one stacked SVD takes their singular values.
+    """
     n_phases = max(1, round((2 * half_width + 1) / q))
-    lo = float("inf")
-    hi = 0.0
-    for k in range(n_phases):
-        theta = 2.0 * np.pi * k / n_phases
-        sym = np.zeros((q, p), dtype=complex)
-        for m in range(q):
-            # entries chi(t - m*a + (r + p*j)*b): solve for the j-window
-            base = t - m * a
-            j_lo = int(np.floor((-base - (p - 1) * b) / (p * b))) - 1
-            j_hi = int(np.floor((c - base) / (p * b))) + 1
-            for j in range(j_lo, j_hi + 1):
-                for r in range(p):
-                    x = base + (r + p * j) * b
-                    if 0.0 <= x < c:
-                        sym[m, r] += np.exp(1j * theta * j)
-        s = np.linalg.svd(sym, compute_uv=False)
-        lo = min(lo, float(s[-1]) if q >= p else 0.0)
-        hi = max(hi, float(s[0]))
-    return lo, hi
+    # Row m's hits lie in floor((-base - (p-1)*b)/(p*b)) - 1 <= j <=
+    # floor((c - base)/(p*b)) + 1 with base = t - m*a; base is largest at the
+    # last t and m = 0 and smallest at the first t and m = q-1, so these two
+    # corners bound the j of every row.
+    base_hi = (t_samples - 1 + 0.5) * a / t_samples
+    base_lo = 0.5 * a / t_samples - (q - 1) * a
+    j_lo = math.floor((-base_hi - (p - 1) * b) / (p * b)) - 1
+    j_hi = math.floor((c - base_lo) / (p * b)) + 1
+    entries = t_samples * q * p * max(j_hi - j_lo + 1, n_phases)
+    if entries > _MAX_ENTRIES:
+        raise BadTruncation(
+            f"the phase-symbol arrays of a {q} x {p} symbol would hold {entries} "
+            f"entries, more than {_MAX_ENTRIES}"
+        )
+
+    ts = (np.arange(t_samples) + 0.5) * a / t_samples
+    base = ts[:, None] - np.arange(q) * a  # (t, m)
+    j = np.arange(j_lo, j_hi + 1)
+    x = base[:, :, None, None] + (np.arange(p) + p * j[:, None]) * b  # (t, m, j, r)
+    hits = (0.0 <= x) & (x < c)
+    theta = 2.0 * np.pi * np.arange(n_phases) / n_phases
+    phases = np.exp(1j * np.multiply.outer(theta, j))  # (k, j)
+    symbols = np.einsum("tmjr,kj->tkmr", hits, phases)
+    s = np.linalg.svd(symbols, compute_uv=False)
+    lo = float(s[..., -1].min()) if q >= p else 0.0
+    return lo, float(s[..., 0].max())
 
 
 def _windowed_extremes(np, a: float, b: float, c: float, t: float, half_width: int):
     """Extreme singular values of the truncated matrix, boundary columns pruned."""
     n_max = int(half_width + c / b) + 1
+    entries = (2 * half_width + 1) * (2 * n_max + 1)
+    if entries > _MAX_ENTRIES:
+        raise BadTruncation(
+            f"the truncated matrix would hold {entries} entries, more than {_MAX_ENTRIES}"
+        )
     rows = np.arange(-half_width, half_width + 1) * a
     # keep a column only if its support over ALL rows, the lattice points in
     # (t+l-c, t+l], sits inside the row window
-    keep = []
-    for n in range(-n_max, n_max + 1):
-        l = n * b
-        m_lo = int(np.floor((t + l - c) / a)) + 1
-        m_hi = int(np.floor((t + l) / a))
-        if m_lo >= -half_width and m_hi <= half_width:
-            keep.append(l)
-    if not keep:
+    ls = np.arange(-n_max, n_max + 1) * b
+    kept = ls[(np.floor((t + ls - c) / a) + 1 >= -half_width)
+              & (np.floor((t + ls) / a) <= half_width)]
+    if kept.size == 0:
         raise BadTruncation("window too small: no fully supported columns")
-    kept = np.array(keep)
     x = t - rows[:, None] + kept[None, :]
     M = ((x >= 0) & (x < c)).astype(float)
     s = np.linalg.svd(M, compute_uv=False)

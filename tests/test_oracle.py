@@ -1,13 +1,17 @@
 """Grid-orbit oracle vs the exact pipelines, and the singular-value diagnostic."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from gaborbox import classify, compute_D, compute_S, normalize, rat
 from gaborbox.errors import BadTruncation, RegionUnsupported
-from gaborbox.exactnum import mod, pi_context
+from gaborbox.exactnum import mod, pi_context, surd_context
 from gaborbox.lattice import PeriodicSet, RegionTag
 from gaborbox.dynsys import apply_R, apply_Rt
 from gaborbox.oracle import (
@@ -146,12 +150,57 @@ def test_numeric_bounds_input_guards():
         numeric_frame_bounds(nt_of("3/4", 4, 3))  # needs max(a, b) < c
 
 
+def test_numeric_bounds_refuse_oversized_arrays(monkeypatch):
+    import numpy
+
+    def no_array(*args, **kwargs):
+        raise AssertionError("an array was built before the size check")
+
+    monkeypatch.setattr(numpy, "arange", no_array)
+    sqrt3 = surd_context(3)
+    for nt, t_samples, half_width in (
+        (nt_of("4999/5000", 1, "17501/5000"), 16, 8),  # 5000 x 4999 symbol
+        (NT77, 10**9, 8),
+        (NT77, 16, 10**9),  # phase count
+        (normalize(sqrt3.num(0, F(1, 2)), rat(1), sqrt3.num(0, F(15, 2))), 16, 4096),
+    ):
+        with pytest.raises(BadTruncation, match="more than 16777216"):
+            numeric_frame_bounds(nt, t_samples=t_samples, half_width=half_width)
+
+
+def test_numeric_bounds_vanish_when_q_below_p():
+    # a = p/q > b: each q x p symbol has a kernel, so A_est is 0.0, and the
+    # closed form (region III) agrees that none of these is a frame
+    count = 0
+    for q in range(1, 9):
+        for p in range(q + 1, 3 * q):
+            if math.gcd(p, q) != 1:
+                continue
+            for k in range(p + 1, 8 * q):
+                nt = nt_of(F(p, q), 1, F(k, q))
+                assert numeric_frame_bounds(nt)[0] == 0.0, nt.a
+                assert classify(nt.a, nt.b, nt.c).verdict == "NotFrame", (nt.a, nt.c)
+                count += 1
+    assert count == 1427
+
+
 def test_numeric_bounds_irrational_fallback_is_trend_only():
     nt = normalize(PI.num(0, F(1, 4)), rat(1), PI.num(23, F(-11, 2)))
     lo8, hi8 = numeric_frame_bounds(nt, half_width=8)
     lo24, hi24 = numeric_frame_bounds(nt, half_width=24)
     assert 0 < lo24 < lo8  # plain truncation over-estimates and decays
     assert hi8 <= hi24 <= math.sqrt(6 * 8)
+
+
+def test_bound_trends_script_reports_errors_without_traceback():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_bound_trends.py"),
+         "--a", "13/17", "--c", "77/17", "--half-widths", "3"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 1
+    assert out.stderr == "error: half_width must be at least 4\n"
 
 
 # -- cross-pipeline agreement ---------------------------------------------------------
