@@ -11,13 +11,12 @@ rational ratio resolves by rounding c to its two grid neighbours.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, isqrt
 from typing import Dict, List, Optional, Tuple
 
 from .errors import OracleInconsistency, RegionUnsupported
 from .exactnum import ExactReal, floor_div, mod
-from .lattice import NormalizedTriple, RegionTag, grid_triple, normalize
+from .lattice import NormalizedTriple, RegionTag, grid_triple, grid_value, normalize
 
 
 @dataclass(frozen=True)
@@ -83,36 +82,14 @@ def classify(a: ExactReal, b: ExactReal, c: ExactReal) -> FrameDecision:
 
 
 def classify_triple(nt: NormalizedTriple) -> FrameDecision:
-    tag = nt.region
-    if tag is RegionTag.I:
-        return _not_frame(tag)
-    if tag is RegionTag.II:
-        return _frame(tag) if nt.a <= nt.b else _not_frame(tag)
-    if tag is RegionTag.III:
-        return _not_frame(tag)
-    if tag is RegionTag.IV:
-        return _frame(tag)
-    if tag is RegionTag.V:
-        return _frame(tag)
-    if tag is RegionTag.VI:
-        return _region_vi(nt)
-    if tag is RegionTag.VII:
-        return _region_vii(nt)
-    if tag is RegionTag.VIII:
-        return _frame(tag)
-    if tag is RegionTag.IX:
-        return _frame(tag)
-    if tag is RegionTag.X:
-        return _region_x(nt)
-    if tag is RegionTag.XI:
-        return _region_xi(nt)
-    if tag is RegionTag.XII:
-        w = cond_XII(nt)
-        return _not_frame(tag, w) if w is not None else _frame(tag)
-    if tag is RegionTag.XIII:
-        w = cond_XIII(nt)
-        return _not_frame(tag, w) if w is not None else _frame(tag)
-    return classify_off_grid(nt)
+    decide = _DECIDE.get(nt.region)
+    return decide(nt) if decide is not None else classify_with_S_existence(nt)[0]
+
+
+def _fixed(verdict: str, region: RegionTag):
+    """The decision of a region whose verdict needs no further look at the triple."""
+    decision = FrameDecision(verdict, region)
+    return lambda nt: decision
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +109,7 @@ def _c0_and_step(nt: NormalizedTriple):
 
 def _grid_point(nt: NormalizedTriple, n: int) -> str:
     """n grid steps, n*b/q, rendered for a witness."""
-    return (nt.b * Fraction(n, nt.rational[1])).render()
+    return grid_value(nt.b, n, nt.rational[1]).render()
 
 
 def _region_vi(nt: NormalizedTriple) -> FrameDecision:
@@ -342,7 +319,7 @@ def _xiii_candidates(nt: NormalizedTriple):
                 continue
             witness = RationalParams(
                 case_id=8, d1=d1, d2=s - 1 - d1, d3=d3, d4=N - s - 1 - d3, N=N,
-                delta=nt.b * Fraction(delta_n, N * q), e_count=d1,
+                delta=grid_value(nt.b, delta_n, N * q), e_count=d1,
             )
             # |delta| + p/(N*f + w) != bd/N, times N*(N*f + w) > 0
             yield witness, (bd - abs(delta_n)) * (N * f + w) != Np
@@ -365,25 +342,10 @@ def cond_XIII(nt: NormalizedTriple) -> Optional[RationalParams]:
     return _xiii_search(nt)[0]
 
 
-def characterize_S_nonempty(nt: NormalizedTriple) -> bool:
-    """Does a nonempty invariant set exist?  Answered from the closed-form
-    characterizations, independently of the propagation construction."""
-    tag = nt.region
-    if tag in (RegionTag.V, RegionTag.IX):
-        return False
-    if tag in (RegionTag.X, RegionTag.XI):
-        return True
-    if tag is RegionTag.XII:
-        return _search_obstruction_irrational(nt) is not None
-    if tag is RegionTag.XIII:
-        return any(True for _ in _xiii_candidates(nt))
-    raise RegionUnsupported(f"no invariant-set characterization on region {tag}")
-
-
 def classify_with_S_existence(nt: NormalizedTriple) -> Tuple[FrameDecision, Optional[bool]]:
-    """classify_triple(nt) and characterize_S_nonempty(nt), None where that
-    has no characterization; on XII one search, on XIII one walk of the
-    candidates, gives both."""
+    """The decision and whether a nonempty invariant set exists (None where
+    no closed form says): one search gives both on XII and on XIII, the
+    tables give them elsewhere."""
     tag = nt.region
     if tag is RegionTag.XII:
         hit = _search_obstruction_irrational(nt)
@@ -391,12 +353,17 @@ def classify_with_S_existence(nt: NormalizedTriple) -> Tuple[FrameDecision, Opti
     elif tag is RegionTag.XIII:
         w, nonempty = _xiii_search(nt)
     else:
-        try:
-            nonempty = characterize_S_nonempty(nt)
-        except RegionUnsupported:
-            nonempty = None
-        return classify_triple(nt), nonempty
+        return _DECIDE[tag](nt), _S_NONEMPTY.get(tag)
     return (_not_frame(tag, w) if w is not None else _frame(tag)), nonempty
+
+
+def characterize_S_nonempty(nt: NormalizedTriple) -> bool:
+    """Does a nonempty invariant set exist?  Answered from the closed-form
+    characterizations, independently of the propagation construction."""
+    nonempty = classify_with_S_existence(nt)[1]
+    if nonempty is None:
+        raise RegionUnsupported(f"no invariant-set characterization on region {nt.region}")
+    return nonempty
 
 
 # ---------------------------------------------------------------------------
@@ -419,3 +386,23 @@ def classify_off_grid(nt: NormalizedTriple) -> FrameDecision:
     verdict = "Frame" if (low.is_frame and high.is_frame) else "NotFrame"
     return FrameDecision(verdict, RegionTag.XIV, RecursionPair(low, high))
 
+
+# the decision on every region with a closed form; XII and XIII need a
+# certificate search (classify_with_S_existence)
+_DECIDE = {
+    RegionTag.I: _fixed("NotFrame", RegionTag.I),
+    # a = c
+    RegionTag.II: lambda nt: _frame(RegionTag.II) if nt.a <= nt.b else _not_frame(RegionTag.II),
+    RegionTag.III: _fixed("NotFrame", RegionTag.III),
+    RegionTag.IV: _fixed("Frame", RegionTag.IV),
+    RegionTag.V: _fixed("Frame", RegionTag.V),
+    RegionTag.VI: _region_vi,
+    RegionTag.VII: _region_vii,
+    RegionTag.VIII: _fixed("Frame", RegionTag.VIII),
+    RegionTag.IX: _fixed("Frame", RegionTag.IX),
+    RegionTag.X: _region_x,
+    RegionTag.XI: _region_xi,
+    RegionTag.XIV: classify_off_grid,
+}
+# regions whose invariant set is known to be empty or nonempty without a search
+_S_NONEMPTY = {RegionTag.V: False, RegionTag.IX: False, RegionTag.X: True, RegionTag.XI: True}

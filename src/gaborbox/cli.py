@@ -44,6 +44,8 @@ from .errors import (
     ContextMismatch,
     GaborBoxError,
     NumberSyntaxError,
+    OutputUnwritable,
+    RegionUnsupported,
     UnsupportedRange,
     UsageError,
 )
@@ -245,6 +247,9 @@ def parse_context(spec: str) -> NumberContext:
         d = int(m.group(1))
         if d < 2:
             raise UnsupportedRange(f"sqrt context needs an integer >= 2, got {d}")
+        check_radicand(d)
+        if square_free_decompose(d)[1] == 1:
+            raise UnsupportedRange(f"sqrt:{d} is rational; use the rational context")
         return surd_context(d)
     raise UnsupportedRange(
         f"unknown context {spec!r}; use rational, pi or sqrt:D"
@@ -350,7 +355,7 @@ def _cmd_classify(args) -> int:
     if args.json:
         try:
             report = compute_S(nt)
-        except GaborBoxError:
+        except RegionUnsupported:
             report = None  # no invariant-set construction on this region
         payload = {
             **_decision_json(decision),
@@ -586,6 +591,13 @@ def _write_csv(path: str, avals, cvals, rows) -> None:
         fh.write("\n")
 
 
+def _write_output(write, path: str, *table) -> None:
+    try:
+        write(path, *table)
+    except OSError as e:  # a missing directory, a directory, no permission
+        raise OutputUnwritable(f"cannot write {path!r}: {e.strerror or e}") from None
+
+
 def _cmd_region_plot(args) -> int:
     def frac(s: str) -> Fraction:
         try:
@@ -597,9 +609,9 @@ def _cmd_region_plot(args) -> int:
         args.qmax, frac(args.amin), frac(args.amax), frac(args.cmin),
         frac(args.cmax), frac(args.step_c), workers=args.workers,
     )
-    _write_ppm(args.out, avals, cvals, rows)
+    _write_output(_write_ppm, args.out, avals, cvals, rows)
     if args.csv:
-        _write_csv(args.csv, avals, cvals, rows)
+        _write_output(_write_csv, args.csv, avals, cvals, rows)
     print(
         f"wrote {len(avals)}x{len(cvals)} cells to {args.out}"
         + (f" and {args.csv}" if args.csv else "")

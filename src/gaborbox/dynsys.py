@@ -23,13 +23,14 @@ from .errors import (
     OracleInconsistency,
     RegionUnsupported,
 )
-from .exactnum import _ZERO, ExactReal, _make, floor_div, mod, rat
+from .exactnum import ExactReal, floor_div, mod, rat
 from .lattice import (
     NormalizedTriple,
     PeriodicSet,
     RegionTag,
     black_hole_R,
     black_hole_Rt,
+    grid_value,
 )
 
 
@@ -288,16 +289,11 @@ def _propagate_rational(nt: NormalizedTriple) -> Tuple[PeriodicSet, List[HoleCha
 def _grid_reals(nt: NormalizedTriple, *sets: PeriodicSet):
     """Map from sets in units of b/q (period A) to the same sets over the
     reals (period a), with one ExactReal k*b/q per distinct endpoint k."""
-    a, b = nt.a, nt.b
-    q = nt.rational[1]
-    ends = {k for E in sets for iv in E.intervals for k in iv}
-    ends.discard(nt.units.A)
-    if b.x1:
-        value = {k: b * Fraction(k, q) for k in ends}
-    else:  # one Fraction each, as lattice.grid_triple builds its values
-        ctx, bn, bdq = b._join(a), b.x0.numerator, b.x0.denominator * q
-        value = {k: _make(ctx, Fraction(bn * k, bdq), _ZERO) for k in ends}
-    value[nt.units.A] = a
+    a, b, A = nt.a, nt.b, nt.units.A
+    q, ctx = nt.rational[1], b._join(a)
+    ends = {k for E in sets for iv in E.intervals for k in iv} - {A}
+    value = {k: grid_value(b, k, q, ctx) for k in ends}
+    value[A] = a
 
     def real(E: PeriodicSet) -> PeriodicSet:
         return PeriodicSet(a, tuple((value[lo], value[hi]) for lo, hi in E.intervals))

@@ -54,6 +54,10 @@ class UnsupportedRange(GaborBoxError):
     """A sweep range is empty, inverted, or otherwise outside what is supported."""
 
 
+class OutputUnwritable(GaborBoxError):
+    """An output file cannot be opened or written."""
+
+
 class UsageError(GaborBoxError):
     """The command line does not match the CLI's grammar of subcommands and flags."""
 

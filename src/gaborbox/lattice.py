@@ -19,7 +19,7 @@ from operator import itemgetter
 from typing import Iterable, List, NamedTuple, Optional, Tuple, Union
 
 from .errors import NonPositiveInput, PeriodMismatch
-from .exactnum import _ZERO, ExactReal, _make, floor_div, mod, rat
+from .exactnum import _ZERO, ExactReal, NumberContext, _make, floor_div, mod, rat
 
 
 class RegionTag(enum.Enum):
@@ -243,14 +243,6 @@ class PeriodicSet:
         """Intersection with the single window [lo, hi) 0 <= lo <= hi <= period."""
         return self.intersect(PeriodicSet.make(self.period, [(lo, hi)]))
 
-    def __eq__(self, other):
-        if not isinstance(other, PeriodicSet):
-            return NotImplemented
-        return self.period == other.period and self.intervals == other.intervals
-
-    def __hash__(self):
-        return hash((self.period, self.intervals))
-
     def __repr__(self):
         body = " u ".join(f"[{_render(lo)},{_render(hi)})" for lo, hi in self.intervals)
         return f"PeriodicSet({body or 'empty'} mod {_render(self.period)})"
@@ -371,21 +363,23 @@ def normalize(a: ExactReal, b: ExactReal, c: ExactReal) -> NormalizedTriple:
     return NormalizedTriple(a, b, c, fcb, c0, c1, rational, on_grid)
 
 
+def grid_value(b: ExactReal, n: int, m: int, ctx: Optional[NumberContext] = None) -> ExactReal:
+    """b*n/m, one Fraction per coefficient of b, in context ctx (b's own when
+    None): the value b * Fraction(n, m) without the intermediate Fraction."""
+    x0, x1 = b.x0, b.x1
+    return _make(ctx or b.ctx, Fraction(x0.numerator * n, x0.denominator * m),
+                 Fraction(x1.numerator * n, x1.denominator * m) if x1 else _ZERO)
+
+
 def grid_triple(nt: NormalizedTriple, k: int) -> NormalizedTriple:
     """The on-grid triple (a, b, k*b/q) beside a triple with a/b = p/q, its
     fields read off the grid index k: what normalize would build."""
     p, q = nt.rational
     a, b = nt.a, nt.b
     f, j0 = divmod(k, q)
-    j1 = f * q % p
-    if b.x1:
-        c, c0, c1 = b * Fraction(k, q), b * Fraction(j0, q), b * Fraction(j1, q)
-    else:  # one Fraction each, in the contexts normalize gives them
-        bn, bdq = b.x0.numerator, b.x0.denominator * q
-        c = _make(b.ctx, Fraction(bn * k, bdq), _ZERO)
-        c0 = _make(b.ctx, Fraction(bn * j0, bdq), _ZERO)
-        c1 = _make(b._join(a), Fraction(bn * j1, bdq), _ZERO)
-    return NormalizedTriple(a, b, c, f, c0, c1, nt.rational, True)
+    c1 = grid_value(b, f * q % p, q, b._join(a))
+    return NormalizedTriple(a, b, grid_value(b, k, q), f, grid_value(b, j0, q), c1,
+                            nt.rational, True)
 
 
 def region_tag(nt: NormalizedTriple) -> RegionTag:

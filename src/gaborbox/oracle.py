@@ -22,7 +22,7 @@ from typing import FrozenSet, Optional, Tuple
 from .dynsys import compute_D, compute_S, maps_defined, measure_identity
 from .errors import BadTruncation, OracleInconsistency, RegionUnsupported
 from .exactnum import ExactReal
-from .lattice import NormalizedTriple, RegionTag
+from .lattice import NormalizedTriple, RegionTag, grid_value
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ class GridModel:
 
     def point(self, j: int) -> ExactReal:
         """Real residue represented by index j, i.e. j*(b/q) for j in [0, p)."""
-        return self.nt.b * Fraction(j % self.p, self.q)
+        return grid_value(self.nt.b, j % self.p, self.q)
 
     def bh_forward(self) -> FrozenSet[int]:
         return frozenset(range(self.j0 - self.hole_len, self.j0))
@@ -179,12 +179,16 @@ def numeric_frame_bounds(
     toward the truth at rate ~1/half_width, so it is trend-only.
 
     Raises BadTruncation, before building any array, when one array would
-    hold more than 2**24 entries.
+    hold more than 2**24 entries, and before any float conversion when
+    t_samples or half_width alone is past that bound.
     """
     import numpy as np
 
     if half_width < 4:
         raise BadTruncation("half_width must be at least 4")
+    if max(t_samples, half_width) > _MAX_ENTRIES:  # on the ints, which floats may not hold
+        raise BadTruncation(f"t_samples or half_width is more than {_MAX_ENTRIES}, "
+                            "the most entries one array may hold")
     a, b, c = float(nt.a), float(nt.b), float(nt.c)
     if max(a, b) >= c:
         raise BadTruncation("diagnostic needs max(a, b) < c")

@@ -12,6 +12,7 @@ from gaborbox.classifier import (
     RecursionPair,
     classify_off_grid,
     classify_triple,
+    classify_with_S_existence,
     characterize_S_nonempty,
     cond_XII,
     cond_XIII,
@@ -19,6 +20,7 @@ from gaborbox.classifier import (
 from gaborbox.dynsys import compute_S
 from gaborbox.errors import NonPositiveInput, RegionUnsupported
 from gaborbox.exactnum import pi_context, surd_context
+from gaborbox.oracle import on_grid_survey
 
 PI = pi_context()
 
@@ -230,10 +232,30 @@ def test_cond_xiii_case6():
 
 
 def test_characterize_S_nonempty_matches_dynamics():
-    for spec_ in (("13/17", 1, "77/17"), ("13/17", 1, "75/17"), ("6/7", 1, "24/7"),
-                  ("7/9", 1, "7/2"), ("4/5", 1, "7/2"), ("4/5", 1, "9/2")):
-        nt = nt_of(*spec_)
-        assert characterize_S_nonempty(nt) == (not compute_S(nt).S.is_empty)
+    # classify_with_S_existence gives the decision and the S bit that
+    # characterize_S_nonempty views; it raises where the bit is None
+    sq2 = surd_context(2)
+    triples = [*on_grid_survey(5, regions=tuple(RegionTag)),
+               *(nt_of(*spec_) for spec_ in (
+                   ("13/17", 1, "77/17"), ("13/17", 1, "75/17"), ("6/7", 1, "24/7"),
+                   ("7/9", 1, "7/2"), ("4/5", 1, "7/2"), ("4/5", 1, "9/2"),
+                   ("13/17", 1, "22/5"))),
+               normalize(PI.num(0, F(1, 4)), rat(1), PI.num(11, F(-7, 4))),
+               normalize(PI.num(0, F(1, 4)), rat(1), PI.num(23, F(-11, 2))),
+               normalize(sq2.num(0, F(2, 3)), rat(1), rat(F(7, 2)))]
+    seen = set()
+    for nt in triples:
+        decision, nonempty = classify_with_S_existence(nt)
+        assert decision == classify_triple(nt)
+        if nonempty is None:
+            with pytest.raises(RegionUnsupported):
+                characterize_S_nonempty(nt)
+        else:
+            assert characterize_S_nonempty(nt) is nonempty
+            assert nonempty == (not compute_S(nt).S.is_empty)
+        seen.add((str(nt.region), nonempty))
+    assert {("V", False), ("IX", False), ("X", True), ("XI", True), ("XII", True),
+            ("XII", False), ("XIII", True), ("XIII", False), ("XIV", None)} <= seen
 
 
 # -- off-grid recursion (XIV) -------------------------------------------------------------

@@ -10,12 +10,17 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gaborbox import compute_S, normalize, rat
+from gaborbox import RegionTag, compute_S, normalize, rat
 from gaborbox.cli import PALETTE, _sweep_axes, main, parse_context, parse_number, region_sweep
-from gaborbox.errors import ContextMismatch, NumberSyntaxError, UnsupportedRange
+from gaborbox.errors import (
+    ContextMismatch,
+    NumberSyntaxError,
+    OracleInconsistency,
+    UnsupportedRange,
+)
 from gaborbox.exactnum import RATIONAL, pi_context, surd_context
 
 PI = pi_context()
@@ -92,6 +97,9 @@ def test_parse_context():
     assert parse_context("sqrt:8") == surd_context(2)  # square part stripped
     with pytest.raises(UnsupportedRange):
         parse_context("sqrt:1")
+    for square in ("sqrt:4", "sqrt:9", "sqrt:1000000"):
+        with pytest.raises(UnsupportedRange, match=f"^{square} is rational"):
+            parse_context(square)
     with pytest.raises(UnsupportedRange):
         parse_context("golden")
 
@@ -174,6 +182,20 @@ def test_classify_json_witness_for_nonframe(capsys):
     assert payload["witness"]["kind"] == "rational-params"
     assert payload["witness"]["case"] == 8
     assert payload["witness"]["N"] == 3
+
+
+def test_classify_json_reports_internal_errors(capsys, monkeypatch):
+    # only a region without a construction prints "S": null; a bug signal exits 1
+    from gaborbox import cli
+
+    def broken(nt):
+        raise OracleInconsistency("invariant set touches the forward absorber")
+
+    monkeypatch.setattr(cli, "compute_S", broken)
+    code, out, err = run(capsys, "classify", "--json", "--a", "13/17", "--b", "1",
+                         "--c", "77/17")
+    assert (code, out) == (1, "")
+    assert err == "error: invariant set touches the forward absorber\n"
 
 
 def test_classify_pi_context(capsys):
@@ -344,8 +366,10 @@ _NUMBERS = [
     "sqrt(4)", "sqrt(0)", "0", "-1/2", "1/0", "", "abc", "2**3", "sqrt(x)",
     "pi*pi", "1/pi", f"sqrt({_HUGE})", "9" * 5000, "-1", "-pi/4", "-sqrt(2)/2", "--json",
 ]
-_CONTEXTS = ["rational", "pi", "sqrt:2", "sqrt:3", "sqrt:8", "sqrt:1", "sqrt:",
+_CONTEXTS = ["rational", "pi", "sqrt:2", "sqrt:3", "sqrt:8", "sqrt:1", "sqrt:4", "sqrt:",
              f"sqrt:{_HUGE}", "bogus"]
+# a plot path that cannot be written: a directory, or a file in a missing one
+_UNWRITABLE = [str(Path(__file__).parent), str(Path(__file__).parent / "no-such-dir" / "x")]
 _VALID_TRIPLES = [
     ("13/17", "1", "77/17", "rational"), ("13/17", "1", "75/17", "rational"),
     ("6/7", "1", "23/7", "rational"), ("3/4", "1", "3", "rational"),
@@ -376,12 +400,16 @@ _argvs = st.one_of(
               st.one_of(st.integers(-3, 20), st.sampled_from([100_001, 10**9])),
               st.sampled_from(["forward", "backward"]), st.booleans()).map(
         lambda t: ["orbit", *t[0], *_flags(("t", "steps", "map"), t[1:4], t[4])]),
-    # small sweeps, or huge ones that the cell bound must stop at once
-    st.one_of(
-        st.tuples(st.integers(-1, 3), st.sampled_from(["0", "2", "3", "nope"])),
-        st.tuples(st.sampled_from([10**5, 10**9]), st.just("1000")),
-    ).map(lambda t: ["region-plot", f"--qmax={t[0]}", "--cmin=0", f"--cmax={t[1]}",
-                     "--step-c=1/2", f"--out={os.devnull}"]),
+    # small sweeps, or huge ones that the cell bound must stop at once, into
+    # the null device or a path that cannot be written
+    st.tuples(
+        st.one_of(
+            st.tuples(st.integers(-1, 3), st.sampled_from(["0", "2", "3", "nope"])),
+            st.tuples(st.sampled_from([10**5, 10**9]), st.just("1000")),
+        ),
+        st.sampled_from([os.devnull, *_UNWRITABLE]),
+    ).map(lambda t: ["region-plot", f"--qmax={t[0][0]}", "--cmin=0", f"--cmax={t[0][1]}",
+                     "--step-c=1/2", f"--out={t[1]}"]),
     st.sampled_from([-1, 0, 1, 2, 65, 10**5]).map(lambda q: ["selftest", f"--qmax={q}"]),
     # command lines that do not parse
     st.sampled_from([[], ["bogus"], ["classify"], ["classify", "--a"], ["--json"],
@@ -392,6 +420,9 @@ _argvs = st.one_of(
 
 
 @given(argv=_argvs)
+@example(argv=["classify", "--a=1/2", "--b=1", "--c=3", "--context=sqrt:4"])
+@example(argv=["region-plot", "--qmax=2", "--cmax=2", f"--out={_UNWRITABLE[0]}"])
+@example(argv=["region-plot", "--qmax=2", "--cmax=2", f"--out={_UNWRITABLE[1]}"])
 @settings(max_examples=200, deadline=None)
 def test_cli_exit_codes_are_0_1_or_3(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -420,6 +451,31 @@ def test_selftest_passes(capsys):
     assert code == 0
     assert "checks agree" in out
     assert "region XIII" in out  # the per-region tally
+
+
+def test_selftest_reports_failures(capsys, monkeypatch):
+    from gaborbox import cli, oracle
+    from gaborbox.classifier import FrameDecision
+
+    monkeypatch.setattr(oracle, "triple_pipeline_check",
+                        lambda nt: f"verdict clash on c={nt.c.render()}")
+    code, out, err = run(capsys, "selftest", "--qmax", "2")
+    assert code == 1
+    assert out.startswith("swept 13 on-grid triples (q <= 2")
+    # a = 1/2 and c = k/2 for k = 3..15, then the six fixed verdicts agree
+    assert err.splitlines() == [f"FAIL verdict clash on c={F(k, 2)}" for k in range(3, 16)] + [
+        "13 failure(s) out of 19 checks"]
+    monkeypatch.setattr(oracle, "triple_pipeline_check", lambda nt: None)
+    monkeypatch.setattr(cli, "classify", lambda a, b, c: FrameDecision("NotFrame", RegionTag.I))
+    code, _, err = run(capsys, "selftest", "--qmax", "2")
+    assert code == 1
+    assert err.splitlines() == [
+        "FAIL fixture (13/17, 1, 77/17): expected Frame, got NotFrame",
+        "FAIL fixture (13/17, 1, 73/17): expected Frame, got NotFrame",
+        "FAIL fixture (6/7, 1, 23/7): expected Frame, got NotFrame",
+        "FAIL fixture (pi/4, 1, 23-11*pi/2): expected Frame, got NotFrame",
+        "4 failure(s) out of 19 checks",
+    ]
 
 
 # -- region plot -------------------------------------------------------------------
@@ -457,6 +513,18 @@ def test_region_plot_outputs_are_deterministic(capsys, tmp_path):
     assert lines[0] == "a,c,region,verdict"
     assert len(lines) == 1 + 4 * 5
     assert lines[1] == "1/3,1/2,IV,Frame"
+
+
+@pytest.mark.parametrize("flag", ["--out", "--csv"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_region_plot_reports_unwritable_paths(capsys, tmp_path, flag, where):
+    bad = str(tmp_path / "no-such-dir" / "cells" if where == "missing-directory" else tmp_path)
+    paths = {"--out": str(tmp_path / "cells.ppm"), "--csv": str(tmp_path / "cells.csv"), flag: bad}
+    code, out, err = run(capsys, "region-plot", "--qmax", "2", "--cmax", "2",
+                         *(x for item in paths.items() for x in item))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: cannot write {bad!r}: ")
+    assert err.count("\n") == 1
 
 
 def test_region_sweep_workers_match(tmp_path):

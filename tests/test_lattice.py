@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from gaborbox import NormalizedTriple, PeriodicSet, RegionTag, normalize, rat, region_tag
 from gaborbox.errors import ContextMismatch, NonPositiveInput, PeriodMismatch
 from gaborbox.exactnum import pi_context, surd_context
-from gaborbox.lattice import black_hole_R, black_hole_Rt
+from gaborbox.lattice import black_hole_R, black_hole_Rt, grid_triple, grid_value
 
 PI = pi_context()
 
@@ -60,6 +60,30 @@ def test_normalize_grid_units():
     # a/b rational but c/b irrational, and a/b irrational: no units
     assert normalize(sq2.num(0, F(3, 4)), sq2.num(0, 1), rat(5)).units is None
     assert normalize(PI.num(0, F(1, 4)), rat(1), PI.num(23, F(-11, 2))).units is None
+
+
+def test_grid_value_is_b_times_n_over_m_in_its_context():
+    sq2 = surd_context(2)
+    for b in (rat(F(3, 2)), sq2.num(F(7, 5)), sq2.num(1, F(1, 3)), PI.num(0, F(1, 4))):
+        for n, m in ((0, 7), (5, 7), (-3, 14), (22, 4)):
+            got, want = grid_value(b, n, m), b * F(n, m)
+            assert (got.x0, got.x1, got.ctx) == (want.x0, want.x1, want.ctx)
+    # a context passed in is the join a caller needs
+    assert grid_value(rat(1), 3, 4, PI).ctx is PI
+
+
+def test_grid_triple_is_what_normalize_builds():
+    sq2 = surd_context(2)
+    for a, b in ((rat(F(13, 17)), rat(1)), (sq2.num(F(6, 7)), rat(F(3, 2))),
+                 (sq2.num(0, F(3, 4)), sq2.num(0, 1)), (PI.num(0, F(1, 5)), PI.num(0, F(1, 3)))):
+        nt = normalize(a, b, b * F(22, 5))
+        q = nt.rational[1]
+        for k in range(q + 1, 6 * q):
+            got, want = grid_triple(nt, k), normalize(a, b, grid_value(b, k, q))
+            assert got == want, (a, b, k)
+            assert [v.ctx for v in (got.c, got.c0, got.c1)] == [
+                v.ctx for v in (want.c, want.c0, want.c1)]
+            assert (got.units, got.region) == (want.units, want.region)
 
 
 def test_mixed_contexts_raise_on_rational_values():

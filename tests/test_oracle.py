@@ -158,11 +158,15 @@ def test_numeric_bounds_refuse_oversized_arrays(monkeypatch):
 
     monkeypatch.setattr(numpy, "arange", no_array)
     sqrt3 = surd_context(3)
+    irrational = normalize(sqrt3.num(0, F(1, 2)), rat(1), sqrt3.num(0, F(15, 2)))
     for nt, t_samples, half_width in (
         (nt_of("4999/5000", 1, "17501/5000"), 16, 8),  # 5000 x 4999 symbol
         (NT77, 10**9, 8),
         (NT77, 16, 10**9),  # phase count
-        (normalize(sqrt3.num(0, F(1, 2)), rat(1), sqrt3.num(0, F(15, 2))), 16, 4096),
+        (irrational, 16, 4096),
+        # past float range, and a t loop past the bound
+        (NT77, 10**400, 8), (NT77, 16, 10**400), (irrational, 10**400, 8),
+        (irrational, 16, 10**400), (irrational, 2**24 + 1, 8),
     ):
         with pytest.raises(BadTruncation, match="more than 16777216"):
             numeric_frame_bounds(nt, t_samples=t_samples, half_width=half_width)
@@ -203,6 +207,18 @@ def test_bound_trends_script_reports_errors_without_traceback():
     assert out.stderr == "error: half_width must be at least 4\n"
 
 
+def test_bound_trends_script_rejects_t_samples_past_float_range():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    out = subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_bound_trends.py"),
+         "--a", "13/17", "--c", "77/17", "--t-samples", "9" * 400],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 1
+    assert out.stderr.startswith("error: t_samples or half_width is more than 16777216")
+    assert out.stderr.count("\n") == 1
+
+
 # -- cross-pipeline agreement ---------------------------------------------------------
 
 def test_pipeline_check_fixtures_agree():
@@ -216,6 +232,22 @@ def test_pipeline_check_fixtures_agree():
     ]
     for nt in triples:
         assert triple_pipeline_check(nt) is None, nt
+
+
+def test_pipeline_check_names_the_clash(monkeypatch):
+    from dataclasses import replace
+
+    from gaborbox import oracle
+
+    brief = "(a=13/17, b=1, c=77/17)"
+    monkeypatch.setattr(oracle, "grid_frame_decision", lambda nt: "NotFrame")
+    assert triple_pipeline_check(NT77) == (
+        f"verdict clash on {brief}: closed-form=Frame, grid-orbits=NotFrame, "
+        "measure-identity=Frame, two-solvability=Frame")
+    monkeypatch.setattr(oracle, "compute_S",
+                        lambda nt: replace(compute_S(nt), S=PeriodicSet.empty(nt.a)))
+    assert triple_pipeline_check(NT77) == (
+        f"S-existence clash on {brief}: construction says empty")
 
 
 def test_pipeline_walks_the_xiii_candidates_once(monkeypatch):

@@ -113,6 +113,14 @@ def test_only_the_diagram_walk_names_region_xiv():
     assert naming == {"_walk_diagram"}
 
 
+def test_only_one_classifier_function_names_the_search_regions():
+    # XII and XIII are decided by a certificate search that also tells whether
+    # S is nonempty; every other region is read from the module's tables
+    naming = {fn.name for fn in _functions(SRC / "classifier.py") for node in ast.walk(fn)
+              if isinstance(node, ast.Attribute) and node.attr in ("XII", "XIII")}
+    assert naming == {"classify_with_S_existence"}
+
+
 def test_classifier_normalizes_only_in_classify():
     # the grid neighbours of an off-grid c are built from their indices
     callers = {fn.name for fn in _functions(SRC / "classifier.py") for node in ast.walk(fn)
