@@ -309,7 +309,9 @@ def _xiii_candidates(nt: NormalizedTriple):
             Np = N * p
             if (s * val - w * p) % Np or gcd(val, Np) != p:
                 continue
-            d1 = sum(1 for k in range(1, s + 1) if 0 < (k * val) % Np < w * p)
+            # gcd(val, Np) = p makes val = p*v with gcd(v, N) = 1, so Np | k*val
+            # would need N | k, which k <= s < N rules out: no k*val is 0 mod Np
+            d1 = sum(1 for k in range(1, s + 1) if (k * val) % Np < w * p)
             d3 = w - 1 - d1
             if d1 >= s or not 0 <= d3 < N - s:
                 continue

@@ -14,6 +14,7 @@ disagreement.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import re
@@ -558,44 +559,57 @@ def region_sweep(qmax: int, amin: Fraction, amax: Fraction, cmin: Fraction,
 
     workers is clamped to [1, os.cpu_count()]."""
     avals, cvals = _sweep_axes(qmax, amin, amax, cmin, cmax, step_c)
+    return avals, cvals, _sweep_rows(avals, cvals, workers)
+
+
+def _sweep_rows(avals, cvals, workers: int):
     payloads = [(af, cvals) for af in avals]
     workers = max(1, min(workers, os.cpu_count() or 1))
     if workers > 1:
         import concurrent.futures
 
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
-            rows = list(ex.map(_sweep_row, payloads, chunksize=1))
-    else:
-        rows = [_sweep_row(p) for p in payloads]
-    return avals, cvals, rows
+            return list(ex.map(_sweep_row, payloads, chunksize=1))
+    return [_sweep_row(p) for p in payloads]
 
 
-def _write_ppm(path: str, avals, cvals, rows) -> None:
+def _write_ppm(fh, avals, cvals, rows) -> None:
     header = f"P6\n{len(cvals)} {len(avals)}\n255\n".encode("ascii")
     body = bytearray()
     for row in rows:
         for region, verdict in row:
             body.extend(PALETTE[(region, verdict)])
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(bytes(body))
+    fh.write(header)
+    fh.write(bytes(body))
 
 
-def _write_csv(path: str, avals, cvals, rows) -> None:
+def _write_csv(fh, avals, cvals, rows) -> None:
     lines = ["a,c,region,verdict"]
     for a_frac, row in zip(avals, rows):
         for c_frac, (region, verdict) in zip(cvals, row):
             lines.append(f"{a_frac},{c_frac},{region},{verdict}")
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write("\n".join(lines))
-        fh.write("\n")
+    fh.write("\n".join(lines))
+    fh.write("\n")
 
 
-def _write_output(write, path: str, *table) -> None:
+def _unwritable(path: str, e: OSError) -> OutputUnwritable:
+    # a missing directory, a directory, no permission, a full disk
+    return OutputUnwritable(f"cannot write {path!r}: {e.strerror or e}")
+
+
+def _open_output(path: str, mode: str, **kwargs):
     try:
-        write(path, *table)
-    except OSError as e:  # a missing directory, a directory, no permission
-        raise OutputUnwritable(f"cannot write {path!r}: {e.strerror or e}") from None
+        return open(path, mode, **kwargs)
+    except OSError as e:
+        raise _unwritable(path, e) from None
+
+
+def _write_output(write, fh, *table) -> None:
+    try:
+        with fh:  # closing flushes, which may fail too
+            write(fh, *table)
+    except OSError as e:
+        raise _unwritable(fh.name, e) from None
 
 
 def _cmd_region_plot(args) -> int:
@@ -605,13 +619,20 @@ def _cmd_region_plot(args) -> int:
         except (ValueError, ZeroDivisionError) as e:
             raise UnsupportedRange(f"bad fraction {s!r}: {e}")
 
-    avals, cvals, rows = region_sweep(
+    # axes, then outputs, then the sweep: a bad range or an unwritable path
+    # fails before any cell is classified
+    avals, cvals = _sweep_axes(
         args.qmax, frac(args.amin), frac(args.amax), frac(args.cmin),
-        frac(args.cmax), frac(args.step_c), workers=args.workers,
+        frac(args.cmax), frac(args.step_c),
     )
-    _write_output(_write_ppm, args.out, avals, cvals, rows)
-    if args.csv:
-        _write_output(_write_csv, args.csv, avals, cvals, rows)
+    with _open_output(args.out, "wb") as ppm, (
+        _open_output(args.csv, "w", encoding="ascii", newline="")
+        if args.csv else contextlib.nullcontext()
+    ) as csv:
+        rows = _sweep_rows(avals, cvals, args.workers)
+        _write_output(_write_ppm, ppm, avals, cvals, rows)
+        if csv is not None:
+            _write_output(_write_csv, csv, avals, cvals, rows)
     print(
         f"wrote {len(avals)}x{len(cvals)} cells to {args.out}"
         + (f" and {args.csv}" if args.csv else "")

@@ -4,7 +4,9 @@ The forward map adds floor(c/b)*b + b on [0, c0+a-b), fixes [c0+a-b, c0)
 pointwise (the forward absorber), and adds floor(c/b)*b on [c0, a); the
 backward map is its inverse away from the absorbers.  Propagating the
 backward absorber forward until everything parks (or the space fills up)
-carves out the maximal invariant set S.  On S, collapsing the holes (the
+carves out the maximal invariant set S; no hole meets an earlier one, so a
+march step is one exact add (irrational ratio) or a few set operations on
+the front (rational), and S is built once.  On S, collapsing the holes (the
 "surgery" Y) conjugates the forward map to a circle rotation, which is what
 the mark bookkeeping below records.  The measure identity turns S into the
 frame verdict, and the Birkhoff average is a numeric ergodicity diagnostic.
@@ -29,7 +31,6 @@ from .lattice import (
     PeriodicSet,
     RegionTag,
     black_hole_R,
-    black_hole_Rt,
     grid_value,
 )
 
@@ -202,49 +203,55 @@ def compute_S(nt: NormalizedTriple) -> InvariantSetReport:
     return surgery_report(nt, S, tuple(chain))
 
 
+# Why no hole meets an earlier one: off its absorber [c0+a-b, c0) the forward
+# map is one-to-one mod a, as less f*b its branches [0, c0+a-b) + b and [c0, a)
+# land on [b-a, c0) and [c0, a), i.e. on [0, a) minus the backward absorber
+# [c1, c1+b-a), the first hole.  An image meeting a later hole would make two
+# earlier holes meet (the preimages), so by induction no two holes ever meet.
+
+
 def _propagate_irrational(nt: NormalizedTriple) -> Tuple[PeriodicSet, List[HoleChainStep]]:
     """Single-hole march: the backward absorber must land exactly on the
     forward absorber within floor(a/(b-a))-1 steps, staying strictly inside
-    one linear branch the whole way; any anomaly proves S is empty."""
+    one linear branch the whole way; any anomaly proves S is empty.  Every
+    hole has length b-a, so the march carries its start alone."""
     a, b, f = nt.a, nt.b, nt.floor_cb
     ba = b - a
     bh_lo, bh_hi = black_hole_R(nt)
-    hole_lo, hole_hi = black_hole_Rt(nt)
+    low_top, high_top = bh_lo - ba, a - ba  # a hole starting there ends flush with a branch
+    low_shift, high_shift = mod((f + 1) * b, a), mod(f * b, a)
     step_cap = floor_div(a, ba) - 1
-    chain: List[HoleChainStep] = []
-    covered = PeriodicSet.make(a, [(hole_lo, hole_hi)])
-    n = 0
-    while True:
-        here = PeriodicSet.make(a, [(hole_lo, hole_hi)])
-        if (hole_lo - bh_lo).is_zero() and (hole_hi - bh_hi).is_zero():
-            chain.append(HoleChainStep(n, here, HoleStatus.FROZEN))
-            return covered.complement(), chain
-        in_low = hole_lo.sign() > 0 and hole_hi < bh_lo
-        in_high = hole_lo > bh_hi and hole_hi < a
-        if n >= step_cap or not (in_low or in_high):
-            chain.append(HoleChainStep(n, here, HoleStatus.SENTINEL))
-            return PeriodicSet.empty(a), chain
-        chain.append(HoleChainStep(n, here, HoleStatus.PROPAGATING))
-        image = here.shift((f + 1) * b if in_low else f * b)
-        if len(image.intervals) != 1 or not image.intersect(covered).is_empty:
-            chain.append(HoleChainStep(n + 1, image, HoleStatus.SENTINEL))
-            return PeriodicSet.empty(a), chain
-        covered = covered.union(image)
-        (hole_lo, hole_hi), = image.intervals
-        n += 1
+    starts: List[ExactReal] = []
+    lo = nt.c1
+    while lo != bh_lo:
+        in_low = lo.sign() > 0 and lo < low_top
+        # a hole wrapped across the seam lies in neither branch
+        if len(starts) >= step_cap or not (in_low or bh_hi < lo < high_top):
+            break
+        starts.append(lo)
+        lo = lo + (low_shift if in_low else high_shift)
+        if lo >= a:
+            lo = lo - a
+    chain = [HoleChainStep(n, PeriodicSet(a, ((s, s + ba),)), HoleStatus.PROPAGATING)
+             for n, s in enumerate(starts)]
+    last = PeriodicSet.from_wrapped(a, [(lo, lo + ba)])  # only a sentinel hole may wrap
+    if lo != bh_lo:
+        chain.append(HoleChainStep(len(chain), last, HoleStatus.SENTINEL))
+        return PeriodicSet.empty(a), chain
+    chain.append(HoleChainStep(len(chain), last, HoleStatus.FROZEN))
+    return PeriodicSet.make(a, [step.hole.intervals[0] for step in chain]).complement(), chain
 
 
 def _propagate_rational(nt: NormalizedTriple) -> Tuple[PeriodicSet, List[HoleChainStep]]:
     """Breadth-first saturation: push the backward absorber forward, letting
-    portions park inside the forward absorber, until nothing new appears.
+    portions park inside the forward absorber, until all of it parks.
 
     c sits on the grid, so every endpoint and every shift is a whole number
     of steps b/q: the march runs on integers in those units (nt.units), and
     its sets are mapped back to ExactReal once, at the end."""
     u = nt.units
     A, B = u.A, u.B
-    f = nt.floor_cb
-    _, q = nt.rational
+    f, q = nt.floor_cb, nt.rational[1]
     ba = B - A
     bh_lo, bh_hi = u.C0 + A - B, u.C0
     bh = PeriodicSet.make(A, [(bh_lo, bh_hi)])
@@ -253,13 +260,11 @@ def _propagate_rational(nt: NormalizedTriple) -> Tuple[PeriodicSet, List[HoleCha
     low_shift, high_shift = (f + 1) * B, f * B
     cap = -(-A // ba) + q + 2
     front = PeriodicSet.make(A, [(u.C1, u.C1 + ba)])
-    covered = front
     steps: List[Tuple[PeriodicSet, HoleStatus]] = []
-    n = 0
-    while not front.is_empty:
-        if n > cap:
+    while True:
+        if len(steps) > cap:
             raise IterationCapExceeded(
-                f"hole propagation still live after {n} steps; proven bound is {cap}"
+                f"hole propagation still live after {len(steps)} steps; proven bound is {cap}"
             )
         moving = front.minus(bh)
         if moving.is_empty:
@@ -268,14 +273,11 @@ def _propagate_rational(nt: NormalizedTriple) -> Tuple[PeriodicSet, List[HoleCha
         # whatever of the front lies in the absorber parks there
         parked = moving.intervals != front.intervals
         steps.append((front, HoleStatus.ABSORBED if parked else HoleStatus.PROPAGATING))
-        image = (
+        front = (
             moving.intersect(low).shift(low_shift)
             .union(moving.intersect(high).shift(high_shift))
         )
-        front = image.minus(covered)
-        covered = covered.union(image)
-        n += 1
-    S = covered.complement()
+    S = PeriodicSet.make(A, [iv for hole, _ in steps for iv in hole.intervals]).complement()
     if S.is_empty:
         steps.append((PeriodicSet.full(A), HoleStatus.SENTINEL))
     elif not S.intersect(bh).is_empty:

@@ -149,9 +149,9 @@ _SINGULAR_FLOOR = 1e-10
 
 # Most entries one array of the diagnostic may hold: the rational route's
 # indicator block and its stack of phase symbols, the irrational route's
-# truncated matrix.  2**24 complex entries are 256 MB; the rational route
-# reaches the limit near q = 460 with p close to q, where the SVDs of one
-# call already take seconds.
+# truncated matrices over all t samples.  2**24 complex entries are 256 MB;
+# the rational route reaches the limit near q = 460 with p close to q, where
+# the SVDs of one call already take seconds.
 _MAX_ENTRIES = 2**24
 
 
@@ -178,7 +178,8 @@ def numeric_frame_bounds(
     inside the row window); that variant over-estimates A and only decays
     toward the truth at rate ~1/half_width, so it is trend-only.
 
-    Raises BadTruncation, before building any array, when one array would
+    Raises BadTruncation, before building any array, when one array (or, on
+    an irrational ratio, the t_samples truncated matrices together) would
     hold more than 2**24 entries, and before any float conversion when
     t_samples or half_width alone is past that bound.
     """
@@ -199,11 +200,19 @@ def numeric_frame_bounds(
         p, q = nt.rational
         A_est, B_est = _phase_sampled_extremes(np, p, q, a, b, c, t_samples, half_width)
     else:
+        # one truncated matrix of (2*half_width+1) x (2*n_max+1) per t sample
+        n_max = int(half_width + c / b) + 1
+        entries = t_samples * (2 * half_width + 1) * (2 * n_max + 1)
+        if entries > _MAX_ENTRIES:
+            raise BadTruncation(
+                f"the truncated matrices of {t_samples} t samples would hold {entries} "
+                f"entries, more than {_MAX_ENTRIES}"
+            )
         A_est = float("inf")
         B_est = 0.0
         for i in range(t_samples):
             t = (i + 0.5) * a / t_samples
-            sig_lo, sig_hi = _windowed_extremes(np, a, b, c, t, half_width)
+            sig_lo, sig_hi = _windowed_extremes(np, a, b, c, t, half_width, n_max)
             A_est = min(A_est, sig_lo)
             B_est = max(B_est, sig_hi)
     if A_est < _SINGULAR_FLOOR:
@@ -249,14 +258,9 @@ def _phase_sampled_extremes(np, p: int, q: int, a: float, b: float, c: float,
     return lo, float(s[..., 0].max())
 
 
-def _windowed_extremes(np, a: float, b: float, c: float, t: float, half_width: int):
+def _windowed_extremes(np, a: float, b: float, c: float, t: float, half_width: int,
+                       n_max: int):
     """Extreme singular values of the truncated matrix, boundary columns pruned."""
-    n_max = int(half_width + c / b) + 1
-    entries = (2 * half_width + 1) * (2 * n_max + 1)
-    if entries > _MAX_ENTRIES:
-        raise BadTruncation(
-            f"the truncated matrix would hold {entries} entries, more than {_MAX_ENTRIES}"
-        )
     rows = np.arange(-half_width, half_width + 1) * a
     # keep a column only if its support over ALL rows, the lattice points in
     # (t+l-c, t+l], sits inside the row window

@@ -1,12 +1,14 @@
-"""The rational hole propagation and the surgery report that the integer
-grid-unit march replaced, kept as a test oracle.
+"""The hole propagations and the surgery report that the live marches
+replaced, kept as a test oracle.
 
-`_propagate_rational` runs the march on ExactReal PeriodicSets;
-`surgery_report` builds every cyclic mark point up front, so `Marks` stores
-them.  `Marks`, `compute_S`, `_propagate_rational`, `surgery_report`,
+`_propagate_rational` runs the XIII march on ExactReal PeriodicSets;
+`_propagate_irrational` shifts each XII hole as a PeriodicSet and tests it
+against a growing covered set; `surgery_report` builds every cyclic mark
+point up front, so `Marks` stores them.  `Marks`, `compute_S`,
+`_propagate_irrational`, `_propagate_rational`, `surgery_report`,
 `_finite_marks` and `_rational_extras` are copied unchanged from the code
 they replaced (only the imports differ); the differential tests in
-`test_reference_dynsys.py` hold the integer march to their reports.
+`test_reference_dynsys.py` hold the live marches to their reports.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from gaborbox.dynsys import (
     HoleStatus,
     InvariantSetReport,
     RationalExtras,
-    _propagate_irrational,
 )
 from gaborbox.errors import (
     EmptySet,
@@ -79,6 +80,38 @@ def compute_S(nt: NormalizedTriple) -> InvariantSetReport:
     if S.is_empty:
         return InvariantSetReport(S, tuple(chain), rat(0), None, None, None)
     return surgery_report(nt, S, tuple(chain))
+
+
+def _propagate_irrational(nt: NormalizedTriple) -> Tuple[PeriodicSet, List[HoleChainStep]]:
+    """Single-hole march: the backward absorber must land exactly on the
+    forward absorber within floor(a/(b-a))-1 steps, staying strictly inside
+    one linear branch the whole way; any anomaly proves S is empty."""
+    a, b, f = nt.a, nt.b, nt.floor_cb
+    ba = b - a
+    bh_lo, bh_hi = black_hole_R(nt)
+    hole_lo, hole_hi = black_hole_Rt(nt)
+    step_cap = floor_div(a, ba) - 1
+    chain: List[HoleChainStep] = []
+    covered = PeriodicSet.make(a, [(hole_lo, hole_hi)])
+    n = 0
+    while True:
+        here = PeriodicSet.make(a, [(hole_lo, hole_hi)])
+        if (hole_lo - bh_lo).is_zero() and (hole_hi - bh_hi).is_zero():
+            chain.append(HoleChainStep(n, here, HoleStatus.FROZEN))
+            return covered.complement(), chain
+        in_low = hole_lo.sign() > 0 and hole_hi < bh_lo
+        in_high = hole_lo > bh_hi and hole_hi < a
+        if n >= step_cap or not (in_low or in_high):
+            chain.append(HoleChainStep(n, here, HoleStatus.SENTINEL))
+            return PeriodicSet.empty(a), chain
+        chain.append(HoleChainStep(n, here, HoleStatus.PROPAGATING))
+        image = here.shift((f + 1) * b if in_low else f * b)
+        if len(image.intervals) != 1 or not image.intersect(covered).is_empty:
+            chain.append(HoleChainStep(n + 1, image, HoleStatus.SENTINEL))
+            return PeriodicSet.empty(a), chain
+        covered = covered.union(image)
+        (hole_lo, hole_hi), = image.intervals
+        n += 1
 
 
 def _propagate_rational(nt: NormalizedTriple) -> Tuple[PeriodicSet, List[HoleChainStep]]:

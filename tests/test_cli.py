@@ -517,7 +517,12 @@ def test_region_plot_outputs_are_deterministic(capsys, tmp_path):
 
 @pytest.mark.parametrize("flag", ["--out", "--csv"])
 @pytest.mark.parametrize("where", ["missing-directory", "directory"])
-def test_region_plot_reports_unwritable_paths(capsys, tmp_path, flag, where):
+def test_region_plot_reports_unwritable_paths(capsys, monkeypatch, tmp_path, flag, where):
+    import gaborbox.cli
+
+    calls = []
+    real = gaborbox.cli.classify
+    monkeypatch.setattr(gaborbox.cli, "classify", lambda *abc: calls.append(abc) or real(*abc))
     bad = str(tmp_path / "no-such-dir" / "cells" if where == "missing-directory" else tmp_path)
     paths = {"--out": str(tmp_path / "cells.ppm"), "--csv": str(tmp_path / "cells.csv"), flag: bad}
     code, out, err = run(capsys, "region-plot", "--qmax", "2", "--cmax", "2",
@@ -525,6 +530,13 @@ def test_region_plot_reports_unwritable_paths(capsys, tmp_path, flag, where):
     assert (code, out) == (1, "")
     assert err.startswith(f"error: cannot write {bad!r}: ")
     assert err.count("\n") == 1
+    assert calls == []  # the paths are opened before the sweep
+    # the tap sees the sweep: once both paths are writable, every cell is classified
+    paths[flag] = str(tmp_path / "cells.out")
+    code, _, _ = run(capsys, "region-plot", "--qmax", "2", "--cmax", "2",
+                     *(x for item in paths.items() for x in item))
+    avals, cvals = _sweep_axes(2, F(0), F(1), F(0), F(2), F(1, 8))
+    assert (code, len(calls)) == (0, len(avals) * len(cvals))
 
 
 def test_region_sweep_workers_match(tmp_path):

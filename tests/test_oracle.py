@@ -167,6 +167,7 @@ def test_numeric_bounds_refuse_oversized_arrays(monkeypatch):
         # past float range, and a t loop past the bound
         (NT77, 10**400, 8), (NT77, 16, 10**400), (irrational, 10**400, 8),
         (irrational, 16, 10**400), (irrational, 2**24 + 1, 8),
+        (irrational, 2**20, 8),  # 2**20 matrices of 17 x 43 entries
     ):
         with pytest.raises(BadTruncation, match="more than 16777216"):
             numeric_frame_bounds(nt, t_samples=t_samples, half_width=half_width)

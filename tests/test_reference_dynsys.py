@@ -1,17 +1,23 @@
-"""Differential tests: compute_S on region XIII, whose hole propagation runs
-on integers in units of b/q and whose cyclic marks derive their points when
-read, against the ExactReal march and the eager marks they replaced
-(`reference_dynsys.py`), report field by field."""
+"""Differential tests: compute_S against the marches and the eager marks it
+replaced (`reference_dynsys.py`), report field by field.  On region XIII the
+live march runs on integers in units of b/q and its cyclic marks derive their
+points when read; on region XII it carries one hole start.  Neither keeps a
+covered set, which rests on the holes of a chain being pairwise disjoint,
+also tested here."""
 
+from collections import Counter
 from fractions import Fraction as F
 from math import gcd
+from operator import itemgetter
 
 import pytest
 
 import reference_dynsys as ref
-from gaborbox.dynsys import compute_S
-from gaborbox.exactnum import rat, surd_context
-from gaborbox.lattice import RegionTag, normalize
+from gaborbox.dynsys import HoleStatus, compute_S
+from gaborbox.exactnum import floor_div, pi_context, rat, surd_context
+from gaborbox.lattice import PeriodicSet, RegionTag, normalize
+from test_acceptance import PI_TRIPLES, SQRT2_TRIPLES, SQRT3_TRIPLES
+from test_reference_scan import _xii_draw
 
 SQRT2 = surd_context(2)
 
@@ -42,9 +48,12 @@ def _report(rep):
 
 
 def _assert_same_report(nt):
-    new, old = _report(compute_S(nt)), _report(ref.compute_S(nt))
+    """Returns the reference report."""
+    want = ref.compute_S(nt)
+    new, old = _report(compute_S(nt)), _report(want)
     for field in new:
         assert new[field] == old[field], (field, nt)
+    return want
 
 
 def _xiii_triples(qmax, unit, bs):
@@ -120,3 +129,73 @@ def test_large_p_reports_match(p, c):
     nt = normalize(rat(F(p, p + 1)), rat(1), rat(c))
     assert nt.region is RegionTag.XIII
     _assert_same_report(nt)
+
+
+# -- region XII ---------------------------------------------------------------------
+
+
+def _acceptance_xii():
+    """The 150 irrational acceptance fixtures: a = x0 + x1*tau, b = 1,
+    c = y0 + y1*tau."""
+    one = rat(1)
+    for ctx, rows in ((pi_context(), PI_TRIPLES), (SQRT2, SQRT2_TRIPLES),
+                      (surd_context(3), SQRT3_TRIPLES)):
+        for x0, x1, y0, y1, _ in rows:
+            yield normalize(ctx.num(x0, x1), one, ctx.num(y0, y1))
+
+
+def _rung(x1):
+    """a = x1*sqrt(2), b = 1, c = 7/2, as on the slow large-n ladder."""
+    return normalize(SQRT2.num(0, x1), rat(1), rat(F(7, 2)))
+
+
+def _xii_exit(nt, rep):
+    """How the single-hole march ended."""
+    last = rep.chain[-1]
+    if last.status is HoleStatus.FROZEN:
+        return "frozen"
+    if len(last.hole.intervals) == 2:
+        return "seam wrap"
+    if last.index >= floor_div(nt.a, nt.b - nt.a) - 1:
+        return "cap"
+    return "branch"
+
+
+def test_acceptance_xii_reports_match_and_reach_every_exit():
+    exits = Counter()
+    for nt in _acceptance_xii():
+        assert nt.region is RegionTag.XII
+        exits[_xii_exit(nt, _assert_same_report(nt))] += 1
+    assert exits == {"frozen": 32, "branch": 57, "cap": 57, "seam wrap": 4}
+
+
+def test_seeded_xii_reports_match():
+    exits = Counter()
+    for nt in _xii_draw(seed=13, count=200):
+        exits[_xii_exit(nt, _assert_same_report(nt))] += 1
+    # no march of this draw reaches the cap index
+    assert set(exits) == {"frozen", "branch", "seam wrap"}, exits
+
+
+def test_xii_report_matches_at_n_3362():
+    nt = _rung(F(41, 58))
+    assert floor_div(nt.a, nt.b - nt.a) == 3362
+    _assert_same_report(nt)
+
+
+def _assert_holes_disjoint(rep):
+    """No hole of the chain meets another; the full circle a XIII march
+    appends when S is empty is no hole."""
+    full = PeriodicSet.full(rep.S.period)
+    ivs = sorted((iv for step in rep.chain if step.hole != full for iv in step.hole.intervals),
+                 key=itemgetter(0))
+    for (_, hi), (lo, _) in zip(ivs, ivs[1:]):
+        assert hi <= lo
+
+
+def test_chain_holes_are_pairwise_disjoint():
+    xii = [*_acceptance_xii(), *_xii_draw(seed=13, count=200), _rung(F(41, 58))]
+    xiii = list(_rational(12))
+    assert len(xiii) > 1500
+    for nt in xii + xiii:
+        _assert_holes_disjoint(compute_S(nt))

@@ -25,7 +25,11 @@ def test_pipeline_agreement_sweep_q_le_20():
     assert total == 12081
 
 
-@pytest.mark.parametrize("x1, n", [(F(12, 17), 576), (F(41, 58), 3362)], ids=["n576", "n3362"])
+@pytest.mark.parametrize(
+    "x1, n",
+    [(F(12, 17), 576), (F(41, 58), 3362), (F(70, 99), 19600), (F(239, 338), 114242)],
+    ids=["n576", "n3362", "n19600", "n114242"],
+)
 def test_irrational_large_n_agrees_with_invariant_set(x1, n):
     sq2 = surd_context(2)
     a, b, c = sq2.num(0, x1), rat(1), rat(F(7, 2))
