@@ -14,7 +14,6 @@ disagreement.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import re
@@ -597,19 +596,21 @@ def _unwritable(path: str, e: OSError) -> OutputUnwritable:
     return OutputUnwritable(f"cannot write {path!r}: {e.strerror or e}")
 
 
-def _open_output(path: str, mode: str, **kwargs):
+def _check_writable(path: str) -> None:
+    # append mode creates a missing file but leaves an existing one as it
+    # is, so a failure later (the other path, the sweep) truncates nothing
     try:
-        return open(path, mode, **kwargs)
+        open(path, "ab").close()
     except OSError as e:
         raise _unwritable(path, e) from None
 
 
-def _write_output(write, fh, *table) -> None:
+def _write_output(write, path: str, mode: str, *table, **kwargs) -> None:
     try:
-        with fh:  # closing flushes, which may fail too
+        with open(path, mode, **kwargs) as fh:  # closing flushes, which may fail too
             write(fh, *table)
     except OSError as e:
-        raise _unwritable(fh.name, e) from None
+        raise _unwritable(path, e) from None
 
 
 def _cmd_region_plot(args) -> int:
@@ -625,14 +626,14 @@ def _cmd_region_plot(args) -> int:
         args.qmax, frac(args.amin), frac(args.amax), frac(args.cmin),
         frac(args.cmax), frac(args.step_c),
     )
-    with _open_output(args.out, "wb") as ppm, (
-        _open_output(args.csv, "w", encoding="ascii", newline="")
-        if args.csv else contextlib.nullcontext()
-    ) as csv:
-        rows = _sweep_rows(avals, cvals, args.workers)
-        _write_output(_write_ppm, ppm, avals, cvals, rows)
-        if csv is not None:
-            _write_output(_write_csv, csv, avals, cvals, rows)
+    _check_writable(args.out)
+    if args.csv:
+        _check_writable(args.csv)
+    rows = _sweep_rows(avals, cvals, args.workers)
+    _write_output(_write_ppm, args.out, "wb", avals, cvals, rows)
+    if args.csv:
+        _write_output(_write_csv, args.csv, "w", avals, cvals, rows,
+                      encoding="ascii", newline="")
     print(
         f"wrote {len(avals)}x{len(cvals)} cells to {args.out}"
         + (f" and {args.csv}" if args.csv else "")

@@ -8,8 +8,14 @@ carves out the maximal invariant set S; no hole meets an earlier one, so a
 march step is one exact add (irrational ratio) or a few set operations on
 the front (rational), and S is built once.  On S, collapsing the holes (the
 "surgery" Y) conjugates the forward map to a circle rotation, which is what
-the mark bookkeeping below records.  The measure identity turns S into the
-frame verdict, and the Birkhoff average is a numeric ergodicity diagnostic.
+the mark bookkeeping below records.  The measure identity (or, equivalently,
+an empty derived set D) turns S into the frame verdict, and the Birkhoff
+average is a numeric ergodicity diagnostic.
+
+A rational triple has integer grid units of b/(qD) (`NormalizedTriple.units`).
+The rational march runs on them, and so do D, the measure identity and the
+surgery of any S whose endpoints lie on that grid: each works on integers and
+maps its results back to ExactReal once, at the end.
 """
 
 from __future__ import annotations
@@ -27,12 +33,16 @@ from .errors import (
 )
 from .exactnum import ExactReal, floor_div, mod, rat
 from .lattice import (
+    Endpoint,
     NormalizedTriple,
     PeriodicSet,
     RegionTag,
     black_hole_R,
     grid_value,
 )
+
+
+_RAT_ZERO = rat(0)
 
 
 class HoleStatus(enum.Enum):
@@ -194,13 +204,14 @@ def compute_S(nt: NormalizedTriple) -> InvariantSetReport:
         return surgery_report(nt, S, ())
     if tag is RegionTag.XII:
         S, chain = _propagate_irrational(nt)
+        E = S
     elif tag is RegionTag.XIII:
-        S, chain = _propagate_rational(nt)
+        S, chain, E = _propagate_rational(nt)
     else:
         raise RegionUnsupported(f"invariant-set construction undefined on region {tag}")
     if S.is_empty:
         return InvariantSetReport(S, tuple(chain), rat(0), None, None, None)
-    return surgery_report(nt, S, tuple(chain))
+    return _surgery(nt, S, E, tuple(chain))
 
 
 # Why no hole meets an earlier one: off its absorber [c0+a-b, c0) the forward
@@ -208,6 +219,12 @@ def compute_S(nt: NormalizedTriple) -> InvariantSetReport:
 # land on [b-a, c0) and [c0, a), i.e. on [0, a) minus the backward absorber
 # [c1, c1+b-a), the first hole.  An image meeting a later hole would make two
 # earlier holes meet (the preimages), so by induction no two holes ever meet.
+#
+# Why the single-hole march needs no step cap: its holes all have length b-a
+# and are pairwise disjoint arcs of the circle of length a, so at most
+# N = floor(a/(b-a)) of them fit.  Had the hole at index N-1 lain in a branch,
+# its image would be an (N+1)-th hole, disjoint from the other N; hence the
+# march leaves the branches (or freezes) by index N-1 of its own accord.
 
 
 def _propagate_irrational(nt: NormalizedTriple) -> Tuple[PeriodicSet, List[HoleChainStep]]:
@@ -220,13 +237,12 @@ def _propagate_irrational(nt: NormalizedTriple) -> Tuple[PeriodicSet, List[HoleC
     bh_lo, bh_hi = black_hole_R(nt)
     low_top, high_top = bh_lo - ba, a - ba  # a hole starting there ends flush with a branch
     low_shift, high_shift = mod((f + 1) * b, a), mod(f * b, a)
-    step_cap = floor_div(a, ba) - 1
     starts: List[ExactReal] = []
     lo = nt.c1
     while lo != bh_lo:
         in_low = lo.sign() > 0 and lo < low_top
         # a hole wrapped across the seam lies in neither branch
-        if len(starts) >= step_cap or not (in_low or bh_hi < lo < high_top):
+        if not (in_low or bh_hi < lo < high_top):
             break
         starts.append(lo)
         lo = lo + (low_shift if in_low else high_shift)
@@ -242,13 +258,16 @@ def _propagate_irrational(nt: NormalizedTriple) -> Tuple[PeriodicSet, List[HoleC
     return PeriodicSet.make(a, [step.hole.intervals[0] for step in chain]).complement(), chain
 
 
-def _propagate_rational(nt: NormalizedTriple) -> Tuple[PeriodicSet, List[HoleChainStep]]:
+def _propagate_rational(
+    nt: NormalizedTriple,
+) -> Tuple[PeriodicSet, List[HoleChainStep], PeriodicSet]:
     """Breadth-first saturation: push the backward absorber forward, letting
     portions park inside the forward absorber, until all of it parks.
 
     c sits on the grid, so every endpoint and every shift is a whole number
     of steps b/q: the march runs on integers in those units (nt.units), and
-    its sets are mapped back to ExactReal once, at the end."""
+    its sets are mapped back to ExactReal once, at the end.  Returns S, the
+    chain, and S still in grid units."""
     u = nt.units
     A, B = u.A, u.B
     f, q = nt.floor_cb, nt.rational[1]
@@ -285,16 +304,63 @@ def _propagate_rational(nt: NormalizedTriple) -> Tuple[PeriodicSet, List[HoleCha
         raise OracleInconsistency("invariant set touches the forward absorber")
     real = _grid_reals(nt, S, *(hole for hole, _ in steps))
     chain = [HoleChainStep(i, real(hole), status) for i, (hole, status) in enumerate(steps)]
-    return real(S), chain
+    return real(S), chain, S
+
+
+# ---------------------------------------------------------------------------
+# integer grid units
+# ---------------------------------------------------------------------------
+
+
+def _in_units(nt: NormalizedTriple, S: PeriodicSet) -> PeriodicSet:
+    """S in integer grid units of b/(qD) (period units.A) when the triple has
+    them and every endpoint of S lies on their grid; else S itself: an
+    irrational ratio, an empty S, or an endpoint off the grid."""
+    u = nt.units
+    if u is None or not S.intervals or not (S.period is nt.a or S.period == nt.a):
+        return S
+    b, B = nt.b, u.B
+    ends: List[int] = []
+    for iv in S.intervals:
+        for x in iv:
+            # x = k*b/B exactly when B*x/b = n/d is the integer k
+            if b.x1 or x.x1:
+                r = x.ratio(b)
+                if r is None:
+                    return S
+                n, d = r.numerator * B, r.denominator
+            else:  # x/b straight from the coefficients
+                n, d = x.x0.numerator * b.x0.denominator * B, x.x0.denominator * b.x0.numerator
+            k, rest = divmod(n, d)
+            if rest:
+                return S
+            ends.append(k)
+    return PeriodicSet(u.A, tuple(zip(ends[::2], ends[1::2])))
+
+
+def _lengths(nt: NormalizedTriple, E: PeriodicSet) -> Tuple[Endpoint, ...]:
+    """0, a, b, c0 and c1 in the units of E: grid units when its period is
+    an int, else the reals."""
+    if type(E.period) is int:
+        u = nt.units
+        return 0, u.A, u.B, u.C0, u.C1
+    return _RAT_ZERO, nt.a, nt.b, nt.c0, nt.c1
+
+
+def _real(nt: NormalizedTriple, x: Endpoint, m: int = 1) -> ExactReal:
+    """x/m as an ExactReal, x either a whole number of grid units b/(qD) (the
+    value then lies in the context of b and a) or already real."""
+    if type(x) is int:
+        return grid_value(nt.b, x, nt.units.B * m, nt.b._join(nt.a))
+    return x if m == 1 else x / m
 
 
 def _grid_reals(nt: NormalizedTriple, *sets: PeriodicSet):
-    """Map from sets in units of b/q (period A) to the same sets over the
-    reals (period a), with one ExactReal k*b/q per distinct endpoint k."""
-    a, b, A = nt.a, nt.b, nt.units.A
-    q, ctx = nt.rational[1], b._join(a)
+    """Map from sets in grid units (period A) to the same sets over the
+    reals (period a), with one ExactReal per distinct endpoint."""
+    a, A = nt.a, nt.units.A
     ends = {k for E in sets for iv in E.intervals for k in iv} - {A}
-    value = {k: grid_value(b, k, q, ctx) for k in ends}
+    value = {k: _real(nt, k) for k in ends}
     value[A] = a
 
     def real(E: PeriodicSet) -> PeriodicSet:
@@ -312,27 +378,36 @@ def compute_D(nt: NormalizedTriple, S: PeriodicSet) -> PeriodicSet:
     """Parameters where the doubled covering equation is solvable, from S by
     shifts and intersections; empty exactly when the system is a frame."""
     _require_maps(nt)
-    a, b, f = nt.a, nt.b, nt.floor_cb
     if S.is_empty:
-        return PeriodicSet.empty(a)
-    low_window = PeriodicSet.make(a, [(rat(0), nt.c0 + a - b)])
-    out = S.intersect(low_window).intersect(S.shift(-(f * b)))
+        return PeriodicSet.empty(nt.a)
+    E = _in_units(nt, S)
+    zero, a, b, c0, _ = _lengths(nt, E)
+    f = nt.floor_cb
+    low_window = PeriodicSet.make(a, [(zero, c0 + a - b)])
+    out = E.intersect(low_window).intersect(E.shift(-(f * b)))
     for k in range(1, f):
-        out = out.union(S.intersect(S.shift(-(k * b))))
-    return out
+        out = out.union(E.intersect(E.shift(-(k * b))))
+    return _grid_reals(nt, out)(out) if E is not S else out
 
 
 def measure_identity(nt: NormalizedTriple, S: PeriodicSet) -> bool:
     """Exact test: (f+1)|S ∩ [0, c0+a-b)| + f|S ∩ [c0, a)| = a."""
     if S.is_empty:
         raise EmptySet("measure identity needs a nonempty invariant set")
-    return (measure_identity_lhs(nt, S) - nt.a).is_zero()
+    E = _in_units(nt, S)
+    return _measure_lhs(nt, E) == _lengths(nt, E)[1]
 
 
 def measure_identity_lhs(nt: NormalizedTriple, S: PeriodicSet) -> ExactReal:
-    a, f = nt.a, nt.floor_cb
-    left = S.restrict(rat(0), nt.c0 + a - nt.b).measure()
-    right = S.restrict(nt.c0, a).measure()
+    return _real(nt, _measure_lhs(nt, _in_units(nt, S)))
+
+
+def _measure_lhs(nt: NormalizedTriple, E: PeriodicSet) -> Endpoint:
+    """(f+1)|E ∩ [0, c0+a-b)| + f|E ∩ [c0, a)|, in the units of E."""
+    zero, a, b, c0, _ = _lengths(nt, E)
+    f = nt.floor_cb
+    left = E.restrict(zero, c0 + a - b).measure()
+    right = E.restrict(c0, a).measure()
     return (f + 1) * left + f * right
 
 
@@ -353,25 +428,29 @@ def surgery_report(
     nt: NormalizedTriple, S: PeriodicSet, chain: Tuple[HoleChainStep, ...]
 ) -> InvariantSetReport:
     """Collapse the holes of S and report the rotation data (Ya, theta, marks)."""
+    return _surgery(nt, S, _in_units(nt, S), chain)
+
+
+def _surgery(
+    nt: NormalizedTriple, S: PeriodicSet, E: PeriodicSet, chain: Tuple[HoleChainStep, ...]
+) -> InvariantSetReport:
+    """surgery_report of S, worked out on E: S in grid units, or S itself."""
     if S.is_empty:
         raise EmptySet("surgery needs a nonempty invariant set")
-    a, b = nt.a, nt.b
-    Ya = S.measure()
-    theta_arg = nt.c1 + b - a  # lies in [0, a] on every supported region
-    theta = S.restrict(rat(0), theta_arg).measure()
-    ratio = theta.ratio(Ya)
-    marks: Marks
-    extras: Optional[RationalExtras] = None
-    if nt.is_rational:
-        if ratio is None:
-            raise OracleInconsistency("rational lattice must give commensurable rotation")
-        v = ratio.denominator
-        g = Ya / v
-        marks = Marks(kind="cyclic", generator=g, order=v)
-        extras = _rational_extras(nt, S, g, v)
-    else:
-        marks = _finite_marks(nt, S, theta, Ya)
-    return InvariantSetReport(S, tuple(chain), Ya, theta, marks, extras)
+    zero, a, b, _, c1 = _lengths(nt, E)
+    Ya = E.measure()
+    theta_arg = c1 + b - a  # lies in [0, a] on every supported region
+    theta = E.restrict(zero, theta_arg).measure()
+    if not nt.is_rational:
+        return InvariantSetReport(S, tuple(chain), Ya, theta,
+                                  _finite_marks(nt, S, theta, Ya), None)
+    ratio = Fraction(theta, Ya) if type(Ya) is int else theta.ratio(Ya)
+    if ratio is None:
+        raise OracleInconsistency("rational lattice must give commensurable rotation")
+    v = ratio.denominator
+    extras = _rational_extras(nt, E, Ya, v)
+    marks = Marks(kind="cyclic", generator=extras.h, order=v)
+    return InvariantSetReport(S, tuple(chain), _real(nt, Ya), _real(nt, theta), marks, extras)
 
 
 def _finite_marks(nt, S, theta, Ya) -> Marks:
@@ -386,9 +465,11 @@ def _finite_marks(nt, S, theta, Ya) -> Marks:
     raise OracleInconsistency("mark-count search failed; conjugacy data is corrupt")
 
 
-def _rational_extras(nt, S: PeriodicSet, h: ExactReal, order: int) -> RationalExtras:
-    bh_lo, bh_hi = black_hole_R(nt)
-    gaps = S.complement().components_cyclic()  # seam-fused
+def _rational_extras(nt, E: PeriodicSet, Ya: Endpoint, order: int) -> RationalExtras:
+    """The gap bookkeeping of E, worked out in the units of E, with h = Ya/order."""
+    _, a, b, c0, _ = _lengths(nt, E)
+    bh_lo, bh_hi = c0 + a - b, c0
+    gaps = E.complement().components_cyclic()  # seam-fused
     # the absorber [c0+a-b, c0) lies in [0, a).  Had it lain past the seam
     # of a seam-fused gap (g_lo, first_hi + a), in [0, first_hi), delta and
     # delta' below would both be negative and the flush test would raise, so
@@ -400,16 +481,18 @@ def _rational_extras(nt, S: PeriodicSet, h: ExactReal, order: int) -> RationalEx
     g_lo, g_hi = gap
     delta = bh_lo - g_lo
     delta_prime = bh_hi - g_hi
-    if not (delta * delta_prime).is_zero():
+    if delta != 0 and delta_prime != 0:
         raise OracleInconsistency("absorber gap must be flush on one side")
-    big_size = (nt.b - nt.a) + delta - delta_prime
-    n_big = sum(1 for lo, hi in gaps if (hi - lo - big_size).is_zero())
+    big_size = (b - a) + delta - delta_prime
+    n_big = sum(1 for lo, hi in gaps if hi - lo == big_size)
     N1 = n_big - 1
     N2 = order - n_big
-    identity = (N1 + N2 + 1) * (h + delta - delta_prime) + (N1 + 1) * (nt.b - nt.a)
-    if not (identity - nt.a).is_zero():
+    # (N1+N2+1)(h + delta - delta') + (N1+1)(b-a) = a, times order: h is
+    # not a whole number of grid units in general
+    identity = (N1 + N2 + 1) * (Ya + order * (delta - delta_prime)) + order * (N1 + 1) * (b - a)
+    if identity != order * a:
         raise OracleInconsistency("gap bookkeeping violates the length identity")
-    return RationalExtras(N1, N2, delta, delta_prime, h)
+    return RationalExtras(N1, N2, _real(nt, delta), _real(nt, delta_prime), _real(nt, Ya, order))
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,15 @@
-"""The hole propagations and the surgery report that the live marches
-replaced, kept as a test oracle.
+"""The hole propagations, the surgery report, the derived set and the
+measure identity that the live code replaced, kept as a test oracle.
 
 `_propagate_rational` runs the XIII march on ExactReal PeriodicSets;
 `_propagate_irrational` shifts each XII hole as a PeriodicSet and tests it
-against a growing covered set; `surgery_report` builds every cyclic mark
-point up front, so `Marks` stores them.  `Marks`, `compute_S`,
-`_propagate_irrational`, `_propagate_rational`, `surgery_report`,
-`_finite_marks` and `_rational_extras` are copied unchanged from the code
-they replaced (only the imports differ); the differential tests in
-`test_reference_dynsys.py` hold the live marches to their reports.
+against a growing covered set and stops at a step cap; `surgery_report`
+builds every cyclic mark point up front, so `Marks` stores them.
+`surgery_report`, `_rational_extras`, `compute_D` and the measure identity
+work on ExactReal endpoints only, where the live ones work on a rational S in
+integer grid units.  Every function here is copied unchanged from the code
+it replaced (only the imports differ); the differential tests in
+`test_reference_dynsys.py` hold the live code to it.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from gaborbox.dynsys import (
     HoleStatus,
     InvariantSetReport,
     RationalExtras,
+    _require_maps,
 )
 from gaborbox.errors import (
     EmptySet,
@@ -224,3 +226,31 @@ def _rational_extras(nt, S: PeriodicSet, h: ExactReal, order: int) -> RationalEx
     if not (identity - nt.a).is_zero():
         raise OracleInconsistency("gap bookkeeping violates the length identity")
     return RationalExtras(N1, N2, delta, delta_prime, h)
+
+
+def compute_D(nt: NormalizedTriple, S: PeriodicSet) -> PeriodicSet:
+    """Parameters where the doubled covering equation is solvable, from S by
+    shifts and intersections; empty exactly when the system is a frame."""
+    _require_maps(nt)
+    a, b, f = nt.a, nt.b, nt.floor_cb
+    if S.is_empty:
+        return PeriodicSet.empty(a)
+    low_window = PeriodicSet.make(a, [(rat(0), nt.c0 + a - b)])
+    out = S.intersect(low_window).intersect(S.shift(-(f * b)))
+    for k in range(1, f):
+        out = out.union(S.intersect(S.shift(-(k * b))))
+    return out
+
+
+def measure_identity(nt: NormalizedTriple, S: PeriodicSet) -> bool:
+    """Exact test: (f+1)|S ∩ [0, c0+a-b)| + f|S ∩ [c0, a)| = a."""
+    if S.is_empty:
+        raise EmptySet("measure identity needs a nonempty invariant set")
+    return (measure_identity_lhs(nt, S) - nt.a).is_zero()
+
+
+def measure_identity_lhs(nt: NormalizedTriple, S: PeriodicSet) -> ExactReal:
+    a, f = nt.a, nt.floor_cb
+    left = S.restrict(rat(0), nt.c0 + a - nt.b).measure()
+    right = S.restrict(nt.c0, a).measure()
+    return (f + 1) * left + f * right

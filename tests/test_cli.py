@@ -525,12 +525,15 @@ def test_region_plot_reports_unwritable_paths(capsys, monkeypatch, tmp_path, fla
     monkeypatch.setattr(gaborbox.cli, "classify", lambda *abc: calls.append(abc) or real(*abc))
     bad = str(tmp_path / "no-such-dir" / "cells" if where == "missing-directory" else tmp_path)
     paths = {"--out": str(tmp_path / "cells.ppm"), "--csv": str(tmp_path / "cells.csv"), flag: bad}
+    kept = Path(paths["--csv" if flag == "--out" else "--out"])
+    kept.write_bytes(b"an earlier plot")
     code, out, err = run(capsys, "region-plot", "--qmax", "2", "--cmax", "2",
                          *(x for item in paths.items() for x in item))
     assert (code, out) == (1, "")
     assert err.startswith(f"error: cannot write {bad!r}: ")
     assert err.count("\n") == 1
     assert calls == []  # the paths are opened before the sweep
+    assert kept.read_bytes() == b"an earlier plot"  # and truncated only when written
     # the tap sees the sweep: once both paths are writable, every cell is classified
     paths[flag] = str(tmp_path / "cells.out")
     code, _, _ = run(capsys, "region-plot", "--qmax", "2", "--cmax", "2",

@@ -1,9 +1,11 @@
 """Differential tests: compute_S against the marches and the eager marks it
 replaced (`reference_dynsys.py`), report field by field.  On region XIII the
 live march runs on integers in units of b/q and its cyclic marks derive their
-points when read; on region XII it carries one hole start.  Neither keeps a
-covered set, which rests on the holes of a chain being pairwise disjoint,
-also tested here."""
+points when read; on region XII it carries one hole start and no step cap.
+Neither keeps a covered set, which rests on the holes of a chain being
+pairwise disjoint, also tested here.  compute_D, the measure identity and
+surgery_report work on a rational S in integer grid units; they are held to
+their ExactReal references on and off that grid."""
 
 from collections import Counter
 from fractions import Fraction as F
@@ -13,9 +15,19 @@ from operator import itemgetter
 import pytest
 
 import reference_dynsys as ref
-from gaborbox.dynsys import HoleStatus, compute_S
+from gaborbox.dynsys import (
+    HoleStatus,
+    _in_units,
+    compute_D,
+    compute_S,
+    measure_identity,
+    measure_identity_lhs,
+    surgery_report,
+)
+from gaborbox.errors import GaborBoxError
 from gaborbox.exactnum import floor_div, pi_context, rat, surd_context
 from gaborbox.lattice import PeriodicSet, RegionTag, normalize
+from gaborbox.oracle import on_grid_survey
 from test_acceptance import PI_TRIPLES, SQRT2_TRIPLES, SQRT3_TRIPLES
 from test_reference_scan import _xii_draw
 
@@ -56,6 +68,31 @@ def _assert_same_report(nt):
     return want
 
 
+def _outcome(f, *args):
+    """The report f returns, or the error it raises."""
+    try:
+        return _report(f(*args))
+    except GaborBoxError as e:
+        return type(e), str(e)
+
+
+def _assert_same_on(nt, S, chain=()):
+    """compute_D, the measure identity and surgery_report on S against their
+    ExactReal references."""
+    assert _set(compute_D(nt, S)) == _set(ref.compute_D(nt, S)), nt
+    assert _value(measure_identity_lhs(nt, S)) == _value(ref.measure_identity_lhs(nt, S)), nt
+    assert measure_identity(nt, S) is ref.measure_identity(nt, S), nt
+    assert _outcome(surgery_report, nt, S, chain) == _outcome(ref.surgery_report, nt, S, chain)
+
+
+def _assert_same_from_S(nt):
+    """The report of compute_S, which hands the surgery its S in grid units,
+    and every stage run again on the reference's ExactReal S."""
+    want = _assert_same_report(nt)
+    if not want.S.is_empty:
+        _assert_same_on(nt, want.S, want.chain)
+
+
 def _xiii_triples(qmax, unit, bs):
     """Every on-grid XIII triple with a = (p/q)*unit, p/q < 2 and q <= qmax,
     b in bs and c in (0, 8) on the grid b/q' of a/b = p'/q'."""
@@ -79,6 +116,41 @@ def _rational(qmax):
     return _xiii_triples(qmax, rat(1), (rat(1), rat(F(3, 2)), rat(F(7, 5))))
 
 
+def test_grid_unit_stages_match_on_grid_q_le_16():
+    regions = Counter()
+    for nt in on_grid_survey(16, 1, 8, regions=(RegionTag.X, RegionTag.XI, RegionTag.XIII)):
+        regions[nt.region] += 1
+        _assert_same_from_S(nt)
+    assert set(regions) == {RegionTag.X, RegionTag.XI, RegionTag.XIII}
+    assert sum(regions.values()) > 800
+
+
+def test_grid_unit_stages_match_off_grid_c():
+    # X and XI do not need c on the b/q grid: their units are b/(qD), D = 3
+    seen = 0
+    for q in range(2, 9):
+        for p in range(1, q):
+            for k in range(3 * q + 1, 24 * q):
+                nt = normalize(rat(F(p, q)), rat(1), rat(F(k, 3 * q)))
+                if nt.region in (RegionTag.X, RegionTag.XI) and nt.units.B == 3 * q:
+                    seen += 1
+                    _assert_same_from_S(nt)
+    assert seen > 100
+
+
+def test_off_grid_S_takes_the_reals_path():
+    nt = normalize(rat(F(13, 17)), rat(1), rat(F(77, 17)))
+    S = compute_S(nt).S
+    assert _in_units(nt, S) is not S
+    _assert_same_on(nt, S)
+    (lo, hi), *rest = S.intervals
+    # an endpoint half a grid step off, and one with a tau coefficient
+    for moved in (hi - F(1, 34), SQRT2.num(0, F(2, 17))):
+        off = PeriodicSet(S.period, ((lo, moved), *rest))
+        assert _in_units(nt, off) is off
+        _assert_same_on(nt, off)
+
+
 def test_rational_xiii_reports_match_q_le_10():
     triples = list(_rational(10))
     assert len(triples) > 1000
@@ -98,7 +170,7 @@ def test_sqrt2_scaled_xiii_reports_match():
     triples = list(_xiii_triples(10, root2, (root2,)))
     assert len(triples) > 100
     for nt in triples:
-        _assert_same_report(nt)
+        _assert_same_from_S(nt)
 
 
 # the perfbench certificates workload's XIII pools: a = p/(p+4), b = 1,
@@ -120,7 +192,7 @@ def test_certificate_pool_reports_match(p, kind):
     for k in CERTIFICATE_POOLS[p, kind]:
         nt = normalize(rat(F(p, p + 4)), rat(1), rat(F(k, p + 4)))
         assert nt.region is RegionTag.XIII
-        _assert_same_report(nt)
+        _assert_same_from_S(nt)
 
 
 @pytest.mark.slow
@@ -128,7 +200,7 @@ def test_certificate_pool_reports_match(p, kind):
 def test_large_p_reports_match(p, c):
     nt = normalize(rat(F(p, p + 1)), rat(1), rat(c))
     assert nt.region is RegionTag.XIII
-    _assert_same_report(nt)
+    _assert_same_from_S(nt)
 
 
 # -- region XII ---------------------------------------------------------------------
@@ -157,6 +229,8 @@ def _xii_exit(nt, rep):
     if len(last.hole.intervals) == 2:
         return "seam wrap"
     if last.index >= floor_div(nt.a, nt.b - nt.a) - 1:
+        # the last index the march can reach; the reference stops there by
+        # its step cap, the live march because the hole is outside the branches
         return "cap"
     return "branch"
 

@@ -106,6 +106,20 @@ def _functions(path):
     return [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
 
 
+def test_dynsys_maps_grid_units_back_in_one_function():
+    # D, the measure identity and the surgery work on S in grid units; one
+    # helper decides how a count of grid units becomes an ExactReal
+    tree = ast.parse((SRC / "dynsys.py").read_text(encoding="utf-8"))
+
+    def namings(node):
+        return sum(isinstance(sub, ast.Name) and sub.id == "grid_value"
+                   for sub in ast.walk(node))
+
+    helper, = (node for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name == "_real")
+    assert namings(tree) == namings(helper) > 0
+
+
 def test_only_the_diagram_walk_names_region_xiv():
     # one walk decides every region; a second walk would have to name XIV
     naming = {fn.name for fn in _functions(SRC / "lattice.py") for node in ast.walk(fn)
