@@ -156,24 +156,17 @@ def map_image(nt: NormalizedTriple, E: PeriodicSet, backward: bool = False) -> P
     _require_maps(nt)
     a, b, f = nt.a, nt.b, nt.floor_cb
     if not backward:
+        PeriodicSet.empty(a)._check(E)
         lo, hi = black_hole_R(nt)
-        seg1 = PeriodicSet.make(a, [(rat(0), lo)])
-        bh = PeriodicSet.make(a, [(lo, hi)])
-        seg3 = PeriodicSet.make(a, [(hi, a)])
-        return (
-            E.intersect(seg1).shift((f + 1) * b)
-            .union(E.intersect(bh))
-            .union(E.intersect(seg3).shift(f * b))
-        )
+        low, mid, high = E.restrict(rat(0), lo), E.restrict(lo, hi), E.restrict(hi, a)
+        return low.shift((f + 1) * b).union(mid).union(high.shift(f * b))
     e = mod(nt.c, a)
-    s1 = PeriodicSet.from_wrapped(a, [(e, e + (a - nt.c0))])
-    s2 = PeriodicSet.from_wrapped(a, [(e + (a - nt.c0), e + (a - nt.c0) + (b - a))])
-    s3 = PeriodicSet.from_wrapped(a, [(e + (a - nt.c0) + (b - a), e + a)])
-    return (
-        E.intersect(s1).shift(-(f * b))
-        .union(E.intersect(s2))
-        .union(E.intersect(s3).shift(-((f + 1) * b)))
-    )
+    w1 = e + (a - nt.c0)
+    w2 = w1 + (b - a)
+    # the images of the three branches, as windows that may wrap the seam
+    high, mid, low = (E.intersect(PeriodicSet.from_wrapped(a, [w]))
+                      for w in ((e, w1), (w1, w2), (w2, e + a)))
+    return high.shift(-(f * b)).union(mid).union(low.shift(-((f + 1) * b)))
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +266,6 @@ def _propagate_rational(
     f, q = nt.floor_cb, nt.rational[1]
     ba = B - A
     bh_lo, bh_hi = u.C0 + A - B, u.C0
-    bh = PeriodicSet.make(A, [(bh_lo, bh_hi)])
-    low = PeriodicSet.make(A, [(0, bh_lo)])
-    high = PeriodicSet.make(A, [(bh_hi, A)])
     low_shift, high_shift = (f + 1) * B, f * B
     cap = -(-A // ba) + q + 2
     front = PeriodicSet.make(A, [(u.C1, u.C1 + ba)])
@@ -285,21 +275,19 @@ def _propagate_rational(
             raise IterationCapExceeded(
                 f"hole propagation still live after {len(steps)} steps; proven bound is {cap}"
             )
-        moving = front.minus(bh)
-        if moving.is_empty:
+        low, high = front.restrict(0, bh_lo), front.restrict(bh_hi, A)
+        moving = low.intervals + high.intervals
+        if not moving:
             steps.append((front, HoleStatus.FROZEN))
             break
         # whatever of the front lies in the absorber parks there
-        parked = moving.intervals != front.intervals
+        parked = moving != front.intervals
         steps.append((front, HoleStatus.ABSORBED if parked else HoleStatus.PROPAGATING))
-        front = (
-            moving.intersect(low).shift(low_shift)
-            .union(moving.intersect(high).shift(high_shift))
-        )
+        front = low.shift(low_shift).union(high.shift(high_shift))
     S = PeriodicSet.make(A, [iv for hole, _ in steps for iv in hole.intervals]).complement()
     if S.is_empty:
         steps.append((PeriodicSet.full(A), HoleStatus.SENTINEL))
-    elif not S.intersect(bh).is_empty:
+    elif not S.restrict(bh_lo, bh_hi).is_empty:
         # the construction must have buried both absorbers inside the holes
         raise OracleInconsistency("invariant set touches the forward absorber")
     real = _grid_reals(nt, S, *(hole for hole, _ in steps))
@@ -383,8 +371,7 @@ def compute_D(nt: NormalizedTriple, S: PeriodicSet) -> PeriodicSet:
     E = _in_units(nt, S)
     zero, a, b, c0, _ = _lengths(nt, E)
     f = nt.floor_cb
-    low_window = PeriodicSet.make(a, [(zero, c0 + a - b)])
-    out = E.intersect(low_window).intersect(E.shift(-(f * b)))
+    out = E.restrict(zero, c0 + a - b).intersect(E.shift(-(f * b)))
     for k in range(1, f):
         out = out.union(E.intersect(E.shift(-(k * b))))
     return _grid_reals(nt, out)(out) if E is not S else out

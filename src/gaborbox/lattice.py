@@ -5,7 +5,8 @@ period [0, a) and stands for that union + aZ.  Storage is canonical: sorted,
 pairwise disjoint, touching intervals merged — except across the 0/a seam,
 which is only fused on demand by cyclic queries (gap analysis), never in
 storage.  The endpoints and the period are all ExactReal, or all int (a set
-in integer grid units); every comparison is exact either way.
+in integer grid units); every comparison is exact either way.  One bisection,
+the window cut of `restrict`, serves intersect and minus; union is one make.
 """
 
 from __future__ import annotations
@@ -138,51 +139,40 @@ class PeriodicSet:
                 f"periods differ: {self.period!r} vs {other.period!r}"
             )
 
-    # Operands are canonical, so every result below is emitted in canonical
-    # order directly: the larger operand is searched by bisect (ends and
-    # starts are both increasing) and copied by slices, and exact
-    # comparisons are only spent where the smaller operand lands.
+    def _cut(self, lo: Endpoint, hi: Endpoint) -> List[Interval]:
+        """The intervals meeting [lo, hi), clipped to it, for lo < hi: the one
+        bisection of the class (ends and starts both increase), then a slice."""
+        ivs = self.intervals
+        i = bisect_right(ivs, lo, key=_end)  # first one ending past lo
+        j = bisect_left(ivs, hi, i, key=_start)  # first one starting at hi or later
+        out = list(ivs[i:j])
+        if out:  # an endpoint equal to the window's is kept as it is
+            out[0] = (max(out[0][0], lo), out[0][1])
+            out[-1] = (out[-1][0], min(out[-1][1], hi))
+        return out
+
+    def restrict(self, lo: Endpoint, hi: Endpoint) -> "PeriodicSet":
+        """Intersection with the single window [lo, hi), 0 <= lo <= hi <= period;
+        an empty or inverted window gives the empty set."""
+        if not lo < hi:
+            return PeriodicSet(self.period, ())
+        if _negative(lo) or hi > self.period:
+            raise ValueError("interval endpoints must lie inside [0, period]")
+        return PeriodicSet(self.period, tuple(self._cut(lo, hi)))
 
     def union(self, other: "PeriodicSet") -> "PeriodicSet":
         self._check(other)
-        big, small = self.intervals, other.intervals
-        if len(big) < len(small):
-            big, small = small, big
-        if not small:
-            return PeriodicSet(self.period, big)
-        out: List[Interval] = []
-        pos = 0
-        for lo, hi in small:
-            i = bisect_left(big, lo, pos, key=_end)  # first one reaching lo
-            j = bisect_right(big, hi, i, key=_start)  # first one past hi
-            out.extend(big[pos:i])
-            if i < j:
-                if big[i][0] < lo:
-                    lo = big[i][0]
-                if hi < big[j - 1][1]:
-                    hi = big[j - 1][1]
-            if i == pos and out and not out[-1][1] < lo:
-                # an interval of big already merged above reaches this one
-                out[-1] = (out[-1][0], hi if out[-1][1] < hi else out[-1][1])
-            else:
-                out.append((lo, hi))
-            pos = j
-        out.extend(big[pos:])
-        return PeriodicSet(self.period, tuple(out))
+        return PeriodicSet.make(self.period, self.intervals + other.intervals)
 
     def intersect(self, other: "PeriodicSet") -> "PeriodicSet":
+        # the intervals of the smaller operand never touch: canonical pieces
         self._check(other)
-        big, small = self.intervals, other.intervals
-        if len(big) < len(small):
+        big, small = self, other
+        if len(big.intervals) < len(small.intervals):
             big, small = small, big
         out: List[Interval] = []
-        pos = 0
-        for lo, hi in small:
-            i = bisect_right(big, lo, pos, key=_end)  # first one ending past lo
-            j = bisect_left(big, hi, i, key=_start)  # first one starting at hi or later
-            for blo, bhi in big[i:j]:
-                out.append((lo if blo < lo else blo, bhi if bhi < hi else hi))
-            pos = max(i, j - 1)
+        for lo, hi in small.intervals:
+            out += big._cut(lo, hi)
         return PeriodicSet(self.period, tuple(out))
 
     def complement(self) -> "PeriodicSet":
@@ -197,32 +187,7 @@ class PeriodicSet:
         return PeriodicSet(self.period, tuple(gaps))
 
     def minus(self, other: "PeriodicSet") -> "PeriodicSet":
-        self._check(other)
-        mine, cuts = self.intervals, other.intervals
-        if len(mine) <= len(cuts):
-            hit = range(len(mine))
-        else:  # only the intervals some cut reaches need work
-            hit, j = [], 0
-            for lo, hi in cuts:
-                i = bisect_right(mine, lo, j, key=_end)  # mine[:j] is already listed
-                j = bisect_left(mine, hi, i, key=_start)
-                hit.extend(range(i, j))
-        out: List[Interval] = []
-        prev = 0
-        for t in hit:
-            out.extend(mine[prev:t])
-            lo, hi = mine[t]
-            i = bisect_right(cuts, lo, key=_end)
-            j = bisect_left(cuts, hi, i, key=_start)
-            for clo, chi in cuts[i:j]:
-                if lo < clo:
-                    out.append((lo, clo))
-                lo = chi
-            if lo < hi:
-                out.append((lo, hi))
-            prev = t + 1
-        out.extend(mine[prev:])
-        return PeriodicSet(self.period, tuple(out))
+        return self.intersect(other.complement())
 
     def shift(self, t: Endpoint) -> "PeriodicSet":
         """The set + t, reduced back into [0, period)."""
@@ -238,10 +203,6 @@ class PeriodicSet:
                 moved.append((nlo, self.period))
                 moved.append((_zero(self.period), nhi - self.period))
         return PeriodicSet.make(self.period, moved)
-
-    def restrict(self, lo: Endpoint, hi: Endpoint) -> "PeriodicSet":
-        """Intersection with the single window [lo, hi) 0 <= lo <= hi <= period."""
-        return self.intersect(PeriodicSet.make(self.period, [(lo, hi)]))
 
     def __repr__(self):
         body = " u ".join(f"[{_render(lo)},{_render(hi)})" for lo, hi in self.intervals)

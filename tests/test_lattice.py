@@ -203,6 +203,25 @@ def test_union_intersect_complement_minus():
     assert x.minus(y).intervals == (iv(0, "1/4"),)
 
 
+def test_restrict_keeps_its_window_contract():
+    p = rat(1)
+    x = PeriodicSet.make(p, [iv("1/8", "1/2"), iv("5/8", "7/8")])
+    assert x.restrict(rat(F(1, 4)), rat(F(3, 4))).intervals == (iv("1/4", "1/2"), iv("5/8", "3/4"))
+    # an empty or inverted window is the empty set, also inside an interval
+    # and also when it lies outside the period
+    for lo, hi in (("1/4", "1/4"), ("3/8", "1/4"), ("5/8", "5/8"), (2, -1), (0, 0), (1, 1)):
+        assert x.restrict(rat(F(lo)), rat(F(hi))).is_empty, (lo, hi)
+    n = PeriodicSet.make(8, [(1, 4), (5, 7)])
+    assert n.restrict(2, 2).is_empty and n.restrict(3, 2).is_empty and n.restrict(9, -1).is_empty
+    # a nonempty window reaching outside [0, period] raises
+    for lo, hi in (("-1/4", "1/2"), ("1/2", "3/2"), ("-1", "2")):
+        with pytest.raises(ValueError):
+            x.restrict(rat(F(lo)), rat(F(hi)))
+    for lo, hi in ((-1, 3), (6, 9)):
+        with pytest.raises(ValueError):
+            n.restrict(lo, hi)
+
+
 def test_shift_reduces_mod_period():
     p = rat(1)
     x = PeriodicSet.make(p, [iv("3/4", 1)])
@@ -293,6 +312,8 @@ def test_integer_endpoints_give_the_sets_their_rational_images_give(xs, ys, shif
     assert rx == build([F(k, 60) for k in xs])
     for op in ("union", "intersect", "minus"):
         assert on_reals(getattr(x, op)(y)) == getattr(rx, op)(ry), op
+    for lo, hi in ((xs[0], ys[0]), (ys[0], xs[0]), (xs[0], xs[0])):
+        assert on_reals(x.restrict(lo, hi)) == rx.restrict(rat(F(lo, 60)), rat(F(hi, 60)))
     assert on_reals(x.complement()) == rx.complement()
     assert on_reals(x.shift(shift)) == rx.shift(rat(F(shift, 60)))
     assert rat(F(x.measure(), 60)) == rx.measure()

@@ -1,5 +1,5 @@
-"""Differential tests: the solved certificate searches and the bisect-based
-set algebra against the scans they replaced (`reference_scan.py`)."""
+"""Differential tests: the solved certificate searches and the set algebra
+built on one window cut against the scans they replaced (`reference_scan.py`)."""
 
 import random
 from fractions import Fraction as F
@@ -147,6 +147,34 @@ def test_set_algebra_matches_scan(xy):
         # the canonical storage
         assert got == want, (op, x, y)
     assert x.complement() == ref.complement(x)
+
+
+@given(x=periodic_sets, i=st.integers(0, len(POOL) - 1), j=st.integers(0, len(POOL) - 1))
+@settings(max_examples=300, deadline=None)
+def test_restrict_matches_scan(x, i, j):
+    lo, hi = POOL[min(i, j)], POOL[max(i, j)]
+    # drawn windows, an empty one inside the period, and both ends of it
+    for lo, hi in ((lo, hi), (lo, lo), (POOL[0], PERIOD), (POOL[0], POOL[0]), (PERIOD, PERIOD)):
+        assert x.restrict(lo, hi) == ref.intersect(x, PeriodicSet.make(PERIOD, [(lo, hi)])), \
+            (x, lo, hi)
+
+
+# one interval against many: the operations cut the larger operand, whichever side
+many_intervals = st.one_of(
+    st.just(_from_cells([1, 0] * (len(CELLS) // 2) + [1] * (len(CELLS) % 2), 1)),
+    st.lists(st.integers(0, 1), min_size=len(CELLS), max_size=len(CELLS)).map(
+        lambda bits: _from_cells(bits, 1)),
+)
+one_interval = st.tuples(st.integers(0, len(POOL) - 1), st.integers(0, len(POOL) - 1)).map(
+    lambda ij: _from_pairs([ij]))
+
+
+@given(x=many_intervals, y=one_interval)
+@settings(max_examples=300, deadline=None)
+def test_set_algebra_one_interval_against_many(x, y):
+    for u, v in ((x, y), (y, x)):
+        for op in ("union", "intersect", "minus"):
+            assert getattr(u, op)(v) == getattr(ref, op)(u, v), (op, u, v)
 
 
 def test_set_algebra_touching_neighbours():

@@ -120,6 +120,23 @@ def test_dynsys_maps_grid_units_back_in_one_function():
     assert namings(tree) == namings(helper) > 0
 
 
+def test_periodic_set_bisects_in_one_method():
+    # restrict, intersect, union and minus all rest on the one window cut; a
+    # second search of the intervals would have to name bisect again
+    tree = ast.parse((SRC / "lattice.py").read_text(encoding="utf-8"))
+
+    def namings(node):
+        return sum(isinstance(sub, ast.Name) and sub.id in ("bisect_left", "bisect_right")
+                   or isinstance(sub, ast.Attribute) and sub.attr in ("bisect_left", "bisect_right")
+                   for sub in ast.walk(node))
+
+    methods = {f"{cls.name}.{fn.name}": fn for cls in tree.body if isinstance(cls, ast.ClassDef)
+               for fn in cls.body if isinstance(fn, ast.FunctionDef)}
+    assert {name for name, fn in methods.items() if namings(fn)} == {"PeriodicSet._cut"}
+    # and nothing outside the methods (a module-level helper) names it either
+    assert namings(tree) == namings(methods["PeriodicSet._cut"])
+
+
 def test_only_the_diagram_walk_names_region_xiv():
     # one walk decides every region; a second walk would have to name XIV
     naming = {fn.name for fn in _functions(SRC / "lattice.py") for node in ast.walk(fn)
