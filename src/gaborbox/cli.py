@@ -509,6 +509,8 @@ def _sweep_axes(qmax: int, amin: Fraction, amax: Fraction,
         raise UnsupportedRange("need amin < amax")
     if not (cmin < cmax):
         raise UnsupportedRange("need cmin < cmax")
+    if cmin < 0:  # keeps every window length cmin + k*step_c positive
+        raise UnsupportedRange(f"--cmin must be >= 0, got {cmin}")
     if step_c <= 0:
         raise UnsupportedRange("step-c must be positive")
     ncols = -((cmin - cmax) // step_c) - 1  # k >= 1 with cmin + k*step_c < cmax

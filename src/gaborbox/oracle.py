@@ -3,8 +3,9 @@
 Two oracles live here.  The finite-grid oracle works entirely in integer
 arithmetic: for a rational density a/b = p/q and c on the b/q-grid, both
 dynamics and the derived sets are determined by the p residues
-{0, b/q, ..., (p-1)b/q} mod a, so forward-orbit avoidance of the two absorbing
-intervals decides membership pointwise.  The numeric oracle estimates extreme
+{0, b/q, ..., (p-1)b/q} mod a.  S is every residue whose forward orbits avoid
+both absorbing intervals, so one search back from each absorber finds its
+complement.  The numeric oracle estimates extreme
 singular values of a truncated 0/1 translation matrix and is a trend-only
 diagnostic.
 
@@ -17,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import FrozenSet, Optional, Tuple
+from typing import FrozenSet, Optional, Set, Tuple
 
 from .dynsys import compute_D, compute_S, maps_defined, measure_identity
 from .errors import BadTruncation, OracleInconsistency, RegionUnsupported
@@ -94,28 +95,26 @@ def build_grid_model(nt: NormalizedTriple) -> GridModel:
     return GridModel(nt, p, q, f, j0, j1, e)
 
 
-def _orbit_avoids(gm: GridModel, start: int, step, forbidden: FrozenSet[int]) -> bool:
-    seen = set()
-    j = start % gm.p
-    while j not in seen:
-        if j in forbidden:
-            return False
-        seen.add(j)
-        j = step(j)
-    return True
+def _reaching(gm: GridModel, step, absorber: FrozenSet[int]) -> Set[int]:
+    """Indices whose forward orbits under `step` enter `absorber`, found by one
+    search back from the absorber along the preimages of each index."""
+    preimages = [[] for _ in range(gm.p)]
+    for j in range(gm.p):
+        preimages[step(j)].append(j)
+    reached, todo = set(absorber), list(absorber)
+    while todo:  # each index has its preimages listed once, so `new` has no repeats
+        new = [i for i in preimages[todo.pop()] if i not in reached]
+        reached.update(new)
+        todo += new
+    return reached
 
 
 def grid_S(gm: GridModel) -> FrozenSet[int]:
     """Indices whose forward orbits under both maps avoid the absorbers."""
-    bh_f = gm.bh_forward()
-    bh_b = gm.bh_backward()
-    out = set()
-    for j in range(gm.p):
-        if _orbit_avoids(gm, j, gm.step_forward, bh_f) and _orbit_avoids(
-            gm, j, gm.step_backward, bh_b
-        ):
-            out.add(j)
-    return frozenset(out)
+    return frozenset(range(gm.p)).difference(
+        _reaching(gm, gm.step_forward, gm.bh_forward()),
+        _reaching(gm, gm.step_backward, gm.bh_backward()),
+    )
 
 
 def grid_D(gm: GridModel, S: Optional[FrozenSet[int]] = None) -> FrozenSet[int]:
@@ -123,13 +122,13 @@ def grid_D(gm: GridModel, S: Optional[FrozenSet[int]] = None) -> FrozenSet[int]:
     if S is None:
         S = grid_S(gm)
     p, q, f = gm.p, gm.q, gm.f
-    low_window = set(range(0, gm.j0 - gm.hole_len))  # [0, c0+a-b)
-    shifted = {j for j in range(p) if (j + f * q) % p in S}  # S - f*b
-    out = S & low_window & shifted
-    for k in range(1, f):
-        shift_k = {j for j in range(p) if (j + k * q) % p in S}  # S - k*b
-        out |= S & shift_k
-    return frozenset(out)
+    low = gm.j0 - gm.hole_len  # [0, c0+a-b) is [0, low)
+    # j with j + f*b in S below low, or j + k*b in S for some 0 < k < f
+    return frozenset(
+        j for j in S
+        if (j < low and (j + f * q) % p in S)
+        or any((j + k * q) % p in S for k in range(1, f))
+    )
 
 
 def grid_frame_decision(nt: NormalizedTriple) -> str:

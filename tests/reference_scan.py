@@ -6,19 +6,22 @@ nested-loop versions that canonicalize through `PeriodicSet.make`.
 `_xiii_candidates_n_scan` is the search that tried every N in (s, bd] for
 case 8 with w solved and its window in Fractions, and `_grid_units` is the
 one that read the grid indices off the ExactReals c0 and c1; both scans
-take their indices from it.  They are copied unchanged from the code they
-replaced (one name differs); the differential tests in
+take their indices from it.  `_orbit_avoids`, `grid_S` and `grid_D` are the
+grid oracle that walked each residue's orbit from scratch and built a set over
+all p indices for every shift of S.  They are copied unchanged from the code
+they replaced (one name differs); the differential tests in
 `test_reference_scan.py` hold the faster paths to their output.
 """
 
 from fractions import Fraction
 from math import gcd
-from typing import List, Tuple
+from typing import FrozenSet, List, Optional, Tuple
 
 from gaborbox.classifier import RationalParams
 from gaborbox.errors import OracleInconsistency, RegionUnsupported
 from gaborbox.exactnum import mod, rat
 from gaborbox.lattice import Interval, NormalizedTriple, PeriodicSet
+from gaborbox.oracle import GridModel
 
 
 def _search_obstruction_irrational(nt: NormalizedTriple):
@@ -215,3 +218,46 @@ def complement(self: PeriodicSet) -> PeriodicSet:
 
 def minus(self: PeriodicSet, other: PeriodicSet) -> PeriodicSet:
     return intersect(self, complement(other))
+
+
+# ---------------------------------------------------------------------------
+# grid oracle
+# ---------------------------------------------------------------------------
+
+
+def _orbit_avoids(gm: GridModel, start: int, step, forbidden: FrozenSet[int]) -> bool:
+    seen = set()
+    j = start % gm.p
+    while j not in seen:
+        if j in forbidden:
+            return False
+        seen.add(j)
+        j = step(j)
+    return True
+
+
+def grid_S(gm: GridModel) -> FrozenSet[int]:
+    """Indices whose forward orbits under both maps avoid the absorbers."""
+    bh_f = gm.bh_forward()
+    bh_b = gm.bh_backward()
+    out = set()
+    for j in range(gm.p):
+        if _orbit_avoids(gm, j, gm.step_forward, bh_f) and _orbit_avoids(
+            gm, j, gm.step_backward, bh_b
+        ):
+            out.add(j)
+    return frozenset(out)
+
+
+def grid_D(gm: GridModel, S: Optional[FrozenSet[int]] = None) -> FrozenSet[int]:
+    """The solvability-two set, from S by shifts and intersections."""
+    if S is None:
+        S = grid_S(gm)
+    p, q, f = gm.p, gm.q, gm.f
+    low_window = set(range(0, gm.j0 - gm.hole_len))  # [0, c0+a-b)
+    shifted = {j for j in range(p) if (j + f * q) % p in S}  # S - f*b
+    out = S & low_window & shifted
+    for k in range(1, f):
+        shift_k = {j for j in range(p) if (j + k * q) % p in S}  # S - k*b
+        out |= S & shift_k
+    return frozenset(out)

@@ -132,6 +132,14 @@ def test_pipeline_agreement_sweep_q_le_12():
     assert elapsed < 300.0
 
 
+def test_pipeline_agreement_sweep_q_le_20():
+    total = 0
+    for nt in on_grid_survey(20, 1, 8, regions=tuple(RegionTag)):
+        total += 1
+        assert triple_pipeline_check(nt) is None, (nt.a, nt.c)
+    assert total == 12081
+
+
 # --- 6. irrational spot agreement ------------------------------------------
 
 # (x0, x1, y0, y1, verdict): a = x0 + x1*tau, b = 1, c = y0 + y1*tau.

@@ -542,6 +542,23 @@ def test_region_plot_reports_unwritable_paths(capsys, monkeypatch, tmp_path, fla
     assert (code, len(calls)) == (0, len(avals) * len(cvals))
 
 
+def test_region_plot_rejects_negative_cmin(capsys, monkeypatch, tmp_path):
+    # a window length below zero is refused with the axes, before any cell
+    # is classified or any output is created
+    import gaborbox.cli
+
+    calls = []
+    real = gaborbox.cli.classify
+    monkeypatch.setattr(gaborbox.cli, "classify", lambda *abc: calls.append(abc) or real(*abc))
+    out, csv = tmp_path / "new.ppm", tmp_path / "new.csv"
+    code, stdout, err = run(capsys, "region-plot", "--qmax", "3", "--cmin", "-1", "--cmax",
+                            "1", "--out", str(out), "--csv", str(csv))
+    assert (code, stdout) == (1, "")
+    assert err.startswith("error:") and "--cmin" in err
+    assert not out.exists() and not csv.exists()
+    assert calls == []
+
+
 def test_region_sweep_workers_match(tmp_path):
     serial = region_sweep(3, F(0), F(1), F(0), F(3), F(1, 2), workers=1)
     parallel = region_sweep(3, F(0), F(1), F(0), F(3), F(1, 2), workers=2)

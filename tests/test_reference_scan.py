@@ -1,5 +1,6 @@
-"""Differential tests: the solved certificate searches and the set algebra
-built on one window cut against the scans they replaced (`reference_scan.py`)."""
+"""Differential tests: the solved certificate searches, the set algebra built
+on one window cut and the grid oracle's backward search against the scans they
+replaced (`reference_scan.py`)."""
 
 import random
 from fractions import Fraction as F
@@ -12,7 +13,7 @@ import reference_scan as ref
 from gaborbox.classifier import _search_obstruction_irrational, _xiii_candidates
 from gaborbox.exactnum import floor_div, pi_context, rat, surd_context
 from gaborbox.lattice import PeriodicSet, RegionTag, normalize, region_tag
-from gaborbox.oracle import on_grid_survey
+from gaborbox.oracle import build_grid_model, grid_D, grid_S, on_grid_survey
 
 
 # -- certificate searches -----------------------------------------------------------
@@ -87,6 +88,75 @@ def test_xii_search_matches_scan_on_seeded_draw():
         else:
             not_frames += 1
     assert frames and not_frames and critical, (frames, not_frames, critical)
+
+
+# -- grid oracle ------------------------------------------------------------------
+
+GRID_REGIONS = (RegionTag.VIII, RegionTag.IX, RegionTag.X, RegionTag.XI, RegionTag.XII,
+                RegionTag.XIII)
+
+
+def _grid_triples_q_le_20():
+    """Every on-grid VIII-XIII triple with q <= 20, at b = 1 and scaled to b = 3/2."""
+    scale = rat(F(3, 2))
+    for nt in on_grid_survey(20, 1, 8, regions=GRID_REGIONS):
+        yield nt
+        yield normalize(nt.a * scale, nt.b * scale, nt.c * scale)
+
+
+def _xiii_pool_triples():
+    """a = p/(p+4), b = 1, c = k/(p+4): the XIII rungs p = 97..797 of the
+    certificates bench, each k of its pools."""
+    pools = {97: [326, 346, 308, 328], 197: [667, 779, 695, 702, 744],
+             397: [1347, 1555, 1230, 1373], 797: [2515, 3224, 3598, 3599]}
+    for p, ks in pools.items():
+        for k in ks:
+            yield normalize(rat(F(p, p + 4)), rat(1), rat(F(k, p + 4)))
+
+
+def _check_grid_oracle(triples):
+    """Hold grid_S and grid_D to the per-residue walk; returns what the inputs
+    covered: a backward absorber across the seam, empty and nonempty S and D."""
+    kinds = set()
+    count = 0
+    for nt in triples:
+        gm = build_grid_model(nt)
+        S = grid_S(gm)
+        assert S == ref.grid_S(gm), (nt.a, nt.b, nt.c)
+        D = grid_D(gm, S)
+        assert D == ref.grid_D(gm, S) == grid_D(gm), (nt.a, nt.b, nt.c)
+        count += 1
+        kinds |= {"S" if S else "no S", "D" if D else "no D"}
+        if gm.j1 + gm.hole_len > gm.p:
+            kinds.add("seam")
+    return count, kinds
+
+
+ALL_KINDS = {"seam", "S", "no S", "D", "no D"}
+
+
+def test_grid_oracle_matches_walk_q_le_20():
+    count, kinds = _check_grid_oracle(_grid_triples_q_le_20())
+    assert count == 2 * 2548
+    assert kinds == ALL_KINDS
+
+
+def test_grid_oracle_matches_walk_on_xiii_pools():
+    count, kinds = _check_grid_oracle(_xiii_pool_triples())
+    assert count == 17
+    assert {"S", "D"} <= kinds, kinds
+
+
+@pytest.mark.slow
+def test_grid_oracle_matches_walk_at_p_1999_and_4999():
+    # the XIII rungs a = p/(p+1), b = 1, c = k/(p+1): S empty, S and D
+    # nonempty, and S nonempty with D empty on each rung
+    rungs = [(1999, k) for k in (4002, 4003, 7001, 7003)] + [
+        (4999, k) for k in (17501, 17502, 17503)]
+    count, kinds = _check_grid_oracle(
+        normalize(rat(F(p, p + 1)), rat(1), rat(F(k, p + 1))) for p, k in rungs)
+    assert count == 7
+    assert kinds == ALL_KINDS - {"seam"}  # a one-index absorber never crosses it
 
 
 # -- PeriodicSet algebra ------------------------------------------------------------

@@ -34,7 +34,7 @@ def test_package_compares_instead_of_taking_signs_of_differences():
     assert found == []
 
 
-GRID_ORACLE = ("GridModel", "build_grid_model", "_orbit_avoids", "grid_S", "grid_D",
+GRID_ORACLE = ("GridModel", "build_grid_model", "_reaching", "grid_S", "grid_D",
                "grid_frame_decision")
 
 
