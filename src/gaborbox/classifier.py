@@ -11,6 +11,7 @@ rational ratio resolves by rounding c to its two grid neighbours.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from math import gcd, isqrt
 from typing import Dict, List, Optional, Tuple
 
@@ -182,26 +183,40 @@ def _search_obstruction_irrational(nt: NormalizedTriple):
     """Find the (d1, d2) tuple passing the membership, window and count
     conditions; by exactness of the lattice there is at most one verdict.
 
-    For each s the membership condition s*c1 - c0 + (d1+1)(b-a) = m*a is
-    two rational equations in (m, d1+1), one per coordinate; a and b-a are
-    independent over Q exactly when a/b is irrational, so Cramer's rule
-    leaves one candidate per s instead of a scan over d1."""
+    a and b are independent over Q exactly when a/b is irrational, so every
+    value of the field has rational coordinates in the basis (a, b).  There
+    c1 = f*b - k*a (k = floor(f*b/a)) and c0 = u*a + v*b, and the membership
+    condition s*c1 - c0 + (d1+1)(b-a) = m*a reads, coefficient by
+    coefficient,
+
+        b:  d1 + 1 = v - f*s
+        a:  m = (f - k)*s - u - v
+
+    Both slopes are integers, so m and d1 are integral for every s or for
+    none: exactly when c0 lies in aZ + bZ.  1 <= d1+1 <= s then cuts s to
+    v/(f+1) <= s <= (v-1)/f, and only the s in that interval pay the window
+    conditions and the window count."""
     a, b, c = nt.a, nt.b, nt.c
     f = nt.floor_cb
-    ba = b - a
-    det = ba.x0 * a.x1 - a.x0 * ba.x1
+    det = a.x0 * b.x1 - a.x1 * b.x0
     if det == 0:
         raise RegionUnsupported("the obstruction solve needs an irrational a/b")
+    if f < 1:
+        raise RegionUnsupported("the obstruction search needs c >= b")
+    ka, kb = _basis_coords(nt.c1, a, b, det)  # (-k, f)
+    if kb != f or ka.denominator != 1:
+        raise OracleInconsistency("c1 is not f*b reduced mod a")
+    u, v = _basis_coords(nt.c0, a, b, det)
+    if u.denominator != 1 or v.denominator != 1:
+        return None
+    m_slope, u, v = f + int(ka), int(u), int(v)
+    ba = b - a
     matches = []
     # s*(b-a) < a: the number of gaps stays below a/(b-a), never equal to it
-    for s in range(1, floor_div(a, ba) + 1):
-        r0 = s * nt.c1.x0 - nt.c0.x0
-        r1 = s * nt.c1.x1 - nt.c0.x1
-        m = (ba.x0 * r1 - r0 * ba.x1) / det
-        d1 = (a.x0 * r1 - a.x1 * r0) / det - 1
-        if m.denominator != 1 or d1.denominator != 1 or not 0 <= d1 < s:
-            continue
-        m, d1 = int(m), int(d1)
+    s_hi = min(floor_div(a, ba), (v - 1) // f)
+    for s in range(max(1, -(-v // (f + 1))), s_hi + 1):
+        d1 = v - f * s - 1
+        m = m_slope * s - u - v
         d2 = s - 1 - d1
         if c <= f * b + (d1 + 1) * ba:
             continue
@@ -231,6 +246,12 @@ def _search_obstruction_irrational(nt: NormalizedTriple):
                 f"conflicting obstruction tuples: {matches}"
             )
     return matches[0] if matches else None
+
+
+def _basis_coords(x: ExactReal, a: ExactReal, b: ExactReal,
+                  det: Fraction) -> Tuple[Fraction, Fraction]:
+    """(u, v) with x = u*a + v*b, for det = a.x0*b.x1 - a.x1*b.x0 != 0."""
+    return (x.x0 * b.x1 - x.x1 * b.x0) / det, (a.x0 * x.x1 - a.x1 * x.x0) / det
 
 
 def cond_XII(nt: NormalizedTriple) -> Optional[IrrationalParams]:
@@ -279,6 +300,32 @@ def _divisors_above(n: int, s: int) -> List[int]:
     return low + high[::-1]
 
 
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """sum(floor((a*i + b)/m) for i in range(n)), for n >= 0 and m >= 1, in
+    O(log m) steps: peel off the whole parts of a/m and b/m, then count the
+    lattice points under the line with the axes swapped (the reciprocity
+    step of Concrete Mathematics, section 3.5)."""
+    total = 0
+    while n:
+        qa, a = divmod(a, m)
+        qb, b = divmod(b, m)
+        total += n * (n - 1) // 2 * qa + n * qb
+        top = a * n + b  # the line at i = n, now with 0 <= a, b < m
+        if top < m:
+            break
+        n, b = divmod(top, m)
+        m, a = a, m
+    return total
+
+
+def _window_count(s: int, v: int, M: int, W: int) -> int:
+    """#{1 <= k <= s : k*v mod M < W}, for M >= 1 and 0 <= W <= M.
+
+    [k*v mod M < W] = 1 - (floor((k*v + M - W)/M) - floor(k*v/M)), so the
+    count is s minus the difference of two floor sums over i = k - 1."""
+    return s + _floor_sum(s, M, v, v) - _floor_sum(s, M, v, v + M - W)
+
+
 def _xiii_candidates(nt: NormalizedTriple):
     """Yield (witness, excl_ok) for every obstruction candidate, in search
     order: case 6, case 7, then the case-8 tuples passing the structural
@@ -311,7 +358,7 @@ def _xiii_candidates(nt: NormalizedTriple):
                 continue
             # gcd(val, Np) = p makes val = p*v with gcd(v, N) = 1, so Np | k*val
             # would need N | k, which k <= s < N rules out: no k*val is 0 mod Np
-            d1 = sum(1 for k in range(1, s + 1) if (k * val) % Np < w * p)
+            d1 = _window_count(s, val, Np, w * p)
             d3 = w - 1 - d1
             if d1 >= s or not 0 <= d3 < N - s:
                 continue

@@ -3,6 +3,9 @@
 `_search_obstruction_irrational` and `_xiii_candidates` are the nested-loop
 certificate searches, and the four set operations are the pairwise
 nested-loop versions that canonicalize through `PeriodicSet.make`.
+`_search_obstruction_irrational_cramer` is the XII search that did one 2x2
+Cramer solve for every gap count s, and `window_count` is the O(s) count of
+the case-8 window that the floor sums replaced.
 `_xiii_candidates_n_scan` is the search that tried every N in (s, bd] for
 case 8 with w solved and its window in Fractions, and `_grid_units` is the
 one that read the grid indices off the ExactReals c0 and c1; both scans
@@ -19,7 +22,7 @@ from typing import FrozenSet, List, Optional, Tuple
 
 from gaborbox.classifier import RationalParams
 from gaborbox.errors import OracleInconsistency, RegionUnsupported
-from gaborbox.exactnum import mod, rat
+from gaborbox.exactnum import floor_div, mod, rat
 from gaborbox.lattice import Interval, NormalizedTriple, PeriodicSet
 from gaborbox.oracle import GridModel
 
@@ -61,6 +64,61 @@ def _search_obstruction_irrational(nt: NormalizedTriple):
                 continue
             matches.append((d1, d2, m, count, expr))
         s += 1
+    if len(matches) > 1:
+        verdicts = {(e - a).is_zero() for (_, _, _, _, e) in matches}
+        if len(verdicts) != 1:
+            raise OracleInconsistency(
+                f"conflicting obstruction tuples: {matches}"
+            )
+    return matches[0] if matches else None
+
+
+def _search_obstruction_irrational_cramer(nt: NormalizedTriple):
+    """Find the (d1, d2) tuple passing the membership, window and count
+    conditions; by exactness of the lattice there is at most one verdict.
+
+    For each s the membership condition s*c1 - c0 + (d1+1)(b-a) = m*a is
+    two rational equations in (m, d1+1), one per coordinate; a and b-a are
+    independent over Q exactly when a/b is irrational, so Cramer's rule
+    leaves one candidate per s instead of a scan over d1."""
+    a, b, c = nt.a, nt.b, nt.c
+    f = nt.floor_cb
+    ba = b - a
+    det = ba.x0 * a.x1 - a.x0 * ba.x1
+    if det == 0:
+        raise RegionUnsupported("the obstruction solve needs an irrational a/b")
+    matches = []
+    # s*(b-a) < a: the number of gaps stays below a/(b-a), never equal to it
+    for s in range(1, floor_div(a, ba) + 1):
+        r0 = s * nt.c1.x0 - nt.c0.x0
+        r1 = s * nt.c1.x1 - nt.c0.x1
+        m = (ba.x0 * r1 - r0 * ba.x1) / det
+        d1 = (a.x0 * r1 - a.x1 * r0) / det - 1
+        if m.denominator != 1 or d1.denominator != 1 or not 0 <= d1 < s:
+            continue
+        m, d1 = int(m), int(d1)
+        d2 = s - 1 - d1
+        if c <= f * b + (d1 + 1) * ba:
+            continue
+        if f * b + b - (d2 + 1) * ba <= c:
+            continue
+        expr = c - (d1 + 1) * (f + 1) * ba - (d2 + 1) * f * ba
+        e_ratio = expr.ratio(a)
+        if e_ratio is None or e_ratio.denominator != 1:
+            raise OracleInconsistency(
+                "collapse count is integral but the length combination "
+                "misses the coarse lattice"
+            )
+        modulus = a - s * ba
+        base = nt.c1 - m * ba
+        width = nt.c0 - (d1 + 1) * ba
+        count = 0
+        for k in range(1, s + 1):
+            if mod(k * base, modulus) < width:
+                count += 1
+        if count != d1:
+            continue
+        matches.append((d1, d2, m, count, expr))
     if len(matches) > 1:
         verdicts = {(e - a).is_zero() for (_, _, _, _, e) in matches}
         if len(verdicts) != 1:
@@ -119,6 +177,11 @@ def _xiii_candidates(nt: NormalizedTriple):
                     )
                     yield witness, abs(delta) + Fraction(p, N * f + w) != Fraction(bd, N)
         s += 1
+
+
+def window_count(s: int, val: int, Np: int, W: int) -> int:
+    """#{1 <= k <= s : k*val mod Np < W}, one k at a time."""
+    return sum(1 for k in range(1, s + 1) if (k * val) % Np < W)
 
 
 def _xiii_candidates_n_scan(nt: NormalizedTriple):

@@ -299,8 +299,9 @@ def test_grid_searches_reject_triples_outside_their_region():
     for nt in (off_grid, irrational):
         with pytest.raises(RegionUnsupported):
             cond_XIII(nt)
-    # a rational a/b leaves the XII solve without a unique candidate
-    for nt in (on_grid, off_grid):
+    # a rational a/b leaves the XII solve without a unique candidate, and
+    # c < b (f = 0, so c1 = 0) leaves it no gap count to solve for
+    for nt in (on_grid, off_grid, normalize(PI.num(0, F(1, 4)), rat(1), rat(F(1, 2)))):
         with pytest.raises(RegionUnsupported):
             cond_XII(nt)
 

@@ -6,11 +6,12 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_scan as ref
-from gaborbox.classifier import _search_obstruction_irrational, _xiii_candidates
+from gaborbox import classifier
+from gaborbox.classifier import _search_obstruction_irrational, _window_count, _xiii_candidates
 from gaborbox.exactnum import floor_div, pi_context, rat, surd_context
 from gaborbox.lattice import PeriodicSet, RegionTag, normalize, region_tag
 from gaborbox.oracle import build_grid_model, grid_D, grid_S, on_grid_survey
@@ -88,6 +89,117 @@ def test_xii_search_matches_scan_on_seeded_draw():
         else:
             not_frames += 1
     assert frames and not_frames and critical, (frames, not_frames, critical)
+
+
+def _lattice_draw(ctx, seed, count):
+    """Region-XII triples with c = k1*a + k0*b, b = 1 or a value of ctx, and
+    n = a/(b-a) in [3, 60]; a third of them move c off aZ + bZ by a, b or 1
+    over 2..5, where no s solves the membership equation."""
+    rng = random.Random(seed)
+    one = rat(1)
+    while count:
+        b = rng.choice([one, ctx.num(F(rng.randint(-2, 4), rng.randint(1, 3)),
+                                     F(rng.randint(1, 4), rng.randint(1, 4)))])
+        a = ctx.num(F(rng.randint(-3, 4), rng.randint(1, 4)),
+                    F(rng.randint(1, 12), rng.randint(2, 20)))
+        if a.sign() <= 0 or a >= b or not 3 <= floor_div(a, b - a) <= 60:
+            continue
+        k0 = rng.randint(2, 12)
+        c = rng.choice([1 - k0, rng.randint(-6, 6)]) * a + k0 * b
+        if rng.randrange(3) == 0:
+            c = c + rng.choice([one, a, b]) * F(1, rng.randint(2, 5))
+        if c.sign() <= 0:
+            continue
+        nt = normalize(a, b, c)
+        if nt.region is RegionTag.XII:
+            count -= 1
+            yield nt
+
+
+def _cramer_solutions(nt):
+    """n = floor(a/(b-a)), the s in 1..n with m and d1 integral (one Cramer
+    solve each), and those of them with 0 <= d1 < s."""
+    a, ba = nt.a, nt.b - nt.a
+    det = ba.x0 * a.x1 - a.x0 * ba.x1
+    n = floor_div(a, ba)
+    integral, survivors = [], []
+    for s in range(1, n + 1):
+        r0, r1 = s * nt.c1.x0 - nt.c0.x0, s * nt.c1.x1 - nt.c0.x1
+        m, e = (ba.x0 * r1 - r0 * ba.x1) / det, (a.x0 * r1 - a.x1 * r0) / det
+        if m.denominator == 1 and e.denominator == 1:
+            integral.append(s)
+            if 1 <= e <= s:
+                survivors.append(s)
+    return n, integral, survivors
+
+
+@pytest.mark.parametrize("ctx", [surd_context(2), surd_context(3), pi_context()],
+                         ids=["sqrt2", "sqrt3", "pi"])
+def test_xii_search_matches_cramer_solve_per_s(ctx):
+    kinds = set()
+    for seed in (1, 2, 3):
+        for nt in _lattice_draw(ctx, seed, 60):
+            want = ref._search_obstruction_irrational_cramer(nt)
+            assert _search_obstruction_irrational(nt) == want, (nt.a, nt.b, nt.c)
+            n, integral, survivors = _cramer_solutions(nt)
+            if not integral:
+                kinds.add("no s solves")
+            elif len(integral) == n and 0 < len(survivors) < n:
+                kinds.add("every s solves, 1 <= d1+1 <= s cuts")
+            if len(survivors) >= 2:
+                kinds.add("two survivors")
+            if want is None:
+                kinds.add("Frame")
+            else:
+                kinds.add("measure-critical" if (want[4] - nt.a).is_zero() else "NotFrame")
+    assert kinds == {"no s solves", "every s solves, 1 <= d1+1 <= s cuts", "two survivors",
+                     "Frame", "NotFrame", "measure-critical"}
+
+
+def test_xiii_candidates_match_n_scan_on_xiii_pools():
+    kinds = set()
+    for nt in _xiii_pool_triples():
+        want = list(ref._xiii_candidates_n_scan(nt))
+        assert list(_xiii_candidates(nt)) == want, (nt.a, nt.c)
+        kinds.add(tuple(w.case_id for w, _ in want))
+    assert kinds == {(), (8,)}
+
+
+def test_case_8_window_counts_match_generator(monkeypatch):
+    # every count that case 8 takes on the q <= 20 survey and the XIII pools
+    counted = []
+
+    def checked(s, v, M, W):
+        got = _window_count(s, v, M, W)
+        assert got == ref.window_count(s, v, M, W), (s, v, M, W)
+        counted.append(s)
+        return got
+
+    monkeypatch.setattr(classifier, "_window_count", checked)
+    for nt in on_grid_survey(20, 1, 8, regions=(RegionTag.XIII,)):
+        list(_xiii_candidates(nt))
+    survey = len(counted)
+    for nt in _xiii_pool_triples():
+        list(_xiii_candidates(nt))
+    assert survey and len(counted) > survey and max(counted) > 100, (survey, len(counted))
+
+
+@st.composite
+def _window(draw):
+    M = draw(st.integers(1, 10**6))
+    v = draw(st.one_of(st.integers(-10**7, 10**7), st.integers(-50, 50).map(lambda t: t * M)))
+    return v, M, draw(st.integers(0, M)), draw(st.integers(0, 2 * 10**5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_window())
+@example((0, 97, 40, 5))
+@example((13 * 97, 97, 97, 150_000))  # v = 0 mod M, W = M, s past 10^5
+@example((357, 1000, 1000, 123_456))
+@example((-4_999, 5_000 * 4_999, 4_999 * 17, 100_001))
+def test_window_count_matches_generator(window):
+    v, M, W, s = window
+    assert _window_count(s, v, M, W) == ref.window_count(s, v, M, W)
 
 
 # -- grid oracle ------------------------------------------------------------------

@@ -14,9 +14,9 @@ import pytest
 
 from gaborbox import classify, compute_S, normalize, rat
 from gaborbox.dynsys import measure_identity
-from gaborbox.exactnum import floor_div, surd_context
+from gaborbox.exactnum import floor_div, pi_context, surd_context
 from gaborbox.lattice import RegionTag, region_tag
-from gaborbox.oracle import triple_pipeline_check
+from gaborbox.oracle import grid_frame_decision, triple_pipeline_check
 
 pytestmark = pytest.mark.slow
 
@@ -44,17 +44,37 @@ def test_pipeline_agreement_on_large_p_draw():
     assert regions[RegionTag.XIII] and regions[RegionTag.VIII], regions
 
 
+SQ2, SQ3, PI = surd_context(2), surd_context(3), pi_context()
+
+
 @pytest.mark.parametrize(
-    "x1, n",
-    [(F(12, 17), 576), (F(41, 58), 3362), (F(70, 99), 19600), (F(239, 338), 114242)],
-    ids=["n576", "n3362", "n19600", "n114242"],
+    "ctx, x1, k0, k1, n",
+    [(SQ2, F(12, 17), F(7, 2), 0, 576), (SQ2, F(41, 58), F(7, 2), 0, 3362),
+     (SQ2, F(70, 99), F(7, 2), 0, 19600), (SQ2, F(239, 338), F(7, 2), 0, 114242),
+     (SQ2, F(408, 577), F(7, 2), 0, 665856), (SQ3, F(56, 97), F(7, 2), 0, 18816),
+     (SQ3, F(209, 362), F(7, 2), 0, 262086), (PI, F(7, 22), F(7, 2), 0, 2484),
+     (PI, F(3183, 10000), F(7, 2), 0, 32196), (SQ2, F(239, 338), 5, -3, 114242)],
+    ids=["n576", "n3362", "n19600", "n114242", "n665856", "sqrt3-n18816", "sqrt3-n262086",
+         "pi-n2484", "pi-n32196", "notframe-n114242"],
 )
-def test_irrational_large_n_agrees_with_invariant_set(x1, n):
-    sq2 = surd_context(2)
-    a, b, c = sq2.num(0, x1), rat(1), rat(F(7, 2))
+def test_irrational_large_n_agrees_with_invariant_set(ctx, x1, k0, k1, n):
+    # a = x1*sqrt(d) or x1*pi, b = 1, c = k0 + k1*a
+    a, b = ctx.num(0, x1), rat(1)
+    c = k1 * a + k0
     nt = normalize(a, b, c)
     assert region_tag(nt) is RegionTag.XII
     assert floor_div(a, b - a) == n
     S = compute_S(nt).S
     dyn = "Frame" if S.is_empty or measure_identity(nt, S) else "NotFrame"
     assert classify(a, b, c).verdict == dyn
+    if k1:
+        assert dyn == "NotFrame"
+
+
+@pytest.mark.parametrize("k", [35001, 35003])
+def test_rational_p_9999_agrees_with_grid_oracle(k):
+    # a = 9999/10000: case 8 counts windows of s up to about 5,000 steps
+    a, b, c = rat(F(9999, 10000)), rat(1), rat(F(k, 10000))
+    nt = normalize(a, b, c)
+    assert nt.region is RegionTag.XIII
+    assert classify(a, b, c).verdict == grid_frame_decision(nt)

@@ -137,6 +137,15 @@ def test_periodic_set_bisects_in_one_method():
     assert namings(tree) == namings(methods["PeriodicSet._cut"])
 
 
+def test_classifier_counts_no_window_by_a_generator_over_k():
+    # the case-8 window count is a difference of two floor sums, O(log) steps
+    # per count; a comprehension over k = 1..s would count it in O(s)
+    tree = ast.parse((SRC / "classifier.py").read_text(encoding="utf-8"))
+    found = [node.iter.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.comprehension) and ast.unparse(node.iter) == "range(1, s + 1)"]
+    assert found == []
+
+
 def test_only_the_diagram_walk_names_region_xiv():
     # one walk decides every region; a second walk would have to name XIV
     naming = {fn.name for fn in _functions(SRC / "lattice.py") for node in ast.walk(fn)
