@@ -13,9 +13,10 @@ an empty derived set D) turns S into the frame verdict, and the Birkhoff
 average is a numeric ergodicity diagnostic.
 
 A rational triple has integer grid units of b/(qD) (`NormalizedTriple.units`).
-The rational march runs on them, and so do D, the measure identity and the
-surgery of any S whose endpoints lie on that grid: each works on integers and
-maps its results back to ExactReal once, at the end.
+The rational march runs on them, and compute_S builds S in them once (`S_units`).
+D, the measure identity and the surgery take S in either units, answer in the
+units of S and work on integers whenever S lies on the grid.  The chain of
+holes is built only when read (`hole_chain`), by running the march again.
 """
 
 from __future__ import annotations
@@ -99,12 +100,17 @@ class RationalExtras:
 
 @dataclass(frozen=True)
 class InvariantSetReport:
+    nt: NormalizedTriple
     S: PeriodicSet
-    chain: Tuple[HoleChainStep, ...]
+    S_units: PeriodicSet  # S in grid units (period units.A) when nt has them, else S
     Ya: ExactReal
     theta: Optional[ExactReal]
     marks: Optional[Marks]
     rational_extras: Optional[RationalExtras]
+
+    @property
+    def chain(self) -> Tuple[HoleChainStep, ...]:
+        return hole_chain(self.nt)
 
 
 # the diagram reaches VIII-XIV exactly through a < b < c and b-a < c0 < a
@@ -181,30 +187,32 @@ def compute_S(nt: NormalizedTriple) -> InvariantSetReport:
 
     Supported regions: the two generic ones (irrational ratio, and rational
     with c on the grid) run the propagation; four degenerate neighbours are
-    known in closed form and short-circuit.
-    """
+    known in closed form and short-circuit.  S is built once, in grid units
+    when the triple has them; the chain of holes is built only when read."""
     tag = nt.region
-    a = nt.a
+    zero, a, b, c0, _ = _lengths(nt, nt.units is not None)
     if tag in _SHORT_CIRCUIT_EMPTY:
-        return InvariantSetReport(
-            PeriodicSet.empty(a), (), rat(0), None, None, None
-        )
-    if tag is RegionTag.X:
-        S = PeriodicSet.make(a, [(rat(0), nt.c0 + a - nt.b)])
-        return surgery_report(nt, S, ())
-    if tag is RegionTag.XI:
-        S = PeriodicSet.make(a, [(nt.c0, a)])
-        return surgery_report(nt, S, ())
-    if tag is RegionTag.XII:
-        S, chain = _propagate_irrational(nt)
-        E = S
+        E = PeriodicSet.empty(a)
+    elif tag is RegionTag.X:
+        E = PeriodicSet.make(a, [(zero, c0 + a - b)])
+    elif tag is RegionTag.XI:
+        E = PeriodicSet.make(a, [(c0, a)])
+    elif tag is RegionTag.XII:
+        starts, end = _propagate_irrational(nt)
+        ba = b - a
+        E = (PeriodicSet.make(a, [(s, s + ba) for s in starts]).complement()
+             if end is HoleStatus.FROZEN else PeriodicSet.empty(a))
     elif tag is RegionTag.XIII:
-        S, chain, E = _propagate_rational(nt)
+        holes = [iv for hole, _ in _propagate_rational(nt) for iv in hole.intervals]
+        E = PeriodicSet.make(a, holes).complement()
+        if not E.is_empty and not E.restrict(c0 + a - b, c0).is_empty:
+            # the construction must have buried both absorbers inside the holes
+            raise OracleInconsistency("invariant set touches the forward absorber")
     else:
         raise RegionUnsupported(f"invariant-set construction undefined on region {tag}")
-    if S.is_empty:
-        return InvariantSetReport(S, tuple(chain), rat(0), None, None, None)
-    return _surgery(nt, S, E, tuple(chain))
+    if E.is_empty:
+        return InvariantSetReport(nt, PeriodicSet.empty(nt.a), E, rat(0), None, None, None)
+    return surgery_report(nt, E)
 
 
 # Why no hole meets an earlier one: off its absorber [c0+a-b, c0) the forward
@@ -220,11 +228,11 @@ def compute_S(nt: NormalizedTriple) -> InvariantSetReport:
 # march leaves the branches (or freezes) by index N-1 of its own accord.
 
 
-def _propagate_irrational(nt: NormalizedTriple) -> Tuple[PeriodicSet, List[HoleChainStep]]:
+def _propagate_irrational(nt: NormalizedTriple) -> Tuple[List[ExactReal], HoleStatus]:
     """Single-hole march: the backward absorber must land exactly on the
     forward absorber within floor(a/(b-a))-1 steps, staying strictly inside
-    one linear branch the whole way; any anomaly proves S is empty.  Every
-    hole has length b-a, so the march carries its start alone."""
+    one linear branch the whole way; any anomaly proves S is empty.  Holes
+    have length b-a: returns their starts and how the last one ended."""
     a, b, f = nt.a, nt.b, nt.floor_cb
     ba = b - a
     bh_lo, bh_hi = black_hole_R(nt)
@@ -232,35 +240,26 @@ def _propagate_irrational(nt: NormalizedTriple) -> Tuple[PeriodicSet, List[HoleC
     low_shift, high_shift = mod((f + 1) * b, a), mod(f * b, a)
     starts: List[ExactReal] = []
     lo = nt.c1
-    while lo != bh_lo:
+    while True:
+        starts.append(lo)
+        if lo == bh_lo:
+            return starts, HoleStatus.FROZEN
         in_low = lo.sign() > 0 and lo < low_top
         # a hole wrapped across the seam lies in neither branch
         if not (in_low or bh_hi < lo < high_top):
-            break
-        starts.append(lo)
+            return starts, HoleStatus.SENTINEL
         lo = lo + (low_shift if in_low else high_shift)
         if lo >= a:
             lo = lo - a
-    chain = [HoleChainStep(n, PeriodicSet(a, ((s, s + ba),)), HoleStatus.PROPAGATING)
-             for n, s in enumerate(starts)]
-    last = PeriodicSet.from_wrapped(a, [(lo, lo + ba)])  # only a sentinel hole may wrap
-    if lo != bh_lo:
-        chain.append(HoleChainStep(len(chain), last, HoleStatus.SENTINEL))
-        return PeriodicSet.empty(a), chain
-    chain.append(HoleChainStep(len(chain), last, HoleStatus.FROZEN))
-    return PeriodicSet.make(a, [step.hole.intervals[0] for step in chain]).complement(), chain
 
 
-def _propagate_rational(
-    nt: NormalizedTriple,
-) -> Tuple[PeriodicSet, List[HoleChainStep], PeriodicSet]:
+def _propagate_rational(nt: NormalizedTriple) -> List[Tuple[PeriodicSet, HoleStatus]]:
     """Breadth-first saturation: push the backward absorber forward, letting
     portions park inside the forward absorber, until all of it parks.
 
     c sits on the grid, so every endpoint and every shift is a whole number
-    of steps b/q: the march runs on integers in those units (nt.units), and
-    its sets are mapped back to ExactReal once, at the end.  Returns S, the
-    chain, and S still in grid units."""
+    of steps b/q: the march runs on integers in those units (nt.units) and
+    returns its holes in them, each with its status."""
     u = nt.units
     A, B = u.A, u.B
     f, q = nt.floor_cb, nt.rational[1]
@@ -279,20 +278,34 @@ def _propagate_rational(
         moving = low.intervals + high.intervals
         if not moving:
             steps.append((front, HoleStatus.FROZEN))
-            break
+            return steps
         # whatever of the front lies in the absorber parks there
         parked = moving != front.intervals
         steps.append((front, HoleStatus.ABSORBED if parked else HoleStatus.PROPAGATING))
         front = low.shift(low_shift).union(high.shift(high_shift))
-    S = PeriodicSet.make(A, [iv for hole, _ in steps for iv in hole.intervals]).complement()
-    if S.is_empty:
-        steps.append((PeriodicSet.full(A), HoleStatus.SENTINEL))
-    elif not S.restrict(bh_lo, bh_hi).is_empty:
-        # the construction must have buried both absorbers inside the holes
-        raise OracleInconsistency("invariant set touches the forward absorber")
-    real = _grid_reals(nt, S, *(hole for hole, _ in steps))
-    chain = [HoleChainStep(i, real(hole), status) for i, (hole, status) in enumerate(steps)]
-    return real(S), chain, S
+
+
+def hole_chain(nt: NormalizedTriple) -> Tuple[HoleChainStep, ...]:
+    """The holes of the march behind compute_S, in order, over the reals, by
+    running the march again.  An empty XIII S ends the chain with the full
+    circle as a sentinel; V, IX, X and XI have S in closed form and no chain."""
+    if nt.region is RegionTag.XII:
+        starts, end = _propagate_irrational(nt)
+        *inner, last = starts
+        ba = nt.b - nt.a
+        steps = [(PeriodicSet(nt.a, ((s, s + ba),)), HoleStatus.PROPAGATING) for s in inner]
+        # only a sentinel hole may wrap
+        steps.append((PeriodicSet.from_wrapped(nt.a, [(last, last + ba)]), end))
+    elif nt.region is RegionTag.XIII:
+        held = _propagate_rational(nt)
+        # the holes are pairwise disjoint (above): S is empty when they fill the circle
+        if sum(hole.measure() for hole, _ in held) == nt.units.A:
+            held.append((PeriodicSet.full(nt.units.A), HoleStatus.SENTINEL))
+        real = _grid_reals(nt, *(hole for hole, _ in held))
+        steps = [(real(hole), status) for hole, status in held]
+    else:
+        return ()
+    return tuple(HoleChainStep(i, hole, status) for i, (hole, status) in enumerate(steps))
 
 
 # ---------------------------------------------------------------------------
@@ -302,10 +315,11 @@ def _propagate_rational(
 
 def _in_units(nt: NormalizedTriple, S: PeriodicSet) -> PeriodicSet:
     """S in integer grid units of b/(qD) (period units.A) when the triple has
-    them and every endpoint of S lies on their grid; else S itself: an
-    irrational ratio, an empty S, or an endpoint off the grid."""
+    them and every endpoint of S lies on their grid; else S itself: already in
+    grid units, an irrational ratio, an empty S, or an endpoint off the grid."""
     u = nt.units
-    if u is None or not S.intervals or not (S.period is nt.a or S.period == nt.a):
+    if (u is None or not S.intervals or type(S.period) is int
+            or not (S.period is nt.a or S.period == nt.a)):
         return S
     b, B = nt.b, u.B
     ends: List[int] = []
@@ -326,10 +340,9 @@ def _in_units(nt: NormalizedTriple, S: PeriodicSet) -> PeriodicSet:
     return PeriodicSet(u.A, tuple(zip(ends[::2], ends[1::2])))
 
 
-def _lengths(nt: NormalizedTriple, E: PeriodicSet) -> Tuple[Endpoint, ...]:
-    """0, a, b, c0 and c1 in the units of E: grid units when its period is
-    an int, else the reals."""
-    if type(E.period) is int:
+def _lengths(nt: NormalizedTriple, grid: bool) -> Tuple[Endpoint, ...]:
+    """0, a, b, c0 and c1 in integer grid units when grid holds, else the reals."""
+    if grid:
         u = nt.units
         return 0, u.A, u.B, u.C0, u.C1
     return _RAT_ZERO, nt.a, nt.b, nt.c0, nt.c1
@@ -364,12 +377,11 @@ def _grid_reals(nt: NormalizedTriple, *sets: PeriodicSet):
 
 def compute_D(nt: NormalizedTriple, S: PeriodicSet) -> PeriodicSet:
     """Parameters where the doubled covering equation is solvable, from S by
-    shifts and intersections; empty exactly when the system is a frame."""
+    shifts and intersections; empty exactly when the system is a frame.  D
+    comes back in the units of S."""
     _require_maps(nt)
-    if S.is_empty:
-        return PeriodicSet.empty(nt.a)
-    E = _in_units(nt, S)
-    zero, a, b, c0, _ = _lengths(nt, E)
+    E = S if type(S.period) is int else _in_units(nt, S)
+    zero, a, b, c0, _ = _lengths(nt, type(E.period) is int)
     f = nt.floor_cb
     out = E.restrict(zero, c0 + a - b).intersect(E.shift(-(f * b)))
     for k in range(1, f):
@@ -378,20 +390,20 @@ def compute_D(nt: NormalizedTriple, S: PeriodicSet) -> PeriodicSet:
 
 
 def measure_identity(nt: NormalizedTriple, S: PeriodicSet) -> bool:
-    """Exact test: (f+1)|S ∩ [0, c0+a-b)| + f|S ∩ [c0, a)| = a."""
+    """Exact test: (f+1)|S ∩ [0, c0+a-b)| + f|S ∩ [c0, a)| = a, S in either units."""
     if S.is_empty:
         raise EmptySet("measure identity needs a nonempty invariant set")
-    E = _in_units(nt, S)
-    return _measure_lhs(nt, E) == _lengths(nt, E)[1]
+    E = S if type(S.period) is int else _in_units(nt, S)
+    return _measure_lhs(nt, E) == _lengths(nt, type(E.period) is int)[1]
 
 
 def measure_identity_lhs(nt: NormalizedTriple, S: PeriodicSet) -> ExactReal:
-    return _real(nt, _measure_lhs(nt, _in_units(nt, S)))
+    return _real(nt, _measure_lhs(nt, S if type(S.period) is int else _in_units(nt, S)))
 
 
 def _measure_lhs(nt: NormalizedTriple, E: PeriodicSet) -> Endpoint:
     """(f+1)|E ∩ [0, c0+a-b)| + f|E ∩ [c0, a)|, in the units of E."""
-    zero, a, b, c0, _ = _lengths(nt, E)
+    zero, a, b, c0, _ = _lengths(nt, type(E.period) is int)
     f = nt.floor_cb
     left = E.restrict(zero, c0 + a - b).measure()
     right = E.restrict(c0, a).measure()
@@ -411,33 +423,27 @@ def surgery_Y(S: PeriodicSet, t: ExactReal) -> ExactReal:
     return k * S.measure() + inside
 
 
-def surgery_report(
-    nt: NormalizedTriple, S: PeriodicSet, chain: Tuple[HoleChainStep, ...]
-) -> InvariantSetReport:
-    """Collapse the holes of S and report the rotation data (Ya, theta, marks)."""
-    return _surgery(nt, S, _in_units(nt, S), chain)
-
-
-def _surgery(
-    nt: NormalizedTriple, S: PeriodicSet, E: PeriodicSet, chain: Tuple[HoleChainStep, ...]
-) -> InvariantSetReport:
-    """surgery_report of S, worked out on E: S in grid units, or S itself."""
-    if S.is_empty:
+def surgery_report(nt: NormalizedTriple, S: PeriodicSet) -> InvariantSetReport:
+    """Collapse the holes of S (over the reals or in grid units) and report the
+    rotation data (Ya, theta, marks), in grid units when S lies on the grid."""
+    E = S if type(S.period) is int else _in_units(nt, S)
+    if E.is_empty:
         raise EmptySet("surgery needs a nonempty invariant set")
-    zero, a, b, _, c1 = _lengths(nt, E)
+    grid = type(E.period) is int
+    zero, a, b, _, c1 = _lengths(nt, grid)
     Ya = E.measure()
     theta_arg = c1 + b - a  # lies in [0, a] on every supported region
     theta = E.restrict(zero, theta_arg).measure()
     if not nt.is_rational:
-        return InvariantSetReport(S, tuple(chain), Ya, theta,
-                                  _finite_marks(nt, S, theta, Ya), None)
-    ratio = Fraction(theta, Ya) if type(Ya) is int else theta.ratio(Ya)
+        return InvariantSetReport(nt, E, E, Ya, theta, _finite_marks(nt, E, theta, Ya), None)
+    ratio = Fraction(theta, Ya) if grid else theta.ratio(Ya)
     if ratio is None:
         raise OracleInconsistency("rational lattice must give commensurable rotation")
     v = ratio.denominator
     extras = _rational_extras(nt, E, Ya, v)
     marks = Marks(kind="cyclic", generator=extras.h, order=v)
-    return InvariantSetReport(S, tuple(chain), _real(nt, Ya), _real(nt, theta), marks, extras)
+    S = _grid_reals(nt, E)(E) if grid else E
+    return InvariantSetReport(nt, S, E, _real(nt, Ya), _real(nt, theta), marks, extras)
 
 
 def _finite_marks(nt, S, theta, Ya) -> Marks:
@@ -454,7 +460,7 @@ def _finite_marks(nt, S, theta, Ya) -> Marks:
 
 def _rational_extras(nt, E: PeriodicSet, Ya: Endpoint, order: int) -> RationalExtras:
     """The gap bookkeeping of E, worked out in the units of E, with h = Ya/order."""
-    _, a, b, c0, _ = _lengths(nt, E)
+    _, a, b, c0, _ = _lengths(nt, type(E.period) is int)
     bh_lo, bh_hi = c0 + a - b, c0
     gaps = E.complement().components_cyclic()  # seam-fused
     # the absorber [c0+a-b, c0) lies in [0, a).  Had it lain past the seam

@@ -295,16 +295,9 @@ def triple_pipeline_check(nt: NormalizedTriple) -> Optional[str]:
     except RegionUnsupported:
         report = None
     if report is not None:
-        if report.S.is_empty:
-            verdicts["measure-identity"] = "Frame"
-            verdicts["two-solvability"] = "Frame"
-        else:
-            verdicts["measure-identity"] = (
-                "Frame" if measure_identity(nt, report.S) else "NotFrame"
-            )
-            verdicts["two-solvability"] = (
-                "Frame" if compute_D(nt, report.S).is_empty else "NotFrame"
-            )
+        E, empty = report.S_units, report.S.is_empty
+        verdicts["measure-identity"] = "Frame" if empty or measure_identity(nt, E) else "NotFrame"
+        verdicts["two-solvability"] = "Frame" if empty or compute_D(nt, E).is_empty else "NotFrame"
         if s_nonempty is not None and s_nonempty != (not report.S.is_empty):
             return (
                 f"S-existence clash on {_brief(nt)}: construction says "

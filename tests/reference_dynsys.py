@@ -4,7 +4,8 @@ measure identity that the live code replaced, kept as a test oracle.
 `_propagate_rational` runs the XIII march on ExactReal PeriodicSets;
 `_propagate_irrational` shifts each XII hole as a PeriodicSet and tests it
 against a growing covered set and stops at a step cap; `surgery_report`
-builds every cyclic mark point up front, so `Marks` stores them.
+builds every cyclic mark point up front, so `Marks` stores them, and its
+`InvariantSetReport` stores the chain, which the live report builds when read.
 `surgery_report`, `_rational_extras`, `compute_D` and the measure identity
 work on ExactReal endpoints only, where the live ones work on a rational S in
 integer grid units.  Every function here is copied unchanged from the code
@@ -21,7 +22,6 @@ from gaborbox.dynsys import (
     _SHORT_CIRCUIT_EMPTY,
     HoleChainStep,
     HoleStatus,
-    InvariantSetReport,
     RationalExtras,
     _require_maps,
 )
@@ -39,6 +39,16 @@ from gaborbox.lattice import (
     black_hole_R,
     black_hole_Rt,
 )
+
+@dataclass(frozen=True)
+class InvariantSetReport:
+    S: PeriodicSet
+    chain: Tuple[HoleChainStep, ...]
+    Ya: ExactReal
+    theta: Optional[ExactReal]
+    marks: Optional[Marks]
+    rational_extras: Optional[RationalExtras]
+
 
 @dataclass(frozen=True)
 class Marks:

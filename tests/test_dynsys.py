@@ -22,12 +22,14 @@ from gaborbox.dynsys import (
     birkhoff_average,
     compute_D,
     compute_S,
+    hole_chain,
     maps_defined,
     measure_identity,
     measure_identity_lhs,
     surgery_Y,
     surgery_report,
 )
+from gaborbox.oracle import on_grid_survey
 
 PI = pi_context()
 
@@ -211,6 +213,18 @@ def test_S_shortcircuits_x_xi():
     ntxi = nt_of("4/5", 1, "9/2")
     repxi = compute_S(ntxi)
     assert repxi.S == PeriodicSet.make(ntxi.a, [(ntxi.c0, ntxi.a)])
+
+
+def test_chain_is_the_march_run_when_read():
+    closed = (RegionTag.V, RegionTag.IX, RegionTag.X, RegionTag.XI)
+    seen = set()
+    for nt in on_grid_survey(16, 1, 8, regions=closed):
+        seen.add(nt.region)
+        assert compute_S(nt).chain == hole_chain(nt) == ()
+    assert seen == set(closed)
+    for nt in (NT77, NT73, NT75, NT23_7, NT_PI, nt_of("6/7", 1, "24/7")):
+        chain = compute_S(nt).chain
+        assert chain and chain == hole_chain(nt)
 
 
 def test_S_unsupported_off_grid():

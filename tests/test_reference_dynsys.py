@@ -3,9 +3,12 @@ replaced (`reference_dynsys.py`), report field by field.  On region XIII the
 live march runs on integers in units of b/q and its cyclic marks derive their
 points when read; on region XII it carries one hole start and no step cap.
 Neither keeps a covered set, which rests on the holes of a chain being
-pairwise disjoint, also tested here.  compute_D, the measure identity and
-surgery_report work on a rational S in integer grid units; they are held to
-their ExactReal references on and off that grid."""
+pairwise disjoint, also tested here.  compute_S builds S once, in integer
+grid units on a rational triple, and its report builds the chain only when
+read; compute_D, the measure identity and surgery_report take S over the
+reals or in grid units and work on a rational S in grid units.  They are
+held to their ExactReal references on and off that grid, and on the report's
+own S_units."""
 
 from collections import Counter
 from fractions import Fraction as F
@@ -15,8 +18,10 @@ from operator import itemgetter
 import pytest
 
 import reference_dynsys as ref
+from gaborbox import dynsys
 from gaborbox.dynsys import (
     HoleStatus,
+    _grid_reals,
     _in_units,
     compute_D,
     compute_S,
@@ -27,7 +32,7 @@ from gaborbox.dynsys import (
 from gaborbox.errors import GaborBoxError
 from gaborbox.exactnum import floor_div, pi_context, rat, surd_context
 from gaborbox.lattice import PeriodicSet, RegionTag, normalize
-from gaborbox.oracle import on_grid_survey
+from gaborbox.oracle import on_grid_survey, triple_pipeline_check
 from test_acceptance import PI_TRIPLES, SQRT2_TRIPLES, SQRT3_TRIPLES
 from test_reference_scan import _xii_draw
 
@@ -76,21 +81,23 @@ def _outcome(f, *args):
         return type(e), str(e)
 
 
-def _assert_same_on(nt, S, chain=()):
+def _assert_same_on(nt, S):
     """compute_D, the measure identity and surgery_report on S against their
-    ExactReal references."""
+    ExactReal references.  The live report reads the chain of the triple's
+    own march, so the reference's surgery gets that chain too."""
     assert _set(compute_D(nt, S)) == _set(ref.compute_D(nt, S)), nt
     assert _value(measure_identity_lhs(nt, S)) == _value(ref.measure_identity_lhs(nt, S)), nt
     assert measure_identity(nt, S) is ref.measure_identity(nt, S), nt
-    assert _outcome(surgery_report, nt, S, chain) == _outcome(ref.surgery_report, nt, S, chain)
+    chain = ref.compute_S(nt).chain
+    assert _outcome(surgery_report, nt, S) == _outcome(ref.surgery_report, nt, S, chain)
 
 
 def _assert_same_from_S(nt):
-    """The report of compute_S, which hands the surgery its S in grid units,
-    and every stage run again on the reference's ExactReal S."""
+    """The report of compute_S, which builds S once in grid units, and every
+    stage run again on the reference's ExactReal S."""
     want = _assert_same_report(nt)
     if not want.S.is_empty:
-        _assert_same_on(nt, want.S, want.chain)
+        _assert_same_on(nt, want.S)
 
 
 def _xiii_triples(qmax, unit, bs):
@@ -149,6 +156,25 @@ def test_off_grid_S_takes_the_reals_path():
         off = PeriodicSet(S.period, ((lo, moved), *rest))
         assert _in_units(nt, off) is off
         _assert_same_on(nt, off)
+
+
+@pytest.mark.parametrize("c, region", [(10, RegionTag.X), (14, RegionTag.XI),
+                                       (18, RegionTag.XIII)])
+def test_stages_take_S_in_grid_units(c, region):
+    # units.A equals a as a number here, so only the type of the period tells
+    # an S in grid units from one over the reals
+    nt = normalize(rat(3), rat(4), rat(c))
+    assert nt.region is region and nt.units.A == nt.a
+    rep = compute_S(nt)
+    E = rep.S_units
+    assert type(E.period) is int and _in_units(nt, E) is E
+    assert _in_units(nt, rep.S) == E
+    assert _set(_grid_reals(nt, E)(E)) == _set(rep.S)
+    assert measure_identity(nt, E) is measure_identity(nt, rep.S)
+    assert _value(measure_identity_lhs(nt, E)) == _value(measure_identity_lhs(nt, rep.S))
+    D = compute_D(nt, E)
+    assert type(D.period) is int
+    assert _set(_grid_reals(nt, D)(D)) == _set(compute_D(nt, rep.S))
 
 
 def test_rational_xiii_reports_match_q_le_10():
@@ -273,3 +299,38 @@ def test_chain_holes_are_pairwise_disjoint():
     assert len(xiii) > 1500
     for nt in xii + xiii:
         _assert_holes_disjoint(compute_S(nt))
+
+
+def test_compute_S_and_the_pipeline_build_no_chain_and_convert_no_S(monkeypatch):
+    """compute_S builds S once, in the units of its march, and the pipeline
+    hands that S on: neither builds a chain step nor converts an S to grid
+    units."""
+    calls = Counter()
+    step, in_units = dynsys.HoleChainStep, dynsys._in_units
+
+    def counted_step(*args):
+        calls["HoleChainStep"] += 1
+        return step(*args)
+
+    def counted_in_units(nt, S):
+        calls["_in_units"] += 1
+        return in_units(nt, S)
+
+    monkeypatch.setattr(dynsys, "HoleChainStep", counted_step)
+    monkeypatch.setattr(dynsys, "_in_units", counted_in_units)
+    survey = list(on_grid_survey(16, 1, 8, regions=tuple(RegionTag)))
+    assert {nt.region for nt in survey} >= {RegionTag.V, RegionTag.IX, RegionTag.X,
+                                           RegionTag.XI, RegionTag.XIII}
+    for nt in survey:
+        triple_pipeline_check(nt)
+    assert calls == {}
+    # an irrational ratio has no grid units to convert to; its chain stays unbuilt
+    for nt in _acceptance_xii():
+        triple_pipeline_check(nt)
+    assert calls["HoleChainStep"] == 0
+    calls.clear()
+    # the counters see what they count: a chain read, an ExactReal S handed in
+    nt = normalize(rat(F(13, 17)), rat(1), rat(F(77, 17)))
+    rep = compute_S(nt)
+    assert measure_identity(nt, rep.S) and rep.chain
+    assert calls["HoleChainStep"] > 0 and calls["_in_units"] == 1

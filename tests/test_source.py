@@ -80,7 +80,8 @@ def test_grid_oracle_names_nothing_from_the_classifier():
 
 def test_dynsys_names_nothing_from_the_oracles_or_the_classifier():
     # compute_S is the propagation route of the cross-check: it must not
-    # borrow the grid oracle's orbit walk or the closed forms
+    # borrow the grid oracle's orbit walk or the closed forms, the
+    # classifier's (u, v) solve of the XII membership equation included
     forbidden = {"oracle"} | set(GRID_ORACLE) | _classifier_names()
     tree = ast.parse((SRC / "dynsys.py").read_text(encoding="utf-8"))
     found = []
