@@ -5,12 +5,13 @@ pointwise (the forward absorber), and adds floor(c/b)*b on [c0, a); the
 backward map is its inverse away from the absorbers.  Propagating the
 backward absorber forward until everything parks (or the space fills up)
 carves out the maximal invariant set S; no hole meets an earlier one, so a
-march step is one exact add (irrational ratio) or a few set operations on
-the front (rational), and S is built once.  On S, collapsing the holes (the
-"surgery" Y) conjugates the forward map to a circle rotation, which is what
-the mark bookkeeping below records.  The measure identity (or, equivalently,
-an empty derived set D) turns S into the frame verdict, and the Birkhoff
-average is a numeric ergodicity diagnostic.
+march step is two integer adds on the hole start, an integer pair over one
+denominator (irrational ratio), or a clip, shift and merge of a tuple of
+integer intervals (rational), and S is built once.  On S, collapsing the
+holes (the "surgery" Y) conjugates the forward map to a circle rotation,
+which is what the mark bookkeeping below records.  The measure identity (or,
+equivalently, an empty derived set D) turns S into the frame verdict, and
+the Birkhoff average is a numeric ergodicity diagnostic.
 
 A rational triple has integer grid units of b/(qD) (`NormalizedTriple.units`).
 The rational march runs on them, and compute_S builds S in them once (`S_units`).
@@ -24,7 +25,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple, Union
+from math import lcm
+from typing import Callable, List, Optional, Tuple, Union
 
 from .errors import (
     EmptySet,
@@ -32,7 +34,7 @@ from .errors import (
     OracleInconsistency,
     RegionUnsupported,
 )
-from .exactnum import ExactReal, floor_div, mod, rat
+from .exactnum import ExactReal, _sign, floor_div, mod, rat
 from .lattice import (
     Endpoint,
     NormalizedTriple,
@@ -198,9 +200,9 @@ def compute_S(nt: NormalizedTriple) -> InvariantSetReport:
     elif tag is RegionTag.XI:
         E = PeriodicSet.make(a, [(c0, a)])
     elif tag is RegionTag.XII:
-        starts, end = _propagate_irrational(nt)
+        starts, end, real = _propagate_irrational(nt)
         ba = b - a
-        E = (PeriodicSet.make(a, [(s, s + ba) for s in starts]).complement()
+        E = (PeriodicSet.make(a, [(s, s + ba) for s in map(real, starts)]).complement()
              if end is HoleStatus.FROZEN else PeriodicSet.empty(a))
     elif tag is RegionTag.XIII:
         holes = [iv for hole, _ in _propagate_rational(nt) for iv in hole.intervals]
@@ -226,31 +228,67 @@ def compute_S(nt: NormalizedTriple) -> InvariantSetReport:
 # N = floor(a/(b-a)) of them fit.  Had the hole at index N-1 lain in a branch,
 # its image would be an (N+1)-th hole, disjoint from the other N; hence the
 # march leaves the branches (or freezes) by index N-1 of its own accord.
+#
+# Why the single-hole march runs on integer pairs: c1 = f*b - k*a with
+# k = floor(f*b/a), so c1 is f*b mod a, which is the high branch's shift.
+# (f+1)*b mod a, the low branch's shift, is c1+b mod a; c1+b lies in [a, 3a)
+# as b < 2a, so it is c1+b less a once or twice, and on XII once: there
+# 0 < c1 < 2a-b, so c1+b-a lies in (b-a, a).  A step adds one of the shifts
+# and less a on a wrap, so every start is c1 + i*b - j*a = (f+i)*b - (k+j)*a
+# for integers i >= 0 and j.  (So no start equals 0, a or 2a-b, as each would
+# make a/b rational: the tests against those are strict or not alike.  Each
+# start is positive: c1 is, a step adds a positive shift, and a wrap leaves
+# a start at least 0, and not 0.)  Take
+# L the least common multiple of the denominators of the coefficients of a,
+# b, c0 and c1: every start, every shift and every threshold (c0+a-b, c0, the
+# tops c0+2a-2b and 2a-b) is then (X0 + X1*tau)/L for integers X0 and X1, and
+# each comparison is the sign of an integer pair.  tau is irrational and L is
+# fixed, so two pairs stand for the same value exactly when they are equal,
+# and the frozen test is a pair equality.
 
 
-def _propagate_irrational(nt: NormalizedTriple) -> Tuple[List[ExactReal], HoleStatus]:
+def _propagate_irrational(
+    nt: NormalizedTriple,
+) -> Tuple[List[Tuple[int, int]], HoleStatus, Callable[[Tuple[int, int]], ExactReal]]:
     """Single-hole march: the backward absorber must land exactly on the
     forward absorber within floor(a/(b-a))-1 steps, staying strictly inside
     one linear branch the whole way; any anomaly proves S is empty.  Holes
-    have length b-a: returns their starts and how the last one ended."""
-    a, b, f = nt.a, nt.b, nt.floor_cb
-    ba = b - a
-    bh_lo, bh_hi = black_hole_R(nt)
-    low_top, high_top = bh_lo - ba, a - ba  # a hole starting there ends flush with a branch
-    low_shift, high_shift = mod((f + 1) * b, a), mod(f * b, a)
-    starts: List[ExactReal] = []
-    lo = nt.c1
+    have length b-a: returns their starts as integer pairs (X0, X1) meaning
+    (X0 + X1*tau)/L, how the last one ended, and the map from such a pair to
+    its ExactReal."""
+    ctx = nt.b._join(nt.a)
+    coeffs = [x for v in (nt.a, nt.b, nt.c0, nt.c1) for x in (v.x0, v.x1)]
+    L = lcm(*(x.denominator for x in coeffs))
+    # a, b, the forward absorber's end c0 and the first hole's start c1 over L
+    a0, a1, b0, b1, hi0, hi1, s0, s1 = (x.numerator * (L // x.denominator) for x in coeffs)
+    ba0, ba1 = b0 - a0, b1 - a1
+    lo0, lo1 = hi0 - ba0, hi1 - ba1  # the forward absorber is [lo, hi)
+    lt0, lt1 = lo0 - ba0, lo1 - ba1  # a hole starting at a top ends flush with a branch
+    ht0, ht1 = a0 - ba0, a1 - ba1
+    ls0, ls1 = s0 + ba0, s1 + ba1  # (f+1)*b mod a is c1+b-a, f*b mod a is c1
+    starts: List[Tuple[int, int]] = []
+    append, sign = starts.append, _sign
+    x0, x1 = s0, s1  # the first hole starts at c1
     while True:
-        starts.append(lo)
-        if lo == bh_lo:
-            return starts, HoleStatus.FROZEN
-        in_low = lo.sign() > 0 and lo < low_top
-        # a hole wrapped across the seam lies in neither branch
-        if not (in_low or bh_hi < lo < high_top):
-            return starts, HoleStatus.SENTINEL
-        lo = lo + (low_shift if in_low else high_shift)
-        if lo >= a:
-            lo = lo - a
+        append((x0, x1))
+        if x0 == lo0 and x1 == lo1:
+            end = HoleStatus.FROZEN
+            break
+        # every start is positive (above), so the low branch needs one test
+        if sign(ctx, x0 - lt0, 1, x1 - lt1, 1) < 0:
+            x0, x1 = x0 + ls0, x1 + ls1
+        elif sign(ctx, x0 - hi0, 1, x1 - hi1, 1) > 0 and sign(ctx, x0 - ht0, 1, x1 - ht1, 1) < 0:
+            x0, x1 = x0 + s0, x1 + s1
+        else:  # a hole wrapped across the seam lies in neither branch
+            end = HoleStatus.SENTINEL
+            break
+        if sign(ctx, x0 - a0, 1, x1 - a1, 1) >= 0:
+            x0, x1 = x0 - a0, x1 - a1
+
+    def real(X: Tuple[int, int]) -> ExactReal:
+        return ExactReal(ctx, Fraction(X[0], L), Fraction(X[1], L))
+
+    return starts, end, real
 
 
 def _propagate_rational(nt: NormalizedTriple) -> List[Tuple[PeriodicSet, HoleStatus]]:
@@ -258,31 +296,55 @@ def _propagate_rational(nt: NormalizedTriple) -> List[Tuple[PeriodicSet, HoleSta
     portions park inside the forward absorber, until all of it parks.
 
     c sits on the grid, so every endpoint and every shift is a whole number
-    of steps b/q: the march runs on integers in those units (nt.units) and
-    returns its holes in them, each with its status."""
+    of steps b/q: the march runs on integers in those units (nt.units), its
+    front a canonical tuple of (lo, hi) pairs, and returns its holes in them,
+    each with its status."""
     u = nt.units
     A, B = u.A, u.B
     f, q = nt.floor_cb, nt.rational[1]
     ba = B - A
     bh_lo, bh_hi = u.C0 + A - B, u.C0
-    low_shift, high_shift = (f + 1) * B, f * B
+    low_shift, high_shift = (f + 1) * B % A, f * B % A
     cap = -(-A // ba) + q + 2
-    front = PeriodicSet.make(A, [(u.C1, u.C1 + ba)])
+    front: Tuple[Tuple[int, int], ...] = ((u.C1, u.C1 + ba),)
     steps: List[Tuple[PeriodicSet, HoleStatus]] = []
     while True:
         if len(steps) > cap:
             raise IterationCapExceeded(
                 f"hole propagation still live after {len(steps)} steps; proven bound is {cap}"
             )
-        low, high = front.restrict(0, bh_lo), front.restrict(bh_hi, A)
-        moving = low.intervals + high.intervals
-        if not moving:
-            steps.append((front, HoleStatus.FROZEN))
+        # the front off the absorber, each part moved by its branch's shift;
+        # whatever of it meets the absorber parks there
+        moved = []
+        parked = False
+        for lo, hi in front:
+            if lo < bh_lo:
+                moved.append((lo + low_shift, (hi if hi < bh_lo else bh_lo) + low_shift))
+            if hi > bh_hi:
+                moved.append(((lo if lo > bh_hi else bh_hi) + high_shift, hi + high_shift))
+            parked = parked or lo < bh_hi and hi > bh_lo
+        hole = PeriodicSet(A, front)  # canonical already: no revalidation
+        if not moved:
+            steps.append((hole, HoleStatus.FROZEN))
             return steps
-        # whatever of the front lies in the absorber parks there
-        parked = moving != front.intervals
-        steps.append((front, HoleStatus.ABSORBED if parked else HoleStatus.PROPAGATING))
-        front = low.shift(low_shift).union(high.shift(high_shift))
+        steps.append((hole, HoleStatus.ABSORBED if parked else HoleStatus.PROPAGATING))
+        # split a part that wraps at A, then sort and merge as PeriodicSet.make would
+        pieces = []
+        for lo, hi in moved:
+            if lo >= A:
+                lo, hi = lo - A, hi - A
+            elif hi > A:
+                pieces.append((0, hi - A))
+                hi = A
+            pieces.append((lo, hi))
+        pieces.sort()
+        merged = [pieces[0]]
+        for lo, hi in pieces[1:]:
+            if lo > merged[-1][1]:
+                merged.append((lo, hi))
+            elif hi > merged[-1][1]:
+                merged[-1] = (merged[-1][0], hi)
+        front = tuple(merged)
 
 
 def hole_chain(nt: NormalizedTriple) -> Tuple[HoleChainStep, ...]:
@@ -290,8 +352,8 @@ def hole_chain(nt: NormalizedTriple) -> Tuple[HoleChainStep, ...]:
     running the march again.  An empty XIII S ends the chain with the full
     circle as a sentinel; V, IX, X and XI have S in closed form and no chain."""
     if nt.region is RegionTag.XII:
-        starts, end = _propagate_irrational(nt)
-        *inner, last = starts
+        starts, end, real = _propagate_irrational(nt)
+        *inner, last = map(real, starts)
         ba = nt.b - nt.a
         steps = [(PeriodicSet(nt.a, ((s, s + ba),)), HoleStatus.PROPAGATING) for s in inner]
         # only a sentinel hole may wrap

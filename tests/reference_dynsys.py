@@ -8,9 +8,13 @@ builds every cyclic mark point up front, so `Marks` stores them, and its
 `InvariantSetReport` stores the chain, which the live report builds when read.
 `surgery_report`, `_rational_extras`, `compute_D` and the measure identity
 work on ExactReal endpoints only, where the live ones work on a rational S in
-integer grid units.  Every function here is copied unchanged from the code
-it replaced (only the imports differ); the differential tests in
-`test_reference_dynsys.py` hold the live code to it.
+integer grid units.  `_propagate_irrational_on_reals` is the single-hole XII
+march on ExactReal starts, with its shifts taken by `mod`, and
+`_propagate_rational_on_sets` the XIII march on integer PeriodicSets, one set
+per operation; the live marches run on integer pairs over one denominator
+and on bare interval tuples.  Every function here is copied unchanged from
+the code it replaced (only the imports and those two names differ); the
+differential tests in `test_reference_dynsys.py` hold the live code to it.
 """
 
 from __future__ import annotations
@@ -264,3 +268,60 @@ def measure_identity_lhs(nt: NormalizedTriple, S: PeriodicSet) -> ExactReal:
     left = S.restrict(rat(0), nt.c0 + a - nt.b).measure()
     right = S.restrict(nt.c0, a).measure()
     return (f + 1) * left + f * right
+
+
+def _propagate_irrational_on_reals(nt: NormalizedTriple) -> Tuple[List[ExactReal], HoleStatus]:
+    """Single-hole march: the backward absorber must land exactly on the
+    forward absorber within floor(a/(b-a))-1 steps, staying strictly inside
+    one linear branch the whole way; any anomaly proves S is empty.  Holes
+    have length b-a: returns their starts and how the last one ended."""
+    a, b, f = nt.a, nt.b, nt.floor_cb
+    ba = b - a
+    bh_lo, bh_hi = black_hole_R(nt)
+    low_top, high_top = bh_lo - ba, a - ba  # a hole starting there ends flush with a branch
+    low_shift, high_shift = mod((f + 1) * b, a), mod(f * b, a)
+    starts: List[ExactReal] = []
+    lo = nt.c1
+    while True:
+        starts.append(lo)
+        if lo == bh_lo:
+            return starts, HoleStatus.FROZEN
+        in_low = lo.sign() > 0 and lo < low_top
+        # a hole wrapped across the seam lies in neither branch
+        if not (in_low or bh_hi < lo < high_top):
+            return starts, HoleStatus.SENTINEL
+        lo = lo + (low_shift if in_low else high_shift)
+        if lo >= a:
+            lo = lo - a
+
+
+def _propagate_rational_on_sets(nt: NormalizedTriple) -> List[Tuple[PeriodicSet, HoleStatus]]:
+    """Breadth-first saturation: push the backward absorber forward, letting
+    portions park inside the forward absorber, until all of it parks.
+
+    c sits on the grid, so every endpoint and every shift is a whole number
+    of steps b/q: the march runs on integers in those units (nt.units) and
+    returns its holes in them, each with its status."""
+    u = nt.units
+    A, B = u.A, u.B
+    f, q = nt.floor_cb, nt.rational[1]
+    ba = B - A
+    bh_lo, bh_hi = u.C0 + A - B, u.C0
+    low_shift, high_shift = (f + 1) * B, f * B
+    cap = -(-A // ba) + q + 2
+    front = PeriodicSet.make(A, [(u.C1, u.C1 + ba)])
+    steps: List[Tuple[PeriodicSet, HoleStatus]] = []
+    while True:
+        if len(steps) > cap:
+            raise IterationCapExceeded(
+                f"hole propagation still live after {len(steps)} steps; proven bound is {cap}"
+            )
+        low, high = front.restrict(0, bh_lo), front.restrict(bh_hi, A)
+        moving = low.intervals + high.intervals
+        if not moving:
+            steps.append((front, HoleStatus.FROZEN))
+            return steps
+        # whatever of the front lies in the absorber parks there
+        parked = moving != front.intervals
+        steps.append((front, HoleStatus.ABSORBED if parked else HoleStatus.PROPAGATING))
+        front = low.shift(low_shift).union(high.shift(high_shift))

@@ -1,5 +1,6 @@
 """Differential tests: compute_S against the marches and the eager marks it
-replaced (`reference_dynsys.py`), report field by field.  On region XIII the
+replaced (`reference_dynsys.py`), report field by field, and the two live
+marches step by step against the ones they replaced.  On region XIII the
 live march runs on integers in units of b/q and its cyclic marks derive their
 points when read; on region XII it carries one hole start and no step cap.
 Neither keeps a covered set, which rests on the holes of a chain being
@@ -10,6 +11,7 @@ reals or in grid units and work on a rational S in grid units.  They are
 held to their ExactReal references on and off that grid, and on the report's
 own S_units."""
 
+import random
 from collections import Counter
 from fractions import Fraction as F
 from math import gcd
@@ -18,18 +20,19 @@ from operator import itemgetter
 import pytest
 
 import reference_dynsys as ref
-from gaborbox import dynsys
+from gaborbox import dynsys, exactnum
 from gaborbox.dynsys import (
     HoleStatus,
     _grid_reals,
     _in_units,
     compute_D,
     compute_S,
+    hole_chain,
     measure_identity,
     measure_identity_lhs,
     surgery_report,
 )
-from gaborbox.errors import GaborBoxError
+from gaborbox.errors import GaborBoxError, PrecisionExhausted
 from gaborbox.exactnum import floor_div, pi_context, rat, surd_context
 from gaborbox.lattice import PeriodicSet, RegionTag, normalize
 from gaborbox.oracle import on_grid_survey, triple_pipeline_check
@@ -247,9 +250,9 @@ def _rung(x1):
     return normalize(SQRT2.num(0, x1), rat(1), rat(F(7, 2)))
 
 
-def _xii_exit(nt, rep):
-    """How the single-hole march ended."""
-    last = rep.chain[-1]
+def _xii_exit(nt, chain):
+    """How the single-hole march behind this chain of holes ended."""
+    last = chain[-1]
     if last.status is HoleStatus.FROZEN:
         return "frozen"
     if len(last.hole.intervals) == 2:
@@ -265,14 +268,14 @@ def test_acceptance_xii_reports_match_and_reach_every_exit():
     exits = Counter()
     for nt in _acceptance_xii():
         assert nt.region is RegionTag.XII
-        exits[_xii_exit(nt, _assert_same_report(nt))] += 1
+        exits[_xii_exit(nt, _assert_same_report(nt).chain)] += 1
     assert exits == {"frozen": 32, "branch": 57, "cap": 57, "seam wrap": 4}
 
 
 def test_seeded_xii_reports_match():
     exits = Counter()
     for nt in _xii_draw(seed=13, count=200):
-        exits[_xii_exit(nt, _assert_same_report(nt))] += 1
+        exits[_xii_exit(nt, _assert_same_report(nt).chain)] += 1
     # no march of this draw reaches the cap index
     assert set(exits) == {"frozen", "branch", "seam wrap"}, exits
 
@@ -334,3 +337,135 @@ def test_compute_S_and_the_pipeline_build_no_chain_and_convert_no_S(monkeypatch)
     rep = compute_S(nt)
     assert measure_identity(nt, rep.S) and rep.chain
     assert calls["HoleChainStep"] > 0 and calls["_in_units"] == 1
+
+
+# -- the marches, step by step -------------------------------------------------------
+#
+# The live XII march runs on integer pairs over one denominator and the live
+# XIII march on tuples of integer intervals; the ones they replaced ran on
+# ExactReal starts and on a PeriodicSet per operation.
+
+
+def _assert_same_xii_march(nt):
+    """The same starts (the live ones mapped to ExactReal), holes, statuses
+    and exit as the ExactReal march.  Returns the exit."""
+    starts, end, real = dynsys._propagate_irrational(nt)
+    want, want_end = ref._propagate_irrational_on_reals(nt)
+    assert [_value(real(s)) for s in starts] == [_value(s) for s in want], nt
+    assert end is want_end, nt
+    chain = hole_chain(nt)
+    ba = nt.b - nt.a
+    assert [(step.index, _set(step.hole), step.status) for step in chain] == [
+        (i, _set(PeriodicSet.from_wrapped(nt.a, [(s, s + ba)])),
+         want_end if i == len(want) - 1 else HoleStatus.PROPAGATING)
+        for i, s in enumerate(want)], nt
+    return _xii_exit(nt, chain)
+
+
+def _assert_same_xiii_march(nt):
+    """The same holes, in grid units, with the same statuses, as the march on
+    PeriodicSets.  Returns the statuses."""
+    got, want = ([(hole.period, hole.intervals, status) for hole, status in march(nt)]
+                 for march in (dynsys._propagate_rational, ref._propagate_rational_on_sets))
+    assert got == want, nt
+    return [status for _, _, status in got]
+
+
+def test_xii_march_matches_on_acceptance_triples():
+    exits = Counter(_assert_same_xii_march(nt) for nt in _acceptance_xii())
+    assert exits == {"frozen": 32, "branch": 57, "cap": 57, "seam wrap": 4}
+
+
+def _xii_march_draw(ctx, seed, count):
+    """Region-XII triples in ctx with a = x0 + x1*tau, b = 1, n = a/(1-a) in
+    [2, 40] and c = k0 + k1*a + r for a small rational r."""
+    rng = random.Random(seed)
+    one = rat(1)
+    while count:
+        a = ctx.num(F(rng.randint(-3, 1), rng.randint(1, 4)),
+                    F(rng.randint(1, 12), rng.randint(2, 20)))
+        if a.sign() <= 0 or a >= one or not 2 <= floor_div(a, one - a) <= 40:
+            continue
+        k0 = rng.randint(2, 12)
+        c = rng.choice([1 - k0, rng.randint(-6, 6)]) * a + k0 + F(rng.randint(0, 3),
+                                                                   rng.randint(1, 5))
+        if c.sign() <= 0:
+            continue
+        nt = normalize(a, one, c)
+        if nt.region is RegionTag.XII:
+            count -= 1
+            yield nt
+
+
+@pytest.mark.parametrize("ctx", [SQRT2, surd_context(3), pi_context()],
+                         ids=["sqrt2", "sqrt3", "pi"])
+def test_xii_march_matches_on_seeded_draws_to_every_exit(ctx):
+    exits = Counter(_assert_same_xii_march(nt) for nt in _xii_march_draw(ctx, 17, 150))
+    assert set(exits) == {"frozen", "branch", "cap", "seam wrap"}, exits
+
+
+def test_xiii_march_matches_q_le_16():
+    statuses = Counter()
+    triples = list(_rational(16))
+    assert len(triples) > 6000
+    for nt in triples:
+        statuses.update(_assert_same_xiii_march(nt))
+    assert set(statuses) == {HoleStatus.PROPAGATING, HoleStatus.ABSORBED, HoleStatus.FROZEN}
+
+
+# the perfbench certificates workload's XII pools: a = x0 + x1*tau, b = 1,
+# c = 7/2, (x0, x1) per (context, n)
+XII_CERTIFICATE_POOLS = {
+    ("sqrt2", 16): [(0, F(2, 3)), (-2, F(52, 25)), (-2, F(77, 37)), (-2, F(102, 49))],
+    ("sqrt3", 16): [(-1, F(37, 33)), (-1, F(46, 41)), (0, F(25, 46)), (-1, F(55, 49))],
+    ("pi", 16): [(0, F(3, 10)), (-1, F(34, 55)), (-2, F(59, 63)), (-1, F(47, 76))],
+    ("sqrt2", 47): [(-2, F(158, 75)), (-2, F(217, 103)), (-2, F(276, 131)), (-2, F(375, 178))],
+    ("sqrt3", 47): [(-1, F(8, 7)), (0, F(95, 168)), (-2, F(289, 168))],
+    ("pi", 47): [(0, F(24, 77)), (-1, F(63, 100)), (-2, F(147, 155)), (0, F(53, 170))],
+    ("sqrt2", 98): [(0, F(7, 10)), (-1, F(159, 113)), (-1, F(356, 253)), (-2, F(611, 289))],
+    ("sqrt3", 98): [(-2, F(309, 179)), (-2, F(454, 263))],
+    ("pi", 98): [(-2, F(138, 145)), (0, F(75, 238))],
+}
+
+
+def test_certificate_pool_marches_match():
+    contexts = {"sqrt2": SQRT2, "sqrt3": surd_context(3), "pi": pi_context()}
+    for (name, n), pool in XII_CERTIFICATE_POOLS.items():
+        for x0, x1 in pool:
+            nt = normalize(contexts[name].num(x0, x1), rat(1), rat(F(7, 2)))
+            assert nt.region is RegionTag.XII and floor_div(nt.a, nt.b - nt.a) == n
+            # every rung leaves S empty
+            assert _assert_same_xii_march(nt) != "frozen", nt
+    statuses = Counter()
+    for (p, _), ks in CERTIFICATE_POOLS.items():
+        for k in ks:
+            statuses.update(_assert_same_xiii_march(
+                normalize(rat(F(p, p + 4)), rat(1), rat(F(k, p + 4)))))
+    assert statuses[HoleStatus.ABSORBED] and statuses[HoleStatus.PROPAGATING]
+
+
+def _pi_close_call():
+    """A pi triple, in a fresh context, whose first branch test c1 < c0+2a-2b
+    compares two numbers u - v*pi apart, u/v = 1783366216531/567663097408 a
+    convergent of pi: |u - v*pi| < 1/v, far below what a 64-bit enclosure
+    of pi, times v, can resolve.  a = 2pi/7, b = 1, c = 3 + c0 with
+    c0 = 5 - 10pi/7 + u - v*pi, so c1 = 3 - 3a and c0+2a-2b = c1 + u - v*pi."""
+    ctx = pi_context()
+    u, v = 1783366216531, 567663097408
+    return normalize(ctx.num(0, F(2, 7)), rat(1), ctx.num(8 + u, F(-10, 7) - v))
+
+
+def test_pi_precision_exhaustion_in_both_xii_marches(monkeypatch):
+    start, cap = exactnum._PI_START_BITS, exactnum._MAX_BITS
+    for march in (dynsys._propagate_irrational, ref._propagate_irrational_on_reals):
+        nt = _pi_close_call()
+        assert nt.region is RegionTag.XII and nt.a.ctx._bits == start
+        with monkeypatch.context() as m:
+            m.setattr(exactnum, "_MAX_BITS", start)
+            with pytest.raises(PrecisionExhausted):
+                march(nt)
+    assert exactnum._MAX_BITS == cap
+    # under the restored cap both marches refine past the start bits and agree
+    nt = _pi_close_call()
+    _assert_same_xii_march(nt)
+    assert nt.a.ctx._bits > start

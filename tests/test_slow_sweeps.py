@@ -51,11 +51,12 @@ SQ2, SQ3, PI = surd_context(2), surd_context(3), pi_context()
     "ctx, x1, k0, k1, n",
     [(SQ2, F(12, 17), F(7, 2), 0, 576), (SQ2, F(41, 58), F(7, 2), 0, 3362),
      (SQ2, F(70, 99), F(7, 2), 0, 19600), (SQ2, F(239, 338), F(7, 2), 0, 114242),
-     (SQ2, F(408, 577), F(7, 2), 0, 665856), (SQ3, F(56, 97), F(7, 2), 0, 18816),
-     (SQ3, F(209, 362), F(7, 2), 0, 262086), (PI, F(7, 22), F(7, 2), 0, 2484),
-     (PI, F(3183, 10000), F(7, 2), 0, 32196), (SQ2, F(239, 338), 5, -3, 114242)],
-    ids=["n576", "n3362", "n19600", "n114242", "n665856", "sqrt3-n18816", "sqrt3-n262086",
-         "pi-n2484", "pi-n32196", "notframe-n114242"],
+     (SQ2, F(408, 577), F(7, 2), 0, 665856), (SQ2, F(1393, 1970), F(7, 2), 0, 3880898),
+     (SQ3, F(56, 97), F(7, 2), 0, 18816), (SQ3, F(209, 362), F(7, 2), 0, 262086),
+     (PI, F(7, 22), F(7, 2), 0, 2484), (PI, F(3183, 10000), F(7, 2), 0, 32196),
+     (SQ2, F(239, 338), 5, -3, 114242)],
+    ids=["n576", "n3362", "n19600", "n114242", "n665856", "n3880898", "sqrt3-n18816",
+         "sqrt3-n262086", "pi-n2484", "pi-n32196", "notframe-n114242"],
 )
 def test_irrational_large_n_agrees_with_invariant_set(ctx, x1, k0, k1, n):
     # a = x1*sqrt(d) or x1*pi, b = 1, c = k0 + k1*a
