@@ -405,7 +405,7 @@ def _cmd_invariant_set(args) -> int:
         print(json.dumps(payload, indent=2))
     else:
         print(f"region {nt.region}")
-        if report.S.is_empty:
+        if report.S_units.is_empty:
             print("S is empty")
         else:
             print(f"S = {_intervals_text(report.S)}  (mod {nt.a.render()})")

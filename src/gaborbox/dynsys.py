@@ -6,7 +6,7 @@ backward map is its inverse away from the absorbers.  Propagating the
 backward absorber forward until everything parks (or the space fills up)
 carves out the maximal invariant set S; no hole meets an earlier one, so a
 march step is two integer adds on the hole start, an integer pair over one
-denominator (irrational ratio), or a clip, shift and merge of a tuple of
+denominator (irrational ratio), or a clip, shift and sort of a tuple of
 integer intervals (rational), and S is built once.  On S, collapsing the
 holes (the "surgery" Y) conjugates the forward map to a circle rotation,
 which is what the mark bookkeeping below records.  The measure identity (or,
@@ -14,9 +14,10 @@ equivalently, an empty derived set D) turns S into the frame verdict, and
 the Birkhoff average is a numeric ergodicity diagnostic.
 
 A rational triple has integer grid units of b/(qD) (`NormalizedTriple.units`).
-The rational march runs on them, and compute_S builds S in them once (`S_units`).
-D, the measure identity and the surgery take S in either units, answer in the
-units of S and work on integers whenever S lies on the grid.  The chain of
+The rational march runs on them, and compute_S builds S in them once and keeps
+it so (`S_units`), mapped to the reals only when read.  D, the measure identity
+and the surgery work in the units of the S they are handed: grid units for the
+integer period units.A, the reals for a; any other period raises.  The chain of
 holes is built only when read (`hole_chain`), by running the march again.
 """
 
@@ -32,6 +33,7 @@ from .errors import (
     EmptySet,
     IterationCapExceeded,
     OracleInconsistency,
+    PeriodMismatch,
     RegionUnsupported,
 )
 from .exactnum import ExactReal, _sign, floor_div, mod, rat
@@ -103,12 +105,17 @@ class RationalExtras:
 @dataclass(frozen=True)
 class InvariantSetReport:
     nt: NormalizedTriple
-    S: PeriodicSet
-    S_units: PeriodicSet  # S in grid units (period units.A) when nt has them, else S
+    S_units: PeriodicSet  # S as built: in grid units (period units.A) or over the reals
     Ya: ExactReal
     theta: Optional[ExactReal]
     marks: Optional[Marks]
     rational_extras: Optional[RationalExtras]
+
+    @property
+    def S(self) -> PeriodicSet:
+        """S over the reals (period a), mapped from grid units when read."""
+        E = self.S_units
+        return _grid_reals(self.nt, E)(E) if type(E.period) is int else E
 
     @property
     def chain(self) -> Tuple[HoleChainStep, ...]:
@@ -213,7 +220,7 @@ def compute_S(nt: NormalizedTriple) -> InvariantSetReport:
     else:
         raise RegionUnsupported(f"invariant-set construction undefined on region {tag}")
     if E.is_empty:
-        return InvariantSetReport(nt, PeriodicSet.empty(nt.a), E, rat(0), None, None, None)
+        return InvariantSetReport(nt, E, rat(0), None, None, None)
     return surgery_report(nt, E)
 
 
@@ -291,6 +298,26 @@ def _propagate_irrational(
     return starts, end, real
 
 
+# Why the rational march sorts and never merges: the map is one-to-one off
+# the absorber F = [c0+a-b, c0), so no two pieces meet.  Parts in one branch
+# take one shift and come from a canonical front, so none touch; a low part
+# [l, h) and a high part [l', h') touch only if l'-h or h'-l is b-a mod a
+# (the shifts differ by b), and both lie in [b-a, a] with h'-l > b-a: only
+# if h = c0+a-b and l' = c0, the hole holding both unit cells next to F.  No
+# hole does.  Say the map takes a circle less F one-to-one onto the circle
+# less G (the backward absorber; both of length b-a), continuously along the
+# arc from c0 round to c0+a-b but for one jump over G at a seam inside that
+# arc and not inside G; hole 0 is G, hole i+1 the image of hole i less F.
+# Here the seam is 0, as b-a < c0 < a and 0 < c1 < 2a-b.  Hole 0 could hold
+# both cells only with F between them, too long, or with the whole arc and
+# its seam.  Hole i >= 1 lies in the map's image, off G: if G meets or
+# borders F, G holds one of the cells (or is F: hole 1 is empty).  Else
+# collapse G to a point g, inside the arc: holes 1, 2, ... are holes 0, 1,
+# ... of such a march, with F and its cells unchanged, hole 1 (G's image in
+# one branch, too short to hold F and G's neighbours) as G and g as seam,
+# where the map now jumps over hole 1 (not over G any more).  Induct on i.
+
+
 def _propagate_rational(nt: NormalizedTriple) -> List[Tuple[PeriodicSet, HoleStatus]]:
     """Breadth-first saturation: push the backward absorber forward, letting
     portions park inside the forward absorber, until all of it parks.
@@ -328,7 +355,8 @@ def _propagate_rational(nt: NormalizedTriple) -> List[Tuple[PeriodicSet, HoleSta
             steps.append((hole, HoleStatus.FROZEN))
             return steps
         steps.append((hole, HoleStatus.ABSORBED if parked else HoleStatus.PROPAGATING))
-        # split a part that wraps at A, then sort and merge as PeriodicSet.make would
+        # split a part that wraps at A, then sort: no two pieces meet or
+        # touch (above), so the front is canonical as it stands
         pieces = []
         for lo, hi in moved:
             if lo >= A:
@@ -338,13 +366,7 @@ def _propagate_rational(nt: NormalizedTriple) -> List[Tuple[PeriodicSet, HoleSta
                 hi = A
             pieces.append((lo, hi))
         pieces.sort()
-        merged = [pieces[0]]
-        for lo, hi in pieces[1:]:
-            if lo > merged[-1][1]:
-                merged.append((lo, hi))
-            elif hi > merged[-1][1]:
-                merged[-1] = (merged[-1][0], hi)
-        front = tuple(merged)
+        front = tuple(pieces)
 
 
 def hole_chain(nt: NormalizedTriple) -> Tuple[HoleChainStep, ...]:
@@ -375,39 +397,24 @@ def hole_chain(nt: NormalizedTriple) -> Tuple[HoleChainStep, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _in_units(nt: NormalizedTriple, S: PeriodicSet) -> PeriodicSet:
-    """S in integer grid units of b/(qD) (period units.A) when the triple has
-    them and every endpoint of S lies on their grid; else S itself: already in
-    grid units, an irrational ratio, an empty S, or an endpoint off the grid."""
-    u = nt.units
-    if (u is None or not S.intervals or type(S.period) is int
-            or not (S.period is nt.a or S.period == nt.a)):
-        return S
-    b, B = nt.b, u.B
-    ends: List[int] = []
-    for iv in S.intervals:
-        for x in iv:
-            # x = k*b/B exactly when B*x/b = n/d is the integer k
-            if b.x1 or x.x1:
-                r = x.ratio(b)
-                if r is None:
-                    return S
-                n, d = r.numerator * B, r.denominator
-            else:  # x/b straight from the coefficients
-                n, d = x.x0.numerator * b.x0.denominator * B, x.x0.denominator * b.x0.numerator
-            k, rest = divmod(n, d)
-            if rest:
-                return S
-            ends.append(k)
-    return PeriodicSet(u.A, tuple(zip(ends[::2], ends[1::2])))
-
-
 def _lengths(nt: NormalizedTriple, grid: bool) -> Tuple[Endpoint, ...]:
     """0, a, b, c0 and c1 in integer grid units when grid holds, else the reals."""
     if grid:
         u = nt.units
         return 0, u.A, u.B, u.C0, u.C1
     return _RAT_ZERO, nt.a, nt.b, nt.c0, nt.c1
+
+
+def _lengths_of(nt: NormalizedTriple, S: PeriodicSet) -> Tuple[Endpoint, ...]:
+    """0, a, b, c0 and c1 in the units of S: grid units for the integer period
+    units.A, the reals for a; any other period raises."""
+    P = S.period
+    if type(P) is int:
+        if nt.units is not None and P == nt.units.A:
+            return _lengths(nt, True)
+    elif P is nt.a or P == nt.a:
+        return _lengths(nt, False)
+    raise PeriodMismatch(f"S has period {P!r}: neither a nor the grid units of the triple")
 
 
 def _real(nt: NormalizedTriple, x: Endpoint, m: int = 1) -> ExactReal:
@@ -442,30 +449,28 @@ def compute_D(nt: NormalizedTriple, S: PeriodicSet) -> PeriodicSet:
     shifts and intersections; empty exactly when the system is a frame.  D
     comes back in the units of S."""
     _require_maps(nt)
-    E = S if type(S.period) is int else _in_units(nt, S)
-    zero, a, b, c0, _ = _lengths(nt, type(E.period) is int)
+    zero, a, b, c0, _ = _lengths_of(nt, S)
     f = nt.floor_cb
-    out = E.restrict(zero, c0 + a - b).intersect(E.shift(-(f * b)))
+    out = S.restrict(zero, c0 + a - b).intersect(S.shift(-(f * b)))
     for k in range(1, f):
-        out = out.union(E.intersect(E.shift(-(k * b))))
-    return _grid_reals(nt, out)(out) if E is not S else out
+        out = out.union(S.intersect(S.shift(-(k * b))))
+    return out
 
 
 def measure_identity(nt: NormalizedTriple, S: PeriodicSet) -> bool:
-    """Exact test: (f+1)|S ∩ [0, c0+a-b)| + f|S ∩ [c0, a)| = a, S in either units."""
+    """Exact test: (f+1)|S ∩ [0, c0+a-b)| + f|S ∩ [c0, a)| = a, in the units of S."""
     if S.is_empty:
         raise EmptySet("measure identity needs a nonempty invariant set")
-    E = S if type(S.period) is int else _in_units(nt, S)
-    return _measure_lhs(nt, E) == _lengths(nt, type(E.period) is int)[1]
+    return _measure_lhs(nt, S) == S.period
 
 
 def measure_identity_lhs(nt: NormalizedTriple, S: PeriodicSet) -> ExactReal:
-    return _real(nt, _measure_lhs(nt, S if type(S.period) is int else _in_units(nt, S)))
+    return _real(nt, _measure_lhs(nt, S))
 
 
 def _measure_lhs(nt: NormalizedTriple, E: PeriodicSet) -> Endpoint:
     """(f+1)|E ∩ [0, c0+a-b)| + f|E ∩ [c0, a)|, in the units of E."""
-    zero, a, b, c0, _ = _lengths(nt, type(E.period) is int)
+    zero, a, b, c0, _ = _lengths_of(nt, E)
     f = nt.floor_cb
     left = E.restrict(zero, c0 + a - b).measure()
     right = E.restrict(c0, a).measure()
@@ -486,26 +491,23 @@ def surgery_Y(S: PeriodicSet, t: ExactReal) -> ExactReal:
 
 
 def surgery_report(nt: NormalizedTriple, S: PeriodicSet) -> InvariantSetReport:
-    """Collapse the holes of S (over the reals or in grid units) and report the
-    rotation data (Ya, theta, marks), in grid units when S lies on the grid."""
-    E = S if type(S.period) is int else _in_units(nt, S)
-    if E.is_empty:
+    """Collapse the holes of S and report the rotation data (Ya, theta, marks),
+    worked out in the units of S; the report keeps S as it came."""
+    if S.is_empty:
         raise EmptySet("surgery needs a nonempty invariant set")
-    grid = type(E.period) is int
-    zero, a, b, _, c1 = _lengths(nt, grid)
-    Ya = E.measure()
+    zero, a, b, _, c1 = _lengths_of(nt, S)
+    Ya = S.measure()
     theta_arg = c1 + b - a  # lies in [0, a] on every supported region
-    theta = E.restrict(zero, theta_arg).measure()
+    theta = S.restrict(zero, theta_arg).measure()
     if not nt.is_rational:
-        return InvariantSetReport(nt, E, E, Ya, theta, _finite_marks(nt, E, theta, Ya), None)
-    ratio = Fraction(theta, Ya) if grid else theta.ratio(Ya)
+        return InvariantSetReport(nt, S, Ya, theta, _finite_marks(nt, S, theta, Ya), None)
+    ratio = Fraction(theta, Ya) if type(Ya) is int else theta.ratio(Ya)
     if ratio is None:
         raise OracleInconsistency("rational lattice must give commensurable rotation")
     v = ratio.denominator
-    extras = _rational_extras(nt, E, Ya, v)
+    extras = _rational_extras(nt, S, Ya, v)
     marks = Marks(kind="cyclic", generator=extras.h, order=v)
-    S = _grid_reals(nt, E)(E) if grid else E
-    return InvariantSetReport(nt, S, E, _real(nt, Ya), _real(nt, theta), marks, extras)
+    return InvariantSetReport(nt, S, _real(nt, Ya), _real(nt, theta), marks, extras)
 
 
 def _finite_marks(nt, S, theta, Ya) -> Marks:
@@ -522,7 +524,7 @@ def _finite_marks(nt, S, theta, Ya) -> Marks:
 
 def _rational_extras(nt, E: PeriodicSet, Ya: Endpoint, order: int) -> RationalExtras:
     """The gap bookkeeping of E, worked out in the units of E, with h = Ya/order."""
-    _, a, b, c0, _ = _lengths(nt, type(E.period) is int)
+    _, a, b, c0, _ = _lengths_of(nt, E)
     bh_lo, bh_hi = c0 + a - b, c0
     gaps = E.complement().components_cyclic()  # seam-fused
     # the absorber [c0+a-b, c0) lies in [0, a).  Had it lain past the seam

@@ -295,13 +295,13 @@ def triple_pipeline_check(nt: NormalizedTriple) -> Optional[str]:
     except RegionUnsupported:
         report = None
     if report is not None:
-        E, empty = report.S_units, report.S.is_empty
+        E, empty = report.S_units, report.S_units.is_empty
         verdicts["measure-identity"] = "Frame" if empty or measure_identity(nt, E) else "NotFrame"
         verdicts["two-solvability"] = "Frame" if empty or compute_D(nt, E).is_empty else "NotFrame"
-        if s_nonempty is not None and s_nonempty != (not report.S.is_empty):
+        if s_nonempty is not None and s_nonempty == empty:
             return (
                 f"S-existence clash on {_brief(nt)}: construction says "
-                f"{'nonempty' if not report.S.is_empty else 'empty'}"
+                f"{'empty' if empty else 'nonempty'}"
             )
     try:
         verdicts["grid-orbits"] = grid_frame_decision(nt)

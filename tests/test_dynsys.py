@@ -13,7 +13,7 @@ from fractions import Fraction as F
 import pytest
 
 from gaborbox import PeriodicSet, RegionTag, normalize, rat
-from gaborbox.errors import EmptySet, RegionUnsupported
+from gaborbox.errors import EmptySet, PeriodMismatch, RegionUnsupported
 from gaborbox.exactnum import ExactReal, floor_div, mod, pi_context, surd_context
 from gaborbox.dynsys import (
     HoleStatus,
@@ -262,6 +262,27 @@ def test_measure_identity_values():
 def test_measure_identity_rejects_empty():
     with pytest.raises(EmptySet):
         measure_identity(NT77, PeriodicSet.empty(NT77.a))
+
+
+# S of a period that is neither a nor the triple's grid units: an integer
+# period on an irrational ratio, which has no grid units; an integer period
+# other than units.A (13 on NT77); a real period other than a
+WRONG_PERIOD = {
+    "int-on-irrational": (NT_PI, PeriodicSet(5, ((1, 2),))),
+    "int-period-40": (NT77, PeriodicSet(40, ((30, 31),))),
+    "real-period-5": (NT77, PeriodicSet(rat(5), ((rat(1), rat(2)),))),
+}
+
+
+@pytest.mark.parametrize("stage", [compute_D, measure_identity, measure_identity_lhs,
+                                   surgery_report], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("case", sorted(WRONG_PERIOD))
+def test_stages_reject_S_of_the_wrong_period(stage, case):
+    nt, S = WRONG_PERIOD[case]
+    assert nt.region is (RegionTag.XII if nt is NT_PI else RegionTag.XIII)
+    assert NT77.units.A == 13
+    with pytest.raises(PeriodMismatch):
+        stage(nt, S)
 
 
 # -- surgery --------------------------------------------------------------------

@@ -246,7 +246,7 @@ def test_pipeline_check_names_the_clash(monkeypatch):
         f"verdict clash on {brief}: closed-form=Frame, grid-orbits=NotFrame, "
         "measure-identity=Frame, two-solvability=Frame")
     monkeypatch.setattr(oracle, "compute_S",
-                        lambda nt: replace(compute_S(nt), S=PeriodicSet.empty(nt.a)))
+                        lambda nt: replace(compute_S(nt), S_units=PeriodicSet.empty(nt.units.A)))
     assert triple_pipeline_check(NT77) == (
         f"S-existence clash on {brief}: construction says empty")
 

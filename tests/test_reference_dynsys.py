@@ -5,11 +5,11 @@ live march runs on integers in units of b/q and its cyclic marks derive their
 points when read; on region XII it carries one hole start and no step cap.
 Neither keeps a covered set, which rests on the holes of a chain being
 pairwise disjoint, also tested here.  compute_S builds S once, in integer
-grid units on a rational triple, and its report builds the chain only when
-read; compute_D, the measure identity and surgery_report take S over the
-reals or in grid units and work on a rational S in grid units.  They are
-held to their ExactReal references on and off that grid, and on the report's
-own S_units."""
+grid units on a rational triple, keeps it so (S_units) and maps it to the
+reals, like the chain, only when read.  compute_D, the measure identity and
+surgery_report work in the units of the S they are handed: each is held to
+its ExactReal reference both on the reference's S over the reals and on the
+report's own S_units in grid units."""
 
 import random
 from collections import Counter
@@ -24,7 +24,6 @@ from gaborbox import dynsys, exactnum
 from gaborbox.dynsys import (
     HoleStatus,
     _grid_reals,
-    _in_units,
     compute_D,
     compute_S,
     hole_chain,
@@ -84,23 +83,35 @@ def _outcome(f, *args):
         return type(e), str(e)
 
 
-def _assert_same_on(nt, S):
-    """compute_D, the measure identity and surgery_report on S against their
-    ExactReal references.  The live report reads the chain of the triple's
-    own march, so the reference's surgery gets that chain too."""
-    assert _set(compute_D(nt, S)) == _set(ref.compute_D(nt, S)), nt
-    assert _value(measure_identity_lhs(nt, S)) == _value(ref.measure_identity_lhs(nt, S)), nt
-    assert measure_identity(nt, S) is ref.measure_identity(nt, S), nt
+def _reals(nt, E):
+    """E over the reals: mapped from grid units when its period is an int."""
+    return _grid_reals(nt, E)(E) if type(E.period) is int else E
+
+
+def _assert_same_on(nt, S, E=None):
+    """compute_D, the measure identity and surgery_report on E, which is S
+    itself (the default) or S in grid units, against their ExactReal
+    references on S; a D in grid units is mapped to the reals to compare.  The
+    live report reads the chain of the triple's own march, so the reference's
+    surgery gets that chain too."""
+    E = S if E is None else E
+    assert _set(_reals(nt, compute_D(nt, E))) == _set(ref.compute_D(nt, S)), nt
+    assert _value(measure_identity_lhs(nt, E)) == _value(ref.measure_identity_lhs(nt, S)), nt
+    assert measure_identity(nt, E) is ref.measure_identity(nt, S), nt
     chain = ref.compute_S(nt).chain
-    assert _outcome(surgery_report, nt, S) == _outcome(ref.surgery_report, nt, S, chain)
+    assert _outcome(surgery_report, nt, E) == _outcome(ref.surgery_report, nt, S, chain)
 
 
 def _assert_same_from_S(nt):
     """The report of compute_S, which builds S once in grid units, and every
-    stage run again on the reference's ExactReal S."""
+    stage run again on the reference's ExactReal S and on the report's own
+    S_units."""
     want = _assert_same_report(nt)
     if not want.S.is_empty:
         _assert_same_on(nt, want.S)
+        E = compute_S(nt).S_units
+        assert type(E.period) is int, nt
+        _assert_same_on(nt, want.S, E)
 
 
 def _xiii_triples(qmax, unit, bs):
@@ -151,14 +162,11 @@ def test_grid_unit_stages_match_off_grid_c():
 def test_off_grid_S_takes_the_reals_path():
     nt = normalize(rat(F(13, 17)), rat(1), rat(F(77, 17)))
     S = compute_S(nt).S
-    assert _in_units(nt, S) is not S
     _assert_same_on(nt, S)
     (lo, hi), *rest = S.intervals
     # an endpoint half a grid step off, and one with a tau coefficient
     for moved in (hi - F(1, 34), SQRT2.num(0, F(2, 17))):
-        off = PeriodicSet(S.period, ((lo, moved), *rest))
-        assert _in_units(nt, off) is off
-        _assert_same_on(nt, off)
+        _assert_same_on(nt, PeriodicSet(S.period, ((lo, moved), *rest)))
 
 
 @pytest.mark.parametrize("c, region", [(10, RegionTag.X), (14, RegionTag.XI),
@@ -170,8 +178,7 @@ def test_stages_take_S_in_grid_units(c, region):
     assert nt.region is region and nt.units.A == nt.a
     rep = compute_S(nt)
     E = rep.S_units
-    assert type(E.period) is int and _in_units(nt, E) is E
-    assert _in_units(nt, rep.S) == E
+    assert type(E.period) is int
     assert _set(_grid_reals(nt, E)(E)) == _set(rep.S)
     assert measure_identity(nt, E) is measure_identity(nt, rep.S)
     assert _value(measure_identity_lhs(nt, E)) == _value(measure_identity_lhs(nt, rep.S))
@@ -306,37 +313,37 @@ def test_chain_holes_are_pairwise_disjoint():
 
 def test_compute_S_and_the_pipeline_build_no_chain_and_convert_no_S(monkeypatch):
     """compute_S builds S once, in the units of its march, and the pipeline
-    hands that S on: neither builds a chain step nor converts an S to grid
-    units."""
+    hands that S on: neither builds a chain step nor maps an S from grid units
+    to the reals."""
     calls = Counter()
-    step, in_units = dynsys.HoleChainStep, dynsys._in_units
+    step, grid_reals = dynsys.HoleChainStep, dynsys._grid_reals
 
     def counted_step(*args):
         calls["HoleChainStep"] += 1
         return step(*args)
 
-    def counted_in_units(nt, S):
-        calls["_in_units"] += 1
-        return in_units(nt, S)
+    def counted_grid_reals(nt, *sets):
+        calls["_grid_reals"] += 1
+        return grid_reals(nt, *sets)
 
     monkeypatch.setattr(dynsys, "HoleChainStep", counted_step)
-    monkeypatch.setattr(dynsys, "_in_units", counted_in_units)
+    monkeypatch.setattr(dynsys, "_grid_reals", counted_grid_reals)
     survey = list(on_grid_survey(16, 1, 8, regions=tuple(RegionTag)))
     assert {nt.region for nt in survey} >= {RegionTag.V, RegionTag.IX, RegionTag.X,
                                            RegionTag.XI, RegionTag.XIII}
     for nt in survey:
         triple_pipeline_check(nt)
     assert calls == {}
-    # an irrational ratio has no grid units to convert to; its chain stays unbuilt
+    # an irrational ratio has no grid units to map from; its chain stays unbuilt
     for nt in _acceptance_xii():
         triple_pipeline_check(nt)
-    assert calls["HoleChainStep"] == 0
-    calls.clear()
-    # the counters see what they count: a chain read, an ExactReal S handed in
+    assert calls == {}
+    # the counters see what they count: S read over the reals, a chain read
     nt = normalize(rat(F(13, 17)), rat(1), rat(F(77, 17)))
     rep = compute_S(nt)
-    assert measure_identity(nt, rep.S) and rep.chain
-    assert calls["HoleChainStep"] > 0 and calls["_in_units"] == 1
+    assert calls == {}
+    assert measure_identity(nt, rep.S) and calls == {"_grid_reals": 1}
+    assert rep.chain and calls["HoleChainStep"] > 0
 
 
 # -- the marches, step by step -------------------------------------------------------

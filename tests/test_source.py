@@ -121,6 +121,26 @@ def test_dynsys_maps_grid_units_back_in_one_function():
     assert namings(tree) == namings(helper) > 0
 
 
+def test_dynsys_converts_S_to_the_reals_only_when_read():
+    # the stages work in the units of the S they are handed and the report
+    # keeps S in the units of its march, so only reading a report's S or a
+    # chain of holes maps a set from grid units to the reals
+    tree = ast.parse((SRC / "dynsys.py").read_text(encoding="utf-8"))
+
+    def namings(node):
+        return sum(isinstance(sub, ast.Name) and sub.id == "_grid_reals"
+                   for sub in ast.walk(node))
+
+    functions = {f"{cls.name}.{fn.name}": fn for cls in tree.body if isinstance(cls, ast.ClassDef)
+                 for fn in cls.body if isinstance(fn, ast.FunctionDef)}
+    functions.update((fn.name, fn) for fn in tree.body if isinstance(fn, ast.FunctionDef))
+    assert "_grid_reals" in functions
+    naming = {name for name, fn in functions.items() if namings(fn)}
+    assert naming == {"InvariantSetReport.S", "hole_chain"}
+    # and nothing outside those two (a module-level statement) names it either
+    assert namings(tree) == sum(namings(functions[name]) for name in naming)
+
+
 def test_periodic_set_bisects_in_one_method():
     # restrict, intersect, union and minus all rest on the one window cut; a
     # second search of the intervals would have to name bisect again
