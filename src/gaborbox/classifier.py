@@ -11,13 +11,19 @@ rational ratio resolves by rounding c to its two grid neighbours.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, isqrt
 from typing import Dict, List, Optional, Tuple
 
 from .errors import OracleInconsistency, RegionUnsupported
-from .exactnum import ExactReal, floor_div, mod
-from .lattice import NormalizedTriple, RegionTag, grid_triple, grid_value, normalize
+from .exactnum import ExactReal, _floor_pair, _sign, floor_div
+from .lattice import (
+    NormalizedTriple,
+    RegionTag,
+    grid_triple,
+    grid_value,
+    normalize,
+    pair_value,
+)
 
 
 @dataclass(frozen=True)
@@ -195,63 +201,70 @@ def _search_obstruction_irrational(nt: NormalizedTriple):
     Both slopes are integers, so m and d1 are integral for every s or for
     none: exactly when c0 lies in aZ + bZ.  1 <= d1+1 <= s then cuts s to
     v/(f+1) <= s <= (v-1)/f, and only the s in that interval pay the window
-    conditions and the window count."""
-    a, b, c = nt.a, nt.b, nt.c
-    f = nt.floor_cb
-    det = a.x0 * b.x1 - a.x1 * b.x0
-    if det == 0:
+    conditions and the window count.  Every value is an integer pair over
+    the triple's L (`NormalizedTriple.pairs`): (u, v) is Cramer's rule in
+    integers, and each condition the exact sign of a pair."""
+    P = nt.pairs
+    if P is None or P.A[0] * P.B[1] == P.A[1] * P.B[0]:
         raise RegionUnsupported("the obstruction solve needs an irrational a/b")
+    f = nt.floor_cb
     if f < 1:
         raise RegionUnsupported("the obstruction search needs c >= b")
-    ka, kb = _basis_coords(nt.c1, a, b, det)  # (-k, f)
-    if kb != f or ka.denominator != 1:
+    ctx, L, (a0, a1), (b0, b1), (x0, x1), (y0, y1), (z0, z1) = P
+    det = a0 * b1 - a1 * b0
+    # c1 = -k*a + f*b and c0 = u*a + v*b, each coordinate a quotient by det
+    k, r0 = divmod(b0 * z1 - b1 * z0, det)
+    fb, r1 = divmod(a0 * z1 - a1 * z0, det)
+    if r0 or r1 or fb != f:
         raise OracleInconsistency("c1 is not f*b reduced mod a")
-    u, v = _basis_coords(nt.c0, a, b, det)
-    if u.denominator != 1 or v.denominator != 1:
+    u, r0 = divmod(y0 * b1 - y1 * b0, det)
+    v, r1 = divmod(a0 * y1 - a1 * y0, det)
+    if r0 or r1:
         return None
-    m_slope, u, v = f + int(ka), int(u), int(v)
-    ba = b - a
+    m_slope = f - k
+    ba0, ba1 = b0 - a0, b1 - a1
     matches = []
     # s*(b-a) < a: the number of gaps stays below a/(b-a), never equal to it
-    s_hi = min(floor_div(a, ba), (v - 1) // f)
+    s_hi = min(_floor_pair(ctx, a0, a1, ba0, ba1), (v - 1) // f)
     for s in range(max(1, -(-v // (f + 1))), s_hi + 1):
         d1 = v - f * s - 1
         m = m_slope * s - u - v
         d2 = s - 1 - d1
-        if c <= f * b + (d1 + 1) * ba:
+        # c > f*b + (d1+1)*(b-a) and (f+1)*b - (d2+1)*(b-a) > c, less f*b:
+        # the window width c0 - (d1+1)*(b-a) and b - (d2+1)*(b-a) - c0 positive
+        w0, w1 = y0 - (d1 + 1) * ba0, y1 - (d1 + 1) * ba1
+        if _sign(ctx, w0, 1, w1, 1) <= 0:
             continue
-        if f * b + b - (d2 + 1) * ba <= c:
+        if _sign(ctx, b0 - (d2 + 1) * ba0 - y0, 1, b1 - (d2 + 1) * ba1 - y1, 1) <= 0:
             continue
-        expr = c - (d1 + 1) * (f + 1) * ba - (d2 + 1) * f * ba
-        e_ratio = expr.ratio(a)
-        if e_ratio is None or e_ratio.denominator != 1:
+        n = (d1 + 1) * (f + 1) + (d2 + 1) * f
+        e0, e1 = x0 - n * ba0, x1 - n * ba1  # c - n*(b-a), a whole multiple of a
+        if e0 * a1 != e1 * a0 or (e1 % a1 if a1 else e0 % a0):
             raise OracleInconsistency(
                 "collapse count is integral but the length combination "
                 "misses the coarse lattice"
             )
-        modulus = a - s * ba
-        base = nt.c1 - m * ba
-        width = nt.c0 - (d1 + 1) * ba
-        count = 0
-        for k in range(1, s + 1):
-            if mod(k * base, modulus) < width:
+        # the k in 1..s with k*(c1 - m*(b-a)) mod (a - s*(b-a)) below the
+        # width, the residue carried from one k to the next
+        mod0, mod1 = a0 - s * ba0, a1 - s * ba1
+        base0, base1 = z0 - m * ba0, z1 - m * ba1
+        count = r0 = r1 = 0
+        for _ in range(s):
+            r0, r1 = r0 + base0, r1 + base1
+            q = _floor_pair(ctx, r0, r1, mod0, mod1)
+            r0, r1 = r0 - q * mod0, r1 - q * mod1
+            if _sign(ctx, r0 - w0, 1, r1 - w1, 1) < 0:
                 count += 1
         if count != d1:
             continue
-        matches.append((d1, d2, m, count, expr))
+        matches.append((d1, d2, m, count, pair_value((e0, e1), L, ctx)))
     if len(matches) > 1:
-        verdicts = {(e - a).is_zero() for (_, _, _, _, e) in matches}
+        verdicts = {(e - nt.a).is_zero() for (_, _, _, _, e) in matches}
         if len(verdicts) != 1:
             raise OracleInconsistency(
                 f"conflicting obstruction tuples: {matches}"
             )
     return matches[0] if matches else None
-
-
-def _basis_coords(x: ExactReal, a: ExactReal, b: ExactReal,
-                  det: Fraction) -> Tuple[Fraction, Fraction]:
-    """(u, v) with x = u*a + v*b, for det = a.x0*b.x1 - a.x1*b.x0 != 0."""
-    return (x.x0 * b.x1 - x.x1 * b.x0) / det, (a.x0 * x.x1 - a.x1 * x.x0) / det
 
 
 def cond_XII(nt: NormalizedTriple) -> Optional[IrrationalParams]:

@@ -5,13 +5,15 @@ pointwise (the forward absorber), and adds floor(c/b)*b on [c0, a); the
 backward map is its inverse away from the absorbers.  Propagating the
 backward absorber forward until everything parks (or the space fills up)
 carves out the maximal invariant set S; no hole meets an earlier one, so a
-march step is two integer adds on the hole start, an integer pair over one
-denominator (irrational ratio), or a clip, shift and sort of a tuple of
-integer intervals (rational), and S is built once.  On S, collapsing the
-holes (the "surgery" Y) conjugates the forward map to a circle rotation,
-which is what the mark bookkeeping below records.  The measure identity (or,
-equivalently, an empty derived set D) turns S into the frame verdict, and
-the Birkhoff average is a numeric ergodicity diagnostic.
+march step is two integer adds on the hole start, an integer pair over the
+triple's one denominator (irrational ratio, `NormalizedTriple.pairs`; the
+march keeps one byte per step and replays the starts when read), or a clip,
+shift and sort of a tuple of integer intervals (rational), and S is built
+once.  On S, collapsing the holes (the "surgery" Y) conjugates the forward
+map to a circle rotation, which is what the mark bookkeeping below records.
+The measure identity (or, equivalently, an empty derived set D) turns S
+into the frame verdict, and the Birkhoff average is a numeric ergodicity
+diagnostic.
 
 A rational triple has integer grid units of b/(qD) (`NormalizedTriple.units`).
 The rational march runs on them, and compute_S builds S in them once and keeps
@@ -26,8 +28,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 from .errors import (
     EmptySet,
@@ -44,6 +45,7 @@ from .lattice import (
     RegionTag,
     black_hole_R,
     grid_value,
+    pair_value,
 )
 
 
@@ -207,9 +209,9 @@ def compute_S(nt: NormalizedTriple) -> InvariantSetReport:
     elif tag is RegionTag.XI:
         E = PeriodicSet.make(a, [(c0, a)])
     elif tag is RegionTag.XII:
-        starts, end, real = _propagate_irrational(nt)
+        steps, end = _propagate_irrational(nt)
         ba = b - a
-        E = (PeriodicSet.make(a, [(s, s + ba) for s in map(real, starts)]).complement()
+        E = (PeriodicSet.make(a, [(s, s + ba) for s in _hole_starts(nt, steps)]).complement()
              if end is HoleStatus.FROZEN else PeriodicSet.empty(a))
     elif tag is RegionTag.XIII:
         holes = [iv for hole, _ in _propagate_rational(nt) for iv in hole.intervals]
@@ -245,57 +247,62 @@ def compute_S(nt: NormalizedTriple) -> InvariantSetReport:
 # for integers i >= 0 and j.  (So no start equals 0, a or 2a-b, as each would
 # make a/b rational: the tests against those are strict or not alike.  Each
 # start is positive: c1 is, a step adds a positive shift, and a wrap leaves
-# a start at least 0, and not 0.)  Take
-# L the least common multiple of the denominators of the coefficients of a,
-# b, c0 and c1: every start, every shift and every threshold (c0+a-b, c0, the
-# tops c0+2a-2b and 2a-b) is then (X0 + X1*tau)/L for integers X0 and X1, and
-# each comparison is the sign of an integer pair.  tau is irrational and L is
-# fixed, so two pairs stand for the same value exactly when they are equal,
-# and the frozen test is a pair equality.
+# a start at least 0, and not 0.)  The triple's L (NormalizedTriple.pairs)
+# is the least common multiple of the denominators of the coefficients of
+# a, b and c, and c0 = c - f*b and c1 = f*b - k*a are integer combinations
+# of a, b and c: every start, every shift and every threshold (c0+a-b, c0,
+# the tops c0+2a-2b and 2a-b) is then (X0 + X1*tau)/L for integers X0 and
+# X1, and each comparison is the sign of an integer pair.  tau is irrational
+# and L is fixed, so two pairs stand for the same value exactly when they
+# are equal, and the frozen test is a pair equality.  A step is one of four
+# moves (a branch, and a wrap or none), so the march records one byte per
+# step and the starts are replayed from c1 only when they are read.
 
 
-def _propagate_irrational(
-    nt: NormalizedTriple,
-) -> Tuple[List[Tuple[int, int]], HoleStatus, Callable[[Tuple[int, int]], ExactReal]]:
+def _propagate_irrational(nt: NormalizedTriple) -> Tuple[bytearray, HoleStatus]:
     """Single-hole march: the backward absorber must land exactly on the
     forward absorber within floor(a/(b-a))-1 steps, staying strictly inside
     one linear branch the whole way; any anomaly proves S is empty.  Holes
-    have length b-a: returns their starts as integer pairs (X0, X1) meaning
-    (X0 + X1*tau)/L, how the last one ended, and the map from such a pair to
-    its ExactReal."""
-    ctx = nt.b._join(nt.a)
-    coeffs = [x for v in (nt.a, nt.b, nt.c0, nt.c1) for x in (v.x0, v.x1)]
-    L = lcm(*(x.denominator for x in coeffs))
-    # a, b, the forward absorber's end c0 and the first hole's start c1 over L
-    a0, a1, b0, b1, hi0, hi1, s0, s1 = (x.numerator * (L // x.denominator) for x in coeffs)
+    have length b-a and the first starts at c1: returns one byte per step,
+    its move (0 low branch, 1 high branch, plus 2 on a wrap), and how the
+    last hole ended; `_hole_starts` replays the starts."""
+    ctx, _, (a0, a1), (b0, b1), _, (hi0, hi1), (s0, s1) = nt.pairs
     ba0, ba1 = b0 - a0, b1 - a1
-    lo0, lo1 = hi0 - ba0, hi1 - ba1  # the forward absorber is [lo, hi)
+    lo0, lo1 = hi0 - ba0, hi1 - ba1  # the forward absorber is [lo, hi), hi = c0
     lt0, lt1 = lo0 - ba0, lo1 - ba1  # a hole starting at a top ends flush with a branch
     ht0, ht1 = a0 - ba0, a1 - ba1
     ls0, ls1 = s0 + ba0, s1 + ba1  # (f+1)*b mod a is c1+b-a, f*b mod a is c1
-    starts: List[Tuple[int, int]] = []
-    append, sign = starts.append, _sign
+    steps = bytearray()
+    append, sign = steps.append, _sign
     x0, x1 = s0, s1  # the first hole starts at c1
     while True:
-        append((x0, x1))
         if x0 == lo0 and x1 == lo1:
-            end = HoleStatus.FROZEN
-            break
+            return steps, HoleStatus.FROZEN
         # every start is positive (above), so the low branch needs one test
         if sign(ctx, x0 - lt0, 1, x1 - lt1, 1) < 0:
-            x0, x1 = x0 + ls0, x1 + ls1
+            x0, x1, move = x0 + ls0, x1 + ls1, 0
         elif sign(ctx, x0 - hi0, 1, x1 - hi1, 1) > 0 and sign(ctx, x0 - ht0, 1, x1 - ht1, 1) < 0:
-            x0, x1 = x0 + s0, x1 + s1
+            x0, x1, move = x0 + s0, x1 + s1, 1
         else:  # a hole wrapped across the seam lies in neither branch
-            end = HoleStatus.SENTINEL
-            break
+            return steps, HoleStatus.SENTINEL
         if sign(ctx, x0 - a0, 1, x1 - a1, 1) >= 0:
-            x0, x1 = x0 - a0, x1 - a1
+            x0, x1, move = x0 - a0, x1 - a1, move + 2
+        append(move)
 
-    def real(X: Tuple[int, int]) -> ExactReal:
-        return ExactReal(ctx, Fraction(X[0], L), Fraction(X[1], L))
 
-    return starts, end, real
+def _hole_starts(nt: NormalizedTriple, steps: bytearray) -> Iterator[ExactReal]:
+    """The hole starts of a march, c1 and one per recorded step, replayed
+    from its moves and made ExactReal as they are read."""
+    ctx, L, (a0, a1), (b0, b1), _, _, (x0, x1) = nt.pairs
+    # the shifts of the low branch, c1+b-a, and of the high one, c1, each
+    # less a on a wrap
+    low0, low1 = x0 + b0 - a0, x1 + b1 - a1
+    moves = ((low0, low1), (x0, x1), (low0 - a0, low1 - a1), (x0 - a0, x1 - a1))
+    yield pair_value((x0, x1), L, ctx)
+    for move in steps:
+        d0, d1 = moves[move]
+        x0, x1 = x0 + d0, x1 + d1
+        yield pair_value((x0, x1), L, ctx)
 
 
 # Why the rational march sorts and never merges: the map is one-to-one off
@@ -374,8 +381,8 @@ def hole_chain(nt: NormalizedTriple) -> Tuple[HoleChainStep, ...]:
     running the march again.  An empty XIII S ends the chain with the full
     circle as a sentinel; V, IX, X and XI have S in closed form and no chain."""
     if nt.region is RegionTag.XII:
-        starts, end, real = _propagate_irrational(nt)
-        *inner, last = map(real, starts)
+        steps, end = _propagate_irrational(nt)
+        *inner, last = _hole_starts(nt, steps)
         ba = nt.b - nt.a
         steps = [(PeriodicSet(nt.a, ((s, s + ba),)), HoleStatus.PROPAGATING) for s in inner]
         # only a sentinel hole may wrap

@@ -508,21 +508,44 @@ def floor_div(t: ExactReal, a: ExactReal) -> int:
     ctx = t._join(a)
     if not t.x1 and not a.x1:
         return t.x0 // a.x0
-    q = t.ratio(a)
-    if q is not None:
-        return q.__floor__()
-    # interval estimate, then exact certification of the candidate
+    # t and a over the product of their four denominators
+    (t0, e0), (t1, e1) = t.x0.as_integer_ratio(), t.x1.as_integer_ratio()
+    (a0, d0), (a1, d1) = a.x0.as_integer_ratio(), a.x1.as_integer_ratio()
+    return _floor_pair(ctx, t0 * e1 * d0 * d1, t1 * e0 * d0 * d1,
+                       a0 * e0 * e1 * d1, a1 * e0 * e1 * d0)
+
+
+def _floor_pair(ctx: NumberContext, t0: int, t1: int, m0: int, m1: int) -> int:
+    """floor((t0 + t1*tau)/(m0 + m1*tau)) for integers with m0 + m1*tau > 0:
+    two linear forms over one denominator, which cancels.
+
+    Parallel pairs have a rational quotient, read off the coefficients.
+    Else the enclosure of tau bounds the quotient; once the bounds leave at
+    most two candidates, each is certified by the exact signs of t - k*m
+    and t - (k+1)*m, and the enclosure is refined (PrecisionExhausted past
+    the cap) until they do."""
+    if t0 * m1 == t1 * m0:
+        return t1 // m1 if m1 else t0 // m0
     while True:
-        tlo, thi = t.interval()
-        alo, ahi = a.interval()
-        if alo <= 0:
+        lo, hi = ctx.enclosure()
+        ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+        # the least and greatest value of each form over the enclosure (it is
+        # monotone in tau), as a numerator over that end's denominator
+        t_lo, t_hi = (t0 * ld + t1 * ln, ld), (t0 * hd + t1 * hn, hd)
+        if t1 <= 0:
+            t_lo, t_hi = t_hi, t_lo
+        m_lo, m_hi = (m0 * ld + m1 * ln, ld), (m0 * hd + m1 * hn, hd)
+        if m1 <= 0:
+            m_lo, m_hi = m_hi, m_lo
+        if m_lo[0] <= 0:
             ctx.refine()
             continue
-        k_lo = (tlo / ahi).__floor__()
-        k_hi = (thi / alo).__floor__()
+        k_lo = t_lo[0] * m_hi[1] // (t_lo[1] * m_hi[0])
+        k_hi = t_hi[0] * m_lo[1] // (t_hi[1] * m_lo[0])
         if k_hi - k_lo <= 1:
             for k in (k_hi, k_lo):
-                if t._cmp(k * a) >= 0 and t._cmp((k + 1) * a) < 0:
+                if (_sign(ctx, t0 - k * m0, 1, t1 - k * m1, 1) >= 0
+                        and _sign(ctx, t0 - (k + 1) * m0, 1, t1 - (k + 1) * m1, 1) < 0):
                     return k
             raise OracleInconsistency("floor_div certification failed for both candidates")
         ctx.refine()

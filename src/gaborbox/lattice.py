@@ -13,14 +13,24 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, InitVar, dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import itemgetter
 from typing import Iterable, List, NamedTuple, Optional, Tuple, Union
 
 from .errors import NonPositiveInput, PeriodMismatch
-from .exactnum import _ZERO, ExactReal, NumberContext, _make, floor_div, mod, rat
+from .exactnum import (
+    _ZERO,
+    ExactReal,
+    NumberContext,
+    _floor_pair,
+    _make,
+    _sign,
+    floor_div,
+    mod,
+    rat,
+)
 
 
 class RegionTag(enum.Enum):
@@ -242,12 +252,42 @@ class GridUnits(NamedTuple):
     C1: int  # D*(f*q mod p)
 
 
+Pair = Tuple[int, int]
+
+
+class TauPairs(NamedTuple):
+    """a, b, c, c0 and c1 of a triple without grid units as integer pairs
+    (X0, X1), each standing for (X0 + X1*tau)/L: L is the least common
+    multiple of the denominators of the coefficients of a, b and c, and
+    c0 = c - f*b and c1 = f*b - k*a are integer combinations of them (f
+    and k are integers), so they need no other denominator.  tau is
+    irrational, so two pairs stand for one value exactly when they are
+    equal, and an order is the exact sign of a pair difference
+    (exactnum._sign)."""
+
+    ctx: NumberContext  # tau's: the join of the contexts of a, b and c
+    L: int
+    A: Pair
+    B: Pair
+    C: Pair
+    C0: Pair  # C - f*B
+    C1: Pair  # f*B - k*A
+
+
+def pair_value(X: Pair, L: int, ctx: NumberContext) -> ExactReal:
+    """The ExactReal (X0 + X1*tau)/L in context ctx."""
+    x0, x1 = X
+    return _make(ctx, Fraction(x0, L), Fraction(x1, L) if x1 else _ZERO)
+
+
 @dataclass(frozen=True)
 class NormalizedTriple:
     """(a, b, c) together with every derived quantity the classification
     uses, its region included: the diagram is walked once, on construction,
     and every consumer reads `region`.  `units` holds the triple in integer
-    grid units when it has them (see GridUnits), else None."""
+    grid units when it has them (see GridUnits), else None; `pairs` holds
+    it as integer pairs over one denominator exactly when it has no grid
+    units (see TauPairs; normalize hands them over as `with_pairs`)."""
 
     a: ExactReal
     b: ExactReal
@@ -258,10 +298,16 @@ class NormalizedTriple:
     rational: Optional[Tuple[int, int]]  # (p, q) coprime, a/b = p/q
     c_on_grid: Optional[bool]  # c in bZ/q; None when a/b is irrational
     units: Optional[GridUnits] = field(init=False, compare=False)
+    pairs: Optional[TauPairs] = field(default=None, init=False, compare=False, repr=False)
     region: RegionTag = field(init=False, compare=False)
+    _: KW_ONLY
+    with_pairs: InitVar[Optional[TauPairs]] = None
 
-    def __post_init__(self):
-        object.__setattr__(self, "units", _units_of(self))
+    def __post_init__(self, with_pairs):
+        units = _units_of(self)
+        object.__setattr__(self, "units", units)
+        if units is None:
+            object.__setattr__(self, "pairs", with_pairs)
         object.__setattr__(self, "region", _walk_diagram(self))
 
     @property
@@ -309,19 +355,36 @@ def normalize(a: ExactReal, b: ExactReal, c: ExactReal) -> NormalizedTriple:
         q = d // g
         rational, on_grid = (n // g, q), not cn * bd * q % (cd * bn)
         return NormalizedTriple(a, b, c, fcb, c0, c1, rational, on_grid)
-    fcb = floor_div(c, b)
-    c0 = c - fcb * b
-    k = floor_div(fcb * b, a)
-    c1 = fcb * b - k * a
-    ratio = a.ratio(b)
+    return _normalize_on_pairs(a, b, c)
+
+
+def _normalize_on_pairs(a: ExactReal, b: ExactReal, c: ExactReal) -> NormalizedTriple:
+    """normalize for a triple with a tau coefficient: a, b and c as integer
+    pairs over L (TauPairs), f = floor(c/b) and k = floor(f*b/a) by the
+    pair floor, and c0, c1, a/b and c/b read off the pairs.  The contexts
+    are joined where c - f*b, f*b - k*a and the walk's first compare, a
+    against c, join them, so a mixed triple raises there as it always has."""
+    coeffs = (a.x0, a.x1, b.x0, b.x1, c.x0, c.x1)
+    L = lcm(*(x.denominator for x in coeffs))
+    a0, a1, b0, b1, x0, x1 = (x.numerator * (L // x.denominator) for x in coeffs)
+    ctx0 = c._join(b)  # the context of c0
+    f = _floor_pair(ctx0, x0, x1, b0, b1)
+    ctx1 = b._join(a)  # the context of c1
+    fb0, fb1 = f * b0, f * b1
+    k = _floor_pair(ctx1, fb0, fb1, a0, a1)
+    a._join(c)
+    P = TauPairs(ctx1 if ctx1.kind != "rational" else ctx0, L, (a0, a1), (b0, b1), (x0, x1),
+                 (x0 - fb0, x1 - fb1), (fb0 - k * a0, fb1 - k * a1))
     rational: Optional[Tuple[int, int]] = None
     on_grid: Optional[bool] = None
-    if ratio is not None:
-        p, q = ratio.numerator, ratio.denominator
-        rational = (p, q)
-        cb = c.ratio(b)
-        on_grid = cb is not None and (cb * q).denominator == 1
-    return NormalizedTriple(a, b, c, fcb, c0, c1, rational, on_grid)
+    if a0 * b1 == a1 * b0:  # a/b is rational, the quotient of either coefficient
+        ratio = Fraction(a1, b1) if b1 else Fraction(a0, b0)
+        q = ratio.denominator
+        rational = (ratio.numerator, q)
+        # c/b rational and a whole number of steps 1/q
+        on_grid = x0 * b1 == x1 * b0 and not (x1 * q % b1 if b1 else x0 * q % b0)
+    return NormalizedTriple(a, b, c, f, pair_value(P.C0, L, ctx0), pair_value(P.C1, L, ctx1),
+                            rational, on_grid, with_pairs=P)
 
 
 def grid_value(b: ExactReal, n: int, m: int, ctx: Optional[NumberContext] = None) -> ExactReal:
@@ -352,37 +415,61 @@ def _walk_diagram(nt: NormalizedTriple) -> RegionTag:
     """Walk the classification diagram; every positive triple gets one tag.
 
     The operands are the integer grid units when the triple has them, else
-    the ExactReals themselves: the same comparisons decide either way."""
+    its integer pairs over L, where each order is the exact sign of a pair
+    difference: the same comparisons, in the same order, decide either way."""
     u = nt.units
-    if u is None:
-        a, b, c, c0, c1 = nt.a, nt.b, nt.c, nt.c0, nt.c1
-    else:
+    if u is not None:
         a, b, c, c0, c1 = u
-    if a > c:
-        return RegionTag.I
-    if a == c:
-        return RegionTag.II
-    # now a < c
-    if b <= a:
-        return RegionTag.III
-    if b >= c:
-        return RegionTag.IV
-    # now a < b < c
-    ba = b - a
-    if c0 >= a:
-        return RegionTag.V if c0 <= ba else RegionTag.VI
-    if c0 <= ba:
-        return RegionTag.VII
-    # now b - a < c0 < a
-    if nt.floor_cb == 1:
-        return RegionTag.VIII
-    two_a_b = a + a - b
-    if c1 > two_a_b:
-        return RegionTag.IX
-    if c1 == two_a_b:
-        return RegionTag.X
-    if c1 == 0:
-        return RegionTag.XI
+        if a > c:
+            return RegionTag.I
+        if a == c:
+            return RegionTag.II
+        # now a < c
+        if b <= a:
+            return RegionTag.III
+        if b >= c:
+            return RegionTag.IV
+        # now a < b < c
+        ba = b - a
+        if c0 >= a:
+            return RegionTag.V if c0 <= ba else RegionTag.VI
+        if c0 <= ba:
+            return RegionTag.VII
+        # now b - a < c0 < a
+        if nt.floor_cb == 1:
+            return RegionTag.VIII
+        two_a_b = a + a - b
+        if c1 > two_a_b:
+            return RegionTag.IX
+        if c1 == two_a_b:
+            return RegionTag.X
+        if c1 == 0:
+            return RegionTag.XI
+    else:
+        ctx, _, (a0, a1), (b0, b1), (x0, x1), (y0, y1), (z0, z1) = nt.pairs
+        s = _sign(ctx, a0 - x0, 1, a1 - x1, 1)  # a against c
+        if s > 0:
+            return RegionTag.I
+        if s == 0:
+            return RegionTag.II
+        if _sign(ctx, b0 - a0, 1, b1 - a1, 1) <= 0:
+            return RegionTag.III
+        if _sign(ctx, b0 - x0, 1, b1 - x1, 1) >= 0:
+            return RegionTag.IV
+        ba0, ba1 = b0 - a0, b1 - a1
+        if _sign(ctx, y0 - a0, 1, y1 - a1, 1) >= 0:  # c0 against a, then b - a
+            return RegionTag.V if _sign(ctx, y0 - ba0, 1, y1 - ba1, 1) <= 0 else RegionTag.VI
+        if _sign(ctx, y0 - ba0, 1, y1 - ba1, 1) <= 0:
+            return RegionTag.VII
+        if nt.floor_cb == 1:
+            return RegionTag.VIII
+        s = _sign(ctx, z0 - a0 + ba0, 1, z1 - a1 + ba1, 1)  # c1 against 2a - b
+        if s > 0:
+            return RegionTag.IX
+        if s == 0:
+            return RegionTag.X
+        if not (z0 or z1):
+            return RegionTag.XI
     # now 0 < c1 < 2a - b
     if not nt.is_rational:
         return RegionTag.XII

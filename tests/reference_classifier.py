@@ -8,16 +8,19 @@ compared c0 with thresholds built as ExactReals, read the grid indices off
 c0 and c1 (`reference_scan._grid_units`), tried every N in case 8
 (`reference_scan._xiii_candidates_n_scan`), and normalized both grid
 neighbours of an off-grid c; `build_grid_model` is the grid oracle's model
-built from c/b.  They are copied unchanged from the code they replaced,
-except that `classify_triple` takes its region from this walk instead of
-the triple's `region` field, and `cond_XIII` names the N-scan.  The
-differential tests in `test_reference_classifier.py` hold the integer
-grid-unit paths to their output.
+built from c/b.  `_search_obstruction_irrational` and `_basis_coords` are
+the XII search that solved for (u, v) in `Fraction`s and took its window
+conditions and counts on ExactReals, before it read the triple's integer
+pairs.  They are copied unchanged from the code they replaced, except that
+`classify_triple` takes its region from this walk instead of the triple's
+`region` field, and `cond_XIII` names the N-scan.  The differential tests
+in `test_reference_classifier.py` hold the integer grid-unit paths and the
+pair search to their output.
 """
 
 from fractions import Fraction
 from math import gcd
-from typing import Optional
+from typing import Optional, Tuple
 
 from gaborbox.classifier import (
     FrameDecision,
@@ -30,7 +33,7 @@ from gaborbox.classifier import (
 )
 from gaborbox.dynsys import maps_defined
 from gaborbox.errors import OracleInconsistency, RegionUnsupported
-from gaborbox.exactnum import ExactReal, floor_div
+from gaborbox.exactnum import ExactReal, floor_div, mod
 from gaborbox.lattice import NormalizedTriple, RegionTag, normalize
 from gaborbox.oracle import GridModel
 from reference_scan import _xiii_candidates_n_scan
@@ -221,3 +224,78 @@ def build_grid_model(nt: NormalizedTriple) -> GridModel:
             f"grid indices of c break their identities: c/b*q = {k_c}, j0 = {j0}"
         )
     return GridModel(nt, p, q, f, j0, j1, e)
+
+
+def _search_obstruction_irrational(nt: NormalizedTriple):
+    """Find the (d1, d2) tuple passing the membership, window and count
+    conditions; by exactness of the lattice there is at most one verdict.
+
+    a and b are independent over Q exactly when a/b is irrational, so every
+    value of the field has rational coordinates in the basis (a, b).  There
+    c1 = f*b - k*a (k = floor(f*b/a)) and c0 = u*a + v*b, and the membership
+    condition s*c1 - c0 + (d1+1)(b-a) = m*a reads, coefficient by
+    coefficient,
+
+        b:  d1 + 1 = v - f*s
+        a:  m = (f - k)*s - u - v
+
+    Both slopes are integers, so m and d1 are integral for every s or for
+    none: exactly when c0 lies in aZ + bZ.  1 <= d1+1 <= s then cuts s to
+    v/(f+1) <= s <= (v-1)/f, and only the s in that interval pay the window
+    conditions and the window count."""
+    a, b, c = nt.a, nt.b, nt.c
+    f = nt.floor_cb
+    det = a.x0 * b.x1 - a.x1 * b.x0
+    if det == 0:
+        raise RegionUnsupported("the obstruction solve needs an irrational a/b")
+    if f < 1:
+        raise RegionUnsupported("the obstruction search needs c >= b")
+    ka, kb = _basis_coords(nt.c1, a, b, det)  # (-k, f)
+    if kb != f or ka.denominator != 1:
+        raise OracleInconsistency("c1 is not f*b reduced mod a")
+    u, v = _basis_coords(nt.c0, a, b, det)
+    if u.denominator != 1 or v.denominator != 1:
+        return None
+    m_slope, u, v = f + int(ka), int(u), int(v)
+    ba = b - a
+    matches = []
+    # s*(b-a) < a: the number of gaps stays below a/(b-a), never equal to it
+    s_hi = min(floor_div(a, ba), (v - 1) // f)
+    for s in range(max(1, -(-v // (f + 1))), s_hi + 1):
+        d1 = v - f * s - 1
+        m = m_slope * s - u - v
+        d2 = s - 1 - d1
+        if c <= f * b + (d1 + 1) * ba:
+            continue
+        if f * b + b - (d2 + 1) * ba <= c:
+            continue
+        expr = c - (d1 + 1) * (f + 1) * ba - (d2 + 1) * f * ba
+        e_ratio = expr.ratio(a)
+        if e_ratio is None or e_ratio.denominator != 1:
+            raise OracleInconsistency(
+                "collapse count is integral but the length combination "
+                "misses the coarse lattice"
+            )
+        modulus = a - s * ba
+        base = nt.c1 - m * ba
+        width = nt.c0 - (d1 + 1) * ba
+        count = 0
+        for k in range(1, s + 1):
+            if mod(k * base, modulus) < width:
+                count += 1
+        if count != d1:
+            continue
+        matches.append((d1, d2, m, count, expr))
+    if len(matches) > 1:
+        verdicts = {(e - a).is_zero() for (_, _, _, _, e) in matches}
+        if len(verdicts) != 1:
+            raise OracleInconsistency(
+                f"conflicting obstruction tuples: {matches}"
+            )
+    return matches[0] if matches else None
+
+
+def _basis_coords(x: ExactReal, a: ExactReal, b: ExactReal,
+                  det: Fraction) -> Tuple[Fraction, Fraction]:
+    """(u, v) with x = u*a + v*b, for det = a.x0*b.x1 - a.x1*b.x0 != 0."""
+    return (x.x0 * b.x1 - x.x1 * b.x0) / det, (a.x0 * x.x1 - a.x1 * x.x0) / det

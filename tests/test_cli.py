@@ -184,6 +184,16 @@ def test_classify_json_witness_for_nonframe(capsys):
     assert payload["witness"]["N"] == 3
 
 
+def test_classify_past_the_pi_cap_is_a_one_line_error(capsys):
+    from test_lattice import pi_cap_offset
+
+    x = pi_cap_offset()
+    code, out, err = run(capsys, "classify", "--json", "--context", "pi", "--a", "pi/4",
+                         "--b", "1", "--c", f"pi-{x.numerator}/{x.denominator}")
+    assert (code, out) == (1, "")
+    assert err == "error: enclosure for pi already at 4096 bits (cap 4096)\n"
+
+
 def test_classify_json_reports_internal_errors(capsys, monkeypatch):
     # only a region without a construction prints "S": null; a bug signal exits 1
     from gaborbox import cli

@@ -17,6 +17,7 @@ from gaborbox.errors import EmptySet, PeriodMismatch, RegionUnsupported
 from gaborbox.exactnum import ExactReal, floor_div, mod, pi_context, surd_context
 from gaborbox.dynsys import (
     HoleStatus,
+    _propagate_irrational,
     apply_R,
     apply_Rt,
     birkhoff_average,
@@ -203,6 +204,27 @@ def test_S_empty_with_sentinel_24_7():
     assert rep.S.is_empty
     assert rep.chain[-1].status is HoleStatus.SENTINEL
     assert rep.chain[-1].hole == PeriodicSet.full(rat(F(6, 7)))
+
+
+def test_sentinel_march_keeps_a_byte_per_step():
+    # a = 309/437*sqrt2, b = 1, c = 13/2: the XII march runs 8,443 steps
+    # before a hole wraps; it records each step's move, not its start
+    # (a start tuple of two integers costs over 100 bytes)
+    import tracemalloc
+
+    nt = normalize(surd_context(2).num(0, F(309, 437)), rat(1), rat(F(13, 2)))
+    tracemalloc.start()
+    try:
+        steps, end = _propagate_irrational(nt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(steps), end) == (8443, HoleStatus.SENTINEL)
+    assert peak < 4 * len(steps)
+    assert compute_S(nt).S.is_empty
+    # the chain replays the starts from the recorded moves
+    chain = hole_chain(nt)
+    assert len(chain) == len(steps) + 1 and chain[-1].status is HoleStatus.SENTINEL
 
 
 def test_S_shortcircuits_x_xi():

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gaborbox import NormalizedTriple, PeriodicSet, RegionTag, normalize, rat, region_tag
-from gaborbox.errors import ContextMismatch, NonPositiveInput, PeriodMismatch
-from gaborbox.exactnum import pi_context, surd_context
+from gaborbox.errors import ContextMismatch, NonPositiveInput, PeriodMismatch, PrecisionExhausted
+from gaborbox.exactnum import _pi_enclosure, pi_context, surd_context
 from gaborbox.lattice import black_hole_R, black_hole_Rt, grid_triple, grid_value
 
 PI = pi_context()
@@ -90,6 +90,22 @@ def test_mixed_contexts_raise_on_rational_values():
     # the walk compares integers, so normalize itself checks a against c
     with pytest.raises(ContextMismatch):
         normalize(surd_context(2).num(1), rat(1), surd_context(3).num(3))
+
+
+def pi_cap_offset():
+    """x - 3 for x the midpoint of a 6000-bit enclosure of pi: c = pi - (x - 3)
+    is 3 plus a difference below 2**-6000, whose sign no enclosure up to the
+    4096-bit cap settles."""
+    lo, hi = _pi_enclosure(6000)
+    return (lo + hi) / 2 - 3
+
+
+def test_normalize_floor_past_the_pi_cap_raises():
+    # floor(c/b) needs the sign of c - 3: the pair floor refines to the cap
+    P = pi_context()
+    with pytest.raises(PrecisionExhausted):
+        normalize(P.num(0, F(1, 4)), P.num(1), P.num(-pi_cap_offset(), 1))
+    assert P._bits == 4096
 
 
 def test_normalize_rejects_nonpositive():

@@ -1,6 +1,6 @@
 """Differential tests: the classifier deciding rational triples in integer
-grid units against the ExactReal classifier it replaced
-(`reference_classifier.py`).
+grid units, and the XII search on the triple's integer pairs, against the
+ExactReal classifier and search they replaced (`reference_classifier.py`).
 
 Every decision is compared whole: verdict, region and witness, with the
 rendered GcdCondition thresholds, the case-8 delta and both neighbours of
@@ -14,12 +14,20 @@ from fractions import Fraction as F
 import pytest
 
 import reference_classifier as ref
-from gaborbox.classifier import GcdCondition, RationalParams, RecursionPair, classify_triple
+from gaborbox.classifier import (
+    GcdCondition,
+    RationalParams,
+    RecursionPair,
+    _search_obstruction_irrational,
+    classify_triple,
+)
 from gaborbox.cli import _decision_json
 from gaborbox.errors import RegionUnsupported
 from gaborbox.exactnum import pi_context, rat, surd_context
-from gaborbox.lattice import normalize
+from gaborbox.lattice import RegionTag, normalize
 from gaborbox.oracle import build_grid_model
+from test_reference_dynsys import XII_CERTIFICATE_POOLS
+from test_reference_scan import _lattice_draw
 
 SQ2 = surd_context(2)
 PI = pi_context()
@@ -119,3 +127,50 @@ def test_rational_ratio_of_irrationals_matches_reference(c_in_sqrt2):
         _same(a, b, c, tally)
     for region in ("VI", "VII", "X", "XI", "XIV") + ("XIII",) * c_in_sqrt2:
         assert tally[region, "Frame"] and tally[region, "NotFrame"], region
+
+
+# -- the XII search on integer pairs ---------------------------------------------------
+
+def _same_xii_search(nt, tally):
+    """The same hit as the Fraction-solve search, its length combination
+    expr included (value and rendering); tallies what the hit decides."""
+    assert nt.region is RegionTag.XII, nt
+    got, want = _search_obstruction_irrational(nt), ref._search_obstruction_irrational(nt)
+    assert got == want, (nt.a, nt.b, nt.c)
+    if want is None:
+        tally["no hit"] += 1
+    else:
+        assert got[4].render() == want[4].render(), (nt.a, nt.b, nt.c)
+        tally["critical" if (want[4] - nt.a).is_zero() else "NotFrame"] += 1
+
+
+def test_xii_search_matches_reference_on_certificate_pools():
+    # the perfbench certificates workload's XII rungs, c = 7/2 held in the
+    # context like a and b
+    tally = Counter()
+    for (name, _), pool in XII_CERTIFICATE_POOLS.items():
+        for x0, x1 in pool:
+            ctx = PI if name == "pi" else surd_context(int(name[len("sqrt"):]))
+            _same_xii_search(normalize(ctx.num(x0, x1), ctx.num(1), ctx.num(F(7, 2))), tally)
+    assert tally["no hit"] == sum(map(len, XII_CERTIFICATE_POOLS.values()))
+
+
+def test_xii_search_matches_reference_on_named_triples():
+    tally = Counter()
+    # the many-survivor family a = 239/338*sqrt2, b = 1, c = 3 + v*(1 - a) at v = 100
+    a = SQ2.num(0, F(239, 338))
+    _same_xii_search(normalize(a, rat(1), 3 + 100 * (1 - a)), tally)
+    assert tally["NotFrame"] == 1
+    # a measure-critical frame (expr = a) and a planted obstruction over pi
+    _same_xii_search(normalize(PI.num(0, F(1, 4)), rat(1), PI.num(23, F(-11, 2))), tally)
+    _same_xii_search(normalize(PI.num(0, F(1, 4)), rat(1), PI.num(11, F(-7, 4))), tally)
+    assert tally == {"NotFrame": 2, "critical": 1}
+
+
+@pytest.mark.parametrize("ctx", [SQ2, surd_context(3), PI], ids=["sqrt2", "sqrt3", "pi"])
+def test_xii_search_matches_reference_on_seeded_draws(ctx):
+    tally = Counter()
+    for seed in (1, 2, 3):
+        for nt in _lattice_draw(ctx, seed, 40):
+            _same_xii_search(nt, tally)
+    assert tally["no hit"] and tally["NotFrame"] and tally["critical"], tally

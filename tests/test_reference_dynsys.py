@@ -348,17 +348,19 @@ def test_compute_S_and_the_pipeline_build_no_chain_and_convert_no_S(monkeypatch)
 
 # -- the marches, step by step -------------------------------------------------------
 #
-# The live XII march runs on integer pairs over one denominator and the live
-# XIII march on tuples of integer intervals; the ones they replaced ran on
-# ExactReal starts and on a PeriodicSet per operation.
+# The live XII march runs on integer pairs over one denominator, keeping one
+# byte per step, and the live XIII march on tuples of integer intervals; the
+# ones they replaced ran on ExactReal starts and on a PeriodicSet per
+# operation.
 
 
 def _assert_same_xii_march(nt):
-    """The same starts (the live ones mapped to ExactReal), holes, statuses
-    and exit as the ExactReal march.  Returns the exit."""
-    starts, end, real = dynsys._propagate_irrational(nt)
+    """The same starts (the live ones replayed from the march's steps),
+    holes, statuses and exit as the ExactReal march.  Returns the exit."""
+    steps, end = dynsys._propagate_irrational(nt)
     want, want_end = ref._propagate_irrational_on_reals(nt)
-    assert [_value(real(s)) for s in starts] == [_value(s) for s in want], nt
+    assert len(steps) == len(want) - 1, nt
+    assert [_value(s) for s in dynsys._hole_starts(nt, steps)] == [_value(s) for s in want], nt
     assert end is want_end, nt
     chain = hole_chain(nt)
     ba = nt.b - nt.a

@@ -1,12 +1,16 @@
 """Differential tests: the `__slots__` ExactReal core, its `_cmp`, the
-integer pi sign and the rational branch of `normalize` against the
-frozen-dataclass core and the `Fraction`-interval sign they replaced
-(`reference_exact.py`), plus the value-class guarantees the
-dataclass used to give (immutability, pickling, copying)."""
+integer pi sign, `floor_div` on integer pairs and both branches of
+`normalize` (the rational one in integers, the irrational one on integer
+pairs over one denominator) against the frozen-dataclass core, the
+`Fraction`-interval sign and the `ExactReal` normalization they replaced
+(`reference_exact.py`), plus the value-class guarantees the dataclass used
+to give (immutability, pickling, copying)."""
 
 import copy
 import operator
 import pickle
+import random
+from collections import Counter
 from fractions import Fraction as F
 from math import gcd
 
@@ -27,7 +31,7 @@ from gaborbox.exactnum import (
     rat,
     surd_context,
 )
-from gaborbox.lattice import PeriodicSet, normalize, region_tag
+from gaborbox.lattice import PeriodicSet, RegionTag, normalize, region_tag
 
 PI = pi_context()
 SQRT2 = surd_context(2)
@@ -164,6 +168,64 @@ def test_normalize_and_region_tag_match_old_core_q_le_20():
     assert 0 < off_grid < triples
 
 
+def _generic_triples(seed, count):
+    """(new core, old core) operand triples off the rational grid.
+
+    Three kinds, picked 3 : 1 : 1, the first and last drawn again until
+    they fit.  a in (b/2, b) and c > 2b over sqrt2,
+    sqrt3, sqrt5 or pi (b = 1 or a value of the context): regions VI, VII,
+    IX and XII without grid units.  a = r*sqrt2 and b = sqrt2 with
+    r = p/q <= 2 and c rational, so a/b is rational and c/b is not: every
+    region but II, XII and XIII, still walked on pairs.  And c = a with a
+    and b of the first kind: region II."""
+    rng = random.Random(seed)
+    contexts = (SQRT2, SQRT3, surd_context(5), PI)
+    out = []
+    while len(out) < count:
+        kind = rng.choice((0, 0, 0, 1, 2))
+        if kind == 1:
+            q = rng.randint(1, 6)
+            r = F(rng.randint(1, 2 * q), q)
+            coefs = [(F(0), r), (F(0), F(1)), (F(rng.randint(1, 16 * q), 2 * q), F(0))]
+            ctxs = (SQRT2, SQRT2, rng.choice((SQRT2, RATIONAL)))
+        else:
+            ctx = rng.choice(contexts)
+            b = rng.choice([(F(1), F(0)), (F(rng.randint(-2, 4), rng.randint(1, 3)),
+                                           F(rng.randint(1, 4), rng.randint(1, 4)))])
+            a = (F(rng.randint(-3, 4), rng.randint(1, 4)), F(rng.randint(1, 12), rng.randint(2, 20)))
+            bv, av = ctx.num(*b), ctx.num(*a)
+            if not (bv.sign() > 0 and bv < 2 * av and av < bv):
+                continue
+            k0, k1 = rng.randint(2, 9), rng.randint(-4, 4)
+            x = (k0 * b[0] + k1 * a[0] + F(rng.randint(-3, 3), rng.randint(2, 7)),
+                 k0 * b[1] + k1 * a[1] + F(rng.randint(-1, 1), rng.randint(2, 7)))
+            if not ctx.num(*x) > 2 * bv:
+                continue
+            coefs, ctxs = [a, b, x], (ctx,) * 3
+        if kind == 2:
+            coefs[2], ctxs = coefs[0], ctxs[:2] + ctxs[:1]
+        out.append([(ExactReal(ctx, *xs), ref.ExactReal(ctx, *xs))
+                    for ctx, xs in zip(ctxs, coefs)])
+    return out
+
+
+def test_normalize_and_region_tag_match_old_core_off_the_grid():
+    """Triples without grid units, which normalize takes to integer pairs
+    over one denominator and walks by signs of pair differences, against
+    the ExactReal normalization and walk, contexts included."""
+    tally = Counter()
+    for ops in _generic_triples(seed=19, count=1500):
+        new, old = zip(*ops)
+        nt_new, nt_old = normalize(*new), ref.normalize(*old)
+        assert _canon(nt_new) == _canon(nt_old), old
+        tag = region_tag(nt_new)
+        assert tag is ref.region_tag(nt_old), old
+        tally[tag] += 1
+        tally["pairs" if nt_new.units is None else "units"] += 1
+    assert set(RegionTag) - set(tally) == {RegionTag.XIII}, tally
+    assert tally["pairs"] > 1400 and tally[RegionTag.XII] > 50, tally
+
+
 # -- pi signs in integers ---------------------------------------------------------------
 
 # within 2**-8192 of pi, far finer than the 4096-bit refinement cap
@@ -198,6 +260,23 @@ def test_pi_sign_in_integers_matches_fraction_intervals(form):
     want = _outcome(ref._sign, old_ctx, *form)
     assert got == want, form
     assert new_ctx._bits == old_ctx._bits, form
+
+
+@given(m=pi_forms(), d=pi_forms(), n=st.integers(-4, 4), exact=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_floor_div_near_integer_quotients_matches_fraction_intervals(m, d, n, exact):
+    """floor_div(n*m + d, m) over pi for d near zero (or zero) and m now and
+    then near zero itself: the same quotient, or the same error, after the
+    same refinements, each core on a fresh context."""
+    m0, m1 = F(m[0], m[1]), F(m[2], m[3])
+    t0, t1 = n * m0, n * m1
+    if not exact:
+        t0, t1 = t0 + F(d[0], d[1]), t1 + F(d[2], d[3])
+    new_ctx, old_ctx = pi_context(), pi_context()
+    got = _outcome(floor_div, ExactReal(new_ctx, t0, t1), ExactReal(new_ctx, m0, m1))
+    want = _outcome(ref.floor_div, ref.ExactReal(old_ctx, t0, t1), ref.ExactReal(old_ctx, m0, m1))
+    assert got == want, (m, d, n, exact)
+    assert new_ctx._bits == old_ctx._bits, (m, d, n, exact)
 
 
 def test_pi_sign_draws_reach_refinements_and_the_cap():

@@ -141,6 +141,43 @@ def test_dynsys_converts_S_to_the_reals_only_when_read():
     assert namings(tree) == sum(namings(functions[name]) for name in naming)
 
 
+def test_only_the_pair_builder_takes_a_common_denominator():
+    # a triple without grid units is put over one denominator L once, by
+    # lattice._normalize_on_pairs; the walk, the XII search and the XII
+    # march read its pairs, and the classifier solves for (u, v) on them,
+    # not on Fractions
+    found = set()
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and any(
+                    isinstance(node, ast.Name) and node.id == "lcm"
+                    or isinstance(node, ast.Attribute) and node.attr == "lcm"
+                    for node in ast.walk(fn)):
+                found.add(f"{path.name}:{fn.name}")
+        found |= {f"{path.name}:import" for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom))
+                  for alias in node.names if alias.name.split(".")[-1] == "lcm"}
+    assert found == {"lattice.py:_normalize_on_pairs", "lattice.py:import"}
+    classifier = ast.parse((SRC / "classifier.py").read_text(encoding="utf-8"))
+    assert "_basis_coords" not in {node.name for node in ast.walk(classifier)
+                                   if isinstance(node, ast.FunctionDef)}
+
+
+def test_only_exactnum_reads_or_refines_an_enclosure():
+    # every sign and floor over pi goes through exactnum, which refines under
+    # the PrecisionExhausted cap
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "exactnum.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in ("enclosure", "refine")]
+    assert found == []
+
+
 def test_periodic_set_bisects_in_one_method():
     # restrict, intersect, union and minus all rest on the one window cut; a
     # second search of the intervals would have to name bisect again
