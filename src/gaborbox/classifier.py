@@ -10,12 +10,11 @@ rational ratio resolves by rounding c to its two grid neighbours.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import OracleInconsistency, RegionUnsupported
-from .exactnum import ExactReal, _floor_pair, _sign, floor_div
+from .exactnum import ExactReal, _floor_pair, _sign
 from .lattice import (
     NormalizedTriple,
     RegionTag,
@@ -26,8 +25,7 @@ from .lattice import (
 )
 
 
-@dataclass(frozen=True)
-class GcdCondition:
+class GcdCondition(NamedTuple):
     """Witness for the divisor-flavoured boundary regions (cases 1-5 and
     the X/XI edge rules); values maps symbol names to rendered numbers."""
 
@@ -35,8 +33,7 @@ class GcdCondition:
     values: Dict[str, str]
 
 
-@dataclass(frozen=True)
-class IrrationalParams:
+class IrrationalParams(NamedTuple):
     """Witness tuple for the irrational-ratio obstruction."""
 
     d1: int
@@ -45,8 +42,7 @@ class IrrationalParams:
     e_count: int
 
 
-@dataclass(frozen=True)
-class RationalParams:
+class RationalParams(NamedTuple):
     """Witness for the on-grid rational obstruction (case 6, 7 or 8)."""
 
     case_id: int
@@ -59,14 +55,12 @@ class RationalParams:
     e_count: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class RecursionPair:
+class RecursionPair(NamedTuple):
     low: "FrameDecision"
     high: "FrameDecision"
 
 
-@dataclass(frozen=True)
-class FrameDecision:
+class FrameDecision(NamedTuple):
     verdict: str  # "Frame" | "NotFrame"
     region: RegionTag
     witness: object = None
@@ -104,14 +98,17 @@ def _fixed(verdict: str, region: RegionTag):
 # ---------------------------------------------------------------------------
 
 
-def _c0_and_step(nt: NormalizedTriple):
-    """c0 and the grid step b/q of a rational triple: integers in units of
-    b/(q*D) when it has grid units, else the ExactReals themselves."""
-    u = nt.units
+def _c0_against(nt: NormalizedTriple, n: int) -> int:
+    """A number with the sign of c0 - n*b/q, for a rational triple: the
+    difference in grid units when it has them, else the exact sign of
+    q*C0 - n*B on its integer pairs (a/b rational, c/b irrational)."""
     q = nt.rational[1]
-    if u is None:
-        return nt.c0, nt.b / q
-    return u.C0, u.B // q
+    u = nt.units
+    if u is not None:
+        return u.C0 - n * (u.B // q)
+    P = nt.pairs
+    (y0, y1), (b0, b1) = P.C0, P.B
+    return _sign(P.ctx, q * y0 - n * b0, 1, q * y1 - n * b1, 1)
 
 
 def _grid_point(nt: NormalizedTriple, n: int) -> str:
@@ -126,10 +123,9 @@ def _region_vi(nt: NormalizedTriple) -> FrameDecision:
     p, q = nt.rational
     f = nt.floor_cb
     g = gcd(f + 1, p)
-    c0, step = _c0_and_step(nt)
     # threshold b - g*b/q (case 1), one grid step higher when g = f+1 (case 2)
     case, n = ("1", q - g) if g != f + 1 else ("2", q - g + 1)
-    if c0 > n * step:
+    if _c0_against(nt, n) > 0:
         return _not_frame(RegionTag.VI, GcdCondition(
             case, {"gcd(f+1,p)": str(g), "threshold": _grid_point(nt, n)}))
     return _frame(RegionTag.VI)
@@ -141,13 +137,12 @@ def _region_vii(nt: NormalizedTriple) -> FrameDecision:
         return _not_frame(RegionTag.VII, GcdCondition("3", {"c0": "0"}))
     if not nt.is_rational:
         return _frame(RegionTag.VII)
-    p, q = nt.rational
+    p, _ = nt.rational
     f = nt.floor_cb
     g = gcd(f, p)
-    c0, step = _c0_and_step(nt)
     # threshold g*b/q (case 4), one grid step lower when g = f (case 5)
     case, n = ("4", g) if g != f else ("5", g - 1)
-    if c0 < n * step:
+    if _c0_against(nt, n) < 0:
         return _not_frame(RegionTag.VII, GcdCondition(
             case, {"gcd(f,p)": str(g), "threshold": _grid_point(nt, n)}))
     return _frame(RegionTag.VII)
@@ -159,9 +154,8 @@ def _region_x(nt: NormalizedTriple) -> FrameDecision:
         raise OracleInconsistency("c1 = 2a-b is impossible over an irrational ratio")
     p, q = nt.rational
     f = nt.floor_cb
-    c0, step = _c0_and_step(nt)
     n = q - p + 1  # b - a + b/q
-    if f + 1 == p and c0 <= n * step:
+    if f + 1 == p and _c0_against(nt, n) <= 0:
         return _frame(RegionTag.X)
     return _not_frame(RegionTag.X, GcdCondition(
         "X", {"p": str(p), "f+1": str(f + 1), "threshold": _grid_point(nt, n)}))
@@ -172,9 +166,8 @@ def _region_xi(nt: NormalizedTriple) -> FrameDecision:
         raise OracleInconsistency("c1 = 0 is impossible over an irrational ratio")
     p, _ = nt.rational
     f = nt.floor_cb
-    c0, step = _c0_and_step(nt)
     n = p - 1  # a - b/q
-    if f == p and c0 >= n * step:
+    if f == p and _c0_against(nt, n) >= 0:
         return _frame(RegionTag.XI)
     return _not_frame(RegionTag.XI, GcdCondition(
         "XI", {"p": str(p), "f": str(f), "threshold": _grid_point(nt, n)}))
@@ -439,8 +432,14 @@ def classify_off_grid(nt: NormalizedTriple) -> FrameDecision:
         raise RegionUnsupported("off-grid rounding needs a/b = p/q and c off the b/q grid")
     q = nt.rational[1]
     u = nt.units
-    # k = floor(c*q/b): C // D in grid units; with c/b irrational there are none
-    k = u.C // (u.B // q) if u is not None else floor_div(nt.c * q, nt.b)
+    # k = floor(c*q/b): C // D in grid units; with c/b irrational there are
+    # none, and it is the pair floor of q*C over B
+    if u is not None:
+        k = u.C // (u.B // q)
+    else:
+        P = nt.pairs
+        (x0, x1), (b0, b1) = P.C, P.B
+        k = _floor_pair(P.ctx, q * x0, q * x1, b0, b1)
     low = classify_triple(grid_triple(nt, k))
     high = classify_triple(grid_triple(nt, k + 1))
     if RegionTag.XIV in (low.region, high.region):

@@ -26,9 +26,8 @@ holes is built only when read (`hole_chain`), by running the march again.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from .errors import (
     EmptySet,
@@ -62,15 +61,13 @@ class HoleStatus(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class HoleChainStep:
+class HoleChainStep(NamedTuple):
     index: int
     hole: PeriodicSet
     status: HoleStatus
 
 
-@dataclass(frozen=True)
-class Marks:
+class Marks(NamedTuple):
     """Image of the holes on the collapsed circle of circumference Ya.
 
     kind "cyclic": the marks form the finite cyclic group generator*Z mod Ya,
@@ -91,8 +88,7 @@ class Marks:
         return self.listed
 
 
-@dataclass(frozen=True)
-class RationalExtras:
+class RationalExtras(NamedTuple):
     """Gap bookkeeping when the collapsed rotation is of finite order:
     N1+1 big gaps (size b-a+delta-delta_prime), N2 small ones, components of
     S all multiples of h."""
@@ -104,8 +100,7 @@ class RationalExtras:
     h: ExactReal
 
 
-@dataclass(frozen=True)
-class InvariantSetReport:
+class InvariantSetReport(NamedTuple):
     nt: NormalizedTriple
     S_units: PeriodicSet  # S as built: in grid units (period units.A) or over the reals
     Ya: ExactReal

@@ -100,6 +100,10 @@ def _pi_enclosure(bits: int) -> Tuple[Fraction, Fraction]:
     return Fraction(mid - err, scale), Fraction(mid + err, scale)
 
 
+# every pi context starts from this one enclosure and refines its own copy
+_PI_START = _pi_enclosure(_PI_START_BITS)
+
+
 def _sqrt_enclosure(d: int, bits: int) -> Tuple[Fraction, Fraction]:
     """Certified rational interval containing sqrt(d), width 2**-bits."""
     scale = 1 << bits
@@ -192,7 +196,7 @@ class NumberContext:
 
     def _compute(self, bits: int) -> Tuple[Fraction, Fraction]:
         if self.kind == "pi":
-            return _pi_enclosure(bits)
+            return _PI_START if bits == _PI_START_BITS else _pi_enclosure(bits)
         return _sqrt_enclosure(self.d, bits)
 
     # -- construction ------------------------------------------------------

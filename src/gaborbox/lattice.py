@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import enum
 from bisect import bisect_left, bisect_right
-from dataclasses import KW_ONLY, InitVar, dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
@@ -60,12 +59,33 @@ _start = itemgetter(0)
 _end = itemgetter(1)
 
 
-@dataclass(frozen=True)
 class PeriodicSet:
-    """Union of half-open intervals in [0, period), implicitly + period*Z."""
+    """Union of half-open intervals in [0, period), implicitly + period*Z;
+    immutable, equal (and hashing alike) exactly when period and intervals
+    are."""
 
-    period: Endpoint
-    intervals: Tuple[Interval, ...]
+    __slots__ = ("period", "intervals")
+
+    def __init__(self, period: Endpoint, intervals: Tuple[Interval, ...]):
+        _set_period(self, period)
+        _set_intervals(self, intervals)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PeriodicSet is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"PeriodicSet is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return PeriodicSet, (self.period, self.intervals)
+
+    def __eq__(self, other):
+        if type(other) is not PeriodicSet:
+            return NotImplemented
+        return (self.period, self.intervals) == (other.period, other.intervals)
+
+    def __hash__(self):
+        return hash((self.period, self.intervals))
 
     # ---- construction ----------------------------------------------------
     @classmethod
@@ -219,6 +239,9 @@ class PeriodicSet:
         return f"PeriodicSet({body or 'empty'} mod {_render(self.period)})"
 
 
+_set_period = PeriodicSet.period.__set__
+_set_intervals = PeriodicSet.intervals.__set__
+
 _RAT_ZERO = rat(0)
 
 
@@ -280,39 +303,77 @@ def pair_value(X: Pair, L: int, ctx: NumberContext) -> ExactReal:
     return _make(ctx, Fraction(x0, L), Fraction(x1, L) if x1 else _ZERO)
 
 
-@dataclass(frozen=True)
 class NormalizedTriple:
     """(a, b, c) together with every derived quantity the classification
     uses, its region included: the diagram is walked once, on construction,
     and every consumer reads `region`.  `units` holds the triple in integer
     grid units when it has them (see GridUnits), else None; `pairs` holds
     it as integer pairs over one denominator exactly when it has no grid
-    units (see TauPairs; normalize hands them over as `with_pairs`)."""
+    units (see TauPairs; normalize hands them over as `with_pairs`), else
+    None.  Immutable; two triples are equal (and hash alike) when their
+    eight given fields are, whatever they derive."""
 
-    a: ExactReal
-    b: ExactReal
-    c: ExactReal
-    floor_cb: int
-    c0: ExactReal
-    c1: ExactReal
-    rational: Optional[Tuple[int, int]]  # (p, q) coprime, a/b = p/q
-    c_on_grid: Optional[bool]  # c in bZ/q; None when a/b is irrational
-    units: Optional[GridUnits] = field(init=False, compare=False)
-    pairs: Optional[TauPairs] = field(default=None, init=False, compare=False, repr=False)
-    region: RegionTag = field(init=False, compare=False)
-    _: KW_ONLY
-    with_pairs: InitVar[Optional[TauPairs]] = None
+    __slots__ = ("a", "b", "c", "floor_cb", "c0", "c1", "rational", "c_on_grid",
+                 "units", "pairs", "region")
 
-    def __post_init__(self, with_pairs):
+    def __init__(self, a: ExactReal, b: ExactReal, c: ExactReal, floor_cb: int,
+                 c0: ExactReal, c1: ExactReal,
+                 rational: Optional[Tuple[int, int]],  # (p, q) coprime, a/b = p/q
+                 c_on_grid: Optional[bool],  # c in bZ/q; None when a/b is irrational
+                 *, with_pairs: Optional[TauPairs] = None):
+        set_a, set_b, set_c, set_f, set_c0, set_c1, set_r, set_g, set_u, set_p, set_t = _SETTERS
+        set_a(self, a)
+        set_b(self, b)
+        set_c(self, c)
+        set_f(self, floor_cb)
+        set_c0(self, c0)
+        set_c1(self, c1)
+        set_r(self, rational)
+        set_g(self, c_on_grid)
         units = _units_of(self)
-        object.__setattr__(self, "units", units)
-        if units is None:
-            object.__setattr__(self, "pairs", with_pairs)
-        object.__setattr__(self, "region", _walk_diagram(self))
+        set_u(self, units)
+        set_p(self, with_pairs if units is None else None)
+        set_t(self, _walk_diagram(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"NormalizedTriple is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"NormalizedTriple is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return _rebuild_triple, (self._given(), self.pairs)
+
+    def _given(self) -> tuple:
+        return (self.a, self.b, self.c, self.floor_cb, self.c0, self.c1, self.rational,
+                self.c_on_grid)
+
+    def __eq__(self, other):
+        if type(other) is not NormalizedTriple:
+            return NotImplemented
+        return self._given() == other._given()
+
+    def __hash__(self):
+        return hash(self._given())
+
+    def __repr__(self):
+        return (f"NormalizedTriple(a={self.a!r}, b={self.b!r}, c={self.c!r}, "
+                f"floor_cb={self.floor_cb!r}, c0={self.c0!r}, c1={self.c1!r}, "
+                f"rational={self.rational!r}, c_on_grid={self.c_on_grid!r}, "
+                f"units={self.units!r}, region={self.region!r})")
 
     @property
     def is_rational(self) -> bool:
         return self.rational is not None
+
+
+# the slot setters, in __slots__ order, past the immutable __setattr__
+_SETTERS = tuple(getattr(NormalizedTriple, name).__set__ for name in NormalizedTriple.__slots__)
+
+
+def _rebuild_triple(given: tuple, pairs: Optional[TauPairs]) -> NormalizedTriple:
+    """The triple that pickles and copies rebuild, its pairs carried over."""
+    return NormalizedTriple(*given, with_pairs=pairs)
 
 
 def _units_of(nt: NormalizedTriple) -> Optional[GridUnits]:

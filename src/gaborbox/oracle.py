@@ -16,9 +16,8 @@ map definitions themselves, which is what makes the cross-check meaningful.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import FrozenSet, Optional, Set, Tuple
+from typing import FrozenSet, NamedTuple, Optional, Set, Tuple
 
 from .dynsys import compute_D, compute_S, maps_defined, measure_identity
 from .errors import BadTruncation, OracleInconsistency, RegionUnsupported
@@ -26,8 +25,7 @@ from .exactnum import ExactReal
 from .lattice import NormalizedTriple, RegionTag, grid_value
 
 
-@dataclass(frozen=True)
-class GridModel:
+class GridModel(NamedTuple):
     """Integer shadow of an on-grid rational triple.
 
     Indices j = 0..p-1 stand for the residues j*(b/q) mod a.  The forward map

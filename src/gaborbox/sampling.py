@@ -8,16 +8,14 @@ the frame classification of the matching triple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .classifier import FrameDecision, classify
 from .errors import NonPositiveInput
 from .exactnum import ExactReal
 
 
-@dataclass(frozen=True)
-class SamplingDecision:
+class SamplingDecision(NamedTuple):
     stable: bool
     route: str  # "DegenerateInteger" | "ViaGaborEquivalence"
     underlying: Optional[FrameDecision] = None

@@ -8,10 +8,13 @@ compared c0 with thresholds built as ExactReals, read the grid indices off
 c0 and c1 (`reference_scan._grid_units`), tried every N in case 8
 (`reference_scan._xiii_candidates_n_scan`), and normalized both grid
 neighbours of an off-grid c; `build_grid_model` is the grid oracle's model
-built from c/b.  `_search_obstruction_irrational` and `_basis_coords` are
-the XII search that solved for (u, v) in `Fraction`s and took its window
-conditions and counts on ExactReals, before it read the triple's integer
-pairs.  They are copied unchanged from the code they replaced, except that
+built from c/b.  Triples with a/b rational and c/b irrational have no grid
+units, and the boundary rules and `classify_off_grid` here are also the
+route they took (c0 against n*b/q and floor_div(c*q, b) on ExactReals)
+before they were decided on their integer pairs.  `_search_obstruction_irrational`
+and `_basis_coords` are the XII search that solved for (u, v) in `Fraction`s
+and took its window conditions and counts on ExactReals, before it read the
+triple's integer pairs.  They are copied unchanged from the code they replaced, except that
 `classify_triple` takes its region from this walk instead of the triple's
 `region` field, and `cond_XIII` names the N-scan.  The differential tests
 in `test_reference_classifier.py` hold the integer grid-unit paths and the

@@ -156,6 +156,15 @@ def test_pi_enclosure_refines_to_4096_bits_then_raises():
     assert ctx.enclosure() == (lo, hi)
 
 
+def test_fresh_pi_contexts_share_the_start_and_refine_alone():
+    one, two = pi_context(), pi_context()
+    assert one.enclosure() == two.enclosure() == _pi_enclosure(64)
+    finer = one.refine()
+    assert finer == _pi_enclosure(128) and one.enclosure() == finer
+    assert two._bits == 64 and two.enclosure() == _pi_enclosure(64)
+    assert pi_context().enclosure() == _pi_enclosure(64)
+
+
 def test_pi_enclosure_contains_mpmath_pi_at_every_level():
     # differential check of the integer Machin sum against mpmath's pi at
     # twice the precision, at every multiple of 64 bits up to the cap

@@ -236,8 +236,6 @@ def test_pipeline_check_fixtures_agree():
 
 
 def test_pipeline_check_names_the_clash(monkeypatch):
-    from dataclasses import replace
-
     from gaborbox import oracle
 
     brief = "(a=13/17, b=1, c=77/17)"
@@ -246,7 +244,7 @@ def test_pipeline_check_names_the_clash(monkeypatch):
         f"verdict clash on {brief}: closed-form=Frame, grid-orbits=NotFrame, "
         "measure-identity=Frame, two-solvability=Frame")
     monkeypatch.setattr(oracle, "compute_S",
-                        lambda nt: replace(compute_S(nt), S_units=PeriodicSet.empty(nt.units.A)))
+                        lambda nt: compute_S(nt)._replace(S_units=PeriodicSet.empty(nt.units.A)))
     assert triple_pipeline_check(NT77) == (
         f"S-existence clash on {brief}: construction says empty")
 

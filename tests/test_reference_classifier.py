@@ -1,6 +1,8 @@
 """Differential tests: the classifier deciding rational triples in integer
-grid units, and the XII search on the triple's integer pairs, against the
-ExactReal classifier and search they replaced (`reference_classifier.py`).
+grid units, the boundary rules and the off-grid rounding of triples with
+a/b rational and c/b irrational on their integer pairs, and the XII search
+on the triple's integer pairs, against the ExactReal classifier and search
+they replaced (`reference_classifier.py`).
 
 Every decision is compared whole: verdict, region and witness, with the
 rendered GcdCondition thresholds, the case-8 delta and both neighbours of
@@ -8,6 +10,7 @@ an off-grid c, and again as its JSON payload.  Every grid model is compared
 field by field.
 """
 
+import random
 from collections import Counter
 from fractions import Fraction as F
 
@@ -174,3 +177,43 @@ def test_xii_search_matches_reference_on_seeded_draws(ctx):
         for nt in _lattice_draw(ctx, seed, 40):
             _same_xii_search(nt, tally)
     assert tally["no hit"] and tally["NotFrame"] and tally["critical"], tally
+
+
+# -- boundary rules and off-grid rounding on integer pairs ---------------------------
+
+def _irrational_c_draw(ctx, seed, count):
+    """Triples with a = (p/q)*b < b and c/b irrational: c sits a seventh, a
+    sixtieth or a thousandth of tau (of 1 when b is irrational) off a grid
+    point k*b/q past b, where every boundary threshold lies."""
+    rng = random.Random(seed)
+    while count:
+        b = rng.choice([rat(F(rng.randint(1, 5), rng.randint(1, 3))),
+                        ctx.num(F(rng.randint(-1, 3), rng.randint(1, 3)),
+                                F(rng.randint(1, 4), rng.randint(1, 3)))])
+        if b.sign() <= 0:
+            continue
+        q = rng.randint(2, 9)
+        p = rng.randint(1, q - 1)
+        off = ctx.num(1) if b.x1 else ctx.num(0, 1)
+        c = b * F(rng.randint(q + 1, 9 * q), q) + off * F(rng.choice([-1, 1]),
+                                                        rng.choice([7, 60, 1000]))
+        if c.sign() > 0:
+            count -= 1
+            yield normalize(b * F(p, q), b, c)
+
+
+@pytest.mark.parametrize("ctx", [SQ2, surd_context(3), PI], ids=["sqrt2", "sqrt3", "pi"])
+def test_irrational_c_over_a_rational_ratio_matches_reference(ctx):
+    # the sign of q*C0 - n*B and the pair floor of q*C over B, against c0
+    # compared with n*b/q and floor_div(c*q, b) on ExactReals
+    tally = Counter()
+    for seed in (1, 2, 3):
+        for nt in _irrational_c_draw(ctx, seed, 200):
+            assert nt.units is None and nt.pairs is not None, nt
+            got, want = classify_triple(nt), ref.classify_triple(nt)
+            assert got == want, (nt.a, nt.b, nt.c)
+            assert _decision_json(got) == _decision_json(want), (nt.a, nt.b, nt.c)
+            _count(got, tally)
+    for region in ("VI", "VII", "X", "XI", "XIV"):
+        assert tally[region, "Frame"] and tally[region, "NotFrame"], (region, tally)
+    assert all(tally["case " + case] for case in ("1", "2", "4", "5", "X", "XI")), tally

@@ -3,8 +3,9 @@ integer pi sign, `floor_div` on integer pairs and both branches of
 `normalize` (the rational one in integers, the irrational one on integer
 pairs over one denominator) against the frozen-dataclass core, the
 `Fraction`-interval sign and the `ExactReal` normalization they replaced
-(`reference_exact.py`), plus the value-class guarantees the dataclass used
-to give (immutability, pickling, copying)."""
+(`reference_exact.py`), plus the value-class guarantees the dataclasses used
+to give every value class of the engine, slots classes and records alike
+(immutability, equality, hashing, repr, pickling, copying)."""
 
 import copy
 import operator
@@ -13,12 +14,15 @@ import random
 from collections import Counter
 from fractions import Fraction as F
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_exact as ref
+from gaborbox.classifier import classify
+from gaborbox.dynsys import compute_S
 from gaborbox.errors import ContextMismatch, GaborBoxError, PrecisionExhausted
 from gaborbox.exactnum import (
     RATIONAL,
@@ -32,6 +36,8 @@ from gaborbox.exactnum import (
     surd_context,
 )
 from gaborbox.lattice import PeriodicSet, RegionTag, normalize, region_tag
+from gaborbox.oracle import build_grid_model
+from gaborbox.sampling import sampling_stable
 
 PI = pi_context()
 SQRT2 = surd_context(2)
@@ -308,11 +314,45 @@ def test_public_constructor_still_checks_the_context():
 
 def _values():
     half = F(1, 2)
-    return [rat(F(-3, 7)), PI.num(23, F(-11, 2)), SQRT3.num(0, half),
-            PeriodicSet.make(rat(1), [(rat(0), rat(half))]),
-            PeriodicSet.make(SQRT2.num(0, half), [(SQRT2.num(-half, half), rat(half))]),
-            normalize(rat(F(13, 17)), rat(1), rat(F(77, 17))),
-            normalize(PI.num(0, F(1, 4)), rat(1), PI.num(23, F(-11, 2)))]
+    xii = normalize(PI.num(0, F(1, 4)), rat(1), PI.num(11, F(-7, 4)))  # a planted obstruction
+    xiii = normalize(rat(F(13, 17)), rat(1), rat(F(75, 17)))  # case 8
+    xii_report, xiii_report = compute_S(xii), compute_S(xiii)
+    values = [rat(F(-3, 7)), PI.num(23, F(-11, 2)), SQRT3.num(0, half),
+              PeriodicSet.make(rat(1), [(rat(0), rat(half))]),
+              PeriodicSet.make(SQRT2.num(0, half), [(SQRT2.num(-half, half), rat(half))]),
+              normalize(rat(F(13, 17)), rat(1), rat(F(77, 17))),
+              normalize(PI.num(0, F(1, 4)), rat(1), PI.num(23, F(-11, 2))),
+              xii_report, xiii_report, xii_report.marks, xiii_report.marks,
+              xiii_report.rational_extras, xiii_report.chain[0], build_grid_model(xiii),
+              sampling_stable(rat(F(13, 17)), rat(1), rat(F(75, 17))),
+              sampling_stable(rat(half), rat(1), rat(3))]
+    # a FrameDecision with each kind of witness: none, a gcd condition, the
+    # irrational and the rational obstruction, and an off-grid c's two neighbours
+    values += [classify(rat(F(13, 17)), rat(1), rat(F(77, 17))),
+               classify(rat(F(2, 3)), rat(1), rat(2)), classify(xii.a, xii.b, xii.c),
+               classify(xiii.a, xiii.b, xiii.c), classify(rat(F(13, 17)), rat(1), rat(F(22, 5)))]
+    return values
+
+
+def test_values_cover_every_value_class():
+    values = _values()
+    assert {type(v).__name__ for v in values} == {
+        "ExactReal", "PeriodicSet", "NormalizedTriple", "InvariantSetReport", "Marks",
+        "RationalExtras", "HoleChainStep", "GridModel", "SamplingDecision", "FrameDecision"}
+    assert {v.marks.kind for v in values if type(v).__name__ == "InvariantSetReport"} == {
+        "finite", "cyclic"}
+    witnesses = {type(v.witness).__name__ for v in values if type(v).__name__ == "FrameDecision"}
+    assert witnesses == {"NoneType", "GcdCondition", "IrrationalParams", "RationalParams",
+                         "RecursionPair"}
+    # a comparison with another type is left to that type
+    assert all(v == mock.ANY for v in values)
+
+
+def _hash(v):
+    try:
+        return hash(v)
+    except TypeError:  # a GcdCondition's values are a dict
+        return TypeError
 
 
 @pytest.mark.parametrize("roundtrip", [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy,
@@ -322,5 +362,20 @@ def test_values_survive_pickle_and_copy(roundtrip):
         w = roundtrip(v)
         assert type(w) is type(v)
         assert w == v
-        assert hash(w) == hash(v)
+        assert _hash(w) == _hash(v)
         assert repr(w) == repr(v)
+
+
+def test_values_are_immutable():
+    for v in _values():
+        first = (getattr(v, "_fields", None) or type(v).__slots__)[0]  # a record's, or a slot
+        for name in (first, "other"):
+            with pytest.raises(AttributeError):
+                setattr(v, name, None)
+
+
+def test_triple_round_trips_carry_its_pairs_over():
+    nt = normalize(SQRT2.num(0, F(3, 4)), SQRT2.num(0, 1), rat(F(7, 2)))
+    assert nt.units is None and nt.pairs is not None
+    for w in (pickle.loads(pickle.dumps(nt)), copy.deepcopy(nt), copy.copy(nt)):
+        assert w.pairs == nt.pairs and w.units is None and w.region is nt.region

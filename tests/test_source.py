@@ -275,3 +275,19 @@ def test_pi_decisions_leave_mpmath_unloaded():
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, timeout=60, check=True)
     assert out.stdout.split() == ["0", "False"]
+
+
+def test_package_imports_no_dataclasses():
+    # dataclasses pulls in inspect, ast and dis, and each decorator builds its
+    # methods by exec: together about 30 ms of every gaborbox process.  Value
+    # classes are NamedTuple records or __slots__ classes
+    assert _package_imports("dataclasses") == set()
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+    # a fresh interpreter, so an import made by another test cannot hide one
+    script = "import sys\nimport gaborbox.cli\nprint('dataclasses' in sys.modules, 'inspect' in sys.modules)\n"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.split() == ["False", "False"]
