@@ -11,26 +11,27 @@ rational ratio resolves by rounding c to its two grid neighbours.
 from __future__ import annotations
 
 from math import gcd, isqrt
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .errors import OracleInconsistency, RegionUnsupported
 from .exactnum import ExactReal, _floor_pair, _sign
 from .lattice import (
     NormalizedTriple,
     RegionTag,
+    form_value,
     grid_triple,
     grid_value,
     normalize,
-    pair_value,
 )
 
 
 class GcdCondition(NamedTuple):
     """Witness for the divisor-flavoured boundary regions (cases 1-5 and
-    the X/XI edge rules); values maps symbol names to rendered numbers."""
+    the X/XI edge rules); values pairs each symbol name with its number, an
+    int or an ExactReal threshold."""
 
     case_id: str
-    values: Dict[str, str]
+    values: Tuple[Tuple[str, object], ...]
 
 
 class IrrationalParams(NamedTuple):
@@ -99,21 +100,16 @@ def _fixed(verdict: str, region: RegionTag):
 
 
 def _c0_against(nt: NormalizedTriple, n: int) -> int:
-    """A number with the sign of c0 - n*b/q, for a rational triple: the
-    difference in grid units when it has them, else the exact sign of
-    q*C0 - n*B on its integer pairs (a/b rational, c/b irrational)."""
+    """The sign of c0 - n*b/q, for a rational triple: the exact sign of
+    q*C0 - n*B on the integer pairs of its form."""
     q = nt.rational[1]
-    u = nt.units
-    if u is not None:
-        return u.C0 - n * (u.B // q)
-    P = nt.pairs
-    (y0, y1), (b0, b1) = P.C0, P.B
-    return _sign(P.ctx, q * y0 - n * b0, 1, q * y1 - n * b1, 1)
+    ctx, _, _, (b0, b1), _, (y0, y1), _ = nt.form
+    return _sign(ctx, q * y0 - n * b0, 1, q * y1 - n * b1, 1)
 
 
-def _grid_point(nt: NormalizedTriple, n: int) -> str:
-    """n grid steps, n*b/q, rendered for a witness."""
-    return grid_value(nt.b, n, nt.rational[1]).render()
+def _grid_point(nt: NormalizedTriple, n: int) -> ExactReal:
+    """n grid steps, n*b/q, for a witness."""
+    return grid_value(nt.b, n, nt.rational[1])
 
 
 def _region_vi(nt: NormalizedTriple) -> FrameDecision:
@@ -127,14 +123,14 @@ def _region_vi(nt: NormalizedTriple) -> FrameDecision:
     case, n = ("1", q - g) if g != f + 1 else ("2", q - g + 1)
     if _c0_against(nt, n) > 0:
         return _not_frame(RegionTag.VI, GcdCondition(
-            case, {"gcd(f+1,p)": str(g), "threshold": _grid_point(nt, n)}))
+            case, (("gcd(f+1,p)", g), ("threshold", _grid_point(nt, n)))))
     return _frame(RegionTag.VI)
 
 
 def _region_vii(nt: NormalizedTriple) -> FrameDecision:
     # c0 <= b-a and c0 < a
     if nt.c0.is_zero():
-        return _not_frame(RegionTag.VII, GcdCondition("3", {"c0": "0"}))
+        return _not_frame(RegionTag.VII, GcdCondition("3", (("c0", 0),)))
     if not nt.is_rational:
         return _frame(RegionTag.VII)
     p, _ = nt.rational
@@ -144,7 +140,7 @@ def _region_vii(nt: NormalizedTriple) -> FrameDecision:
     case, n = ("4", g) if g != f else ("5", g - 1)
     if _c0_against(nt, n) < 0:
         return _not_frame(RegionTag.VII, GcdCondition(
-            case, {"gcd(f,p)": str(g), "threshold": _grid_point(nt, n)}))
+            case, (("gcd(f,p)", g), ("threshold", _grid_point(nt, n)))))
     return _frame(RegionTag.VII)
 
 
@@ -158,7 +154,7 @@ def _region_x(nt: NormalizedTriple) -> FrameDecision:
     if f + 1 == p and _c0_against(nt, n) <= 0:
         return _frame(RegionTag.X)
     return _not_frame(RegionTag.X, GcdCondition(
-        "X", {"p": str(p), "f+1": str(f + 1), "threshold": _grid_point(nt, n)}))
+        "X", (("p", p), ("f+1", f + 1), ("threshold", _grid_point(nt, n)))))
 
 
 def _region_xi(nt: NormalizedTriple) -> FrameDecision:
@@ -170,7 +166,7 @@ def _region_xi(nt: NormalizedTriple) -> FrameDecision:
     if f == p and _c0_against(nt, n) >= 0:
         return _frame(RegionTag.XI)
     return _not_frame(RegionTag.XI, GcdCondition(
-        "XI", {"p": str(p), "f": str(f), "threshold": _grid_point(nt, n)}))
+        "XI", (("p", p), ("f", f), ("threshold", _grid_point(nt, n)))))
 
 
 # ---------------------------------------------------------------------------
@@ -194,16 +190,16 @@ def _search_obstruction_irrational(nt: NormalizedTriple):
     Both slopes are integers, so m and d1 are integral for every s or for
     none: exactly when c0 lies in aZ + bZ.  1 <= d1+1 <= s then cuts s to
     v/(f+1) <= s <= (v-1)/f, and only the s in that interval pay the window
-    conditions and the window count.  Every value is an integer pair over
-    the triple's L (`NormalizedTriple.pairs`): (u, v) is Cramer's rule in
-    integers, and each condition the exact sign of a pair."""
-    P = nt.pairs
-    if P is None or P.A[0] * P.B[1] == P.A[1] * P.B[0]:
+    conditions and the window count.  Every value is an integer pair of the
+    triple's form (`NormalizedTriple.form`, in units 1/L, as a/b is
+    irrational): (u, v) is Cramer's rule in integers, and each condition the
+    exact sign of a pair."""
+    if nt.is_rational:
         raise RegionUnsupported("the obstruction solve needs an irrational a/b")
     f = nt.floor_cb
     if f < 1:
         raise RegionUnsupported("the obstruction search needs c >= b")
-    ctx, L, (a0, a1), (b0, b1), (x0, x1), (y0, y1), (z0, z1) = P
+    ctx, _, (a0, a1), (b0, b1), (x0, x1), (y0, y1), (z0, z1) = nt.form
     det = a0 * b1 - a1 * b0
     # c1 = -k*a + f*b and c0 = u*a + v*b, each coordinate a quotient by det
     k, r0 = divmod(b0 * z1 - b1 * z0, det)
@@ -250,7 +246,7 @@ def _search_obstruction_irrational(nt: NormalizedTriple):
                 count += 1
         if count != d1:
             continue
-        matches.append((d1, d2, m, count, pair_value((e0, e1), L, ctx)))
+        matches.append((d1, d2, m, count, form_value(nt.form, (e0, e1))))
     if len(matches) > 1:
         verdicts = {(e - nt.a).is_zero() for (_, _, _, _, e) in matches}
         if len(verdicts) != 1:
@@ -285,10 +281,10 @@ def _grid_units(nt: NormalizedTriple) -> Tuple[int, int, int, int]:
     if not (nt.is_rational and nt.c_on_grid):
         raise RegionUnsupported("the grid certificate needs a/b = p/q and c on the b/q grid")
     p, q = nt.rational
-    u = nt.units
-    if u is None or u.B != q:
+    _, _, _, B, _, (C0, _), (C1, _) = nt.form
+    if B != (q, 0):
         raise OracleInconsistency("c is on the grid but its grid units are not")
-    return p, q, u.C1, u.C0
+    return p, q, C1, C0
 
 
 def _divisors_above(n: int, s: int) -> List[int]:
@@ -431,15 +427,9 @@ def classify_off_grid(nt: NormalizedTriple) -> FrameDecision:
     if not nt.is_rational or nt.c_on_grid:
         raise RegionUnsupported("off-grid rounding needs a/b = p/q and c off the b/q grid")
     q = nt.rational[1]
-    u = nt.units
-    # k = floor(c*q/b): C // D in grid units; with c/b irrational there are
-    # none, and it is the pair floor of q*C over B
-    if u is not None:
-        k = u.C // (u.B // q)
-    else:
-        P = nt.pairs
-        (x0, x1), (b0, b1) = P.C, P.B
-        k = _floor_pair(P.ctx, q * x0, q * x1, b0, b1)
+    # k = floor(c*q/b), the pair floor of q*C over B
+    ctx, _, _, (b0, b1), (x0, x1), _, _ = nt.form
+    k = _floor_pair(ctx, q * x0, q * x1, b0, b1)
     low = classify_triple(grid_triple(nt, k))
     high = classify_triple(grid_triple(nt, k + 1))
     if RegionTag.XIV in (low.region, high.region):

@@ -60,7 +60,7 @@ from .exactnum import (
     square_free_decompose,
     surd_context,
 )
-from .lattice import PeriodicSet, RegionTag, normalize
+from .lattice import PeriodicSet, RegionTag, _render, normalize
 from .sampling import sampling_stable
 
 
@@ -281,7 +281,8 @@ def _witness_json(w) -> Optional[dict]:
     if w is None:
         return None
     if isinstance(w, GcdCondition):
-        return {"kind": "gcd-condition", "case": w.case_id, "values": w.values}
+        return {"kind": "gcd-condition", "case": w.case_id,
+                "values": {name: _render(v) for name, v in w.values}}
     if isinstance(w, IrrationalParams):
         return {
             "kind": "irrational-params",

@@ -5,22 +5,25 @@ pointwise (the forward absorber), and adds floor(c/b)*b on [c0, a); the
 backward map is its inverse away from the absorbers.  Propagating the
 backward absorber forward until everything parks (or the space fills up)
 carves out the maximal invariant set S; no hole meets an earlier one, so a
-march step is two integer adds on the hole start, an integer pair over the
-triple's one denominator (irrational ratio, `NormalizedTriple.pairs`; the
-march keeps one byte per step and replays the starts when read), or a clip,
-shift and sort of a tuple of integer intervals (rational), and S is built
-once.  On S, collapsing the holes (the "surgery" Y) conjugates the forward
-map to a circle rotation, which is what the mark bookkeeping below records.
+march step is two integer adds on the hole start, an integer pair of the
+triple's form (irrational ratio; the march keeps one byte per step and
+replays the starts when read), or a clip, shift and sort of a tuple of
+integer intervals (rational), and S is built once.  On S, collapsing the
+holes (the "surgery" Y) conjugates the forward map to a circle rotation,
+which is what the mark bookkeeping below records.
 The measure identity (or, equivalently, an empty derived set D) turns S
 into the frame verdict, and the Birkhoff average is a numeric ergodicity
 diagnostic.
 
-A rational triple has integer grid units of b/(qD) (`NormalizedTriple.units`).
-The rational march runs on them, and compute_S builds S in them once and keeps
-it so (`S_units`), mapped to the reals only when read.  D, the measure identity
-and the surgery work in the units of the S they are handed: grid units for the
-integer period units.A, the reals for a; any other period raises.  The chain of
-holes is built only when read (`hole_chain`), by running the march again.
+Both marches read the triple's integer form (`NormalizedTriple.form`).  In
+an integral one (a/b and c/b rational) every X1 is 0, so the X0 are integer
+grid units of b/(qD): the rational march runs on them, and compute_S builds
+S in them once and keeps it so (`S_units`), mapped to the reals by
+`lattice.form_value` only when read.  D, the measure identity and the
+surgery work in the units of the S they are handed: grid units for the
+integer period A (the X0 of a), the reals for a; any other period raises.
+The chain of holes is built only when read (`hole_chain`), by running the
+march again.
 """
 
 from __future__ import annotations
@@ -43,8 +46,7 @@ from .lattice import (
     PeriodicSet,
     RegionTag,
     black_hole_R,
-    grid_value,
-    pair_value,
+    form_value,
 )
 
 
@@ -102,7 +104,7 @@ class RationalExtras(NamedTuple):
 
 class InvariantSetReport(NamedTuple):
     nt: NormalizedTriple
-    S_units: PeriodicSet  # S as built: in grid units (period units.A) or over the reals
+    S_units: PeriodicSet  # S as built: in grid units (period A, the X0 of a) or over the reals
     Ya: ExactReal
     theta: Optional[ExactReal]
     marks: Optional[Marks]
@@ -194,9 +196,10 @@ def compute_S(nt: NormalizedTriple) -> InvariantSetReport:
     Supported regions: the two generic ones (irrational ratio, and rational
     with c on the grid) run the propagation; four degenerate neighbours are
     known in closed form and short-circuit.  S is built once, in grid units
-    when the triple has them; the chain of holes is built only when read."""
+    when the triple's form is integral; the chain of holes is built only
+    when read."""
     tag = nt.region
-    zero, a, b, c0, _ = _lengths(nt, nt.units is not None)
+    zero, a, b, c0, _ = _lengths(nt, nt.form.integral)
     if tag in _SHORT_CIRCUIT_EMPTY:
         E = PeriodicSet.empty(a)
     elif tag is RegionTag.X:
@@ -242,16 +245,17 @@ def compute_S(nt: NormalizedTriple) -> InvariantSetReport:
 # for integers i >= 0 and j.  (So no start equals 0, a or 2a-b, as each would
 # make a/b rational: the tests against those are strict or not alike.  Each
 # start is positive: c1 is, a step adds a positive shift, and a wrap leaves
-# a start at least 0, and not 0.)  The triple's L (NormalizedTriple.pairs)
-# is the least common multiple of the denominators of the coefficients of
-# a, b and c, and c0 = c - f*b and c1 = f*b - k*a are integer combinations
-# of a, b and c: every start, every shift and every threshold (c0+a-b, c0,
-# the tops c0+2a-2b and 2a-b) is then (X0 + X1*tau)/L for integers X0 and
-# X1, and each comparison is the sign of an integer pair.  tau is irrational
-# and L is fixed, so two pairs stand for the same value exactly when they
-# are equal, and the frozen test is a pair equality.  A step is one of four
-# moves (a branch, and a wrap or none), so the march records one byte per
-# step and the starts are replayed from c1 only when they are read.
+# a start at least 0, and not 0.)  The triple's form (NormalizedTriple.form)
+# has beta = 1/L, L the least common multiple of the denominators of the
+# coefficients of a, b and c, and c0 = c - f*b and c1 = f*b - k*a are integer
+# combinations of a, b and c: every start, every shift and every threshold
+# (c0+a-b, c0, the tops c0+2a-2b and 2a-b) is then (X0 + X1*tau)/L for
+# integers X0 and X1, and each comparison is the sign of an integer pair.
+# tau is irrational and L is fixed, so two pairs stand for the same value
+# exactly when they are equal, and the frozen test is a pair equality.  A
+# step is one of four moves (a branch, and a wrap or none), so the march
+# records one byte per step and the starts are replayed from c1 only when
+# they are read.
 
 
 def _propagate_irrational(nt: NormalizedTriple) -> Tuple[bytearray, HoleStatus]:
@@ -261,7 +265,7 @@ def _propagate_irrational(nt: NormalizedTriple) -> Tuple[bytearray, HoleStatus]:
     have length b-a and the first starts at c1: returns one byte per step,
     its move (0 low branch, 1 high branch, plus 2 on a wrap), and how the
     last hole ended; `_hole_starts` replays the starts."""
-    ctx, _, (a0, a1), (b0, b1), _, (hi0, hi1), (s0, s1) = nt.pairs
+    ctx, _, (a0, a1), (b0, b1), _, (hi0, hi1), (s0, s1) = nt.form
     ba0, ba1 = b0 - a0, b1 - a1
     lo0, lo1 = hi0 - ba0, hi1 - ba1  # the forward absorber is [lo, hi), hi = c0
     lt0, lt1 = lo0 - ba0, lo1 - ba1  # a hole starting at a top ends flush with a branch
@@ -288,16 +292,17 @@ def _propagate_irrational(nt: NormalizedTriple) -> Tuple[bytearray, HoleStatus]:
 def _hole_starts(nt: NormalizedTriple, steps: bytearray) -> Iterator[ExactReal]:
     """The hole starts of a march, c1 and one per recorded step, replayed
     from its moves and made ExactReal as they are read."""
-    ctx, L, (a0, a1), (b0, b1), _, _, (x0, x1) = nt.pairs
+    form = nt.form
+    _, _, (a0, a1), (b0, b1), _, _, (x0, x1) = form
     # the shifts of the low branch, c1+b-a, and of the high one, c1, each
     # less a on a wrap
     low0, low1 = x0 + b0 - a0, x1 + b1 - a1
     moves = ((low0, low1), (x0, x1), (low0 - a0, low1 - a1), (x0 - a0, x1 - a1))
-    yield pair_value((x0, x1), L, ctx)
+    yield form_value(form, (x0, x1))
     for move in steps:
         d0, d1 = moves[move]
         x0, x1 = x0 + d0, x1 + d1
-        yield pair_value((x0, x1), L, ctx)
+        yield form_value(form, (x0, x1))
 
 
 # Why the rational march sorts and never merges: the map is one-to-one off
@@ -325,17 +330,16 @@ def _propagate_rational(nt: NormalizedTriple) -> List[Tuple[PeriodicSet, HoleSta
     portions park inside the forward absorber, until all of it parks.
 
     c sits on the grid, so every endpoint and every shift is a whole number
-    of steps b/q: the march runs on integers in those units (nt.units), its
-    front a canonical tuple of (lo, hi) pairs, and returns its holes in them,
-    each with its status."""
-    u = nt.units
-    A, B = u.A, u.B
+    of steps b/q: the march runs on integers in those units (the X0 of the
+    triple's form), its front a canonical tuple of (lo, hi) pairs, and
+    returns its holes in them, each with its status."""
+    _, _, (A, _), (B, _), _, (C0, _), (C1, _) = nt.form
     f, q = nt.floor_cb, nt.rational[1]
     ba = B - A
-    bh_lo, bh_hi = u.C0 + A - B, u.C0
+    bh_lo, bh_hi = C0 + A - B, C0
     low_shift, high_shift = (f + 1) * B % A, f * B % A
     cap = -(-A // ba) + q + 2
-    front: Tuple[Tuple[int, int], ...] = ((u.C1, u.C1 + ba),)
+    front: Tuple[Tuple[int, int], ...] = ((C1, C1 + ba),)
     steps: List[Tuple[PeriodicSet, HoleStatus]] = []
     while True:
         if len(steps) > cap:
@@ -385,8 +389,8 @@ def hole_chain(nt: NormalizedTriple) -> Tuple[HoleChainStep, ...]:
     elif nt.region is RegionTag.XIII:
         held = _propagate_rational(nt)
         # the holes are pairwise disjoint (above): S is empty when they fill the circle
-        if sum(hole.measure() for hole, _ in held) == nt.units.A:
-            held.append((PeriodicSet.full(nt.units.A), HoleStatus.SENTINEL))
+        if sum(hole.measure() for hole, _ in held) == nt.form.A[0]:
+            held.append((PeriodicSet.full(nt.form.A[0]), HoleStatus.SENTINEL))
         real = _grid_reals(nt, *(hole for hole, _ in held))
         steps = [(real(hole), status) for hole, status in held]
     else:
@@ -400,37 +404,38 @@ def hole_chain(nt: NormalizedTriple) -> Tuple[HoleChainStep, ...]:
 
 
 def _lengths(nt: NormalizedTriple, grid: bool) -> Tuple[Endpoint, ...]:
-    """0, a, b, c0 and c1 in integer grid units when grid holds, else the reals."""
+    """0, a, b, c0 and c1: the X0 of the triple's form, whole numbers of its
+    scale b/(qD), when grid holds (the form must then be integral), else the
+    reals."""
     if grid:
-        u = nt.units
-        return 0, u.A, u.B, u.C0, u.C1
+        _, _, (A, _), (B, _), _, (C0, _), (C1, _) = nt.form
+        return 0, A, B, C0, C1
     return _RAT_ZERO, nt.a, nt.b, nt.c0, nt.c1
 
 
 def _lengths_of(nt: NormalizedTriple, S: PeriodicSet) -> Tuple[Endpoint, ...]:
-    """0, a, b, c0 and c1 in the units of S: grid units for the integer period
-    units.A, the reals for a; any other period raises."""
+    """0, a, b, c0 and c1 in the units of S: grid units for an integer period
+    equal to the X0 of a in an integral form, the reals for a; any other
+    period raises."""
     P = S.period
-    if type(P) is int:
-        if nt.units is not None and P == nt.units.A:
-            return _lengths(nt, True)
-    elif P is nt.a or P == nt.a:
-        return _lengths(nt, False)
+    grid = type(P) is int
+    if (nt.form.integral and P == nt.form.A[0]) if grid else (P is nt.a or P == nt.a):
+        return _lengths(nt, grid)
     raise PeriodMismatch(f"S has period {P!r}: neither a nor the grid units of the triple")
 
 
 def _real(nt: NormalizedTriple, x: Endpoint, m: int = 1) -> ExactReal:
-    """x/m as an ExactReal, x either a whole number of grid units b/(qD) (the
-    value then lies in the context of b and a) or already real."""
+    """x/m as an ExactReal, x either a whole number of grid units (the scale
+    of the triple's integral form) or already real."""
     if type(x) is int:
-        return grid_value(nt.b, x, nt.units.B * m, nt.b._join(nt.a))
+        return form_value(nt.form, (x, 0), m)
     return x if m == 1 else x / m
 
 
 def _grid_reals(nt: NormalizedTriple, *sets: PeriodicSet):
     """Map from sets in grid units (period A) to the same sets over the
     reals (period a), with one ExactReal per distinct endpoint."""
-    a, A = nt.a, nt.units.A
+    a, A = nt.a, nt.form.A[0]
     ends = {k for E in sets for iv in E.intervals for k in iv} - {A}
     value = {k: _real(nt, k) for k in ends}
     value[A] = a

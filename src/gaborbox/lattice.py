@@ -7,6 +7,12 @@ which is only fused on demand by cyclic queries (gap analysis), never in
 storage.  The endpoints and the period are all ExactReal, or all int (a set
 in integer grid units); every comparison is exact either way.  One bisection,
 the window cut of `restrict`, serves intersect and minus; union is one make.
+
+A NormalizedTriple also holds a, b, c, c0 and c1 in one integer form
+(IntegerForm): integer pairs (X0, X1) standing for (X0 + X1*tau)*beta, with
+one positive scale beta per triple, b/(qD) with every X1 = 0 when a/b and
+c/b are rational, 1/L otherwise.  The region walk and the decisions compare
+those pairs; `form_value` alone maps a pair back to an ExactReal.
 """
 
 from __future__ import annotations
@@ -262,66 +268,83 @@ def _render(x: Endpoint) -> str:
     return str(x) if type(x) is int else x.render()
 
 
-class GridUnits(NamedTuple):
-    """a, b, c, c0 and c1 of a triple with a/b = p/q and c/b rational, as
-    integers in units of b/(q*D): D is the denominator of c in units of
-    b/q, so D = 1 exactly when c sits on the b/q grid.  Every threshold
-    the decisions compare is an integer in these units."""
-
-    A: int  # p*D
-    B: int  # q*D
-    C: int
-    C0: int  # C - f*B
-    C1: int  # D*(f*q mod p)
-
-
 Pair = Tuple[int, int]
 
 
-class TauPairs(NamedTuple):
-    """a, b, c, c0 and c1 of a triple without grid units as integer pairs
-    (X0, X1), each standing for (X0 + X1*tau)/L: L is the least common
-    multiple of the denominators of the coefficients of a, b and c, and
-    c0 = c - f*b and c1 = f*b - k*a are integer combinations of them (f
-    and k are integers), so they need no other denominator.  tau is
-    irrational, so two pairs stand for one value exactly when they are
-    equal, and an order is the exact sign of a pair difference
-    (exactnum._sign)."""
+class IntegerForm(NamedTuple):
+    """a, b, c, c0 and c1 of a triple as integer pairs (X0, X1), each standing
+    for (X0 + X1*tau)*beta, with one positive scale beta per triple.
 
-    ctx: NumberContext  # tau's: the join of the contexts of a, b and c
-    L: int
+    A triple with a/b = p/q and c/b rational has beta = b/(q*D), D the
+    denominator of c in units of b/q (so D = 1 exactly when c sits on the
+    b/q grid), and every X1 is 0: its values are whole numbers of beta, and
+    so is every threshold the decisions compare.  Every other triple has
+    beta = 1/L, L the least common multiple of the denominators of the
+    coefficients of a, b and c; c0 = c - f*b and c1 = f*b - k*a are integer
+    combinations of them (f and k are integers), so they need no other
+    denominator.  beta > 0 and tau is irrational, so two pairs stand for
+    one value exactly when they are equal, and an order is the exact sign
+    of a pair difference (exactnum._sign), which settles a pair with X1 = 0
+    on X0 alone.  Only `form_value` reads beta.  (beta is not divided out
+    into b: Q + Q*pi is not a field.)"""
+
+    ctx: NumberContext  # tau's: the join of the contexts of b and a, else of c and b
+    beta: Tuple[int, int, int]  # (n0, n1, d) in lowest terms: beta = (n0 + n1*tau)/d
     A: Pair
     B: Pair
     C: Pair
     C0: Pair  # C - f*B
     C1: Pair  # f*B - k*A
 
+    @property
+    def integral(self) -> bool:
+        """Every X1 is 0: a/b and c/b are rational, beta = b/(q*D)."""
+        return not (self.A[1] or self.B[1] or self.C[1])
 
-def pair_value(X: Pair, L: int, ctx: NumberContext) -> ExactReal:
-    """The ExactReal (X0 + X1*tau)/L in context ctx."""
+
+def form_value(form: IntegerForm, X: Pair, m: int = 1,
+               ctx: Optional[NumberContext] = None) -> ExactReal:
+    """The ExactReal (X0 + X1*tau)*beta/m in context ctx (the form's when
+    None).  X1 and the tau coefficient of beta are never both nonzero: beta
+    has one only when every X1 is 0."""
     x0, x1 = X
-    return _make(ctx, Fraction(x0, L), Fraction(x1, L) if x1 else _ZERO)
+    n0, n1, d = form.beta
+    d *= m
+    return _make(ctx or form.ctx, Fraction(x0 * n0, d),
+                 Fraction(x1 * n0 + x0 * n1, d) if x1 or n1 else _ZERO)
+
+
+def _grid_form(ctx: NumberContext, b: Tuple[int, int, int], p: int, q: int, C: int, D: int,
+               f: int) -> IntegerForm:
+    """The form of a triple with b = (b0 + b1*tau)/L, a/b = p/q, c/b =
+    C/(q*D) in lowest terms and f = floor(c/b): units beta = b/(q*D), in
+    lowest terms, in which a = p*D, b = q*D, c = C, c0 = C - f*q*D and
+    c1 = D*(f*q mod p)."""
+    b0, b1, L = b
+    B = q * D
+    L *= B
+    g = gcd(b0, b1, L)
+    return IntegerForm(ctx, (b0 // g, b1 // g, L // g), (p * D, 0), (B, 0), (C, 0),
+                       (C - f * B, 0), (D * (f * q % p), 0))
 
 
 class NormalizedTriple:
     """(a, b, c) together with every derived quantity the classification
     uses, its region included: the diagram is walked once, on construction,
-    and every consumer reads `region`.  `units` holds the triple in integer
-    grid units when it has them (see GridUnits), else None; `pairs` holds
-    it as integer pairs over one denominator exactly when it has no grid
-    units (see TauPairs; normalize hands them over as `with_pairs`), else
-    None.  Immutable; two triples are equal (and hash alike) when their
-    eight given fields are, whatever they derive."""
+    and every consumer reads `region`.  `form` holds the triple as integer
+    pairs over one positive scale (see IntegerForm); normalize builds it
+    and hands it over.  Immutable; two triples are equal (and hash alike)
+    when their eight given fields are, whatever they derive."""
 
     __slots__ = ("a", "b", "c", "floor_cb", "c0", "c1", "rational", "c_on_grid",
-                 "units", "pairs", "region")
+                 "form", "region")
 
     def __init__(self, a: ExactReal, b: ExactReal, c: ExactReal, floor_cb: int,
                  c0: ExactReal, c1: ExactReal,
                  rational: Optional[Tuple[int, int]],  # (p, q) coprime, a/b = p/q
                  c_on_grid: Optional[bool],  # c in bZ/q; None when a/b is irrational
-                 *, with_pairs: Optional[TauPairs] = None):
-        set_a, set_b, set_c, set_f, set_c0, set_c1, set_r, set_g, set_u, set_p, set_t = _SETTERS
+                 *, form: IntegerForm):
+        set_a, set_b, set_c, set_f, set_c0, set_c1, set_r, set_g, set_form, set_t = _SETTERS
         set_a(self, a)
         set_b(self, b)
         set_c(self, c)
@@ -330,9 +353,7 @@ class NormalizedTriple:
         set_c1(self, c1)
         set_r(self, rational)
         set_g(self, c_on_grid)
-        units = _units_of(self)
-        set_u(self, units)
-        set_p(self, with_pairs if units is None else None)
+        set_form(self, form)
         set_t(self, _walk_diagram(self))
 
     def __setattr__(self, name, value):
@@ -342,7 +363,7 @@ class NormalizedTriple:
         raise AttributeError(f"NormalizedTriple is immutable; cannot delete {name!r}")
 
     def __reduce__(self):
-        return _rebuild_triple, (self._given(), self.pairs)
+        return _rebuild_triple, (self._given(), self.form)
 
     def _given(self) -> tuple:
         return (self.a, self.b, self.c, self.floor_cb, self.c0, self.c1, self.rational,
@@ -360,7 +381,7 @@ class NormalizedTriple:
         return (f"NormalizedTriple(a={self.a!r}, b={self.b!r}, c={self.c!r}, "
                 f"floor_cb={self.floor_cb!r}, c0={self.c0!r}, c1={self.c1!r}, "
                 f"rational={self.rational!r}, c_on_grid={self.c_on_grid!r}, "
-                f"units={self.units!r}, region={self.region!r})")
+                f"region={self.region!r})")
 
     @property
     def is_rational(self) -> bool:
@@ -371,28 +392,9 @@ class NormalizedTriple:
 _SETTERS = tuple(getattr(NormalizedTriple, name).__set__ for name in NormalizedTriple.__slots__)
 
 
-def _rebuild_triple(given: tuple, pairs: Optional[TauPairs]) -> NormalizedTriple:
-    """The triple that pickles and copies rebuild, its pairs carried over."""
-    return NormalizedTriple(*given, with_pairs=pairs)
-
-
-def _units_of(nt: NormalizedTriple) -> Optional[GridUnits]:
-    if nt.rational is None:
-        return None
-    b, c = nt.b, nt.c
-    if b.x1 or c.x1:
-        cb = c.ratio(b)
-        if cb is None:
-            return None
-        n, d = cb.numerator, cb.denominator
-    else:  # c/b = n/d straight from the coefficients
-        n, d = c.x0.numerator * b.x0.denominator, c.x0.denominator * b.x0.numerator
-    p, q = nt.rational
-    n *= q  # c/(b/q) = n/d = C/D
-    g = gcd(n, d)
-    C, D = n // g, d // g
-    B, f = q * D, nt.floor_cb
-    return GridUnits(p * D, B, C, C - f * B, D * (f * q % p))
+def _rebuild_triple(given: tuple, form: IntegerForm) -> NormalizedTriple:
+    """The triple that pickles and copies rebuild, its form carried over."""
+    return NormalizedTriple(*given, form=form)
 
 
 def normalize(a: ExactReal, b: ExactReal, c: ExactReal) -> NormalizedTriple:
@@ -407,24 +409,29 @@ def normalize(a: ExactReal, b: ExactReal, c: ExactReal) -> NormalizedTriple:
         an, ad = a.x0.numerator, a.x0.denominator
         bn, bd = b.x0.numerator, b.x0.denominator
         cn, cd = c.x0.numerator, c.x0.denominator
-        fcb, r = divmod(cn * bd, cd * bn)  # c/b = fcb + r/(cd*bn)
-        c0 = _make(c._join(b), Fraction(r, cd * bd), _ZERO)  # c - fcb*b
-        c1 = _make(b._join(a), Fraction(fcb * bn * ad % (an * bd), bd * ad), _ZERO)
+        f, r = divmod(cn * bd, cd * bn)  # c/b = f + r/(cd*bn)
+        c0 = _make(c._join(b), Fraction(r, cd * bd), _ZERO)  # c - f*b
+        ctx = b._join(a)
+        c1 = _make(ctx, Fraction(f * bn * ad % (an * bd), bd * ad), _ZERO)
         a._join(c)  # the walk compares grid units, so mixed contexts raise here
-        n, d = an * bd, ad * bn  # a/b
+        n, d = an * bd, ad * bn  # a/b = p/q
         g = gcd(n, d)
-        q = d // g
-        rational, on_grid = (n // g, q), not cn * bd * q % (cd * bn)
-        return NormalizedTriple(a, b, c, fcb, c0, c1, rational, on_grid)
+        p, q = n // g, d // g
+        n, d = q * cn * bd, cd * bn  # c/(b/q) = C/D
+        g = gcd(n, d)
+        C, D = n // g, d // g
+        return NormalizedTriple(a, b, c, f, c0, c1, (p, q), D == 1,
+                                form=_grid_form(ctx, (bn, 0, bd), p, q, C, D, f))
     return _normalize_on_pairs(a, b, c)
 
 
 def _normalize_on_pairs(a: ExactReal, b: ExactReal, c: ExactReal) -> NormalizedTriple:
     """normalize for a triple with a tau coefficient: a, b and c as integer
-    pairs over L (TauPairs), f = floor(c/b) and k = floor(f*b/a) by the
-    pair floor, and c0, c1, a/b and c/b read off the pairs.  The contexts
-    are joined where c - f*b, f*b - k*a and the walk's first compare, a
-    against c, join them, so a mixed triple raises there as it always has."""
+    pairs over L, f = floor(c/b) and k = floor(f*b/a) by the pair floor, and
+    c0, c1, a/b and c/b read off the pairs; the form is in units of 1/L, or
+    of b/(q*D) when a/b and c/b are both rational.  The contexts are joined
+    where c - f*b, f*b - k*a and the walk's first compare, a against c, join
+    them, so a mixed triple raises there as it always has."""
     coeffs = (a.x0, a.x1, b.x0, b.x1, c.x0, c.x1)
     L = lcm(*(x.denominator for x in coeffs))
     a0, a1, b0, b1, x0, x1 = (x.numerator * (L // x.denominator) for x in coeffs)
@@ -434,18 +441,25 @@ def _normalize_on_pairs(a: ExactReal, b: ExactReal, c: ExactReal) -> NormalizedT
     fb0, fb1 = f * b0, f * b1
     k = _floor_pair(ctx1, fb0, fb1, a0, a1)
     a._join(c)
-    P = TauPairs(ctx1 if ctx1.kind != "rational" else ctx0, L, (a0, a1), (b0, b1), (x0, x1),
-                 (x0 - fb0, x1 - fb1), (fb0 - k * a0, fb1 - k * a1))
+    ctx = ctx1 if ctx1.kind != "rational" else ctx0
     rational: Optional[Tuple[int, int]] = None
     on_grid: Optional[bool] = None
+    form: Optional[IntegerForm] = None
     if a0 * b1 == a1 * b0:  # a/b is rational, the quotient of either coefficient
         ratio = Fraction(a1, b1) if b1 else Fraction(a0, b0)
-        q = ratio.denominator
-        rational = (ratio.numerator, q)
-        # c/b rational and a whole number of steps 1/q
-        on_grid = x0 * b1 == x1 * b0 and not (x1 * q % b1 if b1 else x0 * q % b0)
-    return NormalizedTriple(a, b, c, f, pair_value(P.C0, L, ctx0), pair_value(P.C1, L, ctx1),
-                            rational, on_grid, with_pairs=P)
+        p, q = rational = (ratio.numerator, ratio.denominator)
+        on_grid = False
+        if x0 * b1 == x1 * b0:  # c/b is rational too: the form in units b/(q*D)
+            cb = Fraction(x1, b1) if b1 else Fraction(x0, b0)
+            n, d = q * cb.numerator, cb.denominator
+            g = gcd(n, d)
+            on_grid = d == g
+            form = _grid_form(ctx, (b0, b1, L), p, q, n // g, d // g, f)
+    if form is None:  # the form in units 1/L
+        form = IntegerForm(ctx, (1, 0, L), (a0, a1), (b0, b1), (x0, x1),
+                           (x0 - fb0, x1 - fb1), (fb0 - k * a0, fb1 - k * a1))
+    return NormalizedTriple(a, b, c, f, form_value(form, form.C0, ctx=ctx0),
+                            form_value(form, form.C1, ctx=ctx1), rational, on_grid, form=form)
 
 
 def grid_value(b: ExactReal, n: int, m: int, ctx: Optional[NumberContext] = None) -> ExactReal:
@@ -458,13 +472,17 @@ def grid_value(b: ExactReal, n: int, m: int, ctx: Optional[NumberContext] = None
 
 def grid_triple(nt: NormalizedTriple, k: int) -> NormalizedTriple:
     """The on-grid triple (a, b, k*b/q) beside a triple with a/b = p/q, its
-    fields read off the grid index k: what normalize would build."""
+    fields and its form (units b/q, C = k) read off the grid index k: what
+    normalize would build."""
     p, q = nt.rational
     a, b = nt.a, nt.b
     f, j0 = divmod(k, q)
-    c1 = grid_value(b, f * q % p, q, b._join(a))
+    ctx = b._join(a)
+    c1 = grid_value(b, f * q % p, q, ctx)
+    (b0, e0), (b1, e1) = b.x0.as_integer_ratio(), b.x1.as_integer_ratio()
+    form = _grid_form(ctx, (b0 * e1, b1 * e0, e0 * e1), p, q, k, 1, f)
     return NormalizedTriple(a, b, grid_value(b, k, q), f, grid_value(b, j0, q), c1,
-                            nt.rational, True)
+                            nt.rational, True, form=form)
 
 
 def region_tag(nt: NormalizedTriple) -> RegionTag:
@@ -475,62 +493,43 @@ def region_tag(nt: NormalizedTriple) -> RegionTag:
 def _walk_diagram(nt: NormalizedTriple) -> RegionTag:
     """Walk the classification diagram; every positive triple gets one tag.
 
-    The operands are the integer grid units when the triple has them, else
-    its integer pairs over L, where each order is the exact sign of a pair
-    difference: the same comparisons, in the same order, decide either way."""
-    u = nt.units
-    if u is not None:
-        a, b, c, c0, c1 = u
-        if a > c:
-            return RegionTag.I
-        if a == c:
-            return RegionTag.II
-        # now a < c
-        if b <= a:
-            return RegionTag.III
-        if b >= c:
-            return RegionTag.IV
-        # now a < b < c
-        ba = b - a
-        if c0 >= a:
-            return RegionTag.V if c0 <= ba else RegionTag.VI
-        if c0 <= ba:
-            return RegionTag.VII
-        # now b - a < c0 < a
-        if nt.floor_cb == 1:
-            return RegionTag.VIII
-        two_a_b = a + a - b
-        if c1 > two_a_b:
-            return RegionTag.IX
-        if c1 == two_a_b:
-            return RegionTag.X
-        if c1 == 0:
-            return RegionTag.XI
-    else:
-        ctx, _, (a0, a1), (b0, b1), (x0, x1), (y0, y1), (z0, z1) = nt.pairs
-        s = _sign(ctx, a0 - x0, 1, a1 - x1, 1)  # a against c
-        if s > 0:
-            return RegionTag.I
-        if s == 0:
-            return RegionTag.II
-        if _sign(ctx, b0 - a0, 1, b1 - a1, 1) <= 0:
-            return RegionTag.III
-        if _sign(ctx, b0 - x0, 1, b1 - x1, 1) >= 0:
-            return RegionTag.IV
-        ba0, ba1 = b0 - a0, b1 - a1
-        if _sign(ctx, y0 - a0, 1, y1 - a1, 1) >= 0:  # c0 against a, then b - a
-            return RegionTag.V if _sign(ctx, y0 - ba0, 1, y1 - ba1, 1) <= 0 else RegionTag.VI
-        if _sign(ctx, y0 - ba0, 1, y1 - ba1, 1) <= 0:
-            return RegionTag.VII
-        if nt.floor_cb == 1:
-            return RegionTag.VIII
-        s = _sign(ctx, z0 - a0 + ba0, 1, z1 - a1 + ba1, 1)  # c1 against 2a - b
-        if s > 0:
-            return RegionTag.IX
-        if s == 0:
-            return RegionTag.X
-        if not (z0 or z1):
-            return RegionTag.XI
+    The operands are the integer pairs of the triple's form, and each order
+    is the sign of a pair difference (d0, d1), beta > 0 scaling every
+    operand alike: the sign of d0 when d1 is 0, as in every compare of an
+    integral form, else the exact sign of the pair (exactnum._sign)."""
+    ctx, _, (a0, a1), (b0, b1), (x0, x1), (y0, y1), (z0, z1) = nt.form
+    d0, d1 = a0 - x0, a1 - x1  # a against c
+    s = _sign(ctx, d0, 1, d1, 1) if d1 else d0
+    if s > 0:
+        return RegionTag.I
+    if s == 0:
+        return RegionTag.II
+    ba0, ba1 = b0 - a0, b1 - a1  # b against a
+    if (_sign(ctx, ba0, 1, ba1, 1) if ba1 else ba0) <= 0:
+        return RegionTag.III
+    d0, d1 = b0 - x0, b1 - x1  # b against c
+    if (_sign(ctx, d0, 1, d1, 1) if d1 else d0) >= 0:
+        return RegionTag.IV
+    # now a < b < c
+    d0, d1 = y0 - a0, y1 - a1  # c0 against a
+    s = _sign(ctx, d0, 1, d1, 1) if d1 else d0
+    d0, d1 = y0 - ba0, y1 - ba1  # c0 against b - a
+    t = _sign(ctx, d0, 1, d1, 1) if d1 else d0
+    if s >= 0:
+        return RegionTag.V if t <= 0 else RegionTag.VI
+    if t <= 0:
+        return RegionTag.VII
+    # now b - a < c0 < a
+    if nt.floor_cb == 1:
+        return RegionTag.VIII
+    d0, d1 = z0 - a0 + ba0, z1 - a1 + ba1  # c1 against 2a - b
+    s = _sign(ctx, d0, 1, d1, 1) if d1 else d0
+    if s > 0:
+        return RegionTag.IX
+    if s == 0:
+        return RegionTag.X
+    if not (z0 or z1):
+        return RegionTag.XI
     # now 0 < c1 < 2a - b
     if not nt.is_rational:
         return RegionTag.XII

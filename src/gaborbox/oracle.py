@@ -82,14 +82,14 @@ def build_grid_model(nt: NormalizedTriple) -> GridModel:
             f"a/b = p/q, c on the b/q grid and the maps defined"
         )
     p, q = nt.rational
-    u = nt.units
-    j0, j1 = u.C0, u.C1
-    if u.B != q or not 0 < j0 < p:
+    # the X0 of the form, whole numbers of b/q on the grid
+    _, _, _, B, (C, _), (j0, _), (j1, _) = nt.form
+    if B != (q, 0) or not 0 < j0 < p:
         raise OracleInconsistency(
-            f"grid indices of c break their identities: c/b*q = {u.C}/{u.B // q}, j0 = {j0}"
+            f"grid indices of c break their identities: c/b*q = {C}/{B[0] // q}, j0 = {j0}"
         )
     f = nt.floor_cb
-    e = u.C % p
+    e = C % p
     return GridModel(nt, p, q, f, j0, j1, e)
 
 

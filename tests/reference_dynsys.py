@@ -300,16 +300,15 @@ def _propagate_rational_on_sets(nt: NormalizedTriple) -> List[Tuple[PeriodicSet,
     portions park inside the forward absorber, until all of it parks.
 
     c sits on the grid, so every endpoint and every shift is a whole number
-    of steps b/q: the march runs on integers in those units (nt.units) and
-    returns its holes in them, each with its status."""
-    u = nt.units
-    A, B = u.A, u.B
+    of steps b/q: the march runs on integers in those units (the X0 of
+    nt.form) and returns its holes in them, each with its status."""
+    _, _, (A, _), (B, _), _, (C0, _), (C1, _) = nt.form
     f, q = nt.floor_cb, nt.rational[1]
     ba = B - A
-    bh_lo, bh_hi = u.C0 + A - B, u.C0
+    bh_lo, bh_hi = C0 + A - B, C0
     low_shift, high_shift = (f + 1) * B, f * B
     cap = -(-A // ba) + q + 2
-    front = PeriodicSet.make(A, [(u.C1, u.C1 + ba)])
+    front = PeriodicSet.make(A, [(C1, C1 + ba)])
     steps: List[Tuple[PeriodicSet, HoleStatus]] = []
     while True:
         if len(steps) > cap:

@@ -19,7 +19,7 @@ from gaborbox.classifier import (
 )
 from gaborbox.dynsys import compute_S
 from gaborbox.errors import NonPositiveInput, RegionUnsupported
-from gaborbox.exactnum import pi_context, surd_context
+from gaborbox.exactnum import ExactReal, pi_context, surd_context
 from gaborbox.oracle import on_grid_survey
 
 PI = pi_context()
@@ -101,6 +101,21 @@ def test_region_vi_irrational_always_frame():
     nt = normalize(a, rat(1), rat(F(27, 10)))
     assert region_tag(nt) is RegionTag.VI
     assert classify_triple(nt).verdict == "Frame"
+
+
+@pytest.mark.parametrize("a, c, region, case", [
+    ("2/3", "11/3", "VI", "1"), ("3/4", "11/4", "VI", "2"), ("1/2", 2, "VII", "3"),
+    ("2/3", "13/3", "VII", "4"), ("3/4", "13/4", "VII", "5"), ("2/5", "31/10", "VII", "4"),
+    ("3/4", "11/2", "X", "X"), ("3/4", "13/2", "XI", "XI")])
+def test_gcd_witnesses_are_hashable_values(a, c, region, case):
+    # a GcdCondition holds ints and ExactReal thresholds, so a NotFrame
+    # decision on VI, VII, X or XI hashes, and alike in another context
+    d = classify(rat(F(a)), rat(1), rat(F(c)))
+    assert (str(d.region), d.verdict, d.witness.case_id) == (region, "NotFrame", case)
+    assert all(type(v) in (int, ExactReal) for _, v in d.witness.values)
+    sq2 = surd_context(2)
+    e = classify(sq2.num(F(a)), sq2.num(1), sq2.num(F(c)))
+    assert e == d and hash(e) == hash(d)
 
 
 def test_region_vii_case3_zero_offset():

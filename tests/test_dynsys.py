@@ -287,8 +287,8 @@ def test_measure_identity_rejects_empty():
 
 
 # S of a period that is neither a nor the triple's grid units: an integer
-# period on an irrational ratio, which has no grid units; an integer period
-# other than units.A (13 on NT77); a real period other than a
+# period on an irrational ratio, whose form has a tau part; an integer period
+# other than the X0 of a (13 on NT77); a real period other than a
 WRONG_PERIOD = {
     "int-on-irrational": (NT_PI, PeriodicSet(5, ((1, 2),))),
     "int-period-40": (NT77, PeriodicSet(40, ((30, 31),))),
@@ -302,9 +302,22 @@ WRONG_PERIOD = {
 def test_stages_reject_S_of_the_wrong_period(stage, case):
     nt, S = WRONG_PERIOD[case]
     assert nt.region is (RegionTag.XII if nt is NT_PI else RegionTag.XIII)
-    assert NT77.units.A == 13
+    assert NT77.form.A == (13, 0)
     with pytest.raises(PeriodMismatch):
         stage(nt, S)
+
+
+@pytest.mark.parametrize("stage", [compute_D, measure_identity, measure_identity_lhs,
+                                   surgery_report], ids=lambda f: f.__name__)
+def test_stages_reject_an_integer_period_on_a_form_with_a_tau_part(stage):
+    # a = 1 is rational, so its pair in the form is (4, 0) in units 1/4; the
+    # form still has a tau part, so an S of integer period 4 is in no units
+    # of this triple
+    sq2 = surd_context(2)
+    nt = normalize(rat(1), sq2.num(0, 1), sq2.num(F(3, 4), 3))
+    assert nt.region is RegionTag.XII and nt.form.A == (4, 0) and not nt.form.integral
+    with pytest.raises(PeriodMismatch):
+        stage(nt, PeriodicSet(4, ((1, 2),)))
 
 
 # -- surgery --------------------------------------------------------------------

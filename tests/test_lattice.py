@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from gaborbox import NormalizedTriple, PeriodicSet, RegionTag, normalize, rat, region_tag
 from gaborbox.errors import ContextMismatch, NonPositiveInput, PeriodMismatch, PrecisionExhausted
 from gaborbox.exactnum import _pi_enclosure, pi_context, surd_context
-from gaborbox.lattice import black_hole_R, black_hole_Rt, grid_triple, grid_value
+from gaborbox.lattice import black_hole_R, black_hole_Rt, form_value, grid_triple, grid_value
 
 PI = pi_context()
 
@@ -47,19 +47,35 @@ def test_normalize_irrational():
     assert nt.c1 == PI.num(5, F(-3, 2))
 
 
+def _grid_units(nt):
+    """The X0 of a, b, c, c0 and c1 in an integral form, whose X1 are all 0."""
+    assert nt.form.integral and not any(X[1] for X in nt.form[2:]), nt.form
+    return tuple(X[0] for X in nt.form[2:])
+
+
 def test_normalize_grid_units():
     # in units of b/(q*D): D = 1 on the grid
-    assert nt_of("13/17", 1, "77/17").units == (13, 17, 77, 77 - 4 * 17, 4 * 17 % 13)
+    nt = nt_of("13/17", 1, "77/17")
+    assert _grid_units(nt) == (13, 17, 77, 77 - 4 * 17, 4 * 17 % 13)
+    assert nt.form.beta == (1, 0, 17)
     # c/(b/q) = 231/10, f = 3: D = 10
-    assert nt_of("6/7", 1, "33/10").units == (60, 70, 231, 231 - 3 * 70, 10 * (3 * 7 % 6))
+    nt = nt_of("6/7", 1, "33/10")
+    assert _grid_units(nt) == (60, 70, 231, 231 - 3 * 70, 10 * (3 * 7 % 6))
+    assert nt.form.beta == (1, 0, 70)
     # the units of b/q do not depend on the scale of b
-    assert nt_of("13/34", "1/2", "77/34").units == nt_of("13/17", 1, "77/17").units
+    assert _grid_units(nt_of("13/34", "1/2", "77/34")) == _grid_units(nt_of("13/17", 1, "77/17"))
     sq2 = surd_context(2)
     on_grid = normalize(sq2.num(0, F(3, 4)), sq2.num(0, 1), sq2.num(0, F(7, 2)))
-    assert on_grid.units == (3, 4, 14, 2, 0) and on_grid.pairs is None
-    # a/b rational but c/b irrational, and a/b irrational: no units
-    assert normalize(sq2.num(0, F(3, 4)), sq2.num(0, 1), rat(5)).units is None
-    assert normalize(PI.num(0, F(1, 4)), rat(1), PI.num(23, F(-11, 2))).units is None
+    assert _grid_units(on_grid) == (3, 4, 14, 2, 0)
+    assert on_grid.form.beta == (0, 1, 4)  # sqrt2/4
+    # a/b rational but c/b irrational, and a/b irrational: units 1/L, a tau part
+    on_pairs = (normalize(sq2.num(0, F(3, 4)), sq2.num(0, 1), rat(5)),
+                normalize(PI.num(0, F(1, 4)), rat(1), PI.num(23, F(-11, 2))))
+    for nt in on_pairs:
+        assert not nt.form.integral and nt.form.beta == (1, 0, 4)
+    # every pair maps back to its value
+    for nt in (on_grid, *on_pairs, nt_of("6/7", 1, "33/10")):
+        assert [form_value(nt.form, X) for X in nt.form[2:]] == [nt.a, nt.b, nt.c, nt.c0, nt.c1]
 
 
 def test_grid_value_is_b_times_n_over_m_in_its_context():
@@ -83,7 +99,7 @@ def test_grid_triple_is_what_normalize_builds():
             assert got == want, (a, b, k)
             assert [v.ctx for v in (got.c, got.c0, got.c1)] == [
                 v.ctx for v in (want.c, want.c0, want.c1)]
-            assert (got.units, got.region) == (want.units, want.region)
+            assert (got.form, got.region) == (want.form, want.region)
 
 
 def test_mixed_contexts_raise_on_rational_values():
@@ -157,7 +173,7 @@ def test_region_is_derived_not_compared():
         NormalizedTriple(nt.a, nt.b, nt.c, nt.floor_cb, nt.c0, nt.c1, nt.rational,
                          nt.c_on_grid, RegionTag.I)
     # equality and hash read the eight given fields, not what they derive
-    for name in ("units", "pairs", "region"):
+    for name in ("form", "region"):
         other = copy.copy(nt)
         object.__setattr__(other, name, RegionTag.I)
         assert other == nt and hash(other) == hash(nt), name

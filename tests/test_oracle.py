@@ -244,7 +244,7 @@ def test_pipeline_check_names_the_clash(monkeypatch):
         f"verdict clash on {brief}: closed-form=Frame, grid-orbits=NotFrame, "
         "measure-identity=Frame, two-solvability=Frame")
     monkeypatch.setattr(oracle, "compute_S",
-                        lambda nt: compute_S(nt)._replace(S_units=PeriodicSet.empty(nt.units.A)))
+                        lambda nt: compute_S(nt)._replace(S_units=PeriodicSet.empty(nt.form.A[0])))
     assert triple_pipeline_check(NT77) == (
         f"S-existence clash on {brief}: construction says empty")
 

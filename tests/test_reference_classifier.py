@@ -5,7 +5,8 @@ on the triple's integer pairs, against the ExactReal classifier and search
 they replaced (`reference_classifier.py`).
 
 Every decision is compared whole: verdict, region and witness, with the
-rendered GcdCondition thresholds, the case-8 delta and both neighbours of
+GcdCondition values rendered as the JSON payload renders them (the
+reference builds them rendered), the case-8 delta and both neighbours of
 an off-grid c, and again as its JSON payload.  Every grid model is compared
 field by field.
 """
@@ -24,7 +25,7 @@ from gaborbox.classifier import (
     _search_obstruction_irrational,
     classify_triple,
 )
-from gaborbox.cli import _decision_json
+from gaborbox.cli import _decision_json, _witness_json
 from gaborbox.errors import RegionUnsupported
 from gaborbox.exactnum import pi_context, rat, surd_context
 from gaborbox.lattice import RegionTag, normalize
@@ -54,11 +55,40 @@ def _rational_cells(qmax, b_values=B_VALUES, cmax=8):
                 yield a, b, c
 
 
+def _rendered(d):
+    """The decision with the values of each GcdCondition rendered as the JSON
+    payload renders them: the shape the reference classifier builds them in."""
+    w = d.witness
+    if isinstance(w, GcdCondition):
+        w = w._replace(values=_witness_json(w)["values"])
+    elif isinstance(w, RecursionPair):
+        w = RecursionPair(_rendered(w.low), _rendered(w.high))
+    return d._replace(witness=w)
+
+
+def _reference_json(d):
+    """The JSON payload of a reference decision, whose GcdCondition values
+    are rendered already."""
+    w = d.witness
+    if isinstance(w, GcdCondition):
+        return {**_decision_json(d._replace(witness=None)),
+                "witness": {"kind": "gcd-condition", "case": w.case_id, "values": w.values}}
+    if isinstance(w, RecursionPair):
+        return {**_decision_json(d._replace(witness=None)),
+                "witness": {"kind": "recursion-pair", "low": _reference_json(w.low),
+                            "high": _reference_json(w.high)}}
+    return _decision_json(d)
+
+
+def _same_decision(got, want, triple):
+    assert _rendered(got) == want, triple
+    assert _decision_json(got) == _reference_json(want), triple
+
+
 def _same(a, b, c, tally):
     nt = normalize(a, b, c)
     got, want = classify_triple(nt), ref.classify_triple(nt)
-    assert got == want, (a, b, c)
-    assert _decision_json(got) == _decision_json(want), (a, b, c)
+    _same_decision(got, want, (a, b, c))
     try:
         model = ref.build_grid_model(nt)
     except RegionUnsupported:
@@ -126,7 +156,7 @@ def test_rational_ratio_of_irrationals_matches_reference(c_in_sqrt2):
     tally = Counter()
     for a, _, c in _rational_cells(qmax=5, b_values=(1,)):
         a, b, c = SQ2.num(0, a), SQ2.num(0, 1), SQ2.num(0, c) if c_in_sqrt2 else rat(c)
-        assert (normalize(a, b, c).units is not None) is c_in_sqrt2
+        assert normalize(a, b, c).form.integral is c_in_sqrt2
         _same(a, b, c, tally)
     for region in ("VI", "VII", "X", "XI", "XIV") + ("XIII",) * c_in_sqrt2:
         assert tally[region, "Frame"] and tally[region, "NotFrame"], region
@@ -209,10 +239,9 @@ def test_irrational_c_over_a_rational_ratio_matches_reference(ctx):
     tally = Counter()
     for seed in (1, 2, 3):
         for nt in _irrational_c_draw(ctx, seed, 200):
-            assert nt.units is None and nt.pairs is not None, nt
+            assert not nt.form.integral, nt
             got, want = classify_triple(nt), ref.classify_triple(nt)
-            assert got == want, (nt.a, nt.b, nt.c)
-            assert _decision_json(got) == _decision_json(want), (nt.a, nt.b, nt.c)
+            _same_decision(got, want, (nt.a, nt.b, nt.c))
             _count(got, tally)
     for region in ("VI", "VII", "X", "XI", "XIV"):
         assert tally[region, "Frame"] and tally[region, "NotFrame"], (region, tally)

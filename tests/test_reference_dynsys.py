@@ -153,7 +153,7 @@ def test_grid_unit_stages_match_off_grid_c():
         for p in range(1, q):
             for k in range(3 * q + 1, 24 * q):
                 nt = normalize(rat(F(p, q)), rat(1), rat(F(k, 3 * q)))
-                if nt.region in (RegionTag.X, RegionTag.XI) and nt.units.B == 3 * q:
+                if nt.region in (RegionTag.X, RegionTag.XI) and nt.form.B == (3 * q, 0):
                     seen += 1
                     _assert_same_from_S(nt)
     assert seen > 100
@@ -172,10 +172,10 @@ def test_off_grid_S_takes_the_reals_path():
 @pytest.mark.parametrize("c, region", [(10, RegionTag.X), (14, RegionTag.XI),
                                        (18, RegionTag.XIII)])
 def test_stages_take_S_in_grid_units(c, region):
-    # units.A equals a as a number here, so only the type of the period tells
-    # an S in grid units from one over the reals
+    # the X0 of a equals a as a number here, so only the type of the period
+    # tells an S in grid units from one over the reals
     nt = normalize(rat(3), rat(4), rat(c))
-    assert nt.region is region and nt.units.A == nt.a
+    assert nt.region is region and nt.form.A[0] == nt.a
     rep = compute_S(nt)
     E = rep.S_units
     assert type(E.period) is int

@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_exact as ref
+import reference_shapes as shapes
 from gaborbox.classifier import classify
 from gaborbox.dynsys import compute_S
 from gaborbox.errors import ContextMismatch, GaborBoxError, PrecisionExhausted
@@ -35,7 +36,7 @@ from gaborbox.exactnum import (
     rat,
     surd_context,
 )
-from gaborbox.lattice import PeriodicSet, RegionTag, normalize, region_tag
+from gaborbox.lattice import PeriodicSet, RegionTag, form_value, normalize, region_tag
 from gaborbox.oracle import build_grid_model
 from gaborbox.sampling import sampling_stable
 
@@ -227,8 +228,74 @@ def test_normalize_and_region_tag_match_old_core_off_the_grid():
         tag = region_tag(nt_new)
         assert tag is ref.region_tag(nt_old), old
         tally[tag] += 1
-        tally["pairs" if nt_new.units is None else "units"] += 1
+        tally["units" if nt_new.form.integral else "pairs"] += 1
     assert set(RegionTag) - set(tally) == {RegionTag.XIII}, tally
+    assert tally["pairs"] > 1400 and tally[RegionTag.XII] > 50, tally
+
+
+# -- one integer form against the two shapes it replaced --------------------------------
+
+def _same_as_two_shapes(a, b, c, tally):
+    """normalize against the normalization that held grid units or pairs over
+    L (`reference_shapes.py`): the same fields, contexts included, and the
+    same region; the form's pairs are the old shape's integers, with every X1
+    0 on grid units, and each maps back to exactly its value."""
+    new, old = normalize(a, b, c), shapes.normalize(a, b, c)
+    assert _canon(new) == _canon(old), (a, b, c)
+    assert new.region is old.region, (a, b, c)
+    form, u = new.form, old.units
+    if u is not None:
+        assert form.integral and list(form[2:]) == [(X, 0) for X in u], (a, b, c)
+        assert form.ctx == b._join(a), (a, b, c)
+    else:
+        P = old.pairs
+        assert not form.integral and list(form[2:]) == list(P[2:]), (a, b, c)
+        assert form.ctx is P.ctx and form.beta == (1, 0, P.L), (a, b, c)
+    back = [form_value(form, X) for X in form[2:]]
+    assert [(v.x0, v.x1) for v in back] == [(v.x0, v.x1) for v in
+                                            (new.a, new.b, new.c, new.c0, new.c1)], (a, b, c)
+    tally[new.region] += 1
+    tally["units" if u is not None else "pairs"] += 1
+
+
+def test_form_matches_two_shapes_q_le_20():
+    """Every a = p/q <= 1 with q <= 20, b = 1 and c in (0, 8) on the step
+    1/(2q), and b = 3/2 with q <= 8: the rational fast path, on and off the
+    grid."""
+    tally = Counter()
+    for b, qmax in ((rat(1), 20), (rat(F(3, 2)), 8)):
+        for q in range(1, qmax + 1):
+            for p in range(1, q + 1):
+                if gcd(p, q) == 1:
+                    for k in range(1, 16 * q):
+                        _same_as_two_shapes(rat(F(p, q)) * b, b, rat(F(k, 2 * q)) * b, tally)
+    cells = sum(16 * q - 1 for q in range(1, 9) for p in range(1, q + 1) if gcd(p, q) == 1)
+    assert tally["units"] == 27_792 + cells, tally
+    assert set(RegionTag) - set(tally) == {RegionTag.XII}, tally
+
+
+def test_form_matches_two_shapes_on_multiples_of_sqrt2():
+    """(r*sqrt2, sqrt2, r'*sqrt2): a/b and c/b rational on tau coefficients,
+    so the pair normalization builds grid units; and r'*sqrt2 + 1/7, where
+    c/b is irrational and the form keeps its pairs over L."""
+    tally = Counter()
+    for q in range(1, 9):
+        for p in range(1, 2 * q):
+            if gcd(p, q) == 1:
+                for k in range(1, 16 * q, 3):
+                    c = SQRT2.num(0, F(k, 2 * q))
+                    for c in (c, c + F(1, 7)):
+                        _same_as_two_shapes(SQRT2.num(0, F(p, q)), SQRT2.num(0, 1), c, tally)
+    assert tally["units"] == tally["pairs"] > 1000, tally
+    assert {RegionTag.XIII, RegionTag.XIV, RegionTag.X, RegionTag.XI} <= set(tally), tally
+
+
+def test_form_matches_two_shapes_off_the_grid():
+    """The seeded draws without grid units (and a few with) of the pair
+    normalization's own differential test."""
+    tally = Counter()
+    for ops in _generic_triples(seed=19, count=1500):
+        _same_as_two_shapes(*(new for new, _ in ops), tally)
     assert tally["pairs"] > 1400 and tally[RegionTag.XII] > 50, tally
 
 
@@ -348,13 +415,6 @@ def test_values_cover_every_value_class():
     assert all(v == mock.ANY for v in values)
 
 
-def _hash(v):
-    try:
-        return hash(v)
-    except TypeError:  # a GcdCondition's values are a dict
-        return TypeError
-
-
 @pytest.mark.parametrize("roundtrip", [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy,
                                        copy.copy], ids=["pickle", "deepcopy", "copy"])
 def test_values_survive_pickle_and_copy(roundtrip):
@@ -362,7 +422,7 @@ def test_values_survive_pickle_and_copy(roundtrip):
         w = roundtrip(v)
         assert type(w) is type(v)
         assert w == v
-        assert _hash(w) == _hash(v)
+        assert hash(w) == hash(v)
         assert repr(w) == repr(v)
 
 
@@ -376,6 +436,6 @@ def test_values_are_immutable():
 
 def test_triple_round_trips_carry_its_pairs_over():
     nt = normalize(SQRT2.num(0, F(3, 4)), SQRT2.num(0, 1), rat(F(7, 2)))
-    assert nt.units is None and nt.pairs is not None
+    assert not nt.form.integral
     for w in (pickle.loads(pickle.dumps(nt)), copy.deepcopy(nt), copy.copy(nt)):
-        assert w.pairs == nt.pairs and w.units is None and w.region is nt.region
+        assert w.form == nt.form and w.region is nt.region

@@ -73,8 +73,8 @@ def test_grid_oracle_names_nothing_from_the_classifier():
             elif isinstance(node, ast.Attribute) and node.attr in forbidden:
                 found.append(f"{name}: names .{node.attr}")
     assert found == []
-    # the model reads the grid indices the triple already holds
-    assert any(isinstance(node, ast.Attribute) and node.attr == "units"
+    # the model reads the grid indices the triple already holds, in its form
+    assert any(isinstance(node, ast.Attribute) and node.attr == "form"
                for node in ast.walk(defs["build_grid_model"]))
 
 
@@ -107,18 +107,54 @@ def _functions(path):
     return [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
 
 
+def _namings(node, name):
+    return sum(isinstance(sub, ast.Name) and sub.id == name for sub in ast.walk(node))
+
+
 def test_dynsys_maps_grid_units_back_in_one_function():
     # D, the measure identity and the surgery work on S in grid units; one
-    # helper decides how a count of grid units becomes an ExactReal
+    # helper, _real, decides how a count of grid units becomes an ExactReal,
+    # by the one map from a triple's form back to the reals, which the
+    # replay of the XII hole starts also takes
     tree = ast.parse((SRC / "dynsys.py").read_text(encoding="utf-8"))
+    functions = {fn.name: fn for fn in tree.body if isinstance(fn, ast.FunctionDef)}
+    naming = {name for name, fn in functions.items() if _namings(fn, "form_value")}
+    assert naming == {"_real", "_hole_starts"}
+    assert _namings(tree, "form_value") == sum(
+        _namings(functions[name], "form_value") for name in naming)
+    assert _namings(tree, "grid_value") == _namings(tree, "pair_value") == 0
 
-    def namings(node):
-        return sum(isinstance(sub, ast.Name) and sub.id == "grid_value"
-                   for sub in ast.walk(node))
 
-    helper, = (node for node in tree.body
-               if isinstance(node, ast.FunctionDef) and node.name == "_real")
-    assert namings(tree) == namings(helper) > 0
+def test_only_form_value_reads_the_scale_of_a_form():
+    # every compare reads only the pairs of a triple's form; the scale beta
+    # is read by the map back to the reals alone, whether as an attribute or
+    # as the second field of an unpacked form
+    found = set()
+    for path in sorted(SRC.rglob("*.py")):
+        for fn in _functions(path):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Attribute) and node.attr == "beta":
+                    found.add(f"{path.name}:{fn.name}")
+                elif (isinstance(node, ast.Assign) and ast.unparse(node.value).endswith("form")
+                      and isinstance(node.targets[0], ast.Tuple)
+                      and ast.unparse(node.targets[0].elts[1]) != "_"):
+                    found.add(f"{path.name}:{fn.name}: unpacks beta")
+    assert found == {"lattice.py:form_value"}
+
+
+def test_only_lattice_names_the_retired_triple_shapes():
+    # a triple holds its integers in one form, NormalizedTriple.form; the
+    # grid units and the pairs over L it replaced have no names left
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name == "lattice.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and node.id in ("GridUnits", "TauPairs")
+                  or isinstance(node, ast.Attribute) and node.attr in ("units", "pairs")
+                  or isinstance(node, ast.alias) and node.name in ("GridUnits", "TauPairs")]
+    assert found == []
 
 
 def test_dynsys_converts_S_to_the_reals_only_when_read():
@@ -144,8 +180,8 @@ def test_dynsys_converts_S_to_the_reals_only_when_read():
 def test_only_the_pair_builder_takes_a_common_denominator():
     # a triple without grid units is put over one denominator L once, by
     # lattice._normalize_on_pairs; the walk, the XII search and the XII
-    # march read its pairs, and the classifier solves for (u, v) on them,
-    # not on Fractions
+    # march read the pairs of its form, and the classifier solves for (u, v)
+    # on them, not on Fractions
     found = set()
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
