@@ -358,18 +358,36 @@ def _xiii_candidates(nt: NormalizedTriple):
             Np = N * p
             if (s * val - w * p) % Np or gcd(val, Np) != p:
                 continue
+            # The count d1 must satisfy d1 < s and 0 <= d3 = w - 1 - d1 < N - s,
+            # that is w - N + s <= d1 <= w - 1, and the delta limits: delta
+            # times N, delta_n = N*(j0 - (d1 + 1)*qp) - w*bd = top - slope*d1,
+            # lies strictly between -m1 = -min(N*(p - j0), bd) and
+            # m2 = min(N*(j0 - qp), bd).  slope = N*qp > 0, so delta_n falls
+            # strictly as d1 rises, and for integers d1 the two limits read
+            #   top - slope*d1 > -m1  <=>  d1 <= (top + m1 - 1) // slope,
+            #   top - slope*d1 < m2   <=>  d1 >= (top - m2) // slope + 1.
+            # Every condition on d1 thus bounds it to one integer interval
+            # [lo, hi], known before the count: where it is empty the count
+            # could only fail, so it is skipped, and a count outside it fails
+            # exactly the conditions it stands for.  (The count always meets
+            # the first three: with val = p*v, k counts when k*v mod N < w;
+            # k = s has residue w by the congruence above, and k = 1..s-1
+            # have s - 1 distinct residues in [1, N-1] other than w, at most
+            # w - 1 of them below w and at most N - 1 - w above.  They still
+            # narrow the interval that decides the skip.)
+            top, slope = N * (j0 - qp) - w * bd, N * qp
+            lo = max(0, w - N + s, (top - min(N * (j0 - qp), bd)) // slope + 1)
+            hi = min(s - 1, w - 1, (top + min(N * (p - j0), bd) - 1) // slope)
+            if lo > hi:
+                continue
             # gcd(val, Np) = p makes val = p*v with gcd(v, N) = 1, so Np | k*val
             # would need N | k, which k <= s < N rules out: no k*val is 0 mod Np
             d1 = _window_count(s, val, Np, w * p)
-            d3 = w - 1 - d1
-            if d1 >= s or not 0 <= d3 < N - s:
+            if not lo <= d1 <= hi:
                 continue
-            # delta and its window limits, all times N: integers
-            delta_n = N * (j0 - (d1 + 1) * qp) - w * bd
-            if not (-min(N * (p - j0), bd) < delta_n < min(N * (j0 - qp), bd)):
-                continue
+            delta_n = top - slope * d1
             witness = RationalParams(
-                case_id=8, d1=d1, d2=s - 1 - d1, d3=d3, d4=N - s - 1 - d3, N=N,
+                case_id=8, d1=d1, d2=s - 1 - d1, d3=w - 1 - d1, d4=N - s - w + d1, N=N,
                 delta=grid_value(nt.b, delta_n, N * q), e_count=d1,
             )
             # |delta| + p/(N*f + w) != bd/N, times N*(N*f + w) > 0

@@ -212,11 +212,15 @@ def compute_S(nt: NormalizedTriple) -> InvariantSetReport:
         E = (PeriodicSet.make(a, [(s, s + ba) for s in _hole_starts(nt, steps)]).complement()
              if end is HoleStatus.FROZEN else PeriodicSet.empty(a))
     elif tag is RegionTag.XIII:
-        holes = [iv for hole, _ in _propagate_rational(nt) for iv in hole.intervals]
-        E = PeriodicSet.make(a, holes).complement()
-        if not E.is_empty and not E.restrict(c0 + a - b, c0).is_empty:
-            # the construction must have buried both absorbers inside the holes
-            raise OracleInconsistency("invariant set touches the forward absorber")
+        # the holes are pairwise disjoint (below), so S is empty exactly when
+        # their lengths sum to A: only a nonempty S runs the march again
+        E = PeriodicSet.empty(a)
+        if sum(hi - lo for front, _ in _propagate_rational(nt) for lo, hi in front) != a:
+            holes = [iv for front, _ in _propagate_rational(nt) for iv in front]
+            E = PeriodicSet.make(a, holes).complement()
+            if not E.restrict(c0 + a - b, c0).is_empty:
+                # the construction must have buried both absorbers inside the holes
+                raise OracleInconsistency("invariant set touches the forward absorber")
     else:
         raise RegionUnsupported(f"invariant-set construction undefined on region {tag}")
     if E.is_empty:
@@ -325,14 +329,14 @@ def _hole_starts(nt: NormalizedTriple, steps: bytearray) -> Iterator[ExactReal]:
 # where the map now jumps over hole 1 (not over G any more).  Induct on i.
 
 
-def _propagate_rational(nt: NormalizedTriple) -> List[Tuple[PeriodicSet, HoleStatus]]:
+def _propagate_rational(nt: NormalizedTriple) -> Iterator[Tuple[tuple, HoleStatus]]:
     """Breadth-first saturation: push the backward absorber forward, letting
     portions park inside the forward absorber, until all of it parks.
 
     c sits on the grid, so every endpoint and every shift is a whole number
     of steps b/q: the march runs on integers in those units (the X0 of the
     triple's form), its front a canonical tuple of (lo, hi) pairs, and
-    returns its holes in them, each with its status."""
+    yields each step's hole as that front, with its status, keeping none."""
     _, _, (A, _), (B, _), _, (C0, _), (C1, _) = nt.form
     f, q = nt.floor_cb, nt.rational[1]
     ba = B - A
@@ -340,27 +344,20 @@ def _propagate_rational(nt: NormalizedTriple) -> List[Tuple[PeriodicSet, HoleSta
     low_shift, high_shift = (f + 1) * B % A, f * B % A
     cap = -(-A // ba) + q + 2
     front: Tuple[Tuple[int, int], ...] = ((C1, C1 + ba),)
-    steps: List[Tuple[PeriodicSet, HoleStatus]] = []
-    while True:
-        if len(steps) > cap:
-            raise IterationCapExceeded(
-                f"hole propagation still live after {len(steps)} steps; proven bound is {cap}"
-            )
+    for _ in range(cap + 1):
         # the front off the absorber, each part moved by its branch's shift;
         # whatever of it meets the absorber parks there
-        moved = []
-        parked = False
+        moved, parked = [], False
         for lo, hi in front:
             if lo < bh_lo:
                 moved.append((lo + low_shift, (hi if hi < bh_lo else bh_lo) + low_shift))
             if hi > bh_hi:
                 moved.append(((lo if lo > bh_hi else bh_hi) + high_shift, hi + high_shift))
             parked = parked or lo < bh_hi and hi > bh_lo
-        hole = PeriodicSet(A, front)  # canonical already: no revalidation
         if not moved:
-            steps.append((hole, HoleStatus.FROZEN))
-            return steps
-        steps.append((hole, HoleStatus.ABSORBED if parked else HoleStatus.PROPAGATING))
+            yield front, HoleStatus.FROZEN
+            return
+        yield front, HoleStatus.ABSORBED if parked else HoleStatus.PROPAGATING
         # split a part that wraps at A, then sort: no two pieces meet or
         # touch (above), so the front is canonical as it stands
         pieces = []
@@ -373,6 +370,8 @@ def _propagate_rational(nt: NormalizedTriple) -> List[Tuple[PeriodicSet, HoleSta
             pieces.append((lo, hi))
         pieces.sort()
         front = tuple(pieces)
+    raise IterationCapExceeded(f"hole propagation still live after {cap + 1} steps; "
+                               f"proven bound is {cap}")
 
 
 def hole_chain(nt: NormalizedTriple) -> Tuple[HoleChainStep, ...]:
@@ -387,10 +386,11 @@ def hole_chain(nt: NormalizedTriple) -> Tuple[HoleChainStep, ...]:
         # only a sentinel hole may wrap
         steps.append((PeriodicSet.from_wrapped(nt.a, [(last, last + ba)]), end))
     elif nt.region is RegionTag.XIII:
-        held = _propagate_rational(nt)
+        A = nt.form.A[0]
+        held = [(PeriodicSet(A, front), status) for front, status in _propagate_rational(nt)]
         # the holes are pairwise disjoint (above): S is empty when they fill the circle
-        if sum(hole.measure() for hole, _ in held) == nt.form.A[0]:
-            held.append((PeriodicSet.full(nt.form.A[0]), HoleStatus.SENTINEL))
+        if sum(hole.measure() for hole, _ in held) == A:
+            held.append((PeriodicSet.full(A), HoleStatus.SENTINEL))
         real = _grid_reals(nt, *(hole for hole, _ in held))
         steps = [(real(hole), status) for hole, status in held]
     else:

@@ -11,6 +11,7 @@ the value is exactly zero, detected coefficient-wise).
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from fractions import Fraction
@@ -111,6 +112,18 @@ def _sqrt_enclosure(d: int, bits: int) -> Tuple[Fraction, Fraction]:
     return Fraction(n, scale), Fraction(n + 1, scale)
 
 
+# every surd context of one square-free d starts from one enclosure, as pi
+# contexts do from _PI_START; at most _SURD_STARTS_HELD radicands are held,
+# the least recently used making way for a new one
+_SURD_STARTS_HELD = 64
+
+
+@functools.lru_cache(maxsize=_SURD_STARTS_HELD)
+def _surd_start(d: int) -> Tuple[Fraction, Fraction]:
+    """The start enclosure of sqrt(d), held per d."""
+    return _sqrt_enclosure(d, _PI_START_BITS)
+
+
 class NumberContext:
     """The base irrational tau that ExactReal coefficients multiply.
 
@@ -197,7 +210,7 @@ class NumberContext:
     def _compute(self, bits: int) -> Tuple[Fraction, Fraction]:
         if self.kind == "pi":
             return _PI_START if bits == _PI_START_BITS else _pi_enclosure(bits)
-        return _sqrt_enclosure(self.d, bits)
+        return _surd_start(self.d) if bits == _PI_START_BITS else _sqrt_enclosure(self.d, bits)
 
     # -- construction ------------------------------------------------------
     def num(self, x0: RationalLike = 0, x1: RationalLike = 0) -> "ExactReal":

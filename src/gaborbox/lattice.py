@@ -398,17 +398,23 @@ def _rebuild_triple(given: tuple, form: IntegerForm) -> NormalizedTriple:
 
 
 def normalize(a: ExactReal, b: ExactReal, c: ExactReal) -> NormalizedTriple:
+    ratios = []
     for v, name in ((a, "a"), (b, "b"), (c, "c")):
         if not isinstance(v, ExactReal):
             raise TypeError(f"{name} must be an ExactReal")
-        if v.sign() <= 0:
+        # a value of the rational context has no tau coefficient; a rational
+        # value is positive when its numerator is
+        if v.ctx.kind == "rational" or not v.x1:
+            n, d = v.x0.as_integer_ratio()
+            if n <= 0:
+                raise NonPositiveInput(f"{name} must be positive, got {v!r}")
+            ratios.append((n, d))
+        elif v.sign() <= 0:
             raise NonPositiveInput(f"{name} must be positive, got {v!r}")
-    if not (a.x1 or b.x1 or c.x1):
+    if len(ratios) == 3:
         # all three rational: the same quantities straight from the integer
         # numerators and denominators of the coefficients
-        an, ad = a.x0.numerator, a.x0.denominator
-        bn, bd = b.x0.numerator, b.x0.denominator
-        cn, cd = c.x0.numerator, c.x0.denominator
+        (an, ad), (bn, bd), (cn, cd) = ratios
         f, r = divmod(cn * bd, cd * bn)  # c/b = f + r/(cd*bn)
         c0 = _make(c._join(b), Fraction(r, cd * bd), _ZERO)  # c - f*b
         ctx = b._join(a)

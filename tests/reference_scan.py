@@ -8,8 +8,12 @@ Cramer solve for every gap count s, and `window_count` is the O(s) count of
 the case-8 window that the floor sums replaced.
 `_xiii_candidates_n_scan` is the search that tried every N in (s, bd] for
 case 8 with w solved and its window in Fractions, and `_grid_units` is the
-one that read the grid indices off the ExactReals c0 and c1; both scans
-take their indices from it.  `_orbit_avoids`, `grid_S` and `grid_D` are the
+one that read the grid indices off the ExactReals c0 and c1; the scans
+take their indices from it.  `_xiii_candidates_uncut` is the divisor walk
+that paid the window count of every (s, N) passing the congruence and the
+gcd, and tested the d3 range and the delta limits only after it; it counts
+through this module's `_window_count`, the live floor-sum count, so a test
+can tally its counts.  `_orbit_avoids`, `grid_S` and `grid_D` are the
 grid oracle that walked each residue's orbit from scratch and built a set over
 all p indices for every shift of S.  They are copied unchanged from the code
 they replaced (one name differs); the differential tests in
@@ -20,10 +24,10 @@ from fractions import Fraction
 from math import gcd
 from typing import FrozenSet, List, Optional, Tuple
 
-from gaborbox.classifier import RationalParams
+from gaborbox.classifier import RationalParams, _divisors_above, _window_count
 from gaborbox.errors import OracleInconsistency, RegionUnsupported
 from gaborbox.exactnum import floor_div, mod, rat
-from gaborbox.lattice import Interval, NormalizedTriple, PeriodicSet
+from gaborbox.lattice import Interval, NormalizedTriple, PeriodicSet, grid_value
 from gaborbox.oracle import GridModel
 
 
@@ -231,6 +235,55 @@ def _xiii_candidates_n_scan(nt: NormalizedTriple):
             )
             yield witness, abs(delta) + Fraction(p, N * f + w) != Fraction(bd, N)
         s += 1
+
+
+def _xiii_candidates_uncut(nt: NormalizedTriple):
+    """Yield (witness, excl_ok) for every obstruction candidate, in search
+    order: case 6, case 7, then the case-8 tuples passing the structural
+    conditions.  excl_ok is the final exclusion clause that separates
+    NotFrame from a measure-critical frame."""
+    p, q, gamma1, j0 = _grid_units(nt)
+    f = nt.floor_cb
+    g1 = gcd(p, gamma1)
+    if j0 < g1:
+        yield RationalParams(case_id=6), f * (g1 - j0) != g1
+    g2 = gcd(p, gamma1 + q)
+    if q - j0 < g2:
+        yield RationalParams(case_id=7), (f + 1) * (g2 + j0 - q) != g2
+    qp = q - p  # b-a in grid units
+    # Case 8: every condition depends on w = d1 + d3 + 1 alone.  gcd(q-p, p)
+    # is 1, so val = N*gamma1 + w*(q-p) = 0 mod p fixes w mod p, and N <= p
+    # leaves at most one w in [1, N-1]; the window count must equal d1,
+    # which then fixes d3.  One candidate per (s, N), N running over the
+    # divisors of bd above s in ascending order.
+    inv_qp = pow(qp, -1, p)
+    s, bd = 1, p - qp
+    while bd > s:  # bd falls and s rises, so no N in (s, bd] is left after
+        for N in _divisors_above(bd, s):
+            w = (-N * gamma1 * inv_qp) % p
+            if not 0 < w < N:
+                continue
+            val = N * gamma1 + w * qp
+            Np = N * p
+            if (s * val - w * p) % Np or gcd(val, Np) != p:
+                continue
+            # gcd(val, Np) = p makes val = p*v with gcd(v, N) = 1, so Np | k*val
+            # would need N | k, which k <= s < N rules out: no k*val is 0 mod Np
+            d1 = _window_count(s, val, Np, w * p)
+            d3 = w - 1 - d1
+            if d1 >= s or not 0 <= d3 < N - s:
+                continue
+            # delta and its window limits, all times N: integers
+            delta_n = N * (j0 - (d1 + 1) * qp) - w * bd
+            if not (-min(N * (p - j0), bd) < delta_n < min(N * (j0 - qp), bd)):
+                continue
+            witness = RationalParams(
+                case_id=8, d1=d1, d2=s - 1 - d1, d3=d3, d4=N - s - 1 - d3, N=N,
+                delta=grid_value(nt.b, delta_n, N * q), e_count=d1,
+            )
+            # |delta| + p/(N*f + w) != bd/N, times N*(N*f + w) > 0
+            yield witness, (bd - abs(delta_n)) * (N * f + w) != Np
+        s, bd = s + 1, bd - qp
 
 
 def _grid_units(nt: NormalizedTriple) -> Tuple[int, int, int, int]:

@@ -227,6 +227,28 @@ def test_sentinel_march_keeps_a_byte_per_step():
     assert len(chain) == len(steps) + 1 and chain[-1].status is HoleStatus.SENTINEL
 
 
+@pytest.mark.parametrize("p, bound", [
+    (9999, 64 * 1024),
+    pytest.param(99999, 2**20, marks=pytest.mark.slow),
+])
+def test_empty_xiii_S_keeps_no_holes(p, bound):
+    # a = p/(p+1), b = 1, c = 3.5 + 1/(p+1): the XIII march runs p steps, a
+    # hole of one grid step each, and they fill the circle.  The holes'
+    # lengths are summed as the march goes, so an empty S holds no hole:
+    # keeping them (one interval each) took about 29 MB at p = 99,999
+    import tracemalloc
+
+    nt = normalize(rat(F(p, p + 1)), rat(1), rat(F(7, 2) + F(1, p + 1)))
+    tracemalloc.start()
+    try:
+        rep = compute_S(nt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert nt.region is RegionTag.XIII and rep.S.is_empty
+    assert peak < bound, peak
+
+
 def test_S_shortcircuits_x_xi():
     # region X: S = [0, c0+a-b); region XI: S = [c0, a)
     ntx = nt_of("4/5", 1, "7/2")

@@ -6,12 +6,13 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gaborbox import PeriodicSet
+from gaborbox import PeriodicSet, exactnum
 from gaborbox.errors import ContextMismatch, PrecisionExhausted, UnsupportedRange
 from gaborbox.exactnum import (
     RATIONAL,
     ExactReal,
     _pi_enclosure,
+    _sqrt_enclosure,
     floor_div,
     mod,
     pi_context,
@@ -163,6 +164,29 @@ def test_fresh_pi_contexts_share_the_start_and_refine_alone():
     assert finer == _pi_enclosure(128) and one.enclosure() == finer
     assert two._bits == 64 and two.enclosure() == _pi_enclosure(64)
     assert pi_context().enclosure() == _pi_enclosure(64)
+
+
+def test_fresh_surd_contexts_share_the_start_per_radicand_and_refine_alone():
+    # surd_context(12) carries d = 3, so it starts from the sqrt(3) enclosure
+    one, two = surd_context(3), surd_context(12)
+    start = one.enclosure()
+    assert two.enclosure() is start and start == _sqrt_enclosure(3, 64)
+    assert surd_context(2).enclosure() == _sqrt_enclosure(2, 64) != start
+    assert one.refine() == _sqrt_enclosure(3, 128) and one.enclosure() != start
+    assert two._bits == 64 and two.enclosure() is start
+    assert surd_context(3).enclosure() is start
+
+
+def test_surd_starts_held_are_bounded():
+    held = exactnum._surd_start
+    assert held.cache_info().maxsize == exactnum._SURD_STARTS_HELD == 64
+    # more square-free radicands than are held: each start is still right
+    radicands = [d for d in range(2, 400) if square_free_decompose(d)[0] == 1][:100]
+    for d in radicands:
+        assert surd_context(d).enclosure() == _sqrt_enclosure(d, 64)
+    assert held.cache_info().currsize == 64
+    d = radicands[-1]
+    assert surd_context(d).enclosure() is surd_context(d).enclosure()
 
 
 def test_pi_enclosure_contains_mpmath_pi_at_every_level():

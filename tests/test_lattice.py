@@ -131,6 +131,36 @@ def test_normalize_rejects_nonpositive():
         nt_of(1, -1, 3)
 
 
+_SQ2 = surd_context(2)
+# zero and negative values: rational, in a surd context with no tau part, and
+# with a tau part (1 - sqrt2 < 0, sqrt2 - 3/2 < 0 < 3/2 - sqrt2 is positive)
+_NONPOSITIVE = [rat(0), rat(-1), rat(F(-1, 2)), _SQ2.num(0), _SQ2.num(F(-3, 2)),
+                _SQ2.num(1, -1), _SQ2.num(F(-3, 2), 1), PI.num(3, -1)]
+
+
+@pytest.mark.parametrize("bad", _NONPOSITIVE, ids=lambda v: v.render())
+@pytest.mark.parametrize("at", [0, 1, 2], ids=["a", "b", "c"])
+def test_normalize_rejects_zero_and_negative_in_each_place(at, bad):
+    # the other two are positive, rational or not
+    for good in ((rat(F(3, 4)), rat(1), rat(F(7, 2))),
+                 (_SQ2.num(0, F(1, 2)), rat(1), _SQ2.num(F(7, 2)))):
+        args = list(good)
+        args[at] = bad
+        with pytest.raises(NonPositiveInput, match=f"^{'abc'[at]} must be positive"):
+            normalize(*args)
+
+
+def test_normalize_checks_each_input_in_order():
+    # the first bad input decides the error: its type or its sign
+    with pytest.raises(NonPositiveInput):
+        normalize(rat(-1), 1, rat(3))
+    with pytest.raises(TypeError):
+        normalize(rat(1), 1, rat(-3))
+    with pytest.raises(TypeError):
+        normalize(F(1, 2), rat(1), rat(3))
+    assert normalize(_SQ2.num(F(1, 2)), _SQ2.num(1), _SQ2.num(F(7, 2))) == nt_of("1/2", 1, "7/2")
+
+
 # -- region tags ---------------------------------------------------------------
 
 def test_region_tags_walkthrough():

@@ -229,6 +229,9 @@ def test_certificate_pool_reports_match(p, kind):
         nt = normalize(rat(F(p, p + 4)), rat(1), rat(F(k, p + 4)))
         assert nt.region is RegionTag.XIII
         _assert_same_from_S(nt)
+        # an "early" pool's S is nonempty, a "scan" pool's empty: the march
+        # runs again for the one and only sums its hole lengths for the other
+        assert compute_S(nt).S_units.is_empty is (kind == "scan"), nt
 
 
 @pytest.mark.slow
@@ -237,6 +240,27 @@ def test_large_p_reports_match(p, c):
     nt = normalize(rat(F(p, p + 1)), rat(1), rat(c))
     assert nt.region is RegionTag.XIII
     _assert_same_from_S(nt)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("p, k", [(9999, 35001), (9999, 35003), (99999, 350001),
+                                  (99999, 350003)])
+def test_large_p_S_and_chain_match_the_march_on_sets(p, k):
+    # a = p/(p+1), b = 1, c = k/(p+1): S empty at k = 3.5*(p+1) + 1 and
+    # nonempty at k + 2.  The reference report keeps a covered set and takes
+    # too long here; the march on PeriodicSets does not
+    nt = normalize(rat(F(p, p + 1)), rat(1), rat(F(k, p + 1)))
+    assert nt.region is RegionTag.XIII
+    want = ref._propagate_rational_on_sets(nt)
+    A = nt.form.A[0]
+    S = PeriodicSet.make(A, [iv for hole, _ in want for iv in hole.intervals]).complement()
+    assert compute_S(nt).S_units == S
+    if S.is_empty:
+        want.append((PeriodicSet.full(A), HoleStatus.SENTINEL))
+    assert S.is_empty is (k == 7 * (p + 1) // 2 + 1), (p, k)
+    real = _grid_reals(nt, *(hole for hole, _ in want))
+    assert [(step.index, _set(step.hole), step.status) for step in hole_chain(nt)] == [
+        (i, _set(real(hole)), status) for i, (hole, status) in enumerate(want)]
 
 
 # -- region XII ---------------------------------------------------------------------
@@ -373,9 +397,11 @@ def _assert_same_xii_march(nt):
 
 def _assert_same_xiii_march(nt):
     """The same holes, in grid units, with the same statuses, as the march on
-    PeriodicSets.  Returns the statuses."""
-    got, want = ([(hole.period, hole.intervals, status) for hole, status in march(nt)]
-                 for march in (dynsys._propagate_rational, ref._propagate_rational_on_sets))
+    PeriodicSets; the live march yields each hole as its bare front.  Returns
+    the statuses."""
+    got = [(nt.form.A[0], front, status) for front, status in dynsys._propagate_rational(nt)]
+    want = [(hole.period, hole.intervals, status)
+            for hole, status in ref._propagate_rational_on_sets(nt)]
     assert got == want, nt
     return [status for _, _, status in got]
 

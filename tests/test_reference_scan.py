@@ -1,9 +1,12 @@
 """Differential tests: the solved certificate searches, the set algebra built
 on one window cut and the grid oracle's backward search against the scans they
-replaced (`reference_scan.py`)."""
+replaced (`reference_scan.py`), and the case-8 walk that cuts on the d1
+interval before it counts against the uncut walk that counted first."""
 
 import random
+from collections import Counter
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -163,6 +166,65 @@ def test_xiii_candidates_match_n_scan_on_xiii_pools():
         assert list(_xiii_candidates(nt)) == want, (nt.a, nt.c)
         kinds.add(tuple(w.case_id for w, _ in want))
     assert kinds == {(), (8,)}
+
+
+def test_xiii_candidates_match_uncut_walk_q_le_24():
+    # the live walk skips a window count whose d1 interval is empty; the
+    # uncut one pays it and fails the candidate after
+    triples = 0
+    seen = set()
+    for nt in on_grid_survey(24, 1, 8, regions=(RegionTag.XIII,)):
+        want = list(ref._xiii_candidates_uncut(nt))
+        assert list(_xiii_candidates(nt)) == want, (nt.a, nt.c)
+        seen.update((w.case_id, excl_ok) for w, excl_ok in want)
+        triples += 1
+    assert triples == 3035
+    assert seen == {(case, ok) for case in (6, 7, 8) for ok in (False, True)}
+
+
+def _xiii_large_p_draw(seed, count):
+    """On-grid XIII triples a = p/q, b = 1, c = k/q in (1, 8), p log-uniform
+    in [10, 10^5] and q - p in {1, 2, 3, 7, 31}."""
+    rng = random.Random(seed)
+    while count:
+        p = int(10 ** rng.uniform(1, 5))
+        q = p + rng.choice((1, 2, 3, 7, 31))
+        if gcd(p, q) != 1:
+            continue
+        nt = normalize(rat(F(p, q)), rat(1), rat(F(rng.randint(q + 1, 8 * q - 1), q)))
+        if nt.region is RegionTag.XIII:
+            count -= 1
+            yield nt
+
+
+@pytest.mark.slow
+def test_xiii_candidates_match_uncut_walk_on_large_p_draws():
+    kinds, gaps, ps = set(), set(), []
+    for nt in _xiii_large_p_draw(seed=22, count=120):
+        want = list(ref._xiii_candidates_uncut(nt))
+        assert list(_xiii_candidates(nt)) == want, (nt.a, nt.c)
+        kinds.update((w.case_id, excl_ok) for w, excl_ok in want)
+        gaps.add(nt.rational[1] - nt.rational[0])
+        ps.append(nt.rational[0])
+    assert {(8, False), (8, True)} <= kinds, kinds
+    assert gaps == {1, 2, 3, 7, 31} and max(ps) > 5 * 10**4, (gaps, max(ps))
+
+
+def test_cut_skips_most_window_counts_on_xiii_pools(monkeypatch):
+    # both walks count through the one floor-sum count; tally each
+    tally = Counter()
+
+    def counting(walk):
+        def count(s, v, M, W):
+            tally[walk] += 1
+            return _window_count(s, v, M, W)
+        return count
+
+    monkeypatch.setattr(classifier, "_window_count", counting("cut"))
+    monkeypatch.setattr(ref, "_window_count", counting("uncut"))
+    for nt in _xiii_pool_triples():
+        assert list(_xiii_candidates(nt)) == list(ref._xiii_candidates_uncut(nt)), (nt.a, nt.c)
+    assert tally["cut"] <= 0.2 * tally["uncut"], tally
 
 
 def test_case_8_window_counts_match_generator(monkeypatch):

@@ -157,6 +157,28 @@ def test_only_lattice_names_the_retired_triple_shapes():
     assert found == []
 
 
+def test_xiii_march_builds_no_set_and_keeps_no_holes():
+    # the XIII march hands each step's front on as it goes: compute_S sums
+    # their lengths, and only a nonempty S or a chain read collects them.  So
+    # the march names no PeriodicSet, is a generator that returns nothing,
+    # and every list it builds is rebuilt each step inside its loop
+    tree = ast.parse((SRC / "dynsys.py").read_text(encoding="utf-8"))
+    march = next(fn for fn in tree.body
+                 if isinstance(fn, ast.FunctionDef) and fn.name == "_propagate_rational")
+    assert not any(isinstance(node, ast.Name) and node.id == "PeriodicSet"
+                   or isinstance(node, ast.Attribute) and node.attr == "PeriodicSet"
+                   for node in ast.walk(march))
+    assert any(isinstance(node, ast.Yield) for node in ast.walk(march))
+    assert all(node.value is None for node in ast.walk(march) if isinstance(node, ast.Return))
+    loops = [node for node in march.body if isinstance(node, (ast.For, ast.While))]
+    assert len(loops) == 1
+    in_loop = {id(node) for node in ast.walk(loops[0])}
+    lists = [node for node in ast.walk(march)
+             if isinstance(node, (ast.List, ast.ListComp))
+             or isinstance(node, ast.Call) and getattr(node.func, "id", None) == "list"]
+    assert lists and all(id(node) in in_loop for node in lists)
+
+
 def test_dynsys_converts_S_to_the_reals_only_when_read():
     # the stages work in the units of the S they are handed and the report
     # keeps S in the units of its march, so only reading a report's S or a
