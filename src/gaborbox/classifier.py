@@ -14,9 +14,10 @@ from math import gcd, isqrt
 from typing import List, NamedTuple, Optional, Tuple
 
 from .errors import OracleInconsistency, RegionUnsupported
-from .exactnum import ExactReal, _floor_pair, _sign
+from .exactnum import ExactReal, NumberContext, _floor_pair, _sign
 from .lattice import (
     NormalizedTriple,
+    Pair,
     RegionTag,
     form_value,
     grid_triple,
@@ -193,7 +194,14 @@ def _search_obstruction_irrational(nt: NormalizedTriple):
     conditions and the window count.  Every value is an integer pair of the
     triple's form (`NormalizedTriple.form`, in units 1/L, as a/b is
     irrational): (u, v) is Cramer's rule in integers, and each condition the
-    exact sign of a pair."""
+    exact sign of a pair.
+
+    The count is the one `_xiii_candidates` takes: `_window_count` of the
+    step c1 - m*(b-a) modulo M = a - s*(b-a) below W = c0 - (d1+1)*(b-a),
+    by floor sums rather than s residues.  Its precondition 0 <= W <= M
+    holds where it is called: W > 0 is exactly the first window test, and
+    with s = d1 + d2 + 1 and a = b - (b-a), M - W = b - (d2+1)*(b-a) - c0 > 0
+    is exactly the second."""
     if nt.is_rational:
         raise RegionUnsupported("the obstruction solve needs an irrational a/b")
     f = nt.floor_cb
@@ -233,17 +241,9 @@ def _search_obstruction_irrational(nt: NormalizedTriple):
                 "collapse count is integral but the length combination "
                 "misses the coarse lattice"
             )
-        # the k in 1..s with k*(c1 - m*(b-a)) mod (a - s*(b-a)) below the
-        # width, the residue carried from one k to the next
-        mod0, mod1 = a0 - s * ba0, a1 - s * ba1
-        base0, base1 = z0 - m * ba0, z1 - m * ba1
-        count = r0 = r1 = 0
-        for _ in range(s):
-            r0, r1 = r0 + base0, r1 + base1
-            q = _floor_pair(ctx, r0, r1, mod0, mod1)
-            r0, r1 = r0 - q * mod0, r1 - q * mod1
-            if _sign(ctx, r0 - w0, 1, r1 - w1, 1) < 0:
-                count += 1
+        # the k in 1..s with k*(c1 - m*(b-a)) mod (a - s*(b-a)) below the width
+        count = _window_count(ctx, s, (z0 - m * ba0, z1 - m * ba1),
+                              (a0 - s * ba0, a1 - s * ba1), (w0, w1))
         if count != d1:
             continue
         matches.append((d1, d2, m, count, form_value(nt.form, (e0, e1))))
@@ -302,30 +302,51 @@ def _divisors_above(n: int, s: int) -> List[int]:
     return low + high[::-1]
 
 
-def _floor_sum(n: int, m: int, a: int, b: int) -> int:
-    """sum(floor((a*i + b)/m) for i in range(n)), for n >= 0 and m >= 1, in
-    O(log m) steps: peel off the whole parts of a/m and b/m, then count the
-    lattice points under the line with the axes swapped (the reciprocity
-    step of Concrete Mathematics, section 3.5)."""
+def _floor_sum(ctx: NumberContext, n: int, m: Pair, a: Pair, b: Pair) -> int:
+    """sum(floor((a*i + b)/m) for i in range(n)), for n >= 0 and m > 0: m, a
+    and b are integer pairs (X0, X1) of one form, X0 + X1*tau over one
+    denominator, and each floor is `_floor_pair`'s.  A pass peels off the
+    whole parts of a/m and b/m, then swaps the axes by the reciprocity step
+    of Concrete Mathematics, section 3.5: for 0 <= a, b < m,
+
+        sum_{i<n} floor((a*i + b)/m) = sum_{j<n'} floor((m*j + r)/a),
+        n' = floor((a*n + b)/m),  r = a*n + b - n'*m.
+
+    It holds for reals, as it uses only ceil(x) = -floor(-x): both sides
+    count the (i, y) with 0 <= i < n and 1 <= y*m <= a*i + b; no y > n' has
+    one, and for y <= n' the i run from ceil((y*m - b)/a) to n - 1, which
+    is floor((a*n + b - y*m)/a) of them, or floor((m*j + r)/a) at y = n' - j.
+
+    The loop ends even when a/m is irrational, where Euclid's algorithm on
+    the moduli never does.  n never rises, as a*n + b < (n+1)*m.  From the
+    second pass on, a > m on entry (the old modulus over the old a reduced),
+    so a pass with n >= 2 adds at least 1 to the total, which never passes
+    the whole sum (what is left to add is a sum of floors of values >= 0):
+    there are finitely many.  A pass with n = 1 that goes on keeps the gap
+    m - b > 0 (m' - b' = a - (a + b - m)), and goes on only while the
+    reduced a reaches that gap; the reduced a's are Euclid's remainders,
+    each below half the one two passes before, so they fall below it."""
+    (m0, m1), (a0, a1), (b0, b1) = m, a, b
     total = 0
     while n:
-        qa, a = divmod(a, m)
-        qb, b = divmod(b, m)
+        qa, qb = _floor_pair(ctx, a0, a1, m0, m1), _floor_pair(ctx, b0, b1, m0, m1)
+        a0, a1, b0, b1 = a0 - qa * m0, a1 - qa * m1, b0 - qb * m0, b1 - qb * m1
         total += n * (n - 1) // 2 * qa + n * qb
-        top = a * n + b  # the line at i = n, now with 0 <= a, b < m
-        if top < m:
-            break
-        n, b = divmod(top, m)
-        m, a = a, m
+        t0, t1 = a0 * n + b0, a1 * n + b1  # the line at i = n, now with 0 <= a, b < m
+        n = _floor_pair(ctx, t0, t1, m0, m1)
+        m0, m1, a0, a1, b0, b1 = a0, a1, m0, m1, t0 - n * m0, t1 - n * m1
     return total
 
 
-def _window_count(s: int, v: int, M: int, W: int) -> int:
-    """#{1 <= k <= s : k*v mod M < W}, for M >= 1 and 0 <= W <= M.
+def _window_count(ctx: NumberContext, s: int, v: Pair, M: Pair, W: Pair) -> int:
+    """#{1 <= k <= s : k*v mod M < W}, for integer pairs of one form (as in
+    `_floor_sum`) with M > 0 and 0 <= W <= M.
 
-    [k*v mod M < W] = 1 - (floor((k*v + M - W)/M) - floor(k*v/M)), so the
-    count is s minus the difference of two floor sums over i = k - 1."""
-    return s + _floor_sum(s, M, v, v) - _floor_sum(s, M, v, v + M - W)
+    [k*v mod M < W] = 1 - (floor((k*v + M - W)/M) - floor(k*v/M)) for real
+    values, so the count is s minus the difference of two floor sums over
+    i = k - 1."""
+    (v0, v1), (M0, M1), (W0, W1) = v, M, W
+    return s + _floor_sum(ctx, s, M, v, v) - _floor_sum(ctx, s, M, v, (v0 + M0 - W0, v1 + M1 - W1))
 
 
 def _xiii_candidates(nt: NormalizedTriple):
@@ -382,7 +403,9 @@ def _xiii_candidates(nt: NormalizedTriple):
                 continue
             # gcd(val, Np) = p makes val = p*v with gcd(v, N) = 1, so Np | k*val
             # would need N | k, which k <= s < N rules out: no k*val is 0 mod Np
-            d1 = _window_count(s, val, Np, w * p)
+            # on integers, the pairs (X, 0) that `_floor_pair` floors on its
+            # parallel-pair line, never reading an enclosure
+            d1 = _window_count(nt.form.ctx, s, (val, 0), (Np, 0), (w * p, 0))
             if not lo <= d1 <= hi:
                 continue
             delta_n = top - slope * d1

@@ -398,11 +398,12 @@ class ExactReal:
                      n1, x1.denominator * y1.denominator)
 
     def __eq__(self, other):
+        # a rational value is one number in every context; a tau coefficient
+        # means the same only over the same tau
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
-        self._join(o)
-        return self.x0 == o.x0 and self.x1 == o.x1
+        return self.x0 == o.x0 and self.x1 == o.x1 and (not self.x1 or self.ctx == o.ctx)
 
     def __hash__(self):
         # a rational value equals its copy in every context, so it must hash

@@ -5,7 +5,9 @@ certificate searches, and the four set operations are the pairwise
 nested-loop versions that canonicalize through `PeriodicSet.make`.
 `_search_obstruction_irrational_cramer` is the XII search that did one 2x2
 Cramer solve for every gap count s, and `window_count` is the O(s) count of
-the case-8 window that the floor sums replaced.
+the case-8 window that the floor sums replaced; `window_count_pairs` is the
+O(s) count on integer pairs that XII carried from one k to the next before
+it shared the floor sums.
 `_xiii_candidates_n_scan` is the search that tried every N in (s, bd] for
 case 8 with w solved and its window in Fractions, and `_grid_units` is the
 one that read the grid indices off the ExactReals c0 and c1; the scans
@@ -26,8 +28,8 @@ from typing import FrozenSet, List, Optional, Tuple
 
 from gaborbox.classifier import RationalParams, _divisors_above, _window_count
 from gaborbox.errors import OracleInconsistency, RegionUnsupported
-from gaborbox.exactnum import floor_div, mod, rat
-from gaborbox.lattice import Interval, NormalizedTriple, PeriodicSet, grid_value
+from gaborbox.exactnum import NumberContext, _floor_pair, _sign, floor_div, mod, rat
+from gaborbox.lattice import Interval, NormalizedTriple, Pair, PeriodicSet, grid_value
 from gaborbox.oracle import GridModel
 
 
@@ -188,6 +190,20 @@ def window_count(s: int, val: int, Np: int, W: int) -> int:
     return sum(1 for k in range(1, s + 1) if (k * val) % Np < W)
 
 
+def window_count_pairs(ctx: NumberContext, s: int, v: Pair, M: Pair, W: Pair) -> int:
+    """#{1 <= k <= s : k*v mod M < W} on integer pairs of one form, the
+    residue carried from one k to the next."""
+    (base0, base1), (mod0, mod1), (w0, w1) = v, M, W
+    count = r0 = r1 = 0
+    for _ in range(s):
+        r0, r1 = r0 + base0, r1 + base1
+        q = _floor_pair(ctx, r0, r1, mod0, mod1)
+        r0, r1 = r0 - q * mod0, r1 - q * mod1
+        if _sign(ctx, r0 - w0, 1, r1 - w1, 1) < 0:
+            count += 1
+    return count
+
+
 def _xiii_candidates_n_scan(nt: NormalizedTriple):
     """Yield (witness, excl_ok) for every obstruction candidate, in search
     order: case 6, case 7, then the case-8 tuples passing the structural
@@ -269,7 +285,7 @@ def _xiii_candidates_uncut(nt: NormalizedTriple):
                 continue
             # gcd(val, Np) = p makes val = p*v with gcd(v, N) = 1, so Np | k*val
             # would need N | k, which k <= s < N rules out: no k*val is 0 mod Np
-            d1 = _window_count(s, val, Np, w * p)
+            d1 = _window_count(nt.form.ctx, s, (val, 0), (Np, 0), (w * p, 0))
             d3 = w - 1 - d1
             if d1 >= s or not 0 <= d3 < N - s:
                 continue

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from gaborbox import RegionTag, classify, normalize, rat, region_tag
+from gaborbox import RegionTag, classifier, classify, normalize, rat, region_tag
 from gaborbox.classifier import (
     GcdCondition,
     IrrationalParams,
@@ -205,6 +205,28 @@ def test_cond_xii_agrees_with_dynamics_sqrt2():
         rep = compute_S(nt)
         dyn = "Frame" if rep.S.is_empty or measure_identity(nt, rep.S) else "NotFrame"
         assert dyn == expect
+
+
+def test_many_survivor_family_counts_windows_in_few_floors(monkeypatch):
+    # a = 239/338*sqrt2, b = 1, c = 3 + v*(1 - a): c0 = v*(b - a), so every s
+    # in about [v/4, v/3] survives the cut and pays a window count
+    a, b = surd_context(2).num(0, F(239, 338)), rat(1)
+    calls = 0
+    floor_pair = classifier._floor_pair
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return floor_pair(*args)
+
+    monkeypatch.setattr(classifier, "_floor_pair", counting)
+    assert classify(a, b, 3 + 1600 * (1 - a)).verdict == "NotFrame"
+    # a few floors per count; a residue scan takes about v**2/40 of them
+    assert calls < 5000, calls
+    for v in (100, 200, 400, 800, 1600):
+        d1 = v // 4 - 1
+        assert classify(a, b, 3 + v * (1 - a)).witness == IrrationalParams(
+            d1=d1, d2=0, m=0, e_count=d1), v
 
 
 # -- on-grid rational obstruction (XIII) ------------------------------------------------

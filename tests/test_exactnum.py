@@ -58,6 +58,17 @@ def test_equal_values_hash_equal_across_contexts(x):
     assert PI.num(x, 0) in {rat(x)}
 
 
+def test_equality_never_raises_across_contexts():
+    # a rational value is one number in every context; a tau coefficient
+    # stands for a different number in each
+    assert PI.num(1) == SQRT2.num(1)
+    assert len({pi_context().num(1), surd_context(2).num(1)}) == 1
+    assert not PI.num(1, 1) == SQRT2.num(1, 1)
+    assert PI.num(1, 1) != SQRT2.num(1, 1)
+    assert PI.num(1, 1) == pi_context().num(1, 1)
+    assert len({PI.num(1, 1), SQRT2.num(1, 1), PI.num(1, 1)}) == 2
+
+
 def test_equal_periodic_sets_hash_equal_across_contexts():
     half = F(1, 2)
     x = PeriodicSet.make(rat(1), [(rat(0), rat(half))])

@@ -15,7 +15,15 @@ from hypothesis import strategies as st
 import reference_scan as ref
 from gaborbox import classifier
 from gaborbox.classifier import _search_obstruction_irrational, _window_count, _xiii_candidates
-from gaborbox.exactnum import floor_div, pi_context, rat, surd_context
+from gaborbox.exactnum import (
+    RATIONAL,
+    _floor_pair,
+    _sign,
+    floor_div,
+    pi_context,
+    rat,
+    surd_context,
+)
 from gaborbox.lattice import PeriodicSet, RegionTag, normalize, region_tag
 from gaborbox.oracle import build_grid_model, grid_D, grid_S, on_grid_survey
 
@@ -215,9 +223,9 @@ def test_cut_skips_most_window_counts_on_xiii_pools(monkeypatch):
     tally = Counter()
 
     def counting(walk):
-        def count(s, v, M, W):
+        def count(ctx, s, v, M, W):
             tally[walk] += 1
-            return _window_count(s, v, M, W)
+            return _window_count(ctx, s, v, M, W)
         return count
 
     monkeypatch.setattr(classifier, "_window_count", counting("cut"))
@@ -231,9 +239,11 @@ def test_case_8_window_counts_match_generator(monkeypatch):
     # every count that case 8 takes on the q <= 20 survey and the XIII pools
     counted = []
 
-    def checked(s, v, M, W):
-        got = _window_count(s, v, M, W)
-        assert got == ref.window_count(s, v, M, W), (s, v, M, W)
+    def checked(ctx, s, v, M, W):
+        got = _window_count(ctx, s, v, M, W)
+        # case 8 counts on integers, pairs with no tau coefficient
+        assert v[1] == M[1] == W[1] == 0, (v, M, W)
+        assert got == ref.window_count(s, v[0], M[0], W[0]), (s, v, M, W)
         counted.append(s)
         return got
 
@@ -260,8 +270,68 @@ def _window(draw):
 @example((357, 1000, 1000, 123_456))
 @example((-4_999, 5_000 * 4_999, 4_999 * 17, 100_001))
 def test_window_count_matches_generator(window):
+    # integers are the pairs (X0, 0), whose floors never read an enclosure
     v, M, W, s = window
-    assert _window_count(s, v, M, W) == ref.window_count(s, v, M, W)
+    assert _window_count(RATIONAL, s, (v, 0), (M, 0), (W, 0)) == ref.window_count(s, v, M, W)
+
+
+def _reduce(ctx, x, M):
+    """x mod M on integer pairs, in [0, M)."""
+    q = _floor_pair(ctx, x[0], x[1], M[0], M[1])
+    return x[0] - q * M[0], x[1] - q * M[1]
+
+
+def _pair_window_draw(ctx, seed, count, s_lo, s_hi):
+    """(s, v, M, W) on integer pairs of ctx with M > 0 and 0 <= W <= M, s in
+    [s_lo, s_hi].  v is now and then a whole multiple of M (every residue
+    0); W is now and then 0, M, or the residue of some j*v with j <= s,
+    where the strict comparison decides; else a residue of a random pair."""
+    rng = random.Random(seed)
+    while count:
+        M = (rng.randint(-10**4, 10**4), rng.randint(-300, 300))
+        if _sign(ctx, M[0], 1, M[1], 1) <= 0:
+            continue
+        s = rng.randint(s_lo, s_hi)
+        if rng.randrange(5):
+            v = (rng.randint(-10**5, 10**5), rng.randint(-10**3, 10**3))
+        else:
+            t = rng.randint(-5, 5)
+            v = (t * M[0], t * M[1])
+        kind = rng.randrange(6)
+        if kind == 0:
+            W = (0, 0)
+        elif kind == 1:
+            W = M
+        elif kind == 2:
+            j = rng.randint(1, max(s, 1))
+            W = _reduce(ctx, (j * v[0], j * v[1]), M)
+        else:
+            W = _reduce(ctx, (rng.randint(-10**5, 10**5), rng.randint(-10**3, 10**3)), M)
+        count -= 1
+        yield s, v, M, W
+
+
+CONTEXTS = [surd_context(2), surd_context(3), pi_context()]
+CONTEXT_IDS = ["sqrt2", "sqrt3", "pi"]
+
+
+@pytest.mark.parametrize("ctx", CONTEXTS, ids=CONTEXT_IDS)
+def test_pair_window_count_matches_residue_scan(ctx):
+    # the floor-sum count on irrational pairs against the residue XII carried
+    kinds = set()
+    for s, v, M, W in _pair_window_draw(ctx, seed=23, count=40, s_lo=0, s_hi=2000):
+        got = _window_count(ctx, s, v, M, W)
+        assert got == ref.window_count_pairs(ctx, s, v, M, W), (s, v, M, W)
+        kinds.add("none" if got == 0 else "all" if got == s else "some")
+    assert kinds == {"none", "some", "all"}, kinds
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("ctx", CONTEXTS, ids=CONTEXT_IDS)
+def test_pair_window_count_matches_residue_scan_past_s_1e5(ctx):
+    for s, v, M, W in _pair_window_draw(ctx, seed=29, count=2, s_lo=100_001, s_hi=130_000):
+        assert _window_count(ctx, s, v, M, W) == ref.window_count_pairs(ctx, s, v, M, W), \
+            (s, v, M, W)
 
 
 # -- grid oracle ------------------------------------------------------------------

@@ -54,9 +54,14 @@ SQ2, SQ3, PI = surd_context(2), surd_context(3), pi_context()
      (SQ2, F(408, 577), F(7, 2), 0, 665856), (SQ2, F(1393, 1970), F(7, 2), 0, 3880898),
      (SQ3, F(56, 97), F(7, 2), 0, 18816), (SQ3, F(209, 362), F(7, 2), 0, 262086),
      (PI, F(7, 22), F(7, 2), 0, 2484), (PI, F(3183, 10000), F(7, 2), 0, 32196),
-     (SQ2, F(239, 338), 5, -3, 114242)],
+     (SQ2, F(239, 338), 5, -3, 114242),
+     # the many-survivor family c = 3 + v*(1 - a): c0 = v*(b - a), and every s
+     # in about [v/4, v/3] survives the cut
+     (SQ3, F(209, 362), 1603, -1600, 262086), (SQ3, F(209, 362), 6403, -6400, 262086),
+     (PI, F(3183, 10000), 1603, -1600, 32196), (PI, F(3183, 10000), 6403, -6400, 32196)],
     ids=["n576", "n3362", "n19600", "n114242", "n665856", "n3880898", "sqrt3-n18816",
-         "sqrt3-n262086", "pi-n2484", "pi-n32196", "notframe-n114242"],
+         "sqrt3-n262086", "pi-n2484", "pi-n32196", "notframe-n114242",
+         "sqrt3-v1600", "sqrt3-v6400", "pi-v1600", "pi-v6400"],
 )
 def test_irrational_large_n_agrees_with_invariant_set(ctx, x1, k0, k1, n):
     # a = x1*sqrt(d) or x1*pi, b = 1, c = k0 + k1*a

@@ -254,12 +254,17 @@ def test_periodic_set_bisects_in_one_method():
 
 
 def test_classifier_counts_no_window_by_a_generator_over_k():
-    # the case-8 window count is a difference of two floor sums, O(log) steps
-    # per count; a comprehension over k = 1..s would count it in O(s)
+    # both certificate searches count their window by one difference of two
+    # floor sums; a loop or a comprehension over the k = 1..s would count it
+    # in O(s)
     tree = ast.parse((SRC / "classifier.py").read_text(encoding="utf-8"))
     found = [node.iter.lineno for node in ast.walk(tree)
-             if isinstance(node, ast.comprehension) and ast.unparse(node.iter) == "range(1, s + 1)"]
+             if isinstance(node, (ast.For, ast.comprehension))
+             and ast.unparse(node.iter) in ("range(s)", "range(1, s + 1)")]
     assert found == []
+    callers = {fn.name for fn in _functions(SRC / "classifier.py")
+               if _namings(fn, "_window_count")}
+    assert callers == {"_search_obstruction_irrational", "_xiii_candidates"}
 
 
 def test_only_the_diagram_walk_names_region_xiv():
