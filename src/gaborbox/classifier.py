@@ -20,7 +20,6 @@ from .lattice import (
     Pair,
     RegionTag,
     form_value,
-    grid_triple,
     grid_value,
     normalize,
 )
@@ -130,7 +129,7 @@ def _region_vi(nt: NormalizedTriple) -> FrameDecision:
 
 def _region_vii(nt: NormalizedTriple) -> FrameDecision:
     # c0 <= b-a and c0 < a
-    if nt.c0.is_zero():
+    if nt.form.C0 == (0, 0):
         return _not_frame(RegionTag.VII, GcdCondition("3", (("c0", 0),)))
     if not nt.is_rational:
         return _frame(RegionTag.VII)
@@ -318,24 +317,21 @@ def _floor_sum(ctx: NumberContext, n: int, m: Pair, a: Pair, b: Pair) -> int:
     is floor((a*n + b - y*m)/a) of them, or floor((m*j + r)/a) at y = n' - j.
 
     The loop ends even when a/m is irrational, where Euclid's algorithm on
-    the moduli never does.  n never rises, as a*n + b < (n+1)*m.  From the
-    second pass on, a > m on entry (the old modulus over the old a reduced),
-    so a pass with n >= 2 adds at least 1 to the total, which never passes
-    the whole sum (what is left to add is a sum of floors of values >= 0):
-    there are finitely many.  A pass with n = 1 that goes on keeps the gap
-    m - b > 0 (m' - b' = a - (a + b - m)), and goes on only while the
-    reduced a reaches that gap; the reduced a's are Euclid's remainders,
-    each below half the one two passes before, so they fall below it."""
+    the moduli never does.  From the second pass on, a > m on entry (the
+    old modulus over the old a reduced), so a pass with n >= 2 adds at
+    least 1 to the total, which never passes the whole sum (what is left to
+    add is a sum of floors of values >= 0): there are finitely many.  At
+    n = 1 the sum is the one floor of b/m."""
     (m0, m1), (a0, a1), (b0, b1) = m, a, b
     total = 0
-    while n:
+    while n > 1:
         qa, qb = _floor_pair(ctx, a0, a1, m0, m1), _floor_pair(ctx, b0, b1, m0, m1)
         a0, a1, b0, b1 = a0 - qa * m0, a1 - qa * m1, b0 - qb * m0, b1 - qb * m1
         total += n * (n - 1) // 2 * qa + n * qb
         t0, t1 = a0 * n + b0, a1 * n + b1  # the line at i = n, now with 0 <= a, b < m
         n = _floor_pair(ctx, t0, t1, m0, m1)
         m0, m1, a0, a1, b0, b1 = a0, a1, m0, m1, t0 - n * m0, t1 - n * m1
-    return total
+    return total + _floor_pair(ctx, b0, b1, m0, m1) if n else total
 
 
 def _window_count(ctx: NumberContext, s: int, v: Pair, M: Pair, W: Pair) -> int:
@@ -471,8 +467,8 @@ def classify_off_grid(nt: NormalizedTriple) -> FrameDecision:
     # k = floor(c*q/b), the pair floor of q*C over B
     ctx, _, _, (b0, b1), (x0, x1), _, _ = nt.form
     k = _floor_pair(ctx, q * x0, q * x1, b0, b1)
-    low = classify_triple(grid_triple(nt, k))
-    high = classify_triple(grid_triple(nt, k + 1))
+    low = classify_triple(normalize(nt.a, nt.b, grid_value(nt.b, k, q)))
+    high = classify_triple(normalize(nt.a, nt.b, grid_value(nt.b, k + 1, q)))
     if RegionTag.XIV in (low.region, high.region):
         raise OracleInconsistency("a grid neighbour of c classified as off the grid")
     verdict = "Frame" if (low.is_frame and high.is_frame) else "NotFrame"

@@ -8,11 +8,13 @@ storage.  The endpoints and the period are all ExactReal, or all int (a set
 in integer grid units); every comparison is exact either way.  One bisection,
 the window cut of `restrict`, serves intersect and minus; union is one make.
 
-A NormalizedTriple also holds a, b, c, c0 and c1 in one integer form
+`normalize` is the one builder of a NormalizedTriple.  The triple keeps a,
+b and c as given and holds a, b, c, c0 and c1 once, in one integer form
 (IntegerForm): integer pairs (X0, X1) standing for (X0 + X1*tau)*beta, with
 one positive scale beta per triple, b/(qD) with every X1 = 0 when a/b and
 c/b are rational, 1/L otherwise.  The region walk and the decisions compare
-those pairs; `form_value` alone maps a pair back to an ExactReal.
+those pairs; `form_value` alone maps a pair back to an ExactReal, which is
+how the properties c0 and c1 are read.
 """
 
 from __future__ import annotations
@@ -314,43 +316,27 @@ def form_value(form: IntegerForm, X: Pair, m: int = 1,
                  Fraction(x1 * n0 + x0 * n1, d) if x1 or n1 else _ZERO)
 
 
-def _grid_form(ctx: NumberContext, b: Tuple[int, int, int], p: int, q: int, C: int, D: int,
-               f: int) -> IntegerForm:
-    """The form of a triple with b = (b0 + b1*tau)/L, a/b = p/q, c/b =
-    C/(q*D) in lowest terms and f = floor(c/b): units beta = b/(q*D), in
-    lowest terms, in which a = p*D, b = q*D, c = C, c0 = C - f*q*D and
-    c1 = D*(f*q mod p)."""
-    b0, b1, L = b
-    B = q * D
-    L *= B
-    g = gcd(b0, b1, L)
-    return IntegerForm(ctx, (b0 // g, b1 // g, L // g), (p * D, 0), (B, 0), (C, 0),
-                       (C - f * B, 0), (D * (f * q % p), 0))
-
-
 class NormalizedTriple:
     """(a, b, c) together with every derived quantity the classification
     uses, its region included: the diagram is walked once, on construction,
-    and every consumer reads `region`.  `form` holds the triple as integer
-    pairs over one positive scale (see IntegerForm); normalize builds it
-    and hands it over.  Immutable; two triples are equal (and hash alike)
-    when their eight given fields are, whatever they derive."""
+    and every consumer reads `region`.  `form` holds a, b, c, c0 and c1 as
+    integer pairs over one positive scale (see IntegerForm); `c0` and `c1`
+    are read off it as ExactReals when asked for, and the decisions read the
+    pairs.  `normalize` alone builds a triple.  Immutable; every other field
+    derives from (a, b, c), so two triples are equal (and hash alike) when
+    those three are, and a pickle or a copy is `normalize(a, b, c)` again."""
 
-    __slots__ = ("a", "b", "c", "floor_cb", "c0", "c1", "rational", "c_on_grid",
-                 "form", "region")
+    __slots__ = ("a", "b", "c", "floor_cb", "rational", "c_on_grid", "form", "region")
 
     def __init__(self, a: ExactReal, b: ExactReal, c: ExactReal, floor_cb: int,
-                 c0: ExactReal, c1: ExactReal,
                  rational: Optional[Tuple[int, int]],  # (p, q) coprime, a/b = p/q
                  c_on_grid: Optional[bool],  # c in bZ/q; None when a/b is irrational
                  *, form: IntegerForm):
-        set_a, set_b, set_c, set_f, set_c0, set_c1, set_r, set_g, set_form, set_t = _SETTERS
+        set_a, set_b, set_c, set_f, set_r, set_g, set_form, set_t = _SETTERS
         set_a(self, a)
         set_b(self, b)
         set_c(self, c)
         set_f(self, floor_cb)
-        set_c0(self, c0)
-        set_c1(self, c1)
         set_r(self, rational)
         set_g(self, c_on_grid)
         set_form(self, form)
@@ -363,25 +349,31 @@ class NormalizedTriple:
         raise AttributeError(f"NormalizedTriple is immutable; cannot delete {name!r}")
 
     def __reduce__(self):
-        return _rebuild_triple, (self._given(), self.form)
-
-    def _given(self) -> tuple:
-        return (self.a, self.b, self.c, self.floor_cb, self.c0, self.c1, self.rational,
-                self.c_on_grid)
+        return normalize, (self.a, self.b, self.c)
 
     def __eq__(self, other):
         if type(other) is not NormalizedTriple:
             return NotImplemented
-        return self._given() == other._given()
+        return (self.a, self.b, self.c) == (other.a, other.b, other.c)
 
     def __hash__(self):
-        return hash(self._given())
+        return hash((self.a, self.b, self.c))
 
     def __repr__(self):
         return (f"NormalizedTriple(a={self.a!r}, b={self.b!r}, c={self.c!r}, "
                 f"floor_cb={self.floor_cb!r}, c0={self.c0!r}, c1={self.c1!r}, "
                 f"rational={self.rational!r}, c_on_grid={self.c_on_grid!r}, "
                 f"region={self.region!r})")
+
+    @property
+    def c0(self) -> ExactReal:
+        """c - floor(c/b)*b, in the join of the contexts of c and b."""
+        return form_value(self.form, self.form.C0, ctx=self.c._join(self.b))
+
+    @property
+    def c1(self) -> ExactReal:
+        """floor(c/b)*b mod a, in the join of the contexts of b and a."""
+        return form_value(self.form, self.form.C1, ctx=self.b._join(self.a))
 
     @property
     def is_rational(self) -> bool:
@@ -392,103 +384,67 @@ class NormalizedTriple:
 _SETTERS = tuple(getattr(NormalizedTriple, name).__set__ for name in NormalizedTriple.__slots__)
 
 
-def _rebuild_triple(given: tuple, form: IntegerForm) -> NormalizedTriple:
-    """The triple that pickles and copies rebuild, its form carried over."""
-    return NormalizedTriple(*given, form=form)
-
-
 def normalize(a: ExactReal, b: ExactReal, c: ExactReal) -> NormalizedTriple:
-    ratios = []
+    """The triple (a, b, c), each positive, with everything it derives.
+
+    Each coefficient is read once as an integer ratio and all six are put
+    over one denominator L.  f = floor(c/b) and k = floor(f*b/a) are pair
+    floors (`_floor_pair` settles pairs with X1 = 0 on its parallel-pair
+    line, with no enclosure), and a/b and c/b are read off the pairs.  The
+    form is in units b/(q*D) when a/b and c/b are both rational, else in
+    units 1/L.  The contexts are joined in the order that c - f*b, f*b - k*a
+    and the walk's first compare, a against c, need them, so a mixed triple
+    raises ContextMismatch at the first pair that does not join."""
     for v, name in ((a, "a"), (b, "b"), (c, "c")):
         if not isinstance(v, ExactReal):
             raise TypeError(f"{name} must be an ExactReal")
         # a value of the rational context has no tau coefficient; a rational
         # value is positive when its numerator is
-        if v.ctx.kind == "rational" or not v.x1:
-            n, d = v.x0.as_integer_ratio()
-            if n <= 0:
-                raise NonPositiveInput(f"{name} must be positive, got {v!r}")
-            ratios.append((n, d))
-        elif v.sign() <= 0:
+        if (v.x0.numerator if v.ctx.kind == "rational" or not v.x1 else v.sign()) <= 0:
             raise NonPositiveInput(f"{name} must be positive, got {v!r}")
-    if len(ratios) == 3:
-        # all three rational: the same quantities straight from the integer
-        # numerators and denominators of the coefficients
-        (an, ad), (bn, bd), (cn, cd) = ratios
-        f, r = divmod(cn * bd, cd * bn)  # c/b = f + r/(cd*bn)
-        c0 = _make(c._join(b), Fraction(r, cd * bd), _ZERO)  # c - f*b
-        ctx = b._join(a)
-        c1 = _make(ctx, Fraction(f * bn * ad % (an * bd), bd * ad), _ZERO)
-        a._join(c)  # the walk compares grid units, so mixed contexts raise here
-        n, d = an * bd, ad * bn  # a/b = p/q
-        g = gcd(n, d)
-        p, q = n // g, d // g
-        n, d = q * cn * bd, cd * bn  # c/(b/q) = C/D
-        g = gcd(n, d)
-        C, D = n // g, d // g
-        return NormalizedTriple(a, b, c, f, c0, c1, (p, q), D == 1,
-                                form=_grid_form(ctx, (bn, 0, bd), p, q, C, D, f))
-    return _normalize_on_pairs(a, b, c)
-
-
-def _normalize_on_pairs(a: ExactReal, b: ExactReal, c: ExactReal) -> NormalizedTriple:
-    """normalize for a triple with a tau coefficient: a, b and c as integer
-    pairs over L, f = floor(c/b) and k = floor(f*b/a) by the pair floor, and
-    c0, c1, a/b and c/b read off the pairs; the form is in units of 1/L, or
-    of b/(q*D) when a/b and c/b are both rational.  The contexts are joined
-    where c - f*b, f*b - k*a and the walk's first compare, a against c, join
-    them, so a mixed triple raises there as it always has."""
-    coeffs = (a.x0, a.x1, b.x0, b.x1, c.x0, c.x1)
-    L = lcm(*(x.denominator for x in coeffs))
-    a0, a1, b0, b1, x0, x1 = (x.numerator * (L // x.denominator) for x in coeffs)
+    (a0, e0), (a1, e1), (b0, e2), (b1, e3), (x0, e4), (x1, e5) = (
+        a.x0.as_integer_ratio(), a.x1.as_integer_ratio(), b.x0.as_integer_ratio(),
+        b.x1.as_integer_ratio(), c.x0.as_integer_ratio(), c.x1.as_integer_ratio())
+    L = lcm(e0, e1, e2, e3, e4, e5)
+    a0, a1, b0, b1 = a0 * (L // e0), a1 * (L // e1), b0 * (L // e2), b1 * (L // e3)
+    x0, x1 = x0 * (L // e4), x1 * (L // e5)
     ctx0 = c._join(b)  # the context of c0
     f = _floor_pair(ctx0, x0, x1, b0, b1)
     ctx1 = b._join(a)  # the context of c1
-    fb0, fb1 = f * b0, f * b1
-    k = _floor_pair(ctx1, fb0, fb1, a0, a1)
-    a._join(c)
-    ctx = ctx1 if ctx1.kind != "rational" else ctx0
     rational: Optional[Tuple[int, int]] = None
     on_grid: Optional[bool] = None
     form: Optional[IntegerForm] = None
     if a0 * b1 == a1 * b0:  # a/b is rational, the quotient of either coefficient
-        ratio = Fraction(a1, b1) if b1 else Fraction(a0, b0)
-        p, q = rational = (ratio.numerator, ratio.denominator)
+        n, d = (a1, b1) if b1 else (a0, b0)
+        g = gcd(n, d) if d > 0 else -gcd(n, d)
+        p, q = rational = (n // g, d // g)
         on_grid = False
-        if x0 * b1 == x1 * b0:  # c/b is rational too: the form in units b/(q*D)
-            cb = Fraction(x1, b1) if b1 else Fraction(x0, b0)
-            n, d = q * cb.numerator, cb.denominator
-            g = gcd(n, d)
-            on_grid = d == g
-            form = _grid_form(ctx, (b0, b1, L), p, q, n // g, d // g, f)
+        if x0 * b1 == x1 * b0:  # c/b is rational too: c/(b/q) = C/D in lowest terms
+            n, d = (q * x1, b1) if b1 else (q * x0, b0)
+            g = gcd(n, d) if d > 0 else -gcd(n, d)
+            C, D = n // g, d // g
+            on_grid = D == 1
+            # the form in units beta = b/(q*D) = (b0 + b1*tau)/(L*B), in lowest
+            # terms: a = p*D, b = B, c = C, c0 = C - f*B and c1 = D*(f*q mod p)
+            B = q * D
+            g = gcd(b0, b1, L * B)
+            form = IntegerForm(ctx1, (b0 // g, b1 // g, L * B // g), (p * D, 0), (B, 0), (C, 0),
+                               (C - f * B, 0), (D * (f * q % p), 0))
     if form is None:  # the form in units 1/L
-        form = IntegerForm(ctx, (1, 0, L), (a0, a1), (b0, b1), (x0, x1),
-                           (x0 - fb0, x1 - fb1), (fb0 - k * a0, fb1 - k * a1))
-    return NormalizedTriple(a, b, c, f, form_value(form, form.C0, ctx=ctx0),
-                            form_value(form, form.C1, ctx=ctx1), rational, on_grid, form=form)
+        fb0, fb1 = f * b0, f * b1
+        k = _floor_pair(ctx1, fb0, fb1, a0, a1)
+        form = IntegerForm(ctx1 if ctx1.kind != "rational" else ctx0, (1, 0, L), (a0, a1),
+                           (b0, b1), (x0, x1), (x0 - fb0, x1 - fb1), (fb0 - k * a0, fb1 - k * a1))
+    a._join(c)  # the walk compares a against c first, so mixed contexts raise here
+    return NormalizedTriple(a, b, c, f, rational, on_grid, form=form)
 
 
-def grid_value(b: ExactReal, n: int, m: int, ctx: Optional[NumberContext] = None) -> ExactReal:
-    """b*n/m, one Fraction per coefficient of b, in context ctx (b's own when
-    None): the value b * Fraction(n, m) without the intermediate Fraction."""
+def grid_value(b: ExactReal, n: int, m: int) -> ExactReal:
+    """b*n/m, one Fraction per coefficient of b, in b's context: the value
+    b * Fraction(n, m) without the intermediate Fraction."""
     x0, x1 = b.x0, b.x1
-    return _make(ctx or b.ctx, Fraction(x0.numerator * n, x0.denominator * m),
+    return _make(b.ctx, Fraction(x0.numerator * n, x0.denominator * m),
                  Fraction(x1.numerator * n, x1.denominator * m) if x1 else _ZERO)
-
-
-def grid_triple(nt: NormalizedTriple, k: int) -> NormalizedTriple:
-    """The on-grid triple (a, b, k*b/q) beside a triple with a/b = p/q, its
-    fields and its form (units b/q, C = k) read off the grid index k: what
-    normalize would build."""
-    p, q = nt.rational
-    a, b = nt.a, nt.b
-    f, j0 = divmod(k, q)
-    ctx = b._join(a)
-    c1 = grid_value(b, f * q % p, q, ctx)
-    (b0, e0), (b1, e1) = b.x0.as_integer_ratio(), b.x1.as_integer_ratio()
-    form = _grid_form(ctx, (b0 * e1, b1 * e0, e0 * e1), p, q, k, 1, f)
-    return NormalizedTriple(a, b, grid_value(b, k, q), f, grid_value(b, j0, q), c1,
-                            nt.rational, True, form=form)
 
 
 def region_tag(nt: NormalizedTriple) -> RegionTag:
@@ -543,10 +499,15 @@ def _walk_diagram(nt: NormalizedTriple) -> RegionTag:
 
 
 def black_hole_R(nt: NormalizedTriple) -> Tuple[ExactReal, ExactReal]:
-    """Fixed-interval [c0+a-b, c0) of the forward map, inside [0, a)."""
-    return nt.c0 + nt.a - nt.b, nt.c0
+    """Fixed-interval [c0+a-b, c0) of the forward map, inside [0, a).  Its
+    start is read off the form in the context of c0 + a, which joining b
+    leaves as it is: normalize joined b with a and with c."""
+    form, c0 = nt.form, nt.c0
+    (y0, y1), (a0, a1), (b0, b1) = form.C0, form.A, form.B
+    return form_value(form, (y0 + a0 - b0, y1 + a1 - b1), ctx=c0._join(nt.a)), c0
 
 
 def black_hole_Rt(nt: NormalizedTriple) -> Tuple[ExactReal, ExactReal]:
     """Fixed interval of the backward map, reduced mod a: [c1, c1+b-a)."""
-    return nt.c1, nt.c1 + nt.b - nt.a
+    c1 = nt.c1
+    return c1, c1 + nt.b - nt.a

@@ -7,7 +7,8 @@ nested-loop versions that canonicalize through `PeriodicSet.make`.
 Cramer solve for every gap count s, and `window_count` is the O(s) count of
 the case-8 window that the floor sums replaced; `window_count_pairs` is the
 O(s) count on integer pairs that XII carried from one k to the next before
-it shared the floor sums.
+it shared the floor sums, and `floor_sum_passes` is the floor-sum loop that
+ran on past its n = 1 pass.
 `_xiii_candidates_n_scan` is the search that tried every N in (s, bd] for
 case 8 with w solved and its window in Fractions, and `_grid_units` is the
 one that read the grid indices off the ExactReals c0 and c1; the scans
@@ -202,6 +203,23 @@ def window_count_pairs(ctx: NumberContext, s: int, v: Pair, M: Pair, W: Pair) ->
         if _sign(ctx, r0 - w0, 1, r1 - w1, 1) < 0:
             count += 1
     return count
+
+
+def floor_sum_passes(ctx: NumberContext, n: int, m: Pair, a: Pair, b: Pair):
+    """The floor sum of `classifier._floor_sum` by its loop that went on
+    until n = 0, and the n each of its passes began with."""
+    (m0, m1), (a0, a1), (b0, b1) = m, a, b
+    total = 0
+    passes = []
+    while n:
+        passes.append(n)
+        qa, qb = _floor_pair(ctx, a0, a1, m0, m1), _floor_pair(ctx, b0, b1, m0, m1)
+        a0, a1, b0, b1 = a0 - qa * m0, a1 - qa * m1, b0 - qb * m0, b1 - qb * m1
+        total += n * (n - 1) // 2 * qa + n * qb
+        t0, t1 = a0 * n + b0, a1 * n + b1  # the line at i = n, now with 0 <= a, b < m
+        n = _floor_pair(ctx, t0, t1, m0, m1)
+        m0, m1, a0, a1, b0, b1 = a0, a1, m0, m1, t0 - n * m0, t1 - n * m1
+    return total, passes
 
 
 def _xiii_candidates_n_scan(nt: NormalizedTriple):

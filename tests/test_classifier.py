@@ -21,6 +21,7 @@ from gaborbox.dynsys import compute_S
 from gaborbox.errors import NonPositiveInput, RegionUnsupported
 from gaborbox.exactnum import ExactReal, pi_context, surd_context
 from gaborbox.oracle import on_grid_survey
+from reference_scan import floor_sum_passes
 
 PI = pi_context()
 
@@ -227,6 +228,44 @@ def test_many_survivor_family_counts_windows_in_few_floors(monkeypatch):
         d1 = v // 4 - 1
         assert classify(a, b, 3 + v * (1 - a)).witness == IrrationalParams(
             d1=d1, d2=0, m=0, e_count=d1), v
+
+
+def test_floor_sums_stop_at_their_n_1_pass(monkeypatch):
+    # once n = 1 a floor sum is the one floor of b/m; the loop it replaced
+    # made a pass there and went on, each later pass adding 0.  On the
+    # costliest raster cells (a = p/(p+1) near 1, b = 1) every floor sum
+    # gives the old loop's total, with three floors per pass at n >= 2 and
+    # one at n = 1
+    calls = 0
+    floor_pair, floor_sum = classifier._floor_pair, classifier._floor_sum
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return floor_pair(*args)
+
+    sums = []
+
+    def tallied(*args):
+        nonlocal calls
+        calls = 0
+        total = floor_sum(*args)
+        sums.append((args, total, calls))
+        return total
+
+    monkeypatch.setattr(classifier, "_floor_pair", counting)
+    monkeypatch.setattr(classifier, "_floor_sum", tallied)
+    for p in (16, 17, 18, 19):
+        for k in range(19, 44):
+            classify(rat(F(p, p + 1)), rat(1), rat(F(k, 8)))
+    monkeypatch.undo()
+    went_on = 0
+    for args, total, floors in sums:
+        want, passes = floor_sum_passes(*args)
+        assert total == want, args
+        assert floors == 3 * sum(n > 1 for n in passes) + (1 in passes), (args, passes)
+        went_on += passes.count(1) > 1  # the old loop's pass after n = 1
+    assert went_on
 
 
 # -- on-grid rational obstruction (XIII) ------------------------------------------------

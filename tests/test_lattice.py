@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from gaborbox import NormalizedTriple, PeriodicSet, RegionTag, normalize, rat, region_tag
 from gaborbox.errors import ContextMismatch, NonPositiveInput, PeriodMismatch, PrecisionExhausted
 from gaborbox.exactnum import _pi_enclosure, pi_context, surd_context
-from gaborbox.lattice import black_hole_R, black_hole_Rt, form_value, grid_triple, grid_value
+from gaborbox.lattice import black_hole_R, black_hole_Rt, form_value, grid_value
 
 PI = pi_context()
 
@@ -68,6 +68,13 @@ def test_normalize_grid_units():
     on_grid = normalize(sq2.num(0, F(3, 4)), sq2.num(0, 1), sq2.num(0, F(7, 2)))
     assert _grid_units(on_grid) == (3, 4, 14, 2, 0)
     assert on_grid.form.beta == (0, 1, 4)  # sqrt2/4
+    # b with a negative tau coefficient: q and D are still positive
+    b = sq2.num(3, -1)
+    for c, D in ((F(7, 2), 1), (F(33, 10), 5)):  # c/(b/4) = 14, 66/5
+        nt = normalize(b * F(3, 4), b, b * c)
+        assert (nt.rational, nt.c_on_grid) == ((3, 4), D == 1)
+        assert _grid_units(nt) == _grid_units(nt_of("3/4", 1, c))
+        assert nt.form.beta == (3, -1, 4 * D)
     # a/b rational but c/b irrational, and a/b irrational: units 1/L, a tau part
     on_pairs = (normalize(sq2.num(0, F(3, 4)), sq2.num(0, 1), rat(5)),
                 normalize(PI.num(0, F(1, 4)), rat(1), PI.num(23, F(-11, 2))))
@@ -84,22 +91,6 @@ def test_grid_value_is_b_times_n_over_m_in_its_context():
         for n, m in ((0, 7), (5, 7), (-3, 14), (22, 4)):
             got, want = grid_value(b, n, m), b * F(n, m)
             assert (got.x0, got.x1, got.ctx) == (want.x0, want.x1, want.ctx)
-    # a context passed in is the join a caller needs
-    assert grid_value(rat(1), 3, 4, PI).ctx is PI
-
-
-def test_grid_triple_is_what_normalize_builds():
-    sq2 = surd_context(2)
-    for a, b in ((rat(F(13, 17)), rat(1)), (sq2.num(F(6, 7)), rat(F(3, 2))),
-                 (sq2.num(0, F(3, 4)), sq2.num(0, 1)), (PI.num(0, F(1, 5)), PI.num(0, F(1, 3)))):
-        nt = normalize(a, b, b * F(22, 5))
-        q = nt.rational[1]
-        for k in range(q + 1, 6 * q):
-            got, want = grid_triple(nt, k), normalize(a, b, grid_value(b, k, q))
-            assert got == want, (a, b, k)
-            assert [v.ctx for v in (got.c, got.c0, got.c1)] == [
-                v.ctx for v in (want.c, want.c0, want.c1)]
-            assert (got.form, got.region) == (want.form, want.region)
 
 
 def test_mixed_contexts_raise_on_rational_values():
@@ -200,13 +191,19 @@ def test_region_is_derived_not_compared():
     nt = nt_of("13/17", 1, "77/17")
     assert nt.region is region_tag(nt) is RegionTag.XIII
     with pytest.raises(TypeError):
-        NormalizedTriple(nt.a, nt.b, nt.c, nt.floor_cb, nt.c0, nt.c1, nt.rational,
-                         nt.c_on_grid, RegionTag.I)
-    # equality and hash read the eight given fields, not what they derive
-    for name in ("form", "region"):
+        NormalizedTriple(nt.a, nt.b, nt.c, nt.floor_cb, nt.rational, nt.c_on_grid, RegionTag.I)
+    # equality and hash read (a, b, c), not what they derive
+    for name in ("floor_cb", "rational", "c_on_grid", "form", "region"):
         other = copy.copy(nt)
         object.__setattr__(other, name, RegionTag.I)
         assert other == nt and hash(other) == hash(nt), name
+    # so the same rational values in two contexts give equal triples, and
+    # another a, b or c gives another triple
+    in_pi = normalize(PI.num(F(13, 17)), PI.num(1), PI.num(F(77, 17)))
+    assert in_pi.form.ctx is not nt.form.ctx
+    assert in_pi == nt and hash(in_pi) == hash(nt)
+    others = (nt_of("12/17", 1, "77/17"), nt_of("13/17", 2, "77/17"), nt_of("13/17", 1, "75/17"))
+    assert all(other != nt for other in others) and len({nt, in_pi, *others}) == 4
 
 
 def test_region_tag_irrational_is_xii():
@@ -220,6 +217,17 @@ def test_black_holes():
     assert (lo, hi) == (rat(F(5, 17)), rat(F(9, 17)))
     lo, hi = black_hole_Rt(nt)
     assert (lo, hi) == (rat(F(3, 17)), rat(F(7, 17)))
+    # the start read off the form is c0 + a - b, its context object included,
+    # also where the form's context differs (first: a rational c in pi's)
+    sq2 = surd_context(2)
+    for a, b, c in ((rat(F(13, 17)), rat(1), PI.num(F(77, 17))),
+                    (PI.num(F(13, 17)), rat(1), rat(F(77, 17))),
+                    (sq2.num(0, F(1, 2)), rat(1), rat(F(7, 2))),
+                    (PI.num(0, F(1, 4)), rat(1), PI.num(23, F(-11, 2)))):
+        nt = normalize(a, b, c)
+        lo, hi = black_hole_R(nt)
+        want = nt.c0 + nt.a - nt.b
+        assert (lo.x0, lo.x1) == (want.x0, want.x1) and lo.ctx is want.ctx and hi == nt.c0
 
 
 # -- PeriodicSet construction ---------------------------------------------------

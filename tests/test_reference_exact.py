@@ -445,7 +445,17 @@ def test_values_are_immutable():
 
 
 def test_triple_round_trips_carry_its_pairs_over():
-    nt = normalize(SQRT2.num(0, F(3, 4)), SQRT2.num(0, 1), rat(F(7, 2)))
-    assert not nt.form.integral
-    for w in (pickle.loads(pickle.dumps(nt)), copy.deepcopy(nt), copy.copy(nt)):
-        assert w.form == nt.form and w.region is nt.region
+    # a rational triple, a sqrt2 triple without grid units and a pi triple
+    triples = (normalize(rat(F(13, 17)), rat(1), rat(F(77, 17))),
+               normalize(SQRT2.num(0, F(3, 4)), SQRT2.num(0, 1), rat(F(7, 2))),
+               normalize(PI.num(0, F(1, 4)), rat(1), PI.num(23, F(-11, 2))))
+    assert [nt.form.integral for nt in triples] == [True, False, False]
+    for nt in triples:
+        for w in (pickle.loads(pickle.dumps(nt)), copy.deepcopy(nt), copy.copy(nt)):
+            assert w == nt and w.form == nt.form and w.region is nt.region
+            for got, want in ((w.c0, nt.c0), (w.c1, nt.c1)):
+                assert (got.x0, got.x1) == (want.x0, want.x1)
+                # the same context object: that of the same inputs, which
+                # are nt's own after copy.copy
+                assert [got.ctx is v.ctx for v in (w.a, w.b, w.c)] == [
+                    want.ctx is v.ctx for v in (nt.a, nt.b, nt.c)]

@@ -200,10 +200,9 @@ def test_dynsys_converts_S_to_the_reals_only_when_read():
 
 
 def test_only_the_pair_builder_takes_a_common_denominator():
-    # a triple without grid units is put over one denominator L once, by
-    # lattice._normalize_on_pairs; the walk, the XII search and the XII
-    # march read the pairs of its form, and the classifier solves for (u, v)
-    # on them, not on Fractions
+    # every triple is put over one denominator L once, by lattice.normalize;
+    # the walk, the XII search and the XII march read the pairs of its form,
+    # and the classifier solves for (u, v) on them, not on Fractions
     found = set()
     for path in sorted(SRC.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -216,7 +215,7 @@ def test_only_the_pair_builder_takes_a_common_denominator():
         found |= {f"{path.name}:import" for node in ast.walk(tree)
                   if isinstance(node, (ast.Import, ast.ImportFrom))
                   for alias in node.names if alias.name.split(".")[-1] == "lcm"}
-    assert found == {"lattice.py:_normalize_on_pairs", "lattice.py:import"}
+    assert found == {"lattice.py:normalize", "lattice.py:import"}
     classifier = ast.parse((SRC / "classifier.py").read_text(encoding="utf-8"))
     assert "_basis_coords" not in {node.name for node in ast.walk(classifier)
                                    if isinstance(node, ast.FunctionDef)}
@@ -282,12 +281,37 @@ def test_only_one_classifier_function_names_the_search_regions():
     assert naming == {"classify_with_S_existence"}
 
 
+def _calls(node, name):
+    """The calls in the tree of a function or a method called `name`."""
+    return [sub for sub in ast.walk(node) if isinstance(sub, ast.Call)
+            and name in (getattr(sub.func, "id", None), getattr(sub.func, "attr", None))]
+
+
 def test_classifier_normalizes_only_in_classify():
-    # the grid neighbours of an off-grid c are built from their indices
-    callers = {fn.name for fn in _functions(SRC / "classifier.py") for node in ast.walk(fn)
-               if isinstance(node, ast.Call) and "normalize" in (
-                   getattr(node.func, "id", None), getattr(node.func, "attr", None))}
-    assert callers == {"classify"}
+    # a triple is normalized once by classify, and each grid neighbour of an
+    # off-grid c once by classify_off_grid
+    callers = {fn.name for fn in _functions(SRC / "classifier.py") if _calls(fn, "normalize")}
+    assert callers == {"classify", "classify_off_grid"}
+
+
+def test_only_normalize_builds_a_triple():
+    # every triple comes from lattice.normalize, so its fields, its form and
+    # its region are read off (a, b, c) in one place
+    builds = [f"{path.name}:{node.lineno}" for path in sorted(SRC.rglob("*.py"))
+              for node in _calls(ast.parse(path.read_text(encoding="utf-8")), "NormalizedTriple")]
+    normalize = next(fn for fn in _functions(SRC / "lattice.py") if fn.name == "normalize")
+    assert builds and builds == [f"lattice.py:{node.lineno}"
+                                 for node in _calls(normalize, "NormalizedTriple")]
+
+
+def test_classifier_reads_no_c0_or_c1_value():
+    # the decisions compare the integer pairs of the triple's form; c0 and c1
+    # as ExactReals are built only when something outside the classifier
+    # reads them
+    reads = [f"classifier.py:{node.lineno}"
+             for node in ast.walk(ast.parse((SRC / "classifier.py").read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute) and node.attr in ("c0", "c1")]
+    assert reads == []
 
 
 def _imported_modules(tree):
