@@ -19,7 +19,6 @@ from .lattice import (
     NormalizedTriple,
     Pair,
     RegionTag,
-    form_value,
     grid_value,
     normalize,
 )
@@ -174,9 +173,12 @@ def _region_xi(nt: NormalizedTriple) -> FrameDecision:
 # ---------------------------------------------------------------------------
 
 
-def _search_obstruction_irrational(nt: NormalizedTriple):
-    """Find the (d1, d2) tuple passing the membership, window and count
-    conditions; by exactness of the lattice there is at most one verdict.
+def _search_obstruction_irrational(
+        nt: NormalizedTriple) -> Tuple[Optional[IrrationalParams], bool]:
+    """The NotFrame witness, if any, and whether an obstruction tuple
+    (d1, d2) passes the membership, window and count conditions at all (a
+    nonempty invariant set); by exactness of the lattice every tuple found
+    gives one verdict.
 
     a and b are independent over Q exactly when a/b is irrational, so every
     value of the field has rational coordinates in the basis (a, b).  There
@@ -189,18 +191,21 @@ def _search_obstruction_irrational(nt: NormalizedTriple):
 
     Both slopes are integers, so m and d1 are integral for every s or for
     none: exactly when c0 lies in aZ + bZ.  1 <= d1+1 <= s then cuts s to
-    v/(f+1) <= s <= (v-1)/f, and only the s in that interval pay the window
-    conditions and the window count.  Every value is an integer pair of the
-    triple's form (`NormalizedTriple.form`, in units 1/L, as a/b is
-    irrational): (u, v) is Cramer's rule in integers, and each condition the
-    exact sign of a pair.
+    v/(f+1) <= s <= (v-1)/f.  Less f*b, with d2 = s - 1 - d1, the window
+    conditions c > f*b + (d1+1)*(b-a) and (f+1)*b - (d2+1)*(b-a) > c read
 
-    The count is the one `_xiii_candidates` takes: `_window_count` of the
-    step c1 - m*(b-a) modulo M = a - s*(b-a) below W = c0 - (d1+1)*(b-a),
-    by floor sums rather than s residues.  Its precondition 0 <= W <= M
-    holds where it is called: W > 0 is exactly the first window test, and
-    with s = d1 + d2 + 1 and a = b - (b-a), M - W = b - (d2+1)*(b-a) - c0 > 0
-    is exactly the second."""
+        W = c0 - (d1+1)*(b-a) = (u+v)*a + f*s*(b-a) > 0,
+        M - W = b - (d2+1)*(b-a) - c0 = (1-u-v)*a - (f+1)*s*(b-a) > 0,
+
+    with M = a - s*(b-a) (as a = b - (b-a)).  The first rises and the
+    second falls with s, so each is one floor cutting s further, and only
+    the s left pay the count: `_window_count` of the step c1 - m*(b-a)
+    modulo M below W, the one `_xiii_candidates` takes.  Its precondition
+    0 <= W <= M holds there, and so does s*(b-a) < a.  Every value is an
+    integer pair of the triple's form (`NormalizedTriple.form`, in units
+    1/L, as a/b is irrational): (u, v) is Cramer's rule in integers, each
+    bound a `_floor_pair`, and a tuple is measure-critical, a frame, where
+    its length combination c - n*(b-a) is the pair of a."""
     if nt.is_rational:
         raise RegionUnsupported("the obstruction solve needs an irrational a/b")
     f = nt.floor_cb
@@ -216,24 +221,19 @@ def _search_obstruction_irrational(nt: NormalizedTriple):
     u, r0 = divmod(y0 * b1 - y1 * b0, det)
     v, r1 = divmod(a0 * y1 - a1 * y0, det)
     if r0 or r1:
-        return None
-    m_slope = f - k
+        return None, False
+    m_slope, t = f - k, u + v
     ba0, ba1 = b0 - a0, b1 - a1
+    # W > 0 is s > -t*a/(f*(b-a)), and M - W > 0 is s < (1-t)*a/((f+1)*(b-a)),
+    # that is s <= -floor((t-1)*a/((f+1)*(b-a))) - 1
+    s_lo = max(1, -(-v // (f + 1)), _floor_pair(ctx, -t * a0, -t * a1, f * ba0, f * ba1) + 1)
+    s_hi = min((v - 1) // f,
+               -_floor_pair(ctx, (t - 1) * a0, (t - 1) * a1, (f + 1) * ba0, (f + 1) * ba1) - 1)
     matches = []
-    # s*(b-a) < a: the number of gaps stays below a/(b-a), never equal to it
-    s_hi = min(_floor_pair(ctx, a0, a1, ba0, ba1), (v - 1) // f)
-    for s in range(max(1, -(-v // (f + 1))), s_hi + 1):
+    for s in range(s_lo, s_hi + 1):
         d1 = v - f * s - 1
-        m = m_slope * s - u - v
-        d2 = s - 1 - d1
-        # c > f*b + (d1+1)*(b-a) and (f+1)*b - (d2+1)*(b-a) > c, less f*b:
-        # the window width c0 - (d1+1)*(b-a) and b - (d2+1)*(b-a) - c0 positive
-        w0, w1 = y0 - (d1 + 1) * ba0, y1 - (d1 + 1) * ba1
-        if _sign(ctx, w0, 1, w1, 1) <= 0:
-            continue
-        if _sign(ctx, b0 - (d2 + 1) * ba0 - y0, 1, b1 - (d2 + 1) * ba1 - y1, 1) <= 0:
-            continue
-        n = (d1 + 1) * (f + 1) + (d2 + 1) * f
+        m = m_slope * s - t
+        n = (d1 + 1) * (f + 1) + (s - d1) * f
         e0, e1 = x0 - n * ba0, x1 - n * ba1  # c - n*(b-a), a whole multiple of a
         if e0 * a1 != e1 * a0 or (e1 % a1 if a1 else e0 % a0):
             raise OracleInconsistency(
@@ -242,32 +242,21 @@ def _search_obstruction_irrational(nt: NormalizedTriple):
             )
         # the k in 1..s with k*(c1 - m*(b-a)) mod (a - s*(b-a)) below the width
         count = _window_count(ctx, s, (z0 - m * ba0, z1 - m * ba1),
-                              (a0 - s * ba0, a1 - s * ba1), (w0, w1))
-        if count != d1:
-            continue
-        matches.append((d1, d2, m, count, form_value(nt.form, (e0, e1))))
-    if len(matches) > 1:
-        verdicts = {(e - nt.a).is_zero() for (_, _, _, _, e) in matches}
-        if len(verdicts) != 1:
-            raise OracleInconsistency(
-                f"conflicting obstruction tuples: {matches}"
-            )
-    return matches[0] if matches else None
+                              (a0 - s * ba0, a1 - s * ba1),
+                              (y0 - (d1 + 1) * ba0, y1 - (d1 + 1) * ba1))
+        if count == d1:
+            matches.append((IrrationalParams(d1, s - 1 - d1, m, count), (e0, e1) == (a0, a1)))
+    if len({critical for _, critical in matches}) > 1:
+        raise OracleInconsistency(f"conflicting obstruction tuples: {matches}")
+    if not matches:
+        return None, False
+    witness, critical = matches[0]
+    return (None if critical else witness), True
 
 
 def cond_XII(nt: NormalizedTriple) -> Optional[IrrationalParams]:
     """NotFrame witness on the irrational generic region, if any."""
-    return _xii_witness(nt, _search_obstruction_irrational(nt))
-
-
-def _xii_witness(nt: NormalizedTriple, hit) -> Optional[IrrationalParams]:
-    """The NotFrame witness a search result gives, if any."""
-    if hit is None:
-        return None
-    d1, d2, m, count, expr = hit
-    if (expr - nt.a).is_zero():
-        return None  # invariant set exists but is measure-critical: frame
-    return IrrationalParams(d1=d1, d2=d2, m=m, e_count=count)
+    return _search_obstruction_irrational(nt)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -360,10 +349,12 @@ def _xiii_candidates(nt: NormalizedTriple):
         yield RationalParams(case_id=7), (f + 1) * (g2 + j0 - q) != g2
     qp = q - p  # b-a in grid units
     # Case 8: every condition depends on w = d1 + d3 + 1 alone.  gcd(q-p, p)
-    # is 1, so val = N*gamma1 + w*(q-p) = 0 mod p fixes w mod p, and N <= p
-    # leaves at most one w in [1, N-1]; the window count must equal d1,
-    # which then fixes d3.  One candidate per (s, N), N running over the
-    # divisors of bd above s in ascending order.
+    # is 1, so N*gamma1 + w*(q-p) = 0 mod p fixes w mod p, and N <= p leaves
+    # at most one w in [1, N-1].  Then v = (N*gamma1 + w*(q-p))/p is exact,
+    # and the tuple's conditions modulo N*p on p*v, divided by p, read
+    # s*v = w mod N and gcd(v, N) = 1, its window k*v mod N below w.  The
+    # window count must equal d1, which then fixes d3.  One candidate per
+    # (s, N), N running over the divisors of bd above s in ascending order.
     inv_qp = pow(qp, -1, p)
     s, bd = 1, p - qp
     while bd > s:  # bd falls and s rises, so no N in (s, bd] is left after
@@ -371,9 +362,8 @@ def _xiii_candidates(nt: NormalizedTriple):
             w = (-N * gamma1 * inv_qp) % p
             if not 0 < w < N:
                 continue
-            val = N * gamma1 + w * qp
-            Np = N * p
-            if (s * val - w * p) % Np or gcd(val, Np) != p:
+            v = (N * gamma1 + w * qp) // p
+            if (s * v - w) % N or gcd(v, N) != 1:
                 continue
             # The count d1 must satisfy d1 < s and 0 <= d3 = w - 1 - d1 < N - s,
             # that is w - N + s <= d1 <= w - 1, and the delta limits: delta
@@ -387,21 +377,20 @@ def _xiii_candidates(nt: NormalizedTriple):
             # [lo, hi], known before the count: where it is empty the count
             # could only fail, so it is skipped, and a count outside it fails
             # exactly the conditions it stands for.  (The count always meets
-            # the first three: with val = p*v, k counts when k*v mod N < w;
-            # k = s has residue w by the congruence above, and k = 1..s-1
-            # have s - 1 distinct residues in [1, N-1] other than w, at most
-            # w - 1 of them below w and at most N - 1 - w above.  They still
-            # narrow the interval that decides the skip.)
+            # the first three: k = s has residue w by the congruence above,
+            # and k = 1..s-1 have s - 1 distinct residues in [1, N-1] other
+            # than w, at most w - 1 of them below w and at most N - 1 - w
+            # above.  They still narrow the interval that decides the skip.)
             top, slope = N * (j0 - qp) - w * bd, N * qp
             lo = max(0, w - N + s, (top - min(N * (j0 - qp), bd)) // slope + 1)
             hi = min(s - 1, w - 1, (top + min(N * (p - j0), bd) - 1) // slope)
             if lo > hi:
                 continue
-            # gcd(val, Np) = p makes val = p*v with gcd(v, N) = 1, so Np | k*val
-            # would need N | k, which k <= s < N rules out: no k*val is 0 mod Np
-            # on integers, the pairs (X, 0) that `_floor_pair` floors on its
-            # parallel-pair line, never reading an enclosure
-            d1 = _window_count(nt.form.ctx, s, (val, 0), (Np, 0), (w * p, 0))
+            # gcd(v, N) = 1, so N | k*v would need N | k, which k <= s < N
+            # rules out: no k*v is 0 mod N.  The count runs on integers, the
+            # pairs (X, 0) that `_floor_pair` floors on its parallel-pair
+            # line, never reading an enclosure
+            d1 = _window_count(nt.form.ctx, s, (v, 0), (N, 0), (w, 0))
             if not lo <= d1 <= hi:
                 continue
             delta_n = top - slope * d1
@@ -410,7 +399,7 @@ def _xiii_candidates(nt: NormalizedTriple):
                 delta=grid_value(nt.b, delta_n, N * q), e_count=d1,
             )
             # |delta| + p/(N*f + w) != bd/N, times N*(N*f + w) > 0
-            yield witness, (bd - abs(delta_n)) * (N * f + w) != Np
+            yield witness, (bd - abs(delta_n)) * (N * f + w) != N * p
         s, bd = s + 1, bd - qp
 
 
@@ -436,8 +425,7 @@ def classify_with_S_existence(nt: NormalizedTriple) -> Tuple[FrameDecision, Opti
     tables give them elsewhere."""
     tag = nt.region
     if tag is RegionTag.XII:
-        hit = _search_obstruction_irrational(nt)
-        w, nonempty = _xii_witness(nt, hit), hit is not None
+        w, nonempty = _search_obstruction_irrational(nt)
     elif tag is RegionTag.XIII:
         w, nonempty = _xiii_search(nt)
     else:

@@ -140,16 +140,18 @@ def _require_maps(nt: NormalizedTriple) -> None:
         )
 
 
+def _forward_shift(r: ExactReal, absorber: Tuple[ExactReal, ExactReal],
+                   low: ExactReal, high: ExactReal) -> ExactReal:
+    """The forward map's branch at r = t mod a: its shift is `low` below the
+    absorber [lo, hi), 0 on it and `high` above it."""
+    return low if r < absorber[0] else _RAT_ZERO if r < absorber[1] else high
+
+
 def apply_R(t: ExactReal, nt: NormalizedTriple) -> ExactReal:
     """Forward map; input any real, branch chosen by t mod a."""
     _require_maps(nt)
-    r = mod(t, nt.a)
-    lo, hi = black_hole_R(nt)
-    if r < lo:
-        return t + nt.floor_cb * nt.b + nt.b
-    if r < hi:
-        return t
-    return t + nt.floor_cb * nt.b
+    fb = nt.floor_cb * nt.b
+    return t + _forward_shift(mod(t, nt.a), black_hole_R(nt), fb + nt.b, fb)
 
 
 def apply_Rt(t: ExactReal, nt: NormalizedTriple) -> ExactReal:
@@ -603,13 +605,19 @@ def birkhoff_average(
                 return float(hi - cand) / float(eps)
         return 0.0
 
+    # the branch shifts taken mod a: a point reduced into [0, a) steps to one
+    # below 2a, which one compare brings back
+    fb = nt.floor_cb * nt.b
+    low, high = mod(fb + nt.b, a), mod(fb, a)
     seen = {}
     vals: List[float] = []
     x = mod(t, a)
     while len(vals) < n and x not in seen:
         seen[x] = len(vals)
         vals.append(bump(x))
-        x = mod(apply_R(x, nt), a)
+        x = x + _forward_shift(x, (k1, hi), low, high)
+        if x >= a:
+            x = x - a
     if len(vals) == n:
         return sum(vals) / n
     i = seen[x]

@@ -12,15 +12,18 @@ integer grid units.  `_propagate_irrational_on_reals` is the single-hole XII
 march on ExactReal starts, with its shifts taken by `mod`, and
 `_propagate_rational_on_sets` the XIII march on integer PeriodicSets, one set
 per operation; the live marches run on integer pairs over one denominator
-and on bare interval tuples.  Every function here is copied unchanged from
-the code it replaced (only the imports and those two names differ); the
-differential tests in `test_reference_dynsys.py` hold the live code to it.
+and on bare interval tuples.  `birkhoff_average` steps its orbit by
+`apply_R` and reduces the image mod a again, where the live loop steps the
+reduced point by shifts taken mod a once.  Every function here is copied
+unchanged from the code it replaced (only the imports and those two names
+differ); the differential tests in `test_reference_dynsys.py` hold the live code to it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from fractions import Fraction
+from typing import List, Optional, Tuple, Union
 
 from gaborbox.dynsys import (
     _SHORT_CIRCUIT_EMPTY,
@@ -324,3 +327,71 @@ def _propagate_rational_on_sets(nt: NormalizedTriple) -> List[Tuple[PeriodicSet,
         parked = moving != front.intervals
         steps.append((front, HoleStatus.ABSORBED if parked else HoleStatus.PROPAGATING))
         front = low.shift(low_shift).union(high.shift(high_shift))
+
+
+def apply_R(t: ExactReal, nt: NormalizedTriple) -> ExactReal:
+    """Forward map; input any real, branch chosen by t mod a."""
+    _require_maps(nt)
+    r = mod(t, nt.a)
+    lo, hi = black_hole_R(nt)
+    if r < lo:
+        return t + nt.floor_cb * nt.b + nt.b
+    if r < hi:
+        return t
+    return t + nt.floor_cb * nt.b
+
+
+def birkhoff_average(
+    nt: NormalizedTriple,
+    t: ExactReal,
+    n: int,
+    epsilon: Union[ExactReal, Fraction, int, None] = None,
+) -> float:
+    """Average of a fixed bump along the forward orbit of t, as a float.
+
+    The bump is a trapezoid riding just below the forward absorber: zero
+    outside [c0+a-b-eps, c0), ramping up over [c0+a-b-eps, c0+a-b], flat 1
+    until c0-eps, ramping back to zero at c0.  Orbit points are exact; only
+    the ramp values are floated.  Orbits are eventually periodic whenever
+    endpoints repeat, and the tail is then summed in closed form.
+    """
+    _require_maps(nt)
+    if n < 1:
+        raise ValueError("need at least one orbit point")
+    a = nt.a
+    eps = epsilon if isinstance(epsilon, ExactReal) else None
+    if eps is None:
+        eps = (nt.b - nt.a) / 8 if epsilon is None else rat(Fraction(epsilon))
+    if eps.sign() <= 0 or eps >= nt.b - nt.a:
+        raise ValueError("bump half-width must satisfy 0 < eps < b-a")
+    k1, hi = black_hole_R(nt)  # plateau edges: [c0+a-b, c0-eps]
+    lo = k1 - eps
+    k2 = hi - eps
+
+    def bump(x: ExactReal) -> float:
+        # periodic extension: the support has length < a, so at most one
+        # of x, x-a, x+a lands inside it
+        for cand in (x, x - a, x + a):
+            if lo <= cand < hi:
+                if cand < k1:
+                    return float(cand - lo) / float(eps)
+                if cand <= k2:
+                    return 1.0
+                return float(hi - cand) / float(eps)
+        return 0.0
+
+    seen = {}
+    vals: List[float] = []
+    x = mod(t, a)
+    while len(vals) < n and x not in seen:
+        seen[x] = len(vals)
+        vals.append(bump(x))
+        x = mod(apply_R(x, nt), a)
+    if len(vals) == n:
+        return sum(vals) / n
+    i = seen[x]
+    cycle = vals[i:]
+    remaining = n - i
+    full, part = divmod(remaining, len(cycle))
+    total = sum(vals[:i]) + full * sum(cycle) + sum(cycle[:part])
+    return total / n

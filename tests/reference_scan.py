@@ -4,7 +4,12 @@
 certificate searches, and the four set operations are the pairwise
 nested-loop versions that canonicalize through `PeriodicSet.make`.
 `_search_obstruction_irrational_cramer` is the XII search that did one 2x2
-Cramer solve for every gap count s, and `window_count` is the O(s) count of
+Cramer solve for every gap count s, and `_search_obstruction_irrational_signs`
+the solve on the integer pairs of the triple's form that took both window
+conditions as exact signs for each s in its cut and returned its hit with
+the length combination as an `ExactReal`, which `_xii_witness` turned into
+a witness; `xii_result` reads any of the three XII hits as the live search
+returns them.  `window_count` is the O(s) count of
 the case-8 window that the floor sums replaced; `window_count_pairs` is the
 O(s) count on integer pairs that XII carried from one k to the next before
 it shared the floor sums, and `floor_sum_passes` is the floor-sum loop that
@@ -19,7 +24,7 @@ through this module's `_window_count`, the live floor-sum count, so a test
 can tally its counts.  `_orbit_avoids`, `grid_S` and `grid_D` are the
 grid oracle that walked each residue's orbit from scratch and built a set over
 all p indices for every shift of S.  They are copied unchanged from the code
-they replaced (one name differs); the differential tests in
+they replaced (two names differ), `xii_result` aside; the differential tests in
 `test_reference_scan.py` hold the faster paths to their output.
 """
 
@@ -27,10 +32,17 @@ from fractions import Fraction
 from math import gcd
 from typing import FrozenSet, List, Optional, Tuple
 
-from gaborbox.classifier import RationalParams, _divisors_above, _window_count
+from gaborbox.classifier import IrrationalParams, RationalParams, _divisors_above, _window_count
 from gaborbox.errors import OracleInconsistency, RegionUnsupported
 from gaborbox.exactnum import NumberContext, _floor_pair, _sign, floor_div, mod, rat
-from gaborbox.lattice import Interval, NormalizedTriple, Pair, PeriodicSet, grid_value
+from gaborbox.lattice import (
+    Interval,
+    NormalizedTriple,
+    Pair,
+    PeriodicSet,
+    form_value,
+    grid_value,
+)
 from gaborbox.oracle import GridModel
 
 
@@ -133,6 +145,103 @@ def _search_obstruction_irrational_cramer(nt: NormalizedTriple):
                 f"conflicting obstruction tuples: {matches}"
             )
     return matches[0] if matches else None
+
+
+def _search_obstruction_irrational_signs(nt: NormalizedTriple):
+    """Find the (d1, d2) tuple passing the membership, window and count
+    conditions; by exactness of the lattice there is at most one verdict.
+
+    a and b are independent over Q exactly when a/b is irrational, so every
+    value of the field has rational coordinates in the basis (a, b).  There
+    c1 = f*b - k*a (k = floor(f*b/a)) and c0 = u*a + v*b, and the membership
+    condition s*c1 - c0 + (d1+1)(b-a) = m*a reads, coefficient by
+    coefficient,
+
+        b:  d1 + 1 = v - f*s
+        a:  m = (f - k)*s - u - v
+
+    Both slopes are integers, so m and d1 are integral for every s or for
+    none: exactly when c0 lies in aZ + bZ.  1 <= d1+1 <= s then cuts s to
+    v/(f+1) <= s <= (v-1)/f, and only the s in that interval pay the window
+    conditions and the window count.  Every value is an integer pair of the
+    triple's form (`NormalizedTriple.form`, in units 1/L, as a/b is
+    irrational): (u, v) is Cramer's rule in integers, and each condition the
+    exact sign of a pair.
+
+    The count is the one `_xiii_candidates` takes: `_window_count` of the
+    step c1 - m*(b-a) modulo M = a - s*(b-a) below W = c0 - (d1+1)*(b-a),
+    by floor sums rather than s residues.  Its precondition 0 <= W <= M
+    holds where it is called: W > 0 is exactly the first window test, and
+    with s = d1 + d2 + 1 and a = b - (b-a), M - W = b - (d2+1)*(b-a) - c0 > 0
+    is exactly the second."""
+    if nt.is_rational:
+        raise RegionUnsupported("the obstruction solve needs an irrational a/b")
+    f = nt.floor_cb
+    if f < 1:
+        raise RegionUnsupported("the obstruction search needs c >= b")
+    ctx, _, (a0, a1), (b0, b1), (x0, x1), (y0, y1), (z0, z1) = nt.form
+    det = a0 * b1 - a1 * b0
+    # c1 = -k*a + f*b and c0 = u*a + v*b, each coordinate a quotient by det
+    k, r0 = divmod(b0 * z1 - b1 * z0, det)
+    fb, r1 = divmod(a0 * z1 - a1 * z0, det)
+    if r0 or r1 or fb != f:
+        raise OracleInconsistency("c1 is not f*b reduced mod a")
+    u, r0 = divmod(y0 * b1 - y1 * b0, det)
+    v, r1 = divmod(a0 * y1 - a1 * y0, det)
+    if r0 or r1:
+        return None
+    m_slope = f - k
+    ba0, ba1 = b0 - a0, b1 - a1
+    matches = []
+    # s*(b-a) < a: the number of gaps stays below a/(b-a), never equal to it
+    s_hi = min(_floor_pair(ctx, a0, a1, ba0, ba1), (v - 1) // f)
+    for s in range(max(1, -(-v // (f + 1))), s_hi + 1):
+        d1 = v - f * s - 1
+        m = m_slope * s - u - v
+        d2 = s - 1 - d1
+        # c > f*b + (d1+1)*(b-a) and (f+1)*b - (d2+1)*(b-a) > c, less f*b:
+        # the window width c0 - (d1+1)*(b-a) and b - (d2+1)*(b-a) - c0 positive
+        w0, w1 = y0 - (d1 + 1) * ba0, y1 - (d1 + 1) * ba1
+        if _sign(ctx, w0, 1, w1, 1) <= 0:
+            continue
+        if _sign(ctx, b0 - (d2 + 1) * ba0 - y0, 1, b1 - (d2 + 1) * ba1 - y1, 1) <= 0:
+            continue
+        n = (d1 + 1) * (f + 1) + (d2 + 1) * f
+        e0, e1 = x0 - n * ba0, x1 - n * ba1  # c - n*(b-a), a whole multiple of a
+        if e0 * a1 != e1 * a0 or (e1 % a1 if a1 else e0 % a0):
+            raise OracleInconsistency(
+                "collapse count is integral but the length combination "
+                "misses the coarse lattice"
+            )
+        # the k in 1..s with k*(c1 - m*(b-a)) mod (a - s*(b-a)) below the width
+        count = _window_count(ctx, s, (z0 - m * ba0, z1 - m * ba1),
+                              (a0 - s * ba0, a1 - s * ba1), (w0, w1))
+        if count != d1:
+            continue
+        matches.append((d1, d2, m, count, form_value(nt.form, (e0, e1))))
+    if len(matches) > 1:
+        verdicts = {(e - nt.a).is_zero() for (_, _, _, _, e) in matches}
+        if len(verdicts) != 1:
+            raise OracleInconsistency(
+                f"conflicting obstruction tuples: {matches}"
+            )
+    return matches[0] if matches else None
+
+
+def _xii_witness(nt: NormalizedTriple, hit) -> Optional[IrrationalParams]:
+    """The NotFrame witness a search result gives, if any."""
+    if hit is None:
+        return None
+    d1, d2, m, count, expr = hit
+    if (expr - nt.a).is_zero():
+        return None  # invariant set exists but is measure-critical: frame
+    return IrrationalParams(d1=d1, d2=d2, m=m, e_count=count)
+
+
+def xii_result(nt: NormalizedTriple, hit) -> Tuple[Optional[IrrationalParams], bool]:
+    """A hit of an XII search here, or None, as the live search returns it:
+    the NotFrame witness, if any, and whether there was a hit at all."""
+    return _xii_witness(nt, hit), hit is not None
 
 
 def _xiii_candidates(nt: NormalizedTriple):

@@ -141,6 +141,10 @@ def test_region_vii_irrational_frame_unless_c0_zero():
     nt = normalize(a, rat(1), rat(3))  # c0 = 0: boundary case 3 applies even irrationally
     assert region_tag(nt) is RegionTag.VII
     assert classify_triple(nt).verdict == "NotFrame"
+    # c0 = 1/10 > 0: no gcd threshold on an irrational ratio
+    nt = normalize(a, rat(1), rat(F(31, 10)))
+    assert region_tag(nt) is RegionTag.VII
+    assert classify_triple(nt) == ("Frame", RegionTag.VII, None)
 
 
 # -- boundary regions X / XI ---------------------------------------------------------

@@ -244,6 +244,16 @@ def test_invariant_set_text_empty(capsys):
     assert "S is empty" in out
 
 
+def test_invariant_set_text_lists_finite_marks(capsys):
+    # the pi fixture (pi/4, 1, 23 - 11/2*pi): S nonempty on an irrational
+    # ratio, so its marks are a finite set of points, not a cyclic group
+    code, out, _ = run(capsys, "invariant-set", "--context", "pi",
+                       "--a", "1/4*pi", "--b", "1", "--c", "23-11/2*pi")
+    assert code == 0
+    assert "region XII" in out
+    assert "marks: {4-5/4*pi, 11-7/2*pi, 15-19/4*pi}" in out.splitlines()
+
+
 def test_sampling_exit_codes(capsys):
     code, out, _ = run(capsys, "sampling", "--a", "3/4", "--b", "1", "--c", "3")
     assert code == 0

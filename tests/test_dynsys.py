@@ -415,6 +415,19 @@ def test_birkhoff_orbit_in_S_never_hits_bump():
     assert birkhoff_average(NT77, rat(F(2, 17)), 100_000) == 0.0
 
 
+def test_birkhoff_ramps_before_any_orbit_point_repeats():
+    # (13/17, 1, 77/17), absorber [20/68, 36/68), eps = (b-a)/8 = 2/68: the
+    # bump ramps up over [18/68, 20/68] and down over [34/68, 36/68).
+    # t = 19/68 sits halfway up, and R(t) = t + 5 = 47/68 mod a lies off the
+    # bump; n = 1 and n = 2 end before a point repeats
+    t = rat(F(19, 68))
+    assert birkhoff_average(NT77, t, 1) == 0.5
+    assert birkhoff_average(NT77, t, 2) == 0.25
+    # 35/68 sits halfway down, on the absorber, which fixes it
+    t = rat(F(35, 68))
+    assert birkhoff_average(NT77, t, 1) == birkhoff_average(NT77, t, 3) == 0.5
+
+
 def test_birkhoff_s_empty_orbit_absorbs():
     avg = birkhoff_average(nt_of("7/9", 1, "7/2"), rat(0), 100_000)
     assert 0.95 <= avg <= 1.0

@@ -138,6 +138,13 @@ def test_pi_division_by_irrational_rejected():
         rat(1) / PI.num(0, 1)
 
 
+def test_pi_division_with_a_rational_ratio():
+    # a quotient of two pi values in Q + Q*pi only when their ratio is rational
+    q = PI.num(0, 2) / PI.num(0, 1)
+    assert q == rat(2) and not q.x1
+    assert PI.num(3, 6) / PI.num(1, 2) == rat(3)
+
+
 # -- sign, order, ratio ------------------------------------------------------
 
 def test_sign_certifies_tight_pi_combinations():
@@ -263,6 +270,25 @@ def test_floor_div_defining_inequality(x0, x1, a0, a1):
     k = floor_div(t, a)
     assert (t - k * a).sign() >= 0
     assert (t - (k + 1) * a).sign() < 0
+
+
+def test_floor_pair_refines_a_modulus_its_enclosure_cannot_sign():
+    # m = 5168247530883 - 3654502875938*sqrt2 is about 9.7e-14: the start
+    # enclosure of sqrt2 puts its lower bound below 0, so the floor refines
+    # before it bounds the quotient, then bounds and certifies it at once
+    ctx = surd_context(2)  # a fresh context, at its start enclosure
+    m0, m1 = 5168247530883, -3654502875938
+    unsigned = []
+    refine = ctx.refine
+
+    def refine_once_counted():
+        lo, hi = ctx.enclosure()
+        unsigned.append(m0 + m1 * hi <= 0)  # m's lower bound, as m1 < 0
+        return refine()
+
+    ctx.refine = refine_once_counted
+    assert exactnum._floor_pair(ctx, 1, 0, m0, m1) == 10336495061765
+    assert unsigned == [True]
 
 
 def test_mod_lands_in_window():

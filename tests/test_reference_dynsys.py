@@ -504,3 +504,35 @@ def test_pi_precision_exhaustion_in_both_xii_marches(monkeypatch):
     nt = _pi_close_call()
     _assert_same_xii_march(nt)
     assert nt.a.ctx._bits > start
+
+
+# -- ergodic diagnostic -------------------------------------------------------------
+
+def _birkhoff_starts(seed):
+    """Triples with maps in Q, sqrt3 and pi, each with seeded starts t in
+    [-2a, 3a]: fixed points, orbits into S and orbits that meet the bump."""
+    rng = random.Random(seed)
+    sqrt3, pi = surd_context(3), pi_context()
+    triples = [normalize(rat(F(13, 17)), rat(1), rat(F(77, 17))),
+               normalize(rat(F(7, 9)), rat(1), rat(F(7, 2))),
+               normalize(sqrt3.num(0, F(1, 2)), rat(1), sqrt3.num(15, F(-13, 2))),
+               normalize(pi.num(0, F(1, 4)), rat(1), pi.num(23, F(-11, 2)))]
+    for nt in triples:
+        ctx = nt.a.ctx
+        for _ in range(6):
+            t = nt.a * F(rng.randint(-200, 300), 100)
+            yield nt, t if ctx.kind == "rational" else t + ctx.num(0, F(rng.randint(-9, 9), 97))
+
+
+def test_birkhoff_average_matches_the_loop_through_apply_R():
+    # each orbit point reduced once by the shifts taken mod a, against the
+    # loop that reduced apply_R's image again; both float the same exact
+    # points, up to the enclosure each float reads
+    kinds = set()
+    for nt, t in _birkhoff_starts(seed=31):
+        for n in (1, 2, 7, 400):
+            got, want = dynsys.birkhoff_average(nt, t, n), ref.birkhoff_average(nt, t, n)
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-15), (nt.a, nt.c, t, n)
+            kinds.add((nt.a.ctx.kind, "0" if want == 0 else "1" if want == 1 else "ramp"))
+    assert {kind for kind, _ in kinds} == {"rational", "surd", "pi"}, kinds
+    assert {avg for _, avg in kinds} == {"0", "1", "ramp"}, kinds

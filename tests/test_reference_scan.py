@@ -92,7 +92,7 @@ def test_xii_search_matches_scan_on_seeded_draw():
     frames = not_frames = critical = 0
     for nt in _xii_draw(seed=7, count=100):
         want = ref._search_obstruction_irrational(nt)
-        assert _search_obstruction_irrational(nt) == want, (nt.a, nt.c)
+        assert _search_obstruction_irrational(nt) == ref.xii_result(nt, want), (nt.a, nt.c)
         if want is None:
             frames += 1
         elif (want[4] - nt.a).is_zero():
@@ -151,7 +151,8 @@ def test_xii_search_matches_cramer_solve_per_s(ctx):
     for seed in (1, 2, 3):
         for nt in _lattice_draw(ctx, seed, 60):
             want = ref._search_obstruction_irrational_cramer(nt)
-            assert _search_obstruction_irrational(nt) == want, (nt.a, nt.b, nt.c)
+            assert _search_obstruction_irrational(nt) == ref.xii_result(nt, want), \
+                (nt.a, nt.b, nt.c)
             n, integral, survivors = _cramer_solutions(nt)
             if not integral:
                 kinds.add("no s solves")
@@ -165,6 +166,52 @@ def test_xii_search_matches_cramer_solve_per_s(ctx):
                 kinds.add("measure-critical" if (want[4] - nt.a).is_zero() else "NotFrame")
     assert kinds == {"no s solves", "every s solves, 1 <= d1+1 <= s cuts", "two survivors",
                      "Frame", "NotFrame", "measure-critical"}
+
+
+def _same_as_signs(nt, kinds):
+    """The witness and the hit or miss of the solve that took both window
+    conditions as per-s signs; adds what its hit decides to kinds."""
+    want = ref._search_obstruction_irrational_signs(nt)
+    assert _search_obstruction_irrational(nt) == ref.xii_result(nt, want), (nt.a, nt.b, nt.c)
+    if want is None:
+        kinds.add("Frame")
+    else:
+        kinds.add("measure-critical" if (want[4] - nt.a).is_zero() else "NotFrame")
+
+
+def test_xii_search_matches_window_signs_on_draws(monkeypatch):
+    # the window conditions as two floors cutting s, against their signs per
+    # s; the old search takes no other sign, so a sign <= 0 is an s that a
+    # window condition cut
+    signs = Counter()
+
+    def tallied(*pairs):
+        got = _sign(*pairs)
+        signs["cut" if got <= 0 else "kept"] += 1
+        return got
+
+    monkeypatch.setattr(ref, "_sign", tallied)
+    kinds = set()
+    for nt in _xii_draw(seed=7, count=100):
+        _same_as_signs(nt, kinds)
+    for ctx in CONTEXTS:
+        for seed in (1, 2, 3):
+            for nt in _lattice_draw(ctx, seed, 60):
+                _same_as_signs(nt, kinds)
+    assert kinds == {"Frame", "NotFrame", "measure-critical"}, kinds
+    assert signs["cut"] and signs["kept"], signs
+
+
+def test_xii_search_matches_window_signs_on_many_survivor_family():
+    # a = 239/338*sqrt2, b = 1, c = 3 + v*(1 - a): NotFrame, with about v/12
+    # survivors of the integer cut, each paying a window count
+    a = surd_context(2).num(0, F(239, 338))
+    kinds = set()
+    for v in range(100, 6401, 300):
+        nt = normalize(a, rat(1), 3 + v * (1 - a))
+        assert nt.region is RegionTag.XII, v
+        _same_as_signs(nt, kinds)
+    assert kinds == {"NotFrame"}, kinds
 
 
 def test_xiii_candidates_match_n_scan_on_xiii_pools():

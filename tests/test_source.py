@@ -314,6 +314,16 @@ def test_classifier_reads_no_c0_or_c1_value():
     assert reads == []
 
 
+def test_certificate_searches_solve_on_integers():
+    # the XII window conditions are two floors cutting s, with no per-s sign,
+    # and a measure-critical tuple is a pair equality, with no value built;
+    # case 8 counts modulo N, with p divided out once
+    functions = {fn.name: fn for fn in _functions(SRC / "classifier.py")}
+    xii = functions["_search_obstruction_irrational"]
+    assert [len(_calls(xii, name)) for name in ("_sign", "form_value")] == [0, 0]
+    assert _namings(functions["_xiii_candidates"], "Np") == 0
+
+
 def _imported_modules(tree):
     """(top-level module name, line) for every import in the tree."""
     for node in ast.walk(tree):
