@@ -13,7 +13,7 @@ from __future__ import annotations
 from math import gcd, isqrt
 from typing import List, NamedTuple, Optional, Tuple
 
-from .errors import OracleInconsistency, RegionUnsupported
+from .errors import RegionUnsupported
 from .exactnum import ExactReal, NumberContext, _floor_pair, _sign
 from .lattice import (
     NormalizedTriple,
@@ -144,9 +144,8 @@ def _region_vii(nt: NormalizedTriple) -> FrameDecision:
 
 
 def _region_x(nt: NormalizedTriple) -> FrameDecision:
-    # c1 = 2a-b forces a rational ratio
-    if not nt.is_rational:
-        raise OracleInconsistency("c1 = 2a-b is impossible over an irrational ratio")
+    # the walk tags X only where c1 = f*b - k*a is 2a - b, that is where
+    # (f+1)*b = (k+2)*a: the ratio is rational
     p, q = nt.rational
     f = nt.floor_cb
     n = q - p + 1  # b - a + b/q
@@ -157,8 +156,8 @@ def _region_x(nt: NormalizedTriple) -> FrameDecision:
 
 
 def _region_xi(nt: NormalizedTriple) -> FrameDecision:
-    if not nt.is_rational:
-        raise OracleInconsistency("c1 = 0 is impossible over an irrational ratio")
+    # the walk tags XI only where c1 = f*b - k*a is 0, that is where
+    # f*b = k*a with f >= 1: the ratio is rational
     p, _ = nt.rational
     f = nt.floor_cb
     n = p - 1  # a - b/q
@@ -177,8 +176,7 @@ def _search_obstruction_irrational(
         nt: NormalizedTriple) -> Tuple[Optional[IrrationalParams], bool]:
     """The NotFrame witness, if any, and whether an obstruction tuple
     (d1, d2) passes the membership, window and count conditions at all (a
-    nonempty invariant set); by exactness of the lattice every tuple found
-    gives one verdict.
+    nonempty invariant set).
 
     a and b are independent over Q exactly when a/b is irrational, so every
     value of the field has rational coordinates in the basis (a, b).  There
@@ -203,21 +201,25 @@ def _search_obstruction_irrational(
     modulo M below W, the one `_xiii_candidates` takes.  Its precondition
     0 <= W <= M holds there, and so does s*(b-a) < a.  Every value is an
     integer pair of the triple's form (`NormalizedTriple.form`, in units
-    1/L, as a/b is irrational): (u, v) is Cramer's rule in integers, each
-    bound a `_floor_pair`, and a tuple is measure-critical, a frame, where
-    its length combination c - n*(b-a) is the pair of a."""
+    1/L, as a/b is irrational): (u, v) and k are Cramer's rule in integers,
+    exact for k as `normalize` built C1 = f*B - k*A, and each bound a
+    `_floor_pair`.
+
+    A tuple is measure-critical, a frame, where its length combination
+    c - n*(b-a), n = (d1+1)(f+1) + (d2+1)*f, is a.  With d1 + 1 = v - f*s
+    and d2 + 1 = s - d1, n = v + f for every s, so the combination is
+    f*b + u*a + v*b - (v+f)(b-a) = (u+v+f)*a: a whole multiple of a, and a
+    itself exactly when u + v + f = 1.  Every hit thus gives one verdict,
+    and the search ends at the first."""
     if nt.is_rational:
         raise RegionUnsupported("the obstruction solve needs an irrational a/b")
     f = nt.floor_cb
     if f < 1:
         raise RegionUnsupported("the obstruction search needs c >= b")
-    ctx, _, (a0, a1), (b0, b1), (x0, x1), (y0, y1), (z0, z1) = nt.form
+    ctx, _, (a0, a1), (b0, b1), _, (y0, y1), (z0, z1) = nt.form
     det = a0 * b1 - a1 * b0
     # c1 = -k*a + f*b and c0 = u*a + v*b, each coordinate a quotient by det
-    k, r0 = divmod(b0 * z1 - b1 * z0, det)
-    fb, r1 = divmod(a0 * z1 - a1 * z0, det)
-    if r0 or r1 or fb != f:
-        raise OracleInconsistency("c1 is not f*b reduced mod a")
+    k = (b0 * z1 - b1 * z0) // det
     u, r0 = divmod(y0 * b1 - y1 * b0, det)
     v, r1 = divmod(a0 * y1 - a1 * y0, det)
     if r0 or r1:
@@ -229,29 +231,17 @@ def _search_obstruction_irrational(
     s_lo = max(1, -(-v // (f + 1)), _floor_pair(ctx, -t * a0, -t * a1, f * ba0, f * ba1) + 1)
     s_hi = min((v - 1) // f,
                -_floor_pair(ctx, (t - 1) * a0, (t - 1) * a1, (f + 1) * ba0, (f + 1) * ba1) - 1)
-    matches = []
     for s in range(s_lo, s_hi + 1):
         d1 = v - f * s - 1
         m = m_slope * s - t
-        n = (d1 + 1) * (f + 1) + (s - d1) * f
-        e0, e1 = x0 - n * ba0, x1 - n * ba1  # c - n*(b-a), a whole multiple of a
-        if e0 * a1 != e1 * a0 or (e1 % a1 if a1 else e0 % a0):
-            raise OracleInconsistency(
-                "collapse count is integral but the length combination "
-                "misses the coarse lattice"
-            )
         # the k in 1..s with k*(c1 - m*(b-a)) mod (a - s*(b-a)) below the width
         count = _window_count(ctx, s, (z0 - m * ba0, z1 - m * ba1),
                               (a0 - s * ba0, a1 - s * ba1),
                               (y0 - (d1 + 1) * ba0, y1 - (d1 + 1) * ba1))
         if count == d1:
-            matches.append((IrrationalParams(d1, s - 1 - d1, m, count), (e0, e1) == (a0, a1)))
-    if len({critical for _, critical in matches}) > 1:
-        raise OracleInconsistency(f"conflicting obstruction tuples: {matches}")
-    if not matches:
-        return None, False
-    witness, critical = matches[0]
-    return (None if critical else witness), True
+            # measure-critical: the combination (t+f)*a is a
+            return (None if t + f == 1 else IrrationalParams(d1, s - 1 - d1, m, count)), True
+    return None, False
 
 
 def cond_XII(nt: NormalizedTriple) -> Optional[IrrationalParams]:
@@ -269,9 +259,8 @@ def _grid_units(nt: NormalizedTriple) -> Tuple[int, int, int, int]:
     if not (nt.is_rational and nt.c_on_grid):
         raise RegionUnsupported("the grid certificate needs a/b = p/q and c on the b/q grid")
     p, q = nt.rational
-    _, _, _, B, _, (C0, _), (C1, _) = nt.form
-    if B != (q, 0):
-        raise OracleInconsistency("c is on the grid but its grid units are not")
+    # on the grid `normalize` has D = 1, so the form's unit is b/q and B = (q, 0)
+    _, _, _, _, _, (C0, _), (C1, _) = nt.form
     return p, q, C1, C0
 
 
@@ -457,8 +446,8 @@ def classify_off_grid(nt: NormalizedTriple) -> FrameDecision:
     k = _floor_pair(ctx, q * x0, q * x1, b0, b1)
     low = classify_triple(normalize(nt.a, nt.b, grid_value(nt.b, k, q)))
     high = classify_triple(normalize(nt.a, nt.b, grid_value(nt.b, k + 1, q)))
-    if RegionTag.XIV in (low.region, high.region):
-        raise OracleInconsistency("a grid neighbour of c classified as off the grid")
+    # neither neighbour is tagged XIV: c > b gives k >= q, so k*b/q is
+    # positive and on the grid, where `normalize` finds D = 1 and c_on_grid
     verdict = "Frame" if (low.is_frame and high.is_frame) else "NotFrame"
     return FrameDecision(verdict, RegionTag.XIV, RecursionPair(low, high))
 

@@ -44,6 +44,7 @@ from .errors import (
     ContextMismatch,
     GaborBoxError,
     NumberSyntaxError,
+    OracleInconsistency,
     OutputUnwritable,
     RegionUnsupported,
     UnsupportedRange,
@@ -301,7 +302,7 @@ def _witness_json(w) -> Optional[dict]:
             "low": _decision_json(w.low),
             "high": _decision_json(w.high),
         }
-    return {"kind": "unknown", "repr": repr(w)}
+    raise OracleInconsistency(f"no JSON form for witness {w!r}")
 
 
 def _invariant_set_json(report: Optional[InvariantSetReport]) -> dict:

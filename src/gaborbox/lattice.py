@@ -99,7 +99,7 @@ class PeriodicSet:
     @classmethod
     def make(cls, period: Endpoint, pairs: Iterable[Interval]) -> "PeriodicSet":
         """Canonicalize pairs already lying inside [0, period]."""
-        # empty (or inverted, which callers never produce) pairs drop out
+        # empty and inverted pairs drop out
         kept = [(lo, hi) for lo, hi in pairs if lo < hi]
         kept.sort(key=_start)
         merged: List[Interval] = []
@@ -120,8 +120,8 @@ class PeriodicSet:
         reduced mod period and split at the seam."""
         reduced: List[Interval] = []
         for lo, hi in pairs:
-            if hi <= lo:
-                continue
+            # an empty or inverted pair keeps hi <= lo < period after the
+            # reduction, so it is appended whole and make() drops it
             if hi - lo > period:
                 raise ValueError("interval longer than one period")
             shift = lo // period if type(period) is int else floor_div(lo, period)

@@ -214,7 +214,7 @@ def test_cond_xii_agrees_with_dynamics_sqrt2():
 
 def test_many_survivor_family_counts_windows_in_few_floors(monkeypatch):
     # a = 239/338*sqrt2, b = 1, c = 3 + v*(1 - a): c0 = v*(b - a), so every s
-    # in about [v/4, v/3] survives the cut and pays a window count
+    # in about [v/4, v/3] survives the cut
     a, b = surd_context(2).num(0, F(239, 338)), rat(1)
     calls = 0
     floor_pair = classifier._floor_pair
@@ -232,6 +232,26 @@ def test_many_survivor_family_counts_windows_in_few_floors(monkeypatch):
         d1 = v // 4 - 1
         assert classify(a, b, 3 + v * (1 - a)).witness == IrrationalParams(
             d1=d1, d2=0, m=0, e_count=d1), v
+
+
+def test_xii_search_ends_at_its_first_hit(monkeypatch):
+    # on the many-survivor family the first s the cut keeps, s = v/4, is a
+    # hit: one window count per triple, where about v/12 values of s survive
+    a, b = surd_context(2).num(0, F(239, 338)), rat(1)
+    calls = 0
+    window_count = classifier._window_count
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return window_count(*args)
+
+    monkeypatch.setattr(classifier, "_window_count", counting)
+    for v in (100, 1600, 6400):
+        calls, d1 = 0, v // 4 - 1
+        assert classify(a, b, 3 + v * (1 - a)).witness == IrrationalParams(
+            d1=d1, d2=0, m=0, e_count=d1), v
+        assert calls == 1, (v, calls)
 
 
 def test_floor_sums_stop_at_their_n_1_pass(monkeypatch):

@@ -208,6 +208,20 @@ def test_classify_json_reports_internal_errors(capsys, monkeypatch):
     assert err == "error: invariant set touches the forward absorber\n"
 
 
+def test_witness_without_a_json_form_exits_1(capsys, monkeypatch):
+    # a witness no serializer knows is a bug signal, not a payload
+    from gaborbox import cli
+    from gaborbox.classifier import FrameDecision
+
+    with pytest.raises(OracleInconsistency, match="no JSON form for witness"):
+        cli._witness_json(object())
+    monkeypatch.setattr(cli, "classify_triple",
+                        lambda nt: FrameDecision("NotFrame", RegionTag.I, "odd"))
+    code, out, err = run(capsys, "classify", "--a", "2", "--b", "1", "--c", "1")
+    assert (code, out) == (1, "NotFrame (region I)\n")
+    assert err == "error: no JSON form for witness 'odd'\n"
+
+
 def test_classify_pi_context(capsys):
     code, out, _ = run(
         capsys, "classify", "--a", "pi/4", "--b", "1", "--c", "23-11*pi/2",

@@ -250,6 +250,9 @@ def test_from_wrapped_splits_at_seam():
     s = PeriodicSet.from_wrapped(rat(1), [iv("3/4", "5/4")])
     assert s.intervals == (iv(0, "1/4"), iv("3/4", 1))
     assert len(s.components_cyclic()) == 1  # seam fuses back cyclically
+    # an empty and an inverted pair are reduced like any other, then dropped
+    pairs = [iv("3/4", "5/4"), iv("7/3", "7/3"), iv("5/2", "-1/3")]
+    assert PeriodicSet.from_wrapped(rat(1), pairs) == s
 
 
 def test_from_wrapped_reduces_far_intervals():

@@ -246,3 +246,40 @@ def test_irrational_c_over_a_rational_ratio_matches_reference(ctx):
     for region in ("VI", "VII", "X", "XI", "XIV"):
         assert tally[region, "Frame"] and tally[region, "NotFrame"], (region, tally)
     assert all(tally["case " + case] for case in ("1", "2", "4", "5", "X", "XI")), tally
+
+
+def _off_ratio_draw(ctx, seed, count):
+    """(source region, triple): a = (p/q)*b, b and c = k*b/q tagged X or XI,
+    then a moved off p/q by a sixtieth, a thousandth or a millionth of tau
+    (of 1 when b is irrational), so that c1 lands next to 2a - b or 0."""
+    rng = random.Random(seed)
+    while count:
+        b = rng.choice([rat(F(rng.randint(1, 5), rng.randint(1, 3))),
+                        ctx.num(F(rng.randint(-1, 3), rng.randint(1, 3)),
+                                F(rng.randint(1, 4), rng.randint(1, 3)))])
+        if b.sign() <= 0:
+            continue
+        q = rng.randint(3, 12)
+        a, c = b * F(rng.randint(q // 2 + 1, q - 1), q), b * F(rng.randint(2 * q, 9 * q), q)
+        region = normalize(a, b, c).region
+        if region in (RegionTag.X, RegionTag.XI):
+            count -= 1
+            off = ctx.num(1) if b.x1 else ctx.num(0, 1)
+            yield region, normalize(a + off * F(rng.choice([-1, 1]),
+                                                rng.choice([60, 1000, 10**6])), b, c)
+
+
+@pytest.mark.parametrize("ctx", [SQ2, surd_context(3), PI], ids=["sqrt2", "sqrt3", "pi"])
+def test_irrational_ratio_next_to_x_and_xi_matches_reference(ctx):
+    # the reference walk compares c1 with 2a - b and with 0 on ExactReals,
+    # and its X and XI rules raise on an irrational ratio: on these draws
+    # neither tag is reached, and the decisions match
+    tally = Counter()
+    for seed in (1, 2, 3):
+        for source, nt in _off_ratio_draw(ctx, seed, 100):
+            assert not nt.is_rational, nt
+            got = classify_triple(nt)
+            _same_decision(got, ref.classify_triple(nt), (nt.a, nt.b, nt.c))
+            tally[str(source), str(got.region)] += 1
+    # a moved either way off both tags
+    assert set(tally) == {(x, y) for x in ("X", "XI") for y in ("IX", "XII")}, tally
