@@ -5,7 +5,9 @@ Runs pytest in this process under a `sys.settrace` line tracer (standard
 library only, no coverage package) and prints, file by file, every
 statement of the package that reported no line event, as
 `path:line: source`.  The arguments are pytest's; with none, the default
-run (tests marked slow left out).  A statement counts as run when any of
+run (tests marked slow left out).  Unless they give `--hypothesis-seed`,
+`--hypothesis-seed=0` goes first, so two runs over one tree draw the same
+examples and print the same list.  A statement counts as run when any of
 its own lines ran: a simple statement's whole span, a compound one's
 header up to its body.  Docstrings and `try:` headers run no code of
 their own and are never listed.  Lines that run in a child process, as
@@ -69,6 +71,8 @@ def main(argv) -> int:
         ran.setdefault(name, set())
         return local
 
+    if not any(arg.startswith("--hypothesis-seed") for arg in argv):
+        argv = ["--hypothesis-seed=0", *argv]
     threading.settrace(tracer)
     sys.settrace(tracer)
     try:

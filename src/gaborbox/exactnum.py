@@ -377,6 +377,8 @@ class ExactReal:
         return _interval(self.ctx, self.x0, self.x1)
 
     def __float__(self):
+        if not self.x1:  # the enclosure would be [x0, x0], whose midpoint is x0
+            return float(self.x0)
         lo, hi = self.interval()
         return float((lo + hi) / 2)
 

@@ -4,8 +4,10 @@ Two oracles live here.  The finite-grid oracle works entirely in integer
 arithmetic: for a rational density a/b = p/q and c on the b/q-grid, both
 dynamics and the derived sets are determined by the p residues
 {0, b/q, ..., (p-1)b/q} mod a.  S is every residue whose forward orbits avoid
-both absorbing intervals, so one search back from each absorber finds its
-complement.  The numeric oracle estimates extreme
+both absorbing intervals.  Off its absorber each map is one-to-one, which the
+oracle checks for itself, so one walk back from each absorber index finds
+every index that enters it, and S is what no walk reaches.  The numeric
+oracle estimates extreme
 singular values of a truncated 0/1 translation matrix and is a trend-only
 diagnostic.
 
@@ -16,22 +18,28 @@ map definitions themselves, which is what makes the cross-check meaningful.
 from __future__ import annotations
 
 import math
+from array import array
 from fractions import Fraction
-from typing import FrozenSet, NamedTuple, Optional, Set, Tuple
+from typing import FrozenSet, NamedTuple, Optional, Tuple
 
 from .dynsys import compute_D, compute_S, maps_defined, measure_identity
 from .errors import BadTruncation, OracleInconsistency, RegionUnsupported
-from .exactnum import ExactReal
-from .lattice import NormalizedTriple, RegionTag, grid_value
+from .lattice import NormalizedTriple, RegionTag
+
+
+# (first index, count, shift): a run of indices, counted on cyclically, that
+# a grid map translates by the shift mod p
+Move = Tuple[int, int, int]
 
 
 class GridModel(NamedTuple):
     """Integer shadow of an on-grid rational triple.
 
-    Indices j = 0..p-1 stand for the residues j*(b/q) mod a.  The forward map
-    adds f*q or (f+1)*q mod p depending on the branch; the absorbing interval
-    of the forward map is [j0-(q-p), j0) and that of the backward map is the
-    cyclic [j1, j1+(q-p)).
+    Indices j = 0..p-1 stand for the residues j*(b/q) mod a.  Each map adds
+    f*q or (f+1)*q mod p (the backward map subtracts them) on a run of
+    indices, and fixes the q-p indices between its two runs: its absorbing
+    interval, [j0-(q-p), j0) for the forward map and the cyclic
+    [j1, j1+(q-p)) for the backward one, where j1 = e+p-j0 mod p.
     """
 
     nt: NormalizedTriple
@@ -46,32 +54,16 @@ class GridModel(NamedTuple):
     def hole_len(self) -> int:
         return self.q - self.p
 
-    def point(self, j: int) -> ExactReal:
-        """Real residue represented by index j, i.e. j*(b/q) for j in [0, p)."""
-        return grid_value(self.nt.b, j % self.p, self.q)
+    def forward_moves(self) -> Tuple[Move, Move]:
+        """(f+1)*q on [0, j0-(q-p)) and f*q on [j0, p)."""
+        p, q, f, j0 = self.p, self.q, self.f, self.j0
+        return (0, j0 - (q - p), (f + 1) * q), (j0, p - j0, f * q)
 
-    def bh_forward(self) -> FrozenSet[int]:
-        return frozenset(range(self.j0 - self.hole_len, self.j0))
-
-    def bh_backward(self) -> FrozenSet[int]:
-        return frozenset((self.j1 + i) % self.p for i in range(self.hole_len))
-
-    def step_forward(self, j: int) -> int:
-        j %= self.p
-        if j < self.j0 - self.hole_len:
-            return (j + (self.f + 1) * self.q) % self.p
-        if j < self.j0:
-            return j
-        return (j + self.f * self.q) % self.p
-
-    def step_backward(self, j: int) -> int:
-        j %= self.p
-        rel = (j - self.e) % self.p
-        if rel < self.p - self.j0:
-            return (j - self.f * self.q) % self.p
-        if rel < self.p - self.j0 + self.hole_len:
-            return j
-        return (j - (self.f + 1) * self.q) % self.p
+    def backward_moves(self) -> Tuple[Move, Move]:
+        """-f*q on the p-j0 indices from e, and -(f+1)*q on the j0-(q-p)
+        from e+q-j0, both counted on cyclically."""
+        p, q, f, j0, e = self.p, self.q, self.f, self.j0, self.e
+        return (e, p - j0, -f * q), (e + q - j0, j0 - (q - p), -(f + 1) * q)
 
 
 def build_grid_model(nt: NormalizedTriple) -> GridModel:
@@ -93,40 +85,88 @@ def build_grid_model(nt: NormalizedTriple) -> GridModel:
     return GridModel(nt, p, q, f, j0, j1, e)
 
 
-def _reaching(gm: GridModel, step, absorber: FrozenSet[int]) -> Set[int]:
-    """Indices whose forward orbits under `step` enter `absorber`, found by one
-    search back from the absorber along the preimages of each index."""
-    preimages = [[] for _ in range(gm.p)]
-    for j in range(gm.p):
-        preimages[step(j)].append(j)
-    reached, todo = set(absorber), list(absorber)
-    while todo:  # each index has its preimages listed once, so `new` has no repeats
-        new = [i for i in preimages[todo.pop()] if i not in reached]
-        reached.update(new)
-        todo += new
+def _pieces(lo: int, n: int, shift: int, p: int):
+    """The run of n indices from lo, moved by shift, cut where its sources or
+    its targets wrap past p - 1: (first target, first source, count) of each piece."""
+    source, target = lo % p, (lo + shift) % p
+    while n > 0:
+        k = min(n, p - source, p - target)
+        yield target, source, k
+        source, target, n = (source + k) % p, (target + k) % p, n - k
+
+
+def _reaching(gm: GridModel, moves: Tuple[Move, ...], start: int) -> bytearray:
+    """Flags of the indices whose forward orbits under the map with these
+    moves enter its absorber, the hole_len indices from `start` on
+    (cyclically), found by one walk back from each absorber index.
+
+    Off its absorber each map is one-to-one, so an index has at most one
+    preimage besides itself; a second one raises OracleInconsistency.
+    """
+    p = gm.p
+    preimage = array("q", [-1]) * p
+    for lo, n, shift in moves:
+        for target, source, k in _pieces(lo, n, shift, p):
+            preimage[target:target + k] = array("q", range(source, source + k))
+    moved, hit = sum(n for _, n, _ in moves), p - preimage.count(-1)
+    if hit < moved:
+        raise OracleInconsistency(
+            f"a grid map moves {moved} indices onto {hit}: an index has two preimages")
+    reached = bytearray(p)
+    for k in range(gm.hole_len):
+        i = (start + k) % p
+        while i >= 0 and not reached[i]:
+            reached[i] = 1
+            i = preimage[i]
     return reached
+
+
+_NOT = bytes([1, 0]) + bytes(254)  # flips a 0/1 flag
+
+
+def _S_flags(gm: GridModel) -> bytearray:
+    """Flags of the indices whose forward orbits under both maps avoid the absorbers."""
+    # one byte per index, so the bitwise or of the integers is the flags' or
+    left = (int.from_bytes(_reaching(gm, gm.forward_moves(), gm.j0 - gm.hole_len), "little")
+            | int.from_bytes(_reaching(gm, gm.backward_moves(), gm.j1), "little"))
+    return bytearray(left.to_bytes(gm.p, "little").translate(_NOT))
+
+
+def _D_flags(gm: GridModel, S: bytearray) -> bytearray:
+    """Flags of the solvability-two set, from the flags of S by shifts and intersections."""
+    p, q, f = gm.p, gm.q, gm.f
+
+    def shifted(k: int) -> int:  # the flags of S - k*b: index j holds S's j + k*q
+        r = k * q % p
+        return int.from_bytes(S[r:] + S[:r], "little")
+
+    low = gm.j0 - gm.hole_len  # [0, c0+a-b) is [0, low)
+    # j in S with j + f*b in S below low, or j + k*b in S for some 0 < k < f
+    D = int.from_bytes(bytes([1]) * low, "little") & shifted(f)
+    for k in range(1, f):
+        D |= shifted(k)
+    D &= int.from_bytes(S, "little")
+    return bytearray(D.to_bytes(p, "little"))
+
+
+def _indices(flags: bytearray) -> FrozenSet[int]:
+    return frozenset(j for j, flag in enumerate(flags) if flag)
 
 
 def grid_S(gm: GridModel) -> FrozenSet[int]:
     """Indices whose forward orbits under both maps avoid the absorbers."""
-    return frozenset(range(gm.p)).difference(
-        _reaching(gm, gm.step_forward, gm.bh_forward()),
-        _reaching(gm, gm.step_backward, gm.bh_backward()),
-    )
+    return _indices(_S_flags(gm))
 
 
 def grid_D(gm: GridModel, S: Optional[FrozenSet[int]] = None) -> FrozenSet[int]:
     """The solvability-two set, from S by shifts and intersections."""
     if S is None:
-        S = grid_S(gm)
-    p, q, f = gm.p, gm.q, gm.f
-    low = gm.j0 - gm.hole_len  # [0, c0+a-b) is [0, low)
-    # j with j + f*b in S below low, or j + k*b in S for some 0 < k < f
-    return frozenset(
-        j for j in S
-        if (j < low and (j + f * q) % p in S)
-        or any((j + k * q) % p in S for k in range(1, f))
-    )
+        flags = _S_flags(gm)
+    else:
+        flags = bytearray(gm.p)
+        for j in S:
+            flags[j] = 1
+    return _indices(_D_flags(gm, flags))
 
 
 def grid_frame_decision(nt: NormalizedTriple) -> str:
@@ -137,7 +177,8 @@ def grid_frame_decision(nt: NormalizedTriple) -> str:
     XIII, XII excluded) have this route; every other triple raises
     RegionUnsupported.
     """
-    return "Frame" if not grid_D(build_grid_model(nt)) else "NotFrame"
+    gm = build_grid_model(nt)
+    return "NotFrame" if 1 in _D_flags(gm, _S_flags(gm)) else "Frame"
 
 
 # Extreme singular values below this are machine noise from an exactly
@@ -224,7 +265,8 @@ def _phase_sampled_extremes(np, p: int, q: int, a: float, b: float, c: float,
     Entry (m, r) of the symbol at phase theta sums exp(i*theta*j) over the j
     with chi(t - m*a + (r + p*j)*b) = 1.  All t samples, rows, j and columns
     go into one indicator block, one einsum over j makes the stack of symbols
-    and one stacked SVD takes their singular values.
+    and one stacked SVD takes their singular values, once for each run of t
+    samples with equal blocks.
     """
     n_phases = max(1, round((2 * half_width + 1) / q))
     # Row m's hits lie in floor((-base - (p-1)*b)/(p*b)) - 1 <= j <=
@@ -247,6 +289,11 @@ def _phase_sampled_extremes(np, p: int, q: int, a: float, b: float, c: float,
     j = np.arange(j_lo, j_hi + 1)
     x = base[:, :, None, None] + (np.arange(p) + p * j[:, None]) * b  # (t, m, j, r)
     hits = (0.0 <= x) & (x < c)
+    # a t sample whose block repeats the one before has the same symbols, so
+    # dropping it leaves every singular value as it was, bit for bit
+    fresh = np.ones(t_samples, dtype=bool)
+    fresh[1:] = (hits[1:] != hits[:-1]).any(axis=(1, 2, 3))
+    hits = hits[fresh]
     theta = 2.0 * np.pi * np.arange(n_phases) / n_phases
     phases = np.exp(1j * np.multiply.outer(theta, j))  # (k, j)
     symbols = np.einsum("tmjr,kj->tkmr", hits, phases)

@@ -23,18 +23,26 @@ gcd, and tested the d3 range and the delta limits only after it; it counts
 through this module's `_window_count`, the live floor-sum count, so a test
 can tally its counts.  `_orbit_avoids`, `grid_S` and `grid_D` are the
 grid oracle that walked each residue's orbit from scratch and built a set over
-all p indices for every shift of S.  They are copied unchanged from the code
-they replaced (two names differ), `xii_result` aside; the differential tests in
+all p indices for every shift of S; `_reaching_lists`, `grid_S_lists` and
+`grid_D_lists` are the one that came after it, which listed every preimage of
+each index in a Python list and held S and D as frozensets.  Both step one
+index at a time with `step_forward` and `step_backward` and read the
+absorbers from `bh_forward` and `bh_backward`; these, and `point`, were
+methods of `GridModel`, taken out when the live oracle came to read each map
+as runs of translated indices.  The scans are copied unchanged from the code
+they replaced (five names differ, and the model's former methods are called
+as functions), `xii_result` aside; the differential tests in
 `test_reference_scan.py` hold the faster paths to their output.
 """
 
 from fractions import Fraction
+from functools import partial
 from math import gcd
-from typing import FrozenSet, List, Optional, Tuple
+from typing import FrozenSet, List, Optional, Set, Tuple
 
 from gaborbox.classifier import IrrationalParams, RationalParams, _divisors_above, _window_count
 from gaborbox.errors import OracleInconsistency, RegionUnsupported
-from gaborbox.exactnum import NumberContext, _floor_pair, _sign, floor_div, mod, rat
+from gaborbox.exactnum import ExactReal, NumberContext, _floor_pair, _sign, floor_div, mod, rat
 from gaborbox.lattice import (
     Interval,
     NormalizedTriple,
@@ -484,6 +492,38 @@ def minus(self: PeriodicSet, other: PeriodicSet) -> PeriodicSet:
 # ---------------------------------------------------------------------------
 
 
+def point(gm: GridModel, j: int) -> ExactReal:
+    """Real residue represented by index j, i.e. j*(b/q) for j in [0, p)."""
+    return grid_value(gm.nt.b, j % gm.p, gm.q)
+
+
+def bh_forward(gm: GridModel) -> FrozenSet[int]:
+    return frozenset(range(gm.j0 - gm.hole_len, gm.j0))
+
+
+def bh_backward(gm: GridModel) -> FrozenSet[int]:
+    return frozenset((gm.j1 + i) % gm.p for i in range(gm.hole_len))
+
+
+def step_forward(gm: GridModel, j: int) -> int:
+    j %= gm.p
+    if j < gm.j0 - gm.hole_len:
+        return (j + (gm.f + 1) * gm.q) % gm.p
+    if j < gm.j0:
+        return j
+    return (j + gm.f * gm.q) % gm.p
+
+
+def step_backward(gm: GridModel, j: int) -> int:
+    j %= gm.p
+    rel = (j - gm.e) % gm.p
+    if rel < gm.p - gm.j0:
+        return (j - gm.f * gm.q) % gm.p
+    if rel < gm.p - gm.j0 + gm.hole_len:
+        return j
+    return (j - (gm.f + 1) * gm.q) % gm.p
+
+
 def _orbit_avoids(gm: GridModel, start: int, step, forbidden: FrozenSet[int]) -> bool:
     seen = set()
     j = start % gm.p
@@ -497,12 +537,12 @@ def _orbit_avoids(gm: GridModel, start: int, step, forbidden: FrozenSet[int]) ->
 
 def grid_S(gm: GridModel) -> FrozenSet[int]:
     """Indices whose forward orbits under both maps avoid the absorbers."""
-    bh_f = gm.bh_forward()
-    bh_b = gm.bh_backward()
+    bh_f = bh_forward(gm)
+    bh_b = bh_backward(gm)
     out = set()
     for j in range(gm.p):
-        if _orbit_avoids(gm, j, gm.step_forward, bh_f) and _orbit_avoids(
-            gm, j, gm.step_backward, bh_b
+        if _orbit_avoids(gm, j, partial(step_forward, gm), bh_f) and _orbit_avoids(
+            gm, j, partial(step_backward, gm), bh_b
         ):
             out.add(j)
     return frozenset(out)
@@ -520,3 +560,39 @@ def grid_D(gm: GridModel, S: Optional[FrozenSet[int]] = None) -> FrozenSet[int]:
         shift_k = {j for j in range(p) if (j + k * q) % p in S}  # S - k*b
         out |= S & shift_k
     return frozenset(out)
+
+
+def _reaching_lists(gm: GridModel, step, absorber: FrozenSet[int]) -> Set[int]:
+    """Indices whose forward orbits under `step` enter `absorber`, found by one
+    search back from the absorber along the preimages of each index."""
+    preimages = [[] for _ in range(gm.p)]
+    for j in range(gm.p):
+        preimages[step(j)].append(j)
+    reached, todo = set(absorber), list(absorber)
+    while todo:  # each index has its preimages listed once, so `new` has no repeats
+        new = [i for i in preimages[todo.pop()] if i not in reached]
+        reached.update(new)
+        todo += new
+    return reached
+
+
+def grid_S_lists(gm: GridModel) -> FrozenSet[int]:
+    """Indices whose forward orbits under both maps avoid the absorbers."""
+    return frozenset(range(gm.p)).difference(
+        _reaching_lists(gm, partial(step_forward, gm), bh_forward(gm)),
+        _reaching_lists(gm, partial(step_backward, gm), bh_backward(gm)),
+    )
+
+
+def grid_D_lists(gm: GridModel, S: Optional[FrozenSet[int]] = None) -> FrozenSet[int]:
+    """The solvability-two set, from S by shifts and intersections."""
+    if S is None:
+        S = grid_S_lists(gm)
+    p, q, f = gm.p, gm.q, gm.f
+    low = gm.j0 - gm.hole_len  # [0, c0+a-b) is [0, low)
+    # j with j + f*b in S below low, or j + k*b in S for some 0 < k < f
+    return frozenset(
+        j for j in S
+        if (j < low and (j + f * q) % p in S)
+        or any((j + k * q) % p in S for k in range(1, f))
+    )

@@ -77,6 +77,9 @@ def test_syntax_errors_carry_columns():
         parse_number("pi+sqrt(2)", PI)
     with pytest.raises(NumberSyntaxError):
         parse_number("3 4", RATIONAL)
+    with pytest.raises(NumberSyntaxError, match=r"^expected a number, 'pi' or 'sqrt\(\.\.\.\)'") as e:
+        parse_number("1+*2", RATIONAL)  # an operator where an atom belongs
+    assert e.value.column == 3
 
 
 def test_context_mismatch_messages_point_to_flag():
@@ -86,8 +89,10 @@ def test_context_mismatch_messages_point_to_flag():
     with pytest.raises(ContextMismatch) as e:
         parse_number("sqrt(12)", RATIONAL)  # reduces to 2*sqrt(3)
     assert "--context sqrt:3" in str(e.value)
-    with pytest.raises(ContextMismatch):
+    with pytest.raises(ContextMismatch, match=r"\(current: sqrt:3\)$"):
         parse_number("sqrt(2)", SQ3)
+    with pytest.raises(ContextMismatch, match=r"--context sqrt:2 \(current: pi\)$"):
+        parse_number("sqrt(2)", PI)
 
 
 def test_parse_context():
@@ -256,6 +261,19 @@ def test_invariant_set_text_empty(capsys):
     code, out, _ = run(capsys, "invariant-set", "--a", "7/9", "--b", "1", "--c", "7/2")
     assert code == 0
     assert "S is empty" in out
+
+
+def test_invariant_set_text_names_cyclic_marks_and_rational_extras(capsys):
+    code, out, _ = run(capsys, "invariant-set", "--a", "13/17", "--b", "1", "--c", "77/17")
+    assert code == 0
+    assert out.splitlines()[:6] == [
+        "region XIII",
+        "S = [2/17, 3/17) [9/17, 10/17) [12/17, 13/17)  (mod 13/17)",
+        "measure Ya = 3/17",
+        "theta = 1/17",
+        "marks: cyclic group, generator 1/17, order 3",
+        "gaps: N1=0 N2=2 delta=2/17 delta'=0 h=1/17",
+    ]
 
 
 def test_invariant_set_text_lists_finite_marks(capsys):

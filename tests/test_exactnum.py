@@ -310,3 +310,21 @@ def test_render_roundtrips_common_shapes():
 
 def test_float_conversion_close():
     assert abs(float(PI.num(0, F(1, 4))) - 0.7853981633974483) < 1e-15
+
+
+def test_float_of_a_rational_value_reads_x0_without_an_enclosure(monkeypatch):
+    # values with no tau part, in every context, skip the enclosure: it is
+    # [x0, x0], whose midpoint is x0
+    values = [rat(F(13, 17)), rat(F(-1, 3)), rat(0), PI.num(F(7, 2)),
+              SQRT2.num(F(-5, 9)), surd_context(3).num(10**20 + 1)]
+    assert [v.interval() for v in values] == [(v.x0, v.x0) for v in values]
+    monkeypatch.setattr(exactnum, "_interval", lambda *args: pytest.fail("enclosure built"))
+    assert [float(v) for v in values] == [float(v.x0) for v in values]
+
+
+def test_float_of_an_irrational_value_is_its_enclosure_midpoint():
+    SQRT3 = surd_context(3)
+    for v in (PI.num(0, F(1, 4)), PI.num(23, F(-11, 2)), SQRT3.num(F(1, 2), F(-7, 3)),
+              SQRT3.num(0, F(15, 2)), SQRT2.num(1, 1)):
+        lo, hi = v.interval()
+        assert float(v) == float((lo + hi) / 2)

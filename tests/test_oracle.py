@@ -10,11 +10,12 @@ from pathlib import Path
 import pytest
 
 from gaborbox import classify, compute_D, compute_S, normalize, rat
-from gaborbox.errors import BadTruncation, RegionUnsupported
+from gaborbox.errors import BadTruncation, OracleInconsistency, RegionUnsupported
 from gaborbox.exactnum import mod, pi_context, surd_context
 from gaborbox.lattice import PeriodicSet, RegionTag
 from gaborbox.dynsys import apply_R, apply_Rt
 from gaborbox.oracle import (
+    GridModel,
     build_grid_model,
     grid_D,
     grid_frame_decision,
@@ -23,6 +24,7 @@ from gaborbox.oracle import (
     on_grid_survey,
     triple_pipeline_check,
 )
+from reference_scan import bh_backward, bh_forward, point, step_backward, step_forward
 
 PI = pi_context()
 
@@ -42,7 +44,7 @@ def lift(gm, indices):
     """Indices -> union of cells [j b/q, (j+1) b/q) as a period-a set."""
     step = gm.nt.b * F(1, gm.q)
     return PeriodicSet.make(
-        gm.nt.a, [(gm.point(j), gm.point(j) + step) for j in sorted(indices)]
+        gm.nt.a, [(point(gm, j), point(gm, j) + step) for j in sorted(indices)]
     )
 
 
@@ -53,7 +55,7 @@ def test_grid_model_fields():
     assert (gm.p, gm.q, gm.f) == (13, 17, 4)
     assert (gm.j0, gm.j1, gm.e) == (9, 3, 12)
     assert gm.hole_len == 4
-    assert gm.point(4) == rat(F(4, 17))
+    assert point(gm, 4) == rat(F(4, 17))
 
 
 def test_grid_model_rejections():
@@ -70,22 +72,33 @@ def test_grid_model_rejections():
 def test_absorbers_mirror_continuous_black_holes():
     gm = build_grid_model(NT77)
     # forward absorber [c0+a-b, c0) = [5/17, 9/17) -> indices 5..8
-    assert gm.bh_forward() == frozenset({5, 6, 7, 8})
+    assert bh_forward(gm) == frozenset({5, 6, 7, 8})
     # backward absorber [c1, c1+b-a) = [3/17, 7/17) -> indices 3..6
-    assert gm.bh_backward() == frozenset({3, 4, 5, 6})
+    assert bh_backward(gm) == frozenset({3, 4, 5, 6})
 
 
-# -- step functions agree with the exact maps ---------------------------------------
+# -- the maps' steps agree with the exact maps --------------------------------------
+
+def image(gm, moves, j):
+    """Index j moved by the run that holds it, or j itself in none."""
+    for lo, n, shift in moves:
+        if (j - lo) % gm.p < n:
+            return (j + shift) % gm.p
+    return j
+
 
 def test_steps_shadow_exact_maps():
     for nt in (NT77, NT75, NT23_7, nt_of("4/5", 1, "17/5"), nt_of("4/5", 1, "23/5")):
         gm = build_grid_model(nt)
+        forward, backward = gm.forward_moves(), gm.backward_moves()
         for j in range(gm.p):
-            t = gm.point(j)
-            fwd = mod(apply_R(t, nt), nt.a)
-            assert fwd == gm.point(gm.step_forward(j)), (nt, j)
-            bwd = mod(apply_Rt(t, nt), nt.a)
-            assert bwd == gm.point(gm.step_backward(j)), (nt, j)
+            t = point(gm, j)
+            fwd = image(gm, forward, j)
+            assert mod(apply_R(t, nt), nt.a) == point(gm, fwd), (nt, j)
+            bwd = image(gm, backward, j)
+            assert mod(apply_Rt(t, nt), nt.a) == point(gm, bwd), (nt, j)
+            # the steps the reference oracles take, one index at a time
+            assert (fwd, bwd) == (step_forward(gm, j), step_backward(gm, j)), (nt, j)
 
 
 # -- S and D through the integer route ----------------------------------------------
@@ -101,6 +114,18 @@ def test_grid_D_lifts_to_exact_D():
         gm = build_grid_model(nt)
         S = compute_S(nt).S
         assert lift(gm, grid_D(gm)) == compute_D(nt, S), nt
+
+
+def test_a_second_preimage_raises():
+    # q < p in a hand-built model: the forward map's runs, moved by (f+1)*q
+    # and by f*q, take 11 + 4 of the 13 indices, and both land on index 3,
+    # from j = 0 and from j = 11
+    gm = GridModel(NT77, 13, 11, 4, 9, 3, 12)
+    first, last = gm.forward_moves()
+    assert image(gm, [first], 0) == image(gm, [last], 11) == 3
+    with pytest.raises(OracleInconsistency,
+                       match="^a grid map moves 15 indices onto 13: an index has two preimages$"):
+        grid_S(gm)
 
 
 def test_grid_verdicts_on_fixtures():

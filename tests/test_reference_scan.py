@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import reference_scan as ref
 from gaborbox import classifier
 from gaborbox.classifier import _search_obstruction_irrational, _window_count, _xiii_candidates
+from gaborbox.dynsys import maps_defined
 from gaborbox.exactnum import (
     RATIONAL,
     _floor_pair,
@@ -25,7 +26,15 @@ from gaborbox.exactnum import (
     surd_context,
 )
 from gaborbox.lattice import PeriodicSet, RegionTag, normalize, region_tag
-from gaborbox.oracle import build_grid_model, grid_D, grid_S, on_grid_survey
+from gaborbox.oracle import (
+    _D_flags,
+    _S_flags,
+    build_grid_model,
+    grid_D,
+    grid_frame_decision,
+    grid_S,
+    on_grid_survey,
+)
 
 
 # -- certificate searches -----------------------------------------------------------
@@ -405,19 +414,32 @@ def _xiii_pool_triples():
             yield normalize(rat(F(p, p + 4)), rat(1), rat(F(k, p + 4)))
 
 
-def _check_grid_oracle(triples):
-    """Hold grid_S and grid_D to the per-residue walk; returns what the inputs
-    covered: a backward absorber across the seam, empty and nonempty S and D."""
+def _flags(p, indices):
+    out = bytearray(p)
+    for j in indices:
+        out[j] = 1
+    return out
+
+
+def _check_grid_oracle(triples, walk=True):
+    """Hold the flags of S and D, index by index, to the list-of-preimages
+    oracle and, with `walk`, that to the per-residue walk; returns what the
+    inputs covered: a backward absorber across the seam, empty and nonempty
+    S and D."""
     kinds = set()
     count = 0
     for nt in triples:
         gm = build_grid_model(nt)
-        S = grid_S(gm)
-        assert S == ref.grid_S(gm), (nt.a, nt.b, nt.c)
-        D = grid_D(gm, S)
-        assert D == ref.grid_D(gm, S) == grid_D(gm), (nt.a, nt.b, nt.c)
+        S, S_ref = _S_flags(gm), ref.grid_S_lists(gm)
+        assert S == _flags(gm.p, S_ref), (nt.a, nt.b, nt.c)
+        D, D_ref = _D_flags(gm, S), ref.grid_D_lists(gm, S_ref)
+        assert D == _flags(gm.p, D_ref), (nt.a, nt.b, nt.c)
+        if walk:
+            assert S_ref == ref.grid_S(gm) and D_ref == ref.grid_D(gm, S_ref), (nt.a, nt.b, nt.c)
+        assert grid_S(gm) == S_ref and grid_D(gm) == grid_D(gm, S_ref) == D_ref
+        assert grid_frame_decision(nt) == ("NotFrame" if D_ref else "Frame")
         count += 1
-        kinds |= {"S" if S else "no S", "D" if D else "no D"}
+        kinds |= {"S" if S_ref else "no S", "D" if D_ref else "no D"}
         if gm.j1 + gm.hole_len > gm.p:
             kinds.add("seam")
     return count, kinds
@@ -448,6 +470,37 @@ def test_grid_oracle_matches_walk_at_p_1999_and_4999():
         normalize(rat(F(p, p + 1)), rat(1), rat(F(k, p + 1))) for p, k in rungs)
     assert count == 7
     assert kinds == ALL_KINDS - {"seam"}  # a one-index absorber never crosses it
+
+
+@pytest.mark.slow
+def test_grid_oracle_matches_walk_q_le_24():
+    count, kinds = _check_grid_oracle(
+        on_grid_survey(24, 1, 8, regions=GRID_REGIONS))
+    assert count == 4431
+    assert kinds == ALL_KINDS
+
+
+def _grid_draw(seed, count):
+    """On-grid triples a = p/q, b = 1, c = k/q in (1, 8) that have the grid
+    route, with p up to 10**5 drawn log-uniformly and q - p in {1, 2, 3, 7}
+    or up to p/2."""
+    rng = random.Random(seed)
+    while count:
+        p = int(10 ** rng.uniform(1, 5))
+        q = p + rng.choice((1, 2, 3, 7, rng.randint(1, p // 2)))
+        if gcd(p, q) != 1:
+            continue
+        nt = normalize(rat(F(p, q)), rat(1), rat(F(rng.randint(q + 1, 8 * q - 1), q)))
+        if nt.c_on_grid and maps_defined(nt):  # as build_grid_model asks
+            count -= 1
+            yield nt
+
+
+@pytest.mark.slow
+def test_grid_oracle_matches_lists_on_seeded_draws_up_to_p_1e5():
+    count, kinds = _check_grid_oracle(_grid_draw(seed=2, count=60), walk=False)
+    assert count == 60
+    assert kinds == ALL_KINDS
 
 
 # -- PeriodicSet algebra ------------------------------------------------------------

@@ -84,3 +84,14 @@ def test_rational_p_9999_agrees_with_grid_oracle(k):
     nt = normalize(a, b, c)
     assert nt.region is RegionTag.XIII
     assert classify(a, b, c).verdict == grid_frame_decision(nt)
+
+
+@pytest.mark.parametrize("k, verdict", [(3500001, "Frame"), (3500003, "NotFrame")])
+def test_three_routes_agree_at_p_999999(k, verdict):
+    # a = 999999/10**6: the grid oracle walks back over 999,999 indices per map
+    a, b, c = rat(F(999999, 10**6)), rat(1), rat(F(k, 10**6))
+    nt = normalize(a, b, c)
+    assert nt.region is RegionTag.XIII
+    S = compute_S(nt).S
+    dyn = "Frame" if S.is_empty or measure_identity(nt, S) else "NotFrame"
+    assert classify(a, b, c).verdict == dyn == grid_frame_decision(nt) == verdict

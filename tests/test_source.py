@@ -34,8 +34,8 @@ def test_package_compares_instead_of_taking_signs_of_differences():
     assert found == []
 
 
-GRID_ORACLE = ("GridModel", "build_grid_model", "_reaching", "grid_S", "grid_D",
-               "grid_frame_decision")
+GRID_ORACLE = ("GridModel", "build_grid_model", "_pieces", "_reaching", "_S_flags", "_D_flags",
+               "_indices", "grid_S", "grid_D", "grid_frame_decision")
 
 
 def _classifier_names():
