@@ -244,11 +244,6 @@ def _search_obstruction_irrational(
     return None, False
 
 
-def cond_XII(nt: NormalizedTriple) -> Optional[IrrationalParams]:
-    """NotFrame witness on the irrational generic region, if any."""
-    return _search_obstruction_irrational(nt)[0]
-
-
 # ---------------------------------------------------------------------------
 # rational ratio with c on the grid
 # ---------------------------------------------------------------------------
@@ -403,11 +398,6 @@ def _xiii_search(nt: NormalizedTriple) -> Tuple[Optional[RationalParams], bool]:
     return None, found
 
 
-def cond_XIII(nt: NormalizedTriple) -> Optional[RationalParams]:
-    """NotFrame witness on the rational on-grid generic region, if any."""
-    return _xiii_search(nt)[0]
-
-
 def classify_with_S_existence(nt: NormalizedTriple) -> Tuple[FrameDecision, Optional[bool]]:
     """The decision and whether a nonempty invariant set exists (None where
     no closed form says): one search gives both on XII and on XIII, the
@@ -420,15 +410,6 @@ def classify_with_S_existence(nt: NormalizedTriple) -> Tuple[FrameDecision, Opti
     else:
         return _DECIDE[tag](nt), _S_NONEMPTY.get(tag)
     return (_not_frame(tag, w) if w is not None else _frame(tag)), nonempty
-
-
-def characterize_S_nonempty(nt: NormalizedTriple) -> bool:
-    """Does a nonempty invariant set exist?  Answered from the closed-form
-    characterizations, independently of the propagation construction."""
-    nonempty = classify_with_S_existence(nt)[1]
-    if nonempty is None:
-        raise RegionUnsupported(f"no invariant-set characterization on region {nt.region}")
-    return nonempty
 
 
 # ---------------------------------------------------------------------------

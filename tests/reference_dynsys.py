@@ -1,22 +1,32 @@
-"""The hole propagations, the surgery report, the derived set and the
-measure identity that the live code replaced, kept as a test oracle.
+"""The hole propagations, the surgery report, the derived set, the measure
+identity and the ergodic average that the live code replaced, kept as test
+oracles.  Each job keeps the simplest transcription (first) and, for the
+marches, the live march's parent (second):
 
-`_propagate_rational` runs the XIII march on ExactReal PeriodicSets;
-`_propagate_irrational` shifts each XII hole as a PeriodicSet and tests it
-against a growing covered set and stops at a step cap; `surgery_report`
-builds every cyclic mark point up front, so `Marks` stores them, and its
-`InvariantSetReport` stores the chain, which the live report builds when read.
-`surgery_report`, `_rational_extras`, `compute_D` and the measure identity
-work on ExactReal endpoints only, where the live ones work on a rational S in
-integer grid units.  `_propagate_irrational_on_reals` is the single-hole XII
-march on ExactReal starts, with its shifts taken by `mod`, and
-`_propagate_rational_on_sets` the XIII march on integer PeriodicSets, one set
-per operation; the live marches run on integer pairs over one denominator
-and on bare interval tuples.  `birkhoff_average` steps its orbit by
-`apply_R` and reduces the image mod a again, where the live loop steps the
-reduced point by shifts taken mod a once.  Every function here is copied
-unchanged from the code it replaced (only the imports and those two names
-differ); the differential tests in `test_reference_dynsys.py` hold the live code to it.
+    job            reference                       tests (test_reference_dynsys.py)
+    XIII march     _propagate_rational             test_*reports_match*, through compute_S
+                   _propagate_rational_on_sets     test_xiii_march_matches_q_le_16,
+                                                   test_certificate_pool_marches_match,
+                                                   test_large_p_S_and_chain_match_*
+    XII march      _propagate_irrational           test_*reports_match*, through compute_S
+                   _propagate_irrational_on_reals  test_xii_march_matches_*,
+                                                   test_certificate_pool_marches_match,
+                                                   test_pi_precision_exhaustion_*
+    reports        compute_S, surgery_report,      test_*reports_match*, test_*stages*,
+                   compute_D, measure_identity     test_off_grid_S_takes_the_reals_path
+    Birkhoff mean  birkhoff_average                test_birkhoff_average_matches_*
+
+`_propagate_rational` runs the XIII march on ExactReal PeriodicSets and
+`_propagate_irrational` shifts each XII hole as a PeriodicSet against a
+growing covered set, up to a step cap; `_propagate_rational_on_sets` runs
+the XIII march on integer PeriodicSets, one set per operation, and
+`_propagate_irrational_on_reals` the single-hole XII march on ExactReal
+starts, shifted by `mod`.  `surgery_report` builds every cyclic mark point
+up front and its `InvariantSetReport` stores the chain; it,
+`_rational_extras`, `compute_D` and the measure identity work on ExactReal
+endpoints only.  `birkhoff_average` steps its orbit by `apply_R` and
+reduces the image mod a again.  Every function here is copied unchanged
+from the code it replaced, but for the imports and two names.
 """
 
 from __future__ import annotations

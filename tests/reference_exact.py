@@ -1,16 +1,20 @@
 """The exact-number core that the `__slots__` ExactReal replaced, kept as a
-test oracle.
+test oracle: the simplest transcription of the number core, and of the
+normalization and region walk on it.
+
+    job             references                  tests (test_reference_exact.py)
+    exact numbers   ExactReal, rat, floor_div,  test_*_operations_match_old_core,
+                    mod, _sign                  test_pi_sign_*, test_floor_div_near_*
+    normalize and   normalize, region_tag       test_normalize_and_region_tag_*
+    region walk     reference_shapes.normalize  test_form_matches_two_shapes_*
 
 `ExactReal` is the frozen-dataclass value class with its arithmetic,
-comparisons and rendering; `rat`, `floor_div` and `mod` are the helpers that
-build and reduce it; `NormalizedTriple` is the eight-field triple without the
-region field (whose construction would walk the diagram with `_cmp`, which
-these values lack); `normalize` and `region_tag` are the diagram walk that
-took signs of differences; `_sign` and `_interval` are the sign of
-n0/d0 + (n1/d1)*tau that read the pi enclosure through `Fraction` interval
-arithmetic.  They are copied unchanged from the code they replaced (only the
-imports differ); the differential tests in `test_reference_exact.py` hold the
-lean core to their output.
+comparisons and rendering; `rat`, `floor_div` and `mod` build and reduce
+it; `_sign` and `_interval` take the sign of n0/d0 + (n1/d1)*tau through
+`Fraction` interval arithmetic on the pi enclosure.  `NormalizedTriple` is
+the eight-field triple without the region field, and `normalize` and
+`region_tag` the diagram walk that took signs of differences.  They are
+copied unchanged from the code they replaced (only the imports differ).
 """
 
 from __future__ import annotations

@@ -1,12 +1,13 @@
 """The loop-per-entry numeric diagnostic that the stacked-array build in
 gaborbox.oracle replaced, kept as a test oracle.
 
+    job                 reference             tests (test_reference_numeric.py)
+    numeric diagnostic  numeric_frame_bounds  every test, with `==`
+
 `_phase_sampled_extremes` fills each q x p phase symbol one entry at a time
 and takes one SVD per (t, phase); `_windowed_extremes` picks its columns in a
 Python loop.  `numeric_frame_bounds`, both helpers and `_SINGULAR_FLOOR` are
-copied unchanged from the code they replaced (only the imports differ); the
-differential tests in `test_reference_numeric.py` hold the array build to
-their output with `==`.
+copied unchanged from the code they replaced (only the imports differ).
 """
 
 from __future__ import annotations

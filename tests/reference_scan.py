@@ -1,38 +1,39 @@
-"""The scans that the solves in gaborbox replaced, kept as a test oracle.
+"""The scans and solves that the certificate searches, their window count,
+the set algebra and the grid oracle in gaborbox replaced, kept as test
+oracles.  Each job keeps the simplest transcription of its condition (the
+independent oracle, first) and the live code's parent (second):
 
-`_search_obstruction_irrational` and `_xiii_candidates` are the nested-loop
-certificate searches, and the four set operations are the pairwise
-nested-loop versions that canonicalize through `PeriodicSet.make`.
-`_search_obstruction_irrational_cramer` is the XII search that did one 2x2
-Cramer solve for every gap count s, and `_search_obstruction_irrational_signs`
-the solve on the integer pairs of the triple's form that took both window
-conditions as exact signs for each s in its cut and returned its hit with
-the length combination as an `ExactReal`, which `_xii_witness` turned into
-a witness; `xii_result` reads any of the three XII hits as the live search
-returns them.  `window_count` is the O(s) count of
-the case-8 window that the floor sums replaced; `window_count_pairs` is the
-O(s) count on integer pairs that XII carried from one k to the next before
-it shared the floor sums, and `floor_sum_passes` is the floor-sum loop that
-ran on past its n = 1 pass.
-`_xiii_candidates_n_scan` is the search that tried every N in (s, bd] for
-case 8 with w solved and its window in Fractions, and `_grid_units` is the
-one that read the grid indices off the ExactReals c0 and c1; the scans
-take their indices from it.  `_xiii_candidates_uncut` is the divisor walk
-that paid the window count of every (s, N) passing the congruence and the
-gcd, and tested the d3 range and the delta limits only after it; it counts
-through this module's `_window_count`, the live floor-sum count, so a test
-can tally its counts.  `_orbit_avoids`, `grid_S` and `grid_D` are the
-grid oracle that walked each residue's orbit from scratch and built a set over
-all p indices for every shift of S; `_reaching_lists`, `grid_S_lists` and
-`grid_D_lists` are the one that came after it, which listed every preimage of
-each index in a Python list and held S and D as frozensets.  Both step one
-index at a time with `step_forward` and `step_backward` and read the
-absorbers from `bh_forward` and `bh_backward`; these, and `point`, were
-methods of `GridModel`, taken out when the live oracle came to read each map
-as runs of translated indices.  The scans are copied unchanged from the code
-they replaced (five names differ, and the model's former methods are called
-as functions), `xii_result` aside; the differential tests in
-`test_reference_scan.py` hold the faster paths to their output.
+    job           references                            tests (test_reference_scan.py)
+    XII search    _search_obstruction_irrational        test_xii_search_matches_scan_*,
+                                                        test_reference_classifier.py's
+                                                        test_xii_search_matches_reference_on_seeded_draws
+                  _search_obstruction_irrational_signs  test_xii_search_matches_cramer_*,
+                                                        test_xii_search_matches_window_signs_*
+    XIII walk     _xiii_candidates                      test_xiii_candidates_match_scan_*,
+                                                        test_xiii_candidates_match_n_scan_*
+                  _xiii_candidates_uncut                test_xiii_candidates_match_uncut_*,
+                                                        test_cut_skips_most_window_counts_*
+    window count  window_count_pairs                    test_*window_count*
+                  floor_sum_passes                      test_classifier.py's floor-sum test
+    set algebra   union, intersect, complement, minus   test_set_algebra_*, test_restrict_*
+    grid oracle   grid_S, grid_D                        test_grid_oracle_matches_walk_*
+                  grid_S_lists, grid_D_lists            every test_grid_oracle_*
+
+The oracles try every candidate: the searches every gap count s and tuple
+on ExactReals, the window count every k, carrying one residue on integer
+pairs, the set operations every pair of intervals, the grid oracle each
+residue's orbit from scratch.  The parents are the XII solve that took both
+window conditions as exact signs per s, the divisor walk that counted
+every (s, N) passing the congruence and the gcd before it tested the d1
+interval, the floor-sum loop that ran on past its n = 1 pass, and the grid
+oracle that listed every preimage of an index and held S and D as
+frozensets.  `xii_result` reads a hit of either XII search as the live
+search returns it; `_grid_units` reads the grid indices off the ExactReals
+c0 and c1 for both XIII walks, and the uncut walk counts through the live
+`_window_count`, so that a test can tally the counts of both walks.
+`point`, `bh_forward`, `bh_backward`, `step_forward` and `step_backward`
+were methods of `GridModel`.  Everything but `xii_result` is copied
+unchanged from the code it replaced, but for a few names.
 """
 
 from fractions import Fraction
@@ -42,7 +43,7 @@ from typing import FrozenSet, List, Optional, Set, Tuple
 
 from gaborbox.classifier import IrrationalParams, RationalParams, _divisors_above, _window_count
 from gaborbox.errors import OracleInconsistency, RegionUnsupported
-from gaborbox.exactnum import ExactReal, NumberContext, _floor_pair, _sign, floor_div, mod, rat
+from gaborbox.exactnum import ExactReal, NumberContext, _floor_pair, _sign, mod, rat
 from gaborbox.lattice import (
     Interval,
     NormalizedTriple,
@@ -91,61 +92,6 @@ def _search_obstruction_irrational(nt: NormalizedTriple):
                 continue
             matches.append((d1, d2, m, count, expr))
         s += 1
-    if len(matches) > 1:
-        verdicts = {(e - a).is_zero() for (_, _, _, _, e) in matches}
-        if len(verdicts) != 1:
-            raise OracleInconsistency(
-                f"conflicting obstruction tuples: {matches}"
-            )
-    return matches[0] if matches else None
-
-
-def _search_obstruction_irrational_cramer(nt: NormalizedTriple):
-    """Find the (d1, d2) tuple passing the membership, window and count
-    conditions; by exactness of the lattice there is at most one verdict.
-
-    For each s the membership condition s*c1 - c0 + (d1+1)(b-a) = m*a is
-    two rational equations in (m, d1+1), one per coordinate; a and b-a are
-    independent over Q exactly when a/b is irrational, so Cramer's rule
-    leaves one candidate per s instead of a scan over d1."""
-    a, b, c = nt.a, nt.b, nt.c
-    f = nt.floor_cb
-    ba = b - a
-    det = ba.x0 * a.x1 - a.x0 * ba.x1
-    if det == 0:
-        raise RegionUnsupported("the obstruction solve needs an irrational a/b")
-    matches = []
-    # s*(b-a) < a: the number of gaps stays below a/(b-a), never equal to it
-    for s in range(1, floor_div(a, ba) + 1):
-        r0 = s * nt.c1.x0 - nt.c0.x0
-        r1 = s * nt.c1.x1 - nt.c0.x1
-        m = (ba.x0 * r1 - r0 * ba.x1) / det
-        d1 = (a.x0 * r1 - a.x1 * r0) / det - 1
-        if m.denominator != 1 or d1.denominator != 1 or not 0 <= d1 < s:
-            continue
-        m, d1 = int(m), int(d1)
-        d2 = s - 1 - d1
-        if c <= f * b + (d1 + 1) * ba:
-            continue
-        if f * b + b - (d2 + 1) * ba <= c:
-            continue
-        expr = c - (d1 + 1) * (f + 1) * ba - (d2 + 1) * f * ba
-        e_ratio = expr.ratio(a)
-        if e_ratio is None or e_ratio.denominator != 1:
-            raise OracleInconsistency(
-                "collapse count is integral but the length combination "
-                "misses the coarse lattice"
-            )
-        modulus = a - s * ba
-        base = nt.c1 - m * ba
-        width = nt.c0 - (d1 + 1) * ba
-        count = 0
-        for k in range(1, s + 1):
-            if mod(k * base, modulus) < width:
-                count += 1
-        if count != d1:
-            continue
-        matches.append((d1, d2, m, count, expr))
     if len(matches) > 1:
         verdicts = {(e - a).is_zero() for (_, _, _, _, e) in matches}
         if len(verdicts) != 1:
@@ -303,11 +249,6 @@ def _xiii_candidates(nt: NormalizedTriple):
         s += 1
 
 
-def window_count(s: int, val: int, Np: int, W: int) -> int:
-    """#{1 <= k <= s : k*val mod Np < W}, one k at a time."""
-    return sum(1 for k in range(1, s + 1) if (k * val) % Np < W)
-
-
 def window_count_pairs(ctx: NumberContext, s: int, v: Pair, M: Pair, W: Pair) -> int:
     """#{1 <= k <= s : k*v mod M < W} on integer pairs of one form, the
     residue carried from one k to the next."""
@@ -337,55 +278,6 @@ def floor_sum_passes(ctx: NumberContext, n: int, m: Pair, a: Pair, b: Pair):
         n = _floor_pair(ctx, t0, t1, m0, m1)
         m0, m1, a0, a1, b0, b1 = a0, a1, m0, m1, t0 - n * m0, t1 - n * m1
     return total, passes
-
-
-def _xiii_candidates_n_scan(nt: NormalizedTriple):
-    """Yield (witness, excl_ok) for every obstruction candidate, in search
-    order: case 6, case 7, then the case-8 tuples passing the structural
-    conditions.  excl_ok is the final exclusion clause that separates
-    NotFrame from a measure-critical frame."""
-    p, q, gamma1, j0 = _grid_units(nt)
-    f = nt.floor_cb
-    g1 = gcd(p, gamma1)
-    if j0 < g1:
-        yield RationalParams(case_id=6), f * (g1 - j0) != g1
-    g2 = gcd(p, gamma1 + q)
-    if q - j0 < g2:
-        yield RationalParams(case_id=7), (f + 1) * (g2 + j0 - q) != g2
-    qp = q - p  # b-a in grid units
-    # Case 8: every condition depends on w = d1 + d3 + 1 alone.  gcd(q-p, p)
-    # is 1, so val = N*gamma1 + w*(q-p) = 0 mod p fixes w mod p, and N <= p
-    # leaves at most one w in [1, N-1]; the window count must equal d1,
-    # which then fixes d3.  One candidate per (s, N), in the scan's order.
-    inv_qp = pow(qp, -1, p)
-    s = 1
-    while p - s * qp > 0:
-        bd = p - s * qp
-        for N in range(s + 1, bd + 1):  # N divides bd
-            if bd % N:
-                continue
-            w = (-N * gamma1 * inv_qp) % p
-            if not 0 < w < N:
-                continue
-            val = N * gamma1 + w * qp
-            Np = N * p
-            if (s * val - w * p) % Np or gcd(val, Np) != p:
-                continue
-            d1 = sum(1 for k in range(1, s + 1) if 0 < (k * val) % Np < w * p)
-            d3 = w - 1 - d1
-            if d1 >= s or not 0 <= d3 < N - s:
-                continue
-            delta = Fraction(j0) - (d1 + 1) * qp - Fraction(w * bd, N)
-            lim_low = -min(Fraction(p - j0), Fraction(bd, N))
-            lim_high = min(Fraction(j0 - qp), Fraction(bd, N))
-            if not (lim_low < delta < lim_high):
-                continue
-            witness = RationalParams(
-                case_id=8, d1=d1, d2=s - 1 - d1, d3=d3, d4=N - s - 1 - d3, N=N,
-                delta=nt.b * (delta / q), e_count=d1,
-            )
-            yield witness, abs(delta) + Fraction(p, N * f + w) != Fraction(bd, N)
-        s += 1
 
 
 def _xiii_candidates_uncut(nt: NormalizedTriple):

@@ -1,15 +1,18 @@
 """The normalization that held a triple's integers in two shapes, kept as a
-test oracle.
+test oracle: the parent of `gaborbox.lattice`'s one integer form, and of
+its region walk (`reference_exact.py` holds the oracle of that job).
+
+    job             reference   tests
+    normalize and   normalize   test_reference_exact.py's test_form_matches_two_shapes_*;
+    region walk                 every region that reference_classifier.py decides
 
 `GridUnits` held a, b, c, c0 and c1 as plain integers in units of b/(qD)
 when a/b and c/b were rational (`NormalizedTriple.units`, computed from c/b
 by `_units_of` on construction); `TauPairs` held them as integer pairs over
 the denominator L for every other triple (`NormalizedTriple.pairs`, built by
 `_normalize_on_pairs`); `_walk_diagram` wrote the region walk once per
-shape.  `gaborbox.lattice` now holds one integer form per triple.  The
-classes and functions below are copied unchanged from the code they
-replaced (only the imports differ); the differential tests in
-`test_reference_exact.py` hold the one form to their output.
+shape.  They are copied unchanged from the code they replaced (only the
+imports differ).
 """
 
 from __future__ import annotations

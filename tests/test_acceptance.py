@@ -11,10 +11,8 @@ of the contract and are asserted alongside the results.
 import time
 from fractions import Fraction as F
 
-import pytest
-
 from gaborbox import classify, normalize, rat
-from gaborbox.classifier import classify_triple, cond_XII
+from gaborbox.classifier import classify_triple
 from gaborbox.cli import main as cli_main
 from gaborbox.dynsys import (
     birkhoff_average,
@@ -315,7 +313,7 @@ def test_irrational_spot_agreement_under_a_minute():
             a, c = ctx.num(x0, x1), ctx.num(y0, y1)
             nt = normalize(a, ONE, c)
             assert region_tag(nt) is RegionTag.XII, (x0, x1, y0, y1)
-            closed = "NotFrame" if cond_XII(nt) is not None else "Frame"
+            closed = classify_triple(nt).verdict
             rep = compute_S(nt)
             dyn = (
                 "Frame"
@@ -323,7 +321,6 @@ def test_irrational_spot_agreement_under_a_minute():
                 else "NotFrame"
             )
             assert closed == dyn == want, (x0, x1, y0, y1)
-            assert classify_triple(nt).verdict == want
     assert time.monotonic() - t0 < 60.0
 
 

@@ -8,14 +8,12 @@ from gaborbox import RegionTag, classifier, classify, normalize, rat, region_tag
 from gaborbox.classifier import (
     GcdCondition,
     IrrationalParams,
-    RationalParams,
     RecursionPair,
+    _search_obstruction_irrational,
+    _xiii_search,
     classify_off_grid,
     classify_triple,
     classify_with_S_existence,
-    characterize_S_nonempty,
-    cond_XII,
-    cond_XIII,
 )
 from gaborbox.dynsys import compute_S
 from gaborbox.errors import NonPositiveInput, RegionUnsupported
@@ -174,19 +172,18 @@ def test_region_xi_condition():
 
 def test_cond_xii_pi_fixture_is_boundary_frame():
     nt = normalize(PI.num(0, F(1, 4)), rat(1), PI.num(23, F(-11, 2)))
-    assert cond_XII(nt) is None  # witness search hits expr == a: no obstruction
-    assert classify_triple(nt).verdict == "Frame"
+    d, hit = classify_with_S_existence(nt)
+    assert hit and d.witness is None  # the search hits expr == a: no obstruction
+    assert d.verdict == "Frame"
 
 
 def test_cond_xii_planted_obstruction():
     # c = 11 - 7pi/4 = (d1+1)(f+1)(b-a) + (d2+1)f(b-a) + 4a at (d1,d2)=(0,0), f=5
     nt = normalize(PI.num(0, F(1, 4)), rat(1), PI.num(11, F(-7, 4)))
-    w = cond_XII(nt)
-    assert w is not None
-    assert (w.d1, w.d2) == (0, 0)
     d = classify_triple(nt)
     assert d.verdict == "NotFrame"
     assert isinstance(d.witness, IrrationalParams)
+    assert (d.witness.d1, d.witness.d2) == (0, 0)
     # the dynamics agrees: S survives and eats measure
     from gaborbox.dynsys import measure_identity
 
@@ -295,7 +292,7 @@ def test_floor_sums_stop_at_their_n_1_pass(monkeypatch):
 # -- on-grid rational obstruction (XIII) ------------------------------------------------
 
 def test_cond_xiii_75_17_case8():
-    w = cond_XIII(nt_of("13/17", 1, "75/17"))
+    w = classify_triple(nt_of("13/17", 1, "75/17")).witness
     assert w is not None
     assert w.case_id == 8
     assert (w.d1, w.d2, w.d3, w.d4, w.N) == (0, 0, 0, 1, 3)
@@ -303,9 +300,10 @@ def test_cond_xiii_75_17_case8():
 
 
 def test_cond_xiii_frames_have_no_witness():
-    assert cond_XIII(nt_of("13/17", 1, "77/17")) is None
-    assert cond_XIII(nt_of("13/17", 1, "73/17")) is None
-    assert cond_XIII(nt_of("6/7", 1, "23/7")) is None
+    for spec_ in (("13/17", 1, "77/17"), ("13/17", 1, "73/17"), ("6/7", 1, "23/7")):
+        nt = nt_of(*spec_)
+        assert nt.region is RegionTag.XIII, spec_
+        assert classify_triple(nt).witness is None, spec_
 
 
 def test_cond_xiii_case6():
@@ -318,7 +316,7 @@ def test_cond_xiii_case6():
             for k in range(q + 1, 8 * q):
                 nt = normalize(rat(F(p, q)), rat(1), rat(F(k, q)))
                 if region_tag(nt) is RegionTag.XIII:
-                    w = cond_XIII(nt)
+                    w = classify_triple(nt).witness
                     if w is not None and w.case_id == 6:
                         found = nt
                         break
@@ -332,8 +330,8 @@ def test_cond_xiii_case6():
 
 
 def test_characterize_S_nonempty_matches_dynamics():
-    # classify_with_S_existence gives the decision and the S bit that
-    # characterize_S_nonempty views; it raises where the bit is None
+    # classify_with_S_existence gives the decision and the S bit, None
+    # where no closed form says
     sq2 = surd_context(2)
     triples = [*on_grid_survey(5, regions=tuple(RegionTag)),
                *(nt_of(*spec_) for spec_ in (
@@ -347,11 +345,7 @@ def test_characterize_S_nonempty_matches_dynamics():
     for nt in triples:
         decision, nonempty = classify_with_S_existence(nt)
         assert decision == classify_triple(nt)
-        if nonempty is None:
-            with pytest.raises(RegionUnsupported):
-                characterize_S_nonempty(nt)
-        else:
-            assert characterize_S_nonempty(nt) is nonempty
+        if nonempty is not None:
             assert nonempty == (not compute_S(nt).S.is_empty)
         seen.add((str(nt.region), nonempty))
     assert {("V", False), ("IX", False), ("X", True), ("XI", True), ("XII", True),
@@ -398,12 +392,12 @@ def test_grid_searches_reject_triples_outside_their_region():
             classify_off_grid(nt)
     for nt in (off_grid, irrational):
         with pytest.raises(RegionUnsupported):
-            cond_XIII(nt)
+            _xiii_search(nt)
     # a rational a/b leaves the XII solve without a unique candidate, and
     # c < b (f = 0, so c1 = 0) leaves it no gap count to solve for
     for nt in (on_grid, off_grid, normalize(PI.num(0, F(1, 4)), rat(1), rat(F(1, 2)))):
         with pytest.raises(RegionUnsupported):
-            cond_XII(nt)
+            _search_obstruction_irrational(nt)
 
 
 def test_dilation_invariance_spot():

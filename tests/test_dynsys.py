@@ -14,7 +14,7 @@ import pytest
 
 from gaborbox import PeriodicSet, RegionTag, normalize, rat
 from gaborbox.errors import EmptySet, PeriodMismatch, RegionUnsupported
-from gaborbox.exactnum import ExactReal, floor_div, mod, pi_context, surd_context
+from gaborbox.exactnum import floor_div, mod, pi_context, surd_context
 from gaborbox.dynsys import (
     HoleStatus,
     _propagate_irrational,

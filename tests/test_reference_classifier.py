@@ -1,8 +1,10 @@
 """Differential tests: the classifier deciding rational triples in integer
-grid units, the boundary rules and the off-grid rounding of triples with
-a/b rational and c/b irrational on their integer pairs, and the XII search
-on the triple's integer pairs, against the ExactReal classifier and search
-they replaced (`reference_classifier.py`).
+grid units, and the boundary rules and the off-grid rounding of triples
+with a/b rational and c/b irrational on their integer pairs, against the
+ExactReal classifier they replaced (`reference_classifier.py`); and the XII
+search on the named triples and the certificate pools against its parent,
+the window-sign solve, and on seeded lattice draws against the nested scan
+(`reference_scan.py`).
 
 Every decision is compared whole: verdict, region and witness, with the
 GcdCondition values rendered as the JSON payload renders them (the
@@ -18,6 +20,7 @@ from fractions import Fraction as F
 import pytest
 
 import reference_classifier as ref
+import reference_scan
 from gaborbox.classifier import (
     GcdCondition,
     RationalParams,
@@ -31,7 +34,6 @@ from gaborbox.exactnum import pi_context, rat, surd_context
 from gaborbox.lattice import RegionTag, normalize
 from gaborbox.oracle import build_grid_model
 from test_reference_dynsys import XII_CERTIFICATE_POOLS
-from reference_scan import xii_result
 from test_reference_scan import _lattice_draw
 
 SQ2 = surd_context(2)
@@ -165,12 +167,14 @@ def test_rational_ratio_of_irrationals_matches_reference(c_in_sqrt2):
 
 # -- the XII search on integer pairs ---------------------------------------------------
 
-def _same_xii_search(nt, tally):
-    """The witness and the hit or miss of the Fraction-solve search; tallies
-    what its hit decides."""
+def _same_xii_search(nt, tally, search=reference_scan._search_obstruction_irrational_signs):
+    """The witness and the hit or miss of a search in `reference_scan.py`, by
+    default the solve that took both window conditions as per-s signs;
+    tallies what its hit decides."""
     assert nt.region is RegionTag.XII, nt
-    want = ref._search_obstruction_irrational(nt)
-    assert _search_obstruction_irrational(nt) == xii_result(nt, want), (nt.a, nt.b, nt.c)
+    want = search(nt)
+    assert _search_obstruction_irrational(nt) == reference_scan.xii_result(nt, want), \
+        (nt.a, nt.b, nt.c)
     if want is None:
         tally["no hit"] += 1
     else:
@@ -202,10 +206,11 @@ def test_xii_search_matches_reference_on_named_triples():
 
 @pytest.mark.parametrize("ctx", [SQ2, surd_context(3), PI], ids=["sqrt2", "sqrt3", "pi"])
 def test_xii_search_matches_reference_on_seeded_draws(ctx):
+    # the lattice draws against the nested scan over every s and tuple
     tally = Counter()
     for seed in (1, 2, 3):
         for nt in _lattice_draw(ctx, seed, 40):
-            _same_xii_search(nt, tally)
+            _same_xii_search(nt, tally, search=reference_scan._search_obstruction_irrational)
     assert tally["no hit"] and tally["NotFrame"] and tally["critical"], tally
 
 

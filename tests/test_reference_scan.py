@@ -1,7 +1,7 @@
-"""Differential tests: the solved certificate searches, the set algebra built
-on one window cut and the grid oracle's backward search against the scans they
-replaced (`reference_scan.py`), and the case-8 walk that cuts on the d1
-interval before it counts against the uncut walk that counted first."""
+"""Differential tests: the solved certificate searches, their floor-sum
+window count, the set algebra built on one window cut and the grid oracle's
+flags against the scans they replaced and against their parents
+(`reference_scan.py`, whose docstring tables which test holds what)."""
 
 import random
 from collections import Counter
@@ -53,7 +53,7 @@ def test_xiii_candidates_match_scan_q_le_20():
 
 
 @pytest.mark.slow
-def test_xiii_candidates_match_n_scan_at_p_1999():
+def test_xiii_candidates_match_uncut_walk_at_p_1999():
     # a = p/(p+1): b - a is one grid step, so case 8 runs s up to p/2 with
     # bd = p - s, the longest divisor walks per p
     p = 1999
@@ -65,7 +65,7 @@ def test_xiii_candidates_match_n_scan_at_p_1999():
         nt = normalize(a, one, rat(F(k, p + 1)))
         if nt.region is not RegionTag.XIII:
             continue
-        want = list(ref._xiii_candidates_n_scan(nt))
+        want = list(ref._xiii_candidates_uncut(nt))
         assert list(_xiii_candidates(nt)) == want, k
         kinds.add(tuple(excl_ok for _, excl_ok in want))
     # no candidate, a measure-critical one, and a NotFrame witness
@@ -153,15 +153,28 @@ def _cramer_solutions(nt):
     return n, integral, survivors
 
 
-@pytest.mark.parametrize("ctx", [surd_context(2), surd_context(3), pi_context()],
-                         ids=["sqrt2", "sqrt3", "pi"])
+def _same_as_signs(nt):
+    """The witness and the hit or miss of the solve that took both window
+    conditions as per-s signs; returns what its hit decides."""
+    want = ref._search_obstruction_irrational_signs(nt)
+    assert _search_obstruction_irrational(nt) == ref.xii_result(nt, want), (nt.a, nt.b, nt.c)
+    if want is None:
+        return "Frame"
+    return "measure-critical" if (want[4] - nt.a).is_zero() else "NotFrame"
+
+
+CONTEXTS = [surd_context(2), surd_context(3), pi_context()]
+CONTEXT_IDS = ["sqrt2", "sqrt3", "pi"]
+
+
+@pytest.mark.parametrize("ctx", CONTEXTS, ids=CONTEXT_IDS)
 def test_xii_search_matches_cramer_solve_per_s(ctx):
+    # the lattice draws against the window-sign solve, tallied by what a
+    # 2x2 Cramer solve of the membership equation finds for each s
     kinds = set()
     for seed in (1, 2, 3):
         for nt in _lattice_draw(ctx, seed, 60):
-            want = ref._search_obstruction_irrational_cramer(nt)
-            assert _search_obstruction_irrational(nt) == ref.xii_result(nt, want), \
-                (nt.a, nt.b, nt.c)
+            kinds.add(_same_as_signs(nt))
             n, integral, survivors = _cramer_solutions(nt)
             if not integral:
                 kinds.add("no s solves")
@@ -169,23 +182,8 @@ def test_xii_search_matches_cramer_solve_per_s(ctx):
                 kinds.add("every s solves, 1 <= d1+1 <= s cuts")
             if len(survivors) >= 2:
                 kinds.add("two survivors")
-            if want is None:
-                kinds.add("Frame")
-            else:
-                kinds.add("measure-critical" if (want[4] - nt.a).is_zero() else "NotFrame")
     assert kinds == {"no s solves", "every s solves, 1 <= d1+1 <= s cuts", "two survivors",
                      "Frame", "NotFrame", "measure-critical"}
-
-
-def _same_as_signs(nt, kinds):
-    """The witness and the hit or miss of the solve that took both window
-    conditions as per-s signs; adds what its hit decides to kinds."""
-    want = ref._search_obstruction_irrational_signs(nt)
-    assert _search_obstruction_irrational(nt) == ref.xii_result(nt, want), (nt.a, nt.b, nt.c)
-    if want is None:
-        kinds.add("Frame")
-    else:
-        kinds.add("measure-critical" if (want[4] - nt.a).is_zero() else "NotFrame")
 
 
 def test_xii_search_matches_window_signs_on_draws(monkeypatch):
@@ -200,13 +198,7 @@ def test_xii_search_matches_window_signs_on_draws(monkeypatch):
         return got
 
     monkeypatch.setattr(ref, "_sign", tallied)
-    kinds = set()
-    for nt in _xii_draw(seed=7, count=100):
-        _same_as_signs(nt, kinds)
-    for ctx in CONTEXTS:
-        for seed in (1, 2, 3):
-            for nt in _lattice_draw(ctx, seed, 60):
-                _same_as_signs(nt, kinds)
+    kinds = {_same_as_signs(nt) for nt in _xii_draw(seed=7, count=100)}
     assert kinds == {"Frame", "NotFrame", "measure-critical"}, kinds
     assert signs["cut"] and signs["kept"], signs
 
@@ -215,18 +207,17 @@ def test_xii_search_matches_window_signs_on_many_survivor_family():
     # a = 239/338*sqrt2, b = 1, c = 3 + v*(1 - a): NotFrame, with about v/12
     # survivors of the integer cut, each paying a window count
     a = surd_context(2).num(0, F(239, 338))
-    kinds = set()
     for v in range(100, 6401, 300):
         nt = normalize(a, rat(1), 3 + v * (1 - a))
         assert nt.region is RegionTag.XII, v
-        _same_as_signs(nt, kinds)
-    assert kinds == {"NotFrame"}, kinds
+        assert _same_as_signs(nt) == "NotFrame", v
 
 
 def test_xiii_candidates_match_n_scan_on_xiii_pools():
+    # the pool triples against the scan over every s and N
     kinds = set()
     for nt in _xiii_pool_triples():
-        want = list(ref._xiii_candidates_n_scan(nt))
+        want = list(ref._xiii_candidates(nt))
         assert list(_xiii_candidates(nt)) == want, (nt.a, nt.c)
         kinds.add(tuple(w.case_id for w, _ in want))
     assert kinds == {(), (8,)}
@@ -299,7 +290,7 @@ def test_case_8_window_counts_match_generator(monkeypatch):
         got = _window_count(ctx, s, v, M, W)
         # case 8 counts on integers, pairs with no tau coefficient
         assert v[1] == M[1] == W[1] == 0, (v, M, W)
-        assert got == ref.window_count(s, v[0], M[0], W[0]), (s, v, M, W)
+        assert got == ref.window_count_pairs(ctx, s, v, M, W), (s, v, M, W)
         counted.append(s)
         return got
 
@@ -328,7 +319,8 @@ def _window(draw):
 def test_window_count_matches_generator(window):
     # integers are the pairs (X0, 0), whose floors never read an enclosure
     v, M, W, s = window
-    assert _window_count(RATIONAL, s, (v, 0), (M, 0), (W, 0)) == ref.window_count(s, v, M, W)
+    pairs = (v, 0), (M, 0), (W, 0)
+    assert _window_count(RATIONAL, s, *pairs) == ref.window_count_pairs(RATIONAL, s, *pairs)
 
 
 def _reduce(ctx, x, M):
@@ -365,10 +357,6 @@ def _pair_window_draw(ctx, seed, count, s_lo, s_hi):
             W = _reduce(ctx, (rng.randint(-10**5, 10**5), rng.randint(-10**3, 10**3)), M)
         count -= 1
         yield s, v, M, W
-
-
-CONTEXTS = [surd_context(2), surd_context(3), pi_context()]
-CONTEXT_IDS = ["sqrt2", "sqrt3", "pi"]
 
 
 @pytest.mark.parametrize("ctx", CONTEXTS, ids=CONTEXT_IDS)
@@ -461,13 +449,13 @@ def test_grid_oracle_matches_walk_on_xiii_pools():
 
 
 @pytest.mark.slow
-def test_grid_oracle_matches_walk_at_p_1999_and_4999():
+def test_grid_oracle_matches_lists_at_p_1999_and_4999():
     # the XIII rungs a = p/(p+1), b = 1, c = k/(p+1): S empty, S and D
     # nonempty, and S nonempty with D empty on each rung
     rungs = [(1999, k) for k in (4002, 4003, 7001, 7003)] + [
         (4999, k) for k in (17501, 17502, 17503)]
     count, kinds = _check_grid_oracle(
-        normalize(rat(F(p, p + 1)), rat(1), rat(F(k, p + 1))) for p, k in rungs)
+        (normalize(rat(F(p, p + 1)), rat(1), rat(F(k, p + 1))) for p, k in rungs), walk=False)
     assert count == 7
     assert kinds == ALL_KINDS - {"seam"}  # a one-index absorber never crosses it
 

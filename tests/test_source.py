@@ -1,12 +1,14 @@
-"""Rules every module of the package follows."""
+"""Rules every module of the package, and every test oracle, follows."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "gaborbox"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "gaborbox"
 
 
 def test_package_has_no_assert_statements():
@@ -322,6 +324,38 @@ def test_certificate_searches_solve_on_integers():
     xii = functions["_search_obstruction_irrational"]
     assert [len(_calls(xii, name)) for name in ("_sign", "form_value")] == [0, 0]
     assert _namings(functions["_xiii_candidates"], "Np") == 0
+
+
+# the live searches, walks and marches a test oracle stands in for; the
+# references of the two certificate searches count through the live
+# _window_count and list divisors by the live _divisors_above on purpose,
+# so that a test can tally the counts of both walks, and neither matches
+LIVE_DECISIONS = re.compile(r"cond_\w+|classify\w*|_search_obstruction_irrational"
+                            r"|_xiii_candidates|_xiii_search|_walk_diagram|_propagate_\w+"
+                            r"|compute_S")
+
+
+def test_reference_modules_import_no_live_decision():
+    # a reference that ran the live code it stands in for would hold that
+    # code to itself: no reference_*.py imports a live decision or reads one
+    # off an imported module
+    found = []
+    for path in sorted(TESTS.glob("reference_*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        live = set()  # what names a gaborbox module or an import from one
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("gaborbox"):
+                live |= {alias.asname or alias.name for alias in node.names}
+                found += [f"{path.name}:{node.lineno}: imports {alias.name}"
+                          for alias in node.names if LIVE_DECISIONS.fullmatch(alias.name)]
+            elif isinstance(node, ast.Import):
+                live |= {alias.asname or alias.name.split(".")[0] for alias in node.names
+                         if alias.name.startswith("gaborbox")}
+        found += [f"{path.name}:{node.lineno}: reads .{node.attr}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and LIVE_DECISIONS.fullmatch(node.attr)
+                  and ast.unparse(node.value).split(".")[0] in live]
+    assert found == []
+    assert not any(LIVE_DECISIONS.fullmatch(name) for name in ("_window_count", "_divisors_above"))
 
 
 def _imported_modules(tree):
