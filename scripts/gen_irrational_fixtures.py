@@ -3,8 +3,10 @@
 
 Scans numbers of the form x0 + x1*tau (tau in {pi, sqrt2, sqrt3}) for triples
 (a, 1, c) whose region is the genuinely dynamical irrational one, runs the
-closed-form condition AND the hole-propagation pipeline on each, and emits the
-agreeing triples as Python literals ready to freeze into the test suite.
+closed-form condition AND the hole-propagation pipeline on each (the
+agreement check `oracle.triple_pipeline_check`: verdict, two-solvability and
+S-existence), and emits the agreeing triples as Python literals ready to
+freeze into the test suite.
 
 Candidates come from two families: a coarse coefficient grid, and a targeted
 lattice construction that plants obstruction witnesses (so the frozen list is
@@ -20,14 +22,7 @@ from fractions import Fraction
 
 from gaborbox import normalize, rat, region_tag, RegionTag, pi_context, surd_context
 from gaborbox.classifier import classify_triple
-from gaborbox.dynsys import compute_S, measure_identity
-
-
-def dynamics_verdict(nt):
-    report = compute_S(nt)
-    if report.S.is_empty:
-        return "Frame"
-    return "Frame" if measure_identity(nt, report.S) else "NotFrame"
+from gaborbox.oracle import triple_pipeline_check
 
 
 def grid_candidates(ctx, tau_float):
@@ -112,12 +107,11 @@ def collect(tau_name, per_context):
             nt = normalize(a, rat(1), c)
             if region_tag(nt) is not RegionTag.XII:
                 continue
-            closed = classify_triple(nt).verdict
-            dyn = dynamics_verdict(nt)
-            if closed != dyn:
-                print(f"!! ROUTE DISAGREEMENT at {key}: {closed} vs {dyn}",
-                      file=sys.stderr)
+            clash = triple_pipeline_check(nt)
+            if clash is not None:
+                print(f"!! ROUTE DISAGREEMENT at {key}: {clash}", file=sys.stderr)
                 continue
+            closed = classify_triple(nt).verdict
             rows.append((x0, x1, y0, y1, closed))
             per_a[(x0, x1)] = per_a.get((x0, x1), 0) + 1
             if closed == "NotFrame":

@@ -556,15 +556,6 @@ def _sweep_row(payload) -> List[Tuple[str, str]]:
     return out
 
 
-def region_sweep(qmax: int, amin: Fraction, amax: Fraction, cmin: Fraction,
-                 cmax: Fraction, step_c: Fraction, workers: int = 1):
-    """Classify the whole (a, c) grid at b = 1; returns (avals, cvals, rows).
-
-    workers is clamped to [1, os.cpu_count()]."""
-    avals, cvals = _sweep_axes(qmax, amin, amax, cmin, cmax, step_c)
-    return avals, cvals, _sweep_rows(avals, cvals, workers)
-
-
 def _sweep_rows(avals, cvals, workers: int):
     payloads = [(af, cvals) for af in avals]
     workers = max(1, min(workers, os.cpu_count() or 1))

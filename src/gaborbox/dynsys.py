@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from typing import Iterator, List, NamedTuple, Optional, Tuple, Union
+from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 from .errors import (
     EmptySet,
@@ -566,29 +566,21 @@ def _rational_extras(nt, E: PeriodicSet, Ya: Endpoint, order: int) -> RationalEx
 # ---------------------------------------------------------------------------
 
 
-def birkhoff_average(
-    nt: NormalizedTriple,
-    t: ExactReal,
-    n: int,
-    epsilon: Union[ExactReal, Fraction, int, None] = None,
-) -> float:
+def birkhoff_average(nt: NormalizedTriple, t: ExactReal, n: int) -> float:
     """Average of a fixed bump along the forward orbit of t, as a float.
 
-    The bump is a trapezoid riding just below the forward absorber: zero
-    outside [c0+a-b-eps, c0), ramping up over [c0+a-b-eps, c0+a-b], flat 1
-    until c0-eps, ramping back to zero at c0.  Orbit points are exact; only
-    the ramp values are floated.  Orbits are eventually periodic whenever
-    endpoints repeat, and the tail is then summed in closed form.
+    The bump is a trapezoid riding just below the forward absorber, with
+    half-width eps = (b-a)/8: zero outside [c0+a-b-eps, c0), ramping up over
+    [c0+a-b-eps, c0+a-b], flat 1 until c0-eps, ramping back to zero at c0.
+    Orbit points are exact; only the ramp values are floated.  Orbits are
+    eventually periodic whenever endpoints repeat, and the tail is then
+    summed in closed form.
     """
     _require_maps(nt)
     if n < 1:
         raise ValueError("need at least one orbit point")
     a = nt.a
-    eps = epsilon if isinstance(epsilon, ExactReal) else None
-    if eps is None:
-        eps = (nt.b - nt.a) / 8 if epsilon is None else rat(Fraction(epsilon))
-    if eps.sign() <= 0 or eps >= nt.b - nt.a:
-        raise ValueError("bump half-width must satisfy 0 < eps < b-a")
+    eps = (nt.b - a) / 8
     k1, hi = black_hole_R(nt)  # plateau edges: [c0+a-b, c0-eps]
     lo = k1 - eps
     k2 = hi - eps

@@ -20,11 +20,11 @@ from __future__ import annotations
 import math
 from array import array
 from fractions import Fraction
-from typing import FrozenSet, NamedTuple, Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .dynsys import compute_D, compute_S, maps_defined, measure_identity
 from .errors import BadTruncation, OracleInconsistency, RegionUnsupported
-from .lattice import NormalizedTriple, RegionTag
+from .lattice import NormalizedTriple
 
 
 # (first index, count, shift): a run of indices, counted on cyclically, that
@@ -147,26 +147,6 @@ def _D_flags(gm: GridModel, S: bytearray) -> bytearray:
         D |= shifted(k)
     D &= int.from_bytes(S, "little")
     return bytearray(D.to_bytes(p, "little"))
-
-
-def _indices(flags: bytearray) -> FrozenSet[int]:
-    return frozenset(j for j, flag in enumerate(flags) if flag)
-
-
-def grid_S(gm: GridModel) -> FrozenSet[int]:
-    """Indices whose forward orbits under both maps avoid the absorbers."""
-    return _indices(_S_flags(gm))
-
-
-def grid_D(gm: GridModel, S: Optional[FrozenSet[int]] = None) -> FrozenSet[int]:
-    """The solvability-two set, from S by shifts and intersections."""
-    if S is None:
-        flags = _S_flags(gm)
-    else:
-        flags = bytearray(gm.p)
-        for j in S:
-            flags[j] = 1
-    return _indices(_D_flags(gm, flags))
 
 
 def grid_frame_decision(nt: NormalizedTriple) -> str:
@@ -362,17 +342,14 @@ def _brief(nt: NormalizedTriple) -> str:
     return f"(a={nt.a.render()}, b={nt.b.render()}, c={nt.c.render()})"
 
 
-def on_grid_survey(qmax: int, c_lo: int = 1, c_hi: int = 8, regions=None):
+def on_grid_survey(qmax: int, c_lo: int, c_hi: int, regions):
     """Yield every normalized triple with b = 1, a = p/q < 1 (q <= qmax),
-    c in the open interval (c_lo, c_hi) on the grid Z/q, filtered to the
-    requested regions (default: the generic dynamical ones)."""
+    c in the open interval (c_lo, c_hi) on the grid Z/q, in the given regions."""
     from math import gcd as _gcd
 
     from .exactnum import rat
     from .lattice import normalize
 
-    if regions is None:
-        regions = (RegionTag.XII, RegionTag.XIII)
     one = rat(1)
     for q in range(1, qmax + 1):
         for p in range(1, q):

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .classifier import FrameDecision, classify
-from .errors import NonPositiveInput
+from .classifier import FrameDecision, classify_triple
 from .exactnum import ExactReal
+from .lattice import normalize
 
 
 class SamplingDecision(NamedTuple):
@@ -22,13 +22,13 @@ class SamplingDecision(NamedTuple):
 
 
 def sampling_stable(a: ExactReal, b: ExactReal, c: ExactReal) -> SamplingDecision:
-    for name, v in (("a", a), ("b", b), ("c", c)):
-        if v.sign() <= 0:
-            raise NonPositiveInput(f"{name} must be positive")
-    r = c.ratio(b)
+    # normalized once, first: both routes refuse a non-positive value or a
+    # mix of irrational contexts alike
+    nt = normalize(a, b, c)
+    r = nt.c.ratio(nt.b)
     if r is not None and r.denominator == 1 and r >= 2:
-        return SamplingDecision(stable=a <= b, route="DegenerateInteger")
-    decision = classify(a, b, c)
+        return SamplingDecision(stable=nt.a <= nt.b, route="DegenerateInteger")
+    decision = classify_triple(nt)
     return SamplingDecision(
         stable=decision.is_frame,
         route="ViaGaborEquivalence",

@@ -7,7 +7,9 @@ marches, the live march's parent (second):
     XIII march     _propagate_rational             test_*reports_match*, through compute_S
                    _propagate_rational_on_sets     test_xiii_march_matches_q_le_16,
                                                    test_certificate_pool_marches_match,
-                                                   test_large_p_S_and_chain_match_*
+                                                   test_large_p_S_and_chain_match_*,
+                                                   test_rational_xiii_reports_match_q_le_24
+                                                   past q = 16
     XII march      _propagate_irrational           test_*reports_match*, through compute_S
                    _propagate_irrational_on_reals  test_xii_march_matches_*,
                                                    test_certificate_pool_marches_match,
@@ -26,14 +28,14 @@ up front and its `InvariantSetReport` stores the chain; it,
 `_rational_extras`, `compute_D` and the measure identity work on ExactReal
 endpoints only.  `birkhoff_average` steps its orbit by `apply_R` and
 reduces the image mod a again.  Every function here is copied unchanged
-from the code it replaced, but for the imports and two names.
+from the code it replaced, but for the imports, two names and the bump
+half-width of `birkhoff_average`, fixed at (b-a)/8 as in the package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 from gaborbox.dynsys import (
     _SHORT_CIRCUIT_EMPTY,
@@ -351,29 +353,21 @@ def apply_R(t: ExactReal, nt: NormalizedTriple) -> ExactReal:
     return t + nt.floor_cb * nt.b
 
 
-def birkhoff_average(
-    nt: NormalizedTriple,
-    t: ExactReal,
-    n: int,
-    epsilon: Union[ExactReal, Fraction, int, None] = None,
-) -> float:
+def birkhoff_average(nt: NormalizedTriple, t: ExactReal, n: int) -> float:
     """Average of a fixed bump along the forward orbit of t, as a float.
 
-    The bump is a trapezoid riding just below the forward absorber: zero
-    outside [c0+a-b-eps, c0), ramping up over [c0+a-b-eps, c0+a-b], flat 1
-    until c0-eps, ramping back to zero at c0.  Orbit points are exact; only
-    the ramp values are floated.  Orbits are eventually periodic whenever
-    endpoints repeat, and the tail is then summed in closed form.
+    The bump is a trapezoid riding just below the forward absorber, with
+    half-width eps = (b-a)/8: zero outside [c0+a-b-eps, c0), ramping up over
+    [c0+a-b-eps, c0+a-b], flat 1 until c0-eps, ramping back to zero at c0.
+    Orbit points are exact; only the ramp values are floated.  Orbits are
+    eventually periodic whenever endpoints repeat, and the tail is then
+    summed in closed form.
     """
     _require_maps(nt)
     if n < 1:
         raise ValueError("need at least one orbit point")
     a = nt.a
-    eps = epsilon if isinstance(epsilon, ExactReal) else None
-    if eps is None:
-        eps = (nt.b - nt.a) / 8 if epsilon is None else rat(Fraction(epsilon))
-    if eps.sign() <= 0 or eps >= nt.b - nt.a:
-        raise ValueError("bump half-width must satisfy 0 < eps < b-a")
+    eps = (nt.b - a) / 8
     k1, hi = black_hole_R(nt)  # plateau edges: [c0+a-b, c0-eps]
     lo = k1 - eps
     k2 = hi - eps

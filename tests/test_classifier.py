@@ -333,7 +333,7 @@ def test_characterize_S_nonempty_matches_dynamics():
     # classify_with_S_existence gives the decision and the S bit, None
     # where no closed form says
     sq2 = surd_context(2)
-    triples = [*on_grid_survey(5, regions=tuple(RegionTag)),
+    triples = [*on_grid_survey(5, 1, 8, regions=tuple(RegionTag)),
                *(nt_of(*spec_) for spec_ in (
                    ("13/17", 1, "77/17"), ("13/17", 1, "75/17"), ("6/7", 1, "24/7"),
                    ("7/9", 1, "7/2"), ("4/5", 1, "7/2"), ("4/5", 1, "9/2"),

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaborbox import RegionTag, compute_S, normalize, rat
-from gaborbox.cli import PALETTE, _sweep_axes, main, parse_context, parse_number, region_sweep
+from gaborbox.cli import PALETTE, _sweep_axes, _sweep_rows, main, parse_context, parse_number
 from gaborbox.errors import (
     ContextMismatch,
     NumberSyntaxError,
@@ -612,9 +612,8 @@ def test_region_plot_rejects_negative_cmin(capsys, monkeypatch, tmp_path):
 
 
 def test_region_sweep_workers_match(tmp_path):
-    serial = region_sweep(3, F(0), F(1), F(0), F(3), F(1, 2), workers=1)
-    parallel = region_sweep(3, F(0), F(1), F(0), F(3), F(1, 2), workers=2)
-    assert serial == parallel
+    axes = _sweep_axes(3, F(0), F(1), F(0), F(3), F(1, 2))
+    assert _sweep_rows(*axes, 1) == _sweep_rows(*axes, 2)
 
 
 def test_region_sweep_clamps_workers(monkeypatch):
@@ -636,17 +635,17 @@ def test_region_sweep_clamps_workers(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
-    args = (3, F(0), F(1), F(0), F(3), F(1, 2))
+    axes = _sweep_axes(3, F(0), F(1), F(0), F(3), F(1, 2))
     monkeypatch.setattr("os.cpu_count", lambda: 4)
-    serial = region_sweep(*args, workers=1)
+    serial = _sweep_rows(*axes, 1)
     for asked in (-5, 0):
-        assert region_sweep(*args, workers=asked) == serial
+        assert _sweep_rows(*axes, asked) == serial
     assert pools == []
-    assert region_sweep(*args, workers=10**6) == serial
-    assert region_sweep(*args, workers=3) == serial
+    assert _sweep_rows(*axes, 10**6) == serial
+    assert _sweep_rows(*axes, 3) == serial
     assert pools == [4, 3]
     monkeypatch.setattr("os.cpu_count", lambda: None)
-    assert region_sweep(*args, workers=8) == serial
+    assert _sweep_rows(*axes, 8) == serial
     assert pools == [4, 3]
 
 
@@ -660,3 +659,28 @@ def test_region_plot_rejects_bad_ranges(capsys):
         capsys, "region-plot", "--qmax", "2", "--amin", "nope", "--out", "/tmp/x.ppm"
     )
     assert code == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["classify", "--a", "1+"], "unexpected end of input (column 3)"),
+    (["classify", "--a", "sqrt 2"], "expected '(' (column 6)"),
+    (["classify", "--a", "sqrt(pi)"], "sqrt needs an integer argument (column 6)"),
+    (["region-plot", "--qmax", "3", "--amin", "1", "--amax", "1/2"], "need amin < amax"),
+    (["region-plot", "--qmax", "3", "--step-c", "0"], "step-c must be positive"),
+    (["region-plot", "--qmax", "2", "--amin", "1/5", "--amax", "1/4"],
+     "no lattice steps a = p/q fall inside (amin, amax]"),
+    (["region-plot", "--qmax", "3", "--cmin", "0", "--cmax", "1/8"],
+     "no window lengths fall inside (cmin, cmax)"),
+])
+def test_input_checks_exit_1_with_their_error_line(capsys, tmp_path, argv, message):
+    out = tmp_path / "cells.ppm"
+    rest = ["--b", "1", "--c", "3"] if argv[0] == "classify" else ["--out", str(out)]
+    assert run(capsys, *argv, *rest) == (1, "", f"error: {message}\n")
+    assert not out.exists()  # region-plot checks its axes before it opens the output
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_region_plot_reports_a_write_that_fails_after_the_check(capsys):
+    # /dev/full opens for writing, so the check passes and the write fails
+    assert run(capsys, "region-plot", "--qmax", "3", "--out", "/dev/full") == (
+        1, "", "error: cannot write '/dev/full': No space left on device\n")

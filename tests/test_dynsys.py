@@ -433,11 +433,6 @@ def test_birkhoff_s_empty_orbit_absorbs():
     assert 0.95 <= avg <= 1.0
 
 
-def test_birkhoff_epsilon_validation():
-    with pytest.raises(ValueError):
-        birkhoff_average(NT77, rat(0), 10, epsilon=F(1))  # >= b-a
-
-
 # -- literal case tables (independent reference implementation) -------------------
 #
 # Both tables drive the hole [c1, c1+b-a) through the forward map by explicit

@@ -16,10 +16,10 @@ from gaborbox.lattice import PeriodicSet, RegionTag
 from gaborbox.dynsys import apply_R, apply_Rt
 from gaborbox.oracle import (
     GridModel,
+    _D_flags,
+    _S_flags,
     build_grid_model,
-    grid_D,
     grid_frame_decision,
-    grid_S,
     numeric_frame_bounds,
     on_grid_survey,
     triple_pipeline_check,
@@ -40,11 +40,11 @@ NT23_7 = nt_of("6/7", 1, "23/7")
 NT24_7 = nt_of("6/7", 1, "24/7")
 
 
-def lift(gm, indices):
-    """Indices -> union of cells [j b/q, (j+1) b/q) as a period-a set."""
+def lift(gm, flags):
+    """Flags of indices -> union of cells [j b/q, (j+1) b/q) as a period-a set."""
     step = gm.nt.b * F(1, gm.q)
     return PeriodicSet.make(
-        gm.nt.a, [(point(gm, j), point(gm, j) + step) for j in sorted(indices)]
+        gm.nt.a, [(point(gm, j), point(gm, j) + step) for j, flag in enumerate(flags) if flag]
     )
 
 
@@ -106,14 +106,14 @@ def test_steps_shadow_exact_maps():
 def test_grid_S_lifts_to_exact_S():
     for nt in (NT77, NT75, NT73, NT23_7, NT24_7):
         gm = build_grid_model(nt)
-        assert lift(gm, grid_S(gm)) == compute_S(nt).S, nt
+        assert lift(gm, _S_flags(gm)) == compute_S(nt).S, nt
 
 
 def test_grid_D_lifts_to_exact_D():
     for nt in (NT77, NT75, NT73, NT23_7):
         gm = build_grid_model(nt)
         S = compute_S(nt).S
-        assert lift(gm, grid_D(gm)) == compute_D(nt, S), nt
+        assert lift(gm, _D_flags(gm, _S_flags(gm))) == compute_D(nt, S), nt
 
 
 def test_a_second_preimage_raises():
@@ -125,7 +125,7 @@ def test_a_second_preimage_raises():
     assert image(gm, [first], 0) == image(gm, [last], 11) == 3
     with pytest.raises(OracleInconsistency,
                        match="^a grid map moves 15 indices onto 13: an index has two preimages$"):
-        grid_S(gm)
+        _S_flags(gm)
 
 
 def test_grid_verdicts_on_fixtures():
@@ -310,7 +310,7 @@ def test_pipeline_runs_the_xii_search_once(monkeypatch):
 
 
 def test_survey_enumerates_on_grid_generic_triples():
-    survey = list(on_grid_survey(6))
+    survey = list(on_grid_survey(6, 1, 8, regions=(RegionTag.XIII,)))
     assert len(survey) == 20
     for nt in survey:
         assert nt.is_rational and nt.c_on_grid
@@ -318,7 +318,7 @@ def test_survey_enumerates_on_grid_generic_triples():
 
 
 def test_survey_respects_bounds():
-    for nt in on_grid_survey(5, c_lo=2, c_hi=4):
+    for nt in on_grid_survey(5, 2, 4, regions=(RegionTag.XIII,)):
         assert (nt.a - nt.b).sign() < 0
         cb = nt.c.ratio(nt.b)
         assert 2 < cb < 4

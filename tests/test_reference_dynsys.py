@@ -22,6 +22,7 @@ import pytest
 import reference_dynsys as ref
 from gaborbox import dynsys, exactnum
 from gaborbox.dynsys import (
+    HoleChainStep,
     HoleStatus,
     _grid_reals,
     compute_D,
@@ -51,12 +52,16 @@ def _set(E):
     return _value(E.period), tuple((_value(lo), _value(hi)) for lo, hi in E.intervals)
 
 
+def _chain(steps):
+    return [(step.index, _set(step.hole), step.status) for step in steps]
+
+
 def _report(rep):
     """Every field of an InvariantSetReport, the marks' points as read."""
     m, x = rep.marks, rep.rational_extras
     return {
         "S": _set(rep.S),
-        "chain": [(step.index, _set(step.hole), step.status) for step in rep.chain],
+        "chain": _chain(rep.chain),
         "Ya": _value(rep.Ya),
         "theta": _value(rep.theta),
         "marks": None if m is None else (
@@ -88,17 +93,17 @@ def _reals(nt, E):
     return _grid_reals(nt, E)(E) if type(E.period) is int else E
 
 
-def _assert_same_on(nt, S, E=None):
+def _assert_same_on(nt, S, E=None, chain=None):
     """compute_D, the measure identity and surgery_report on E, which is S
     itself (the default) or S in grid units, against their ExactReal
     references on S; a D in grid units is mapped to the reals to compare.  The
     live report reads the chain of the triple's own march, so the reference's
-    surgery gets that chain too."""
+    surgery gets that chain too, the reference march's unless one is given."""
     E = S if E is None else E
     assert _set(_reals(nt, compute_D(nt, E))) == _set(ref.compute_D(nt, S)), nt
     assert _value(measure_identity_lhs(nt, E)) == _value(ref.measure_identity_lhs(nt, S)), nt
     assert measure_identity(nt, E) is ref.measure_identity(nt, S), nt
-    chain = ref.compute_S(nt).chain
+    chain = ref.compute_S(nt).chain if chain is None else chain
     assert _outcome(surgery_report, nt, E) == _outcome(ref.surgery_report, nt, S, chain)
 
 
@@ -112,6 +117,33 @@ def _assert_same_from_S(nt):
         E = compute_S(nt).S_units
         assert type(E.period) is int, nt
         _assert_same_on(nt, want.S, E)
+
+
+def _on_sets(nt):
+    """S in grid units, the complement of the holes of the parent march on
+    PeriodicSets, and that march's chain over the reals."""
+    steps = ref._propagate_rational_on_sets(nt)
+    A = nt.form.A[0]
+    S = PeriodicSet.make(A, [iv for hole, _ in steps for iv in hole.intervals]).complement()
+    if S.is_empty:
+        steps.append((PeriodicSet.full(A), HoleStatus.SENTINEL))
+    real = _grid_reals(nt, *(hole for hole, _ in steps))
+    return S, tuple(HoleChainStep(i, real(hole), status)
+                    for i, (hole, status) in enumerate(steps))
+
+
+def _assert_same_as_march_on_sets(nt):
+    """compute_S's S_units and chain against the parent march, and every
+    stage run on a nonempty S against its ExactReal reference (the surgery
+    report holds the chain).  Returns S."""
+    S, chain = _on_sets(nt)
+    rep = compute_S(nt)
+    assert rep.S_units == S, nt
+    if S.is_empty:
+        assert _chain(rep.chain) == _chain(chain), nt
+    else:
+        _assert_same_on(nt, _reals(nt, S), S, chain)
+    return S
 
 
 def _xiii_triples(qmax, unit, bs):
@@ -196,8 +228,16 @@ def test_rational_xiii_reports_match_q_le_10():
 
 @pytest.mark.slow
 def test_rational_xiii_reports_match_q_le_24():
+    # the reference report up to q = 16; past it the oracle march takes
+    # most of the time, so the reports are held to the parent march and the
+    # reference stages
+    kinds = Counter()
     for nt in _rational(24):
-        _assert_same_report(nt)
+        if nt.a.x0.denominator <= 16:
+            _assert_same_report(nt)
+        else:
+            kinds[_assert_same_as_march_on_sets(nt).is_empty] += 1
+    assert set(kinds) == {True, False}, kinds
 
 
 def test_sqrt2_scaled_xiii_reports_match():
@@ -251,16 +291,10 @@ def test_large_p_S_and_chain_match_the_march_on_sets(p, k):
     # too long here; the march on PeriodicSets does not
     nt = normalize(rat(F(p, p + 1)), rat(1), rat(F(k, p + 1)))
     assert nt.region is RegionTag.XIII
-    want = ref._propagate_rational_on_sets(nt)
-    A = nt.form.A[0]
-    S = PeriodicSet.make(A, [iv for hole, _ in want for iv in hole.intervals]).complement()
+    S, chain = _on_sets(nt)
     assert compute_S(nt).S_units == S
-    if S.is_empty:
-        want.append((PeriodicSet.full(A), HoleStatus.SENTINEL))
     assert S.is_empty is (k == 7 * (p + 1) // 2 + 1), (p, k)
-    real = _grid_reals(nt, *(hole for hole, _ in want))
-    assert [(step.index, _set(step.hole), step.status) for step in hole_chain(nt)] == [
-        (i, _set(real(hole)), status) for i, (hole, status) in enumerate(want)]
+    assert _chain(hole_chain(nt)) == _chain(chain)
 
 
 # -- region XII ---------------------------------------------------------------------
@@ -388,7 +422,7 @@ def _assert_same_xii_march(nt):
     assert end is want_end, nt
     chain = hole_chain(nt)
     ba = nt.b - nt.a
-    assert [(step.index, _set(step.hole), step.status) for step in chain] == [
+    assert _chain(chain) == [
         (i, _set(PeriodicSet.from_wrapped(nt.a, [(s, s + ba)])),
          want_end if i == len(want) - 1 else HoleStatus.PROPAGATING)
         for i, s in enumerate(want)], nt

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaborbox import classify, rat, sampling_stable
-from gaborbox.errors import NonPositiveInput
-from gaborbox.exactnum import pi_context
+from gaborbox.errors import ContextMismatch, NonPositiveInput
+from gaborbox.exactnum import pi_context, surd_context
 
 PI = pi_context()
 
@@ -57,6 +57,15 @@ def test_rejects_nonpositive():
         sampling_stable(rat(0), rat(1), rat(3))
     with pytest.raises(NonPositiveInput):
         sampling_stable(rat(1), rat(-2), rat(3))
+
+
+def test_mixed_contexts_are_refused_on_both_routes():
+    # a in pi, c in sqrt(3): c/b = 3 would take the degenerate route and
+    # c/b = 7/2 the equivalence route, but the triple is refused first
+    sq3 = surd_context(3)
+    for c in (sq3.num(3), sq3.num(F(7, 2))):
+        with pytest.raises(ContextMismatch):
+            sampling_stable(PI.num(0, F(1, 4)), rat(1), c)
 
 
 @settings(max_examples=300, deadline=None)

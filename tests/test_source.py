@@ -37,7 +37,7 @@ def test_package_compares_instead_of_taking_signs_of_differences():
 
 
 GRID_ORACLE = ("GridModel", "build_grid_model", "_pieces", "_reaching", "_S_flags", "_D_flags",
-               "_indices", "grid_S", "grid_D", "grid_frame_decision")
+               "grid_frame_decision")
 
 
 def _classifier_names():
@@ -356,6 +356,41 @@ def test_reference_modules_import_no_live_decision():
                   and ast.unparse(node.value).split(".")[0] in live]
     assert found == []
     assert not any(LIVE_DECISIONS.fullmatch(name) for name in ("_window_count", "_divisors_above"))
+
+
+def _library_api():
+    """The names in README's library-API list: `module.function` or `Class.method`."""
+    readme = (TESTS.parent / "README.md").read_text(encoding="utf-8")
+    after = readme.split("these are library API", 1)[1]
+    bullets = after[after.index("\n- "):].split("\n\n")[0]  # the first list after it
+    return set(re.findall(r"^- `(\w+\.\w+)\(", bullets, re.M))
+
+
+def test_every_public_name_has_a_caller_or_is_library_api():
+    # a public function, class or method that only tests reach is a package
+    # view kept for them: it is named somewhere in the package, the scripts
+    # or the bench harness, or README lists it as library API
+    named = set()
+    for folder in ("src", "scripts", "perfbench"):
+        for path in sorted((TESTS.parent / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Name):
+                    named.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    named.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    named.add(node.name.split(".")[-1])
+    api = _library_api()
+    assert api
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            defs = [(path.stem, node)] if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else []
+            if isinstance(node, ast.ClassDef):
+                defs += [(node.name, sub) for sub in node.body if isinstance(sub, ast.FunctionDef)]
+            found += [f"{owner}.{d.name}" for owner, d in defs if not d.name.startswith("_")
+                      and d.name not in named and f"{owner}.{d.name}" not in api]
+    assert found == []
 
 
 def _imported_modules(tree):
