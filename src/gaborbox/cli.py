@@ -556,9 +556,17 @@ def _sweep_row(payload) -> List[Tuple[str, str]]:
     return out
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: an affinity mask (taskset, a
+    cpuset) can allow fewer than the machine has."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _sweep_rows(avals, cvals, workers: int):
     payloads = [(af, cvals) for af in avals]
-    workers = max(1, min(workers, os.cpu_count() or 1))
+    workers = max(1, min(workers, _usable_cpus()))
     if workers > 1:
         import concurrent.futures
 
@@ -569,19 +577,20 @@ def _sweep_rows(avals, cvals, workers: int):
 
 def _write_ppm(fh, avals, cvals, rows) -> None:
     header = f"P6\n{len(cvals)} {len(avals)}\n255\n".encode("ascii")
-    body = bytearray()
-    for row in rows:
-        for region, verdict in row:
-            body.extend(PALETTE[(region, verdict)])
+    pixel = {cell: bytes(rgb) for cell, rgb in PALETTE.items()}  # each colour's bytes once
     fh.write(header)
-    fh.write(bytes(body))
+    # a row at a time: bytes.join holds a buffer record (80 bytes) per part
+    for row in rows:
+        fh.write(b"".join([pixel[cell] for cell in row]))
 
 
 def _write_csv(fh, avals, cvals, rows) -> None:
+    # each a and each c is formatted once
+    cols = [f",{c_frac}," for c_frac in cvals]
     lines = ["a,c,region,verdict"]
     for a_frac, row in zip(avals, rows):
-        for c_frac, (region, verdict) in zip(cvals, row):
-            lines.append(f"{a_frac},{c_frac},{region},{verdict}")
+        a = str(a_frac)
+        lines += [f"{a}{c}{region},{verdict}" for c, (region, verdict) in zip(cols, row)]
     fh.write("\n".join(lines))
     fh.write("\n")
 
@@ -735,7 +744,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True, help="output PPM (P6) path")
     sp.add_argument("--csv", default=None, help="optional CSV path")
     sp.add_argument("--workers", type=int, default=1,
-                    help="worker processes, clamped to [1, CPU count]")
+                    help="worker processes, clamped to [1, usable CPU count]")
     sp.set_defaults(func=_cmd_region_plot)
 
     sp = sub.add_parser("selftest", help="cross-check all verdict pipelines on a built-in grid")

@@ -214,7 +214,7 @@ class NumberContext:
 
     # -- construction ------------------------------------------------------
     def num(self, x0: RationalLike = 0, x1: RationalLike = 0) -> "ExactReal":
-        return ExactReal(self, Fraction(x0), Fraction(x1))
+        return ExactReal(self, _fraction(x0), _fraction(x1))
 
 
 RATIONAL = NumberContext("rational")
@@ -230,7 +230,19 @@ def surd_context(d: int) -> NumberContext:
 
 def rat(x: RationalLike) -> "ExactReal":
     """Shorthand for a rational-context value."""
-    return _make(RATIONAL, Fraction(x), _ZERO)
+    return _make(RATIONAL, _fraction(x), _ZERO)
+
+
+def _fraction(x: RationalLike) -> Fraction:
+    """x as a Fraction, the very object when it is one: Fraction(x) of a
+    Fraction reruns the pure-Python constructor.  An int (bool included) or
+    a Fraction subclass converts; any other type raises TypeError, so no
+    float, string or Decimal enters as an exact value."""
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x)
+    raise TypeError(f"an exact value takes an int or a Fraction, not {type(x).__name__}")
 
 
 # the tau coefficient of results known to be rational; Fractions are
@@ -277,6 +289,8 @@ class ExactReal:
     def _coerce(self, other) -> "ExactReal":
         if isinstance(other, ExactReal):
             return other
+        if type(other) is Fraction:
+            return _make(RATIONAL, other, _ZERO)
         if isinstance(other, (int, Fraction)):
             return _make(RATIONAL, Fraction(other), _ZERO)
         return NotImplemented

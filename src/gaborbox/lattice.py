@@ -56,8 +56,14 @@ class RegionTag(enum.Enum):
     XIII = "XIII"
     XIV = "XIV"
 
+    # The members are singletons and Enum compares them by identity, so
+    # hashing by identity agrees with equality; Enum's own hash (of the
+    # name) and its `value` descriptor are Python-level calls that every
+    # region lookup and every rendered region would pay.
+    __hash__ = object.__hash__
+
     def __str__(self):
-        return self.value
+        return self._value_
 
 
 Endpoint = Union[ExactReal, int]

@@ -636,7 +636,9 @@ def test_region_sweep_clamps_workers(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     axes = _sweep_axes(3, F(0), F(1), F(0), F(3), F(1, 2))
-    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    # the clamp is the affinity mask, not the machine's CPU count
+    monkeypatch.setattr("os.cpu_count", lambda: 16)
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
     serial = _sweep_rows(*axes, 1)
     for asked in (-5, 0):
         assert _sweep_rows(*axes, asked) == serial
@@ -644,9 +646,18 @@ def test_region_sweep_clamps_workers(monkeypatch):
     assert _sweep_rows(*axes, 10**6) == serial
     assert _sweep_rows(*axes, 3) == serial
     assert pools == [4, 3]
+    # a one-CPU mask (taskset, a cpuset) runs the sweep serially
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {5})
+    assert _sweep_rows(*axes, 2) == serial
+    assert pools == [4, 3]
+    # without sched_getaffinity the machine's CPU count clamps
+    monkeypatch.delattr("os.sched_getaffinity")
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    assert _sweep_rows(*axes, 10**6) == serial
+    assert pools == [4, 3, 4]
     monkeypatch.setattr("os.cpu_count", lambda: None)
     assert _sweep_rows(*axes, 8) == serial
-    assert pools == [4, 3]
+    assert pools == [4, 3, 4]
 
 
 def test_region_plot_rejects_bad_ranges(capsys):

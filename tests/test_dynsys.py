@@ -344,6 +344,12 @@ def test_stages_reject_an_integer_period_on_a_form_with_a_tau_part(stage):
 
 # -- surgery --------------------------------------------------------------------
 
+def test_surgery_needs_a_nonempty_S():
+    for S in (PeriodicSet.empty(13), PeriodicSet.empty(NT77.a)):
+        with pytest.raises(EmptySet, match="nonempty invariant set"):
+            surgery_report(NT77, S)
+
+
 def test_surgery_77_17():
     rep = compute_S(NT77)
     assert rep.Ya == rat(F(3, 17))
@@ -426,6 +432,12 @@ def test_birkhoff_ramps_before_any_orbit_point_repeats():
     # 35/68 sits halfway down, on the absorber, which fixes it
     t = rat(F(35, 68))
     assert birkhoff_average(NT77, t, 1) == birkhoff_average(NT77, t, 3) == 0.5
+
+
+def test_birkhoff_needs_an_orbit_point():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="at least one orbit point"):
+            birkhoff_average(NT77, rat(F(2, 17)), n)
 
 
 def test_birkhoff_s_empty_orbit_absorbs():

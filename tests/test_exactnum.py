@@ -1,6 +1,7 @@
 """Exact number field: arithmetic, comparisons, floor/mod, the pi enclosure."""
 
 import time
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -11,6 +12,7 @@ from gaborbox.errors import ContextMismatch, PrecisionExhausted, UnsupportedRang
 from gaborbox.exactnum import (
     RATIONAL,
     ExactReal,
+    NumberContext,
     _pi_enclosure,
     _sqrt_enclosure,
     floor_div,
@@ -98,6 +100,58 @@ def test_square_free_decompose():
     assert square_free_decompose(12) == (2, 3)
     assert square_free_decompose(49) == (7, 1)
     assert square_free_decompose(1) == (1, 1)
+    with pytest.raises(ValueError, match="positive"):
+        square_free_decompose(0)
+
+
+def test_context_constructor_refuses_bad_kinds_and_radicands():
+    with pytest.raises(ValueError, match="unknown context kind"):
+        NumberContext("complex")
+    for d in (None, 1, -3):
+        with pytest.raises(ValueError, match="d >= 2"):
+            NumberContext("surd", d=d)
+    with pytest.raises(ValueError, match="rational"):
+        NumberContext("surd", d=9)
+
+
+def test_rational_context_has_no_basis_or_enclosure():
+    with pytest.raises(ValueError, match="no irrational basis"):
+        RATIONAL.basis_symbol
+    with pytest.raises(ValueError, match="no enclosure"):
+        RATIONAL.enclosure()
+
+
+def test_only_ints_and_fractions_enter_as_exact_values():
+    # a float, a string or a Decimal would enter the decision path as the
+    # binary fraction or the parse it stands for
+    for bad in (0.1, "1/3", Decimal("0.1")):
+        with pytest.raises(TypeError, match="int or a Fraction"):
+            rat(bad)
+    for bad in (0.5, Decimal("0.1")):
+        with pytest.raises(TypeError, match="int or a Fraction"):
+            SQRT2.num(bad)
+        with pytest.raises(TypeError, match="int or a Fraction"):
+            PI.num(1, bad)
+    # a Fraction enters as it is; an int, a bool and a Fraction subclass
+    # convert to a plain Fraction
+    x = F(3, 7)
+    assert rat(x).x0 is x and SQRT2.num(x, x).x1 is x
+    assert (rat(x) + x).x0 == F(6, 7)
+
+    class Half(F):
+        pass
+
+    for v, want in ((Half(1, 2), F(1, 2)), (True, F(1)), (5, F(5))):
+        for got in (rat(v).x0, PI.num(0, v).x1):
+            assert type(got) is F and got == want
+
+
+def test_arithmetic_with_a_non_number_raises_type_error():
+    x = SQRT2.num(1, F(1, 2))
+    for op in (lambda: x + "1", lambda: x - "1", lambda: "1" - x, lambda: x * 0.5,
+               lambda: x / "2", lambda: x < 0.5):
+        with pytest.raises(TypeError):
+            op()
     assert square_free_decompose(97) == (1, 97)
 
 

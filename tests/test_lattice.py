@@ -260,6 +260,24 @@ def test_from_wrapped_reduces_far_intervals():
     assert s.intervals == (iv("1/4", "3/4"),)
 
 
+def test_from_wrapped_refuses_an_interval_longer_than_one_period():
+    with pytest.raises(ValueError, match="longer than one period"):
+        PeriodicSet.from_wrapped(rat(1), [iv("1/4", "3/2")])
+    # exactly one period is the whole circle
+    assert PeriodicSet.from_wrapped(rat(1), [iv("1/4", "5/4")]) == PeriodicSet.full(rat(1))
+
+
+def test_sets_and_triples_can_be_neither_set_nor_deleted():
+    s = PeriodicSet.make(rat(1), [iv(0, "1/2")])
+    nt = nt_of("13/17", 1, "77/17")
+    for obj, name in ((s, "period"), (s, "intervals"), (nt, "a"), (nt, "region")):
+        with pytest.raises(AttributeError, match="immutable; cannot set"):
+            setattr(obj, name, None)
+        with pytest.raises(AttributeError, match="immutable; cannot delete"):
+            delattr(obj, name)
+    assert s.period == rat(1) and nt.region is RegionTag.XIII
+
+
 def test_measure_and_contains():
     s = PeriodicSet.make(rat(F(13, 17)), [iv("2/17", "3/17"), iv("9/17", "10/17")])
     assert s.measure() == rat(F(2, 17))
@@ -304,6 +322,14 @@ def test_shift_reduces_mod_period():
     x = PeriodicSet.make(p, [iv("3/4", 1)])
     shifted = x.shift(rat(F(1, 2)))
     assert shifted.intervals == (iv("1/4", "1/2"),)
+
+
+def test_set_algebra_takes_only_periodic_sets():
+    x = PeriodicSet.make(rat(1), [iv(0, "1/2")])
+    for other in ([iv("1/4", "3/4")], rat(1), None):
+        for op in (x.union, x.intersect):
+            with pytest.raises(TypeError, match="expected a PeriodicSet"):
+                op(other)
 
 
 def test_period_mismatch_raises():
