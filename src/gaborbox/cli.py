@@ -245,12 +245,10 @@ def parse_context(spec: str) -> NumberContext:
         return pi_context()
     m = re.fullmatch(r"sqrt:(\d+)", spec)
     if m:
-        d = int(m.group(1))
-        if d < 2:
-            raise UnsupportedRange(f"sqrt context needs an integer >= 2, got {d}")
-        check_radicand(d)
-        if square_free_decompose(d)[1] == 1:
-            raise UnsupportedRange(f"sqrt:{d} is rational; use the rational context")
+        try:
+            d = int(m.group(1))
+        except ValueError:  # longer than the interpreter's int-string limit
+            raise UnsupportedRange("sqrt context radicand is too long") from None
         return surd_context(d)
     raise UnsupportedRange(
         f"unknown context {spec!r}; use rational, pi or sqrt:D"
@@ -618,18 +616,12 @@ def _write_output(write, path: str, mode: str, *table, **kwargs) -> None:
 
 
 def _cmd_region_plot(args) -> int:
-    def frac(s: str) -> Fraction:
-        try:
-            return Fraction(s)
-        except (ValueError, ZeroDivisionError) as e:
-            raise UnsupportedRange(f"bad fraction {s!r}: {e}")
-
     # axes, then outputs, then the sweep: a bad range or an unwritable path
     # fails before any cell is classified
-    avals, cvals = _sweep_axes(
-        args.qmax, frac(args.amin), frac(args.amax), frac(args.cmin),
-        frac(args.cmax), frac(args.step_c),
-    )
+    avals, cvals = _sweep_axes(args.qmax, *(
+        parse_number(s, RATIONAL).x0
+        for s in (args.amin, args.amax, args.cmin, args.cmax, args.step_c)
+    ))
     _check_writable(args.out)
     if args.csv:
         _check_writable(args.csv)

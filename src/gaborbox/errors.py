@@ -50,6 +50,10 @@ class BadTruncation(GaborBoxError):
     """The numeric diagnostic was asked for a truncation window it cannot honor."""
 
 
+class ExtraNotInstalled(GaborBoxError):
+    """A call needs a package of an optional extra that is not installed."""
+
+
 class UnsupportedRange(GaborBoxError):
     """A sweep range is empty, inverted, or otherwise outside what is supported."""
 

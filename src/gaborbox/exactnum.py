@@ -128,29 +128,33 @@ class NumberContext:
     """The base irrational tau that ExactReal coefficients multiply.
 
     kind is one of "rational", "surd" (tau = sqrt(d), d square-free >= 2) or
-    "pi".  The pi context owns a refinable enclosure; refinement is locked so
-    values can be shared across worker threads.
+    "pi".  A radicand that makes no surd context raises UnsupportedRange.
+    An irrational context holds a refinable enclosure, built at its start
+    width here; reading it takes no lock, and refinement is locked so values
+    can be shared across worker threads.
     """
 
     def __init__(self, kind: str, d: Optional[int] = None):
         if kind not in ("rational", "surd", "pi"):
             raise ValueError(f"unknown context kind {kind!r}")
+        enclosure = _PI_START if kind == "pi" else None
         if kind == "surd":
             if d is None or d < 2:
-                raise ValueError("surd context needs an integer d >= 2")
+                raise UnsupportedRange(f"sqrt context needs an integer >= 2, got {d}")
             check_radicand(d)
-            s, d0 = square_free_decompose(d)
+            d0 = square_free_decompose(d)[1]
             if d0 == 1:
-                raise ValueError(f"sqrt({d}) is rational; use the rational context")
+                raise UnsupportedRange(f"sqrt:{d} is rational; use the rational context")
             # the context itself always carries the square-free part
             d = d0
+            enclosure = _surd_start(d)
         else:
             d = None
         self.kind = kind
         self.d = d
         self._bits = _PI_START_BITS
         self._lock = threading.Lock()
-        self._cache: Optional[Tuple[Fraction, Fraction]] = None
+        self._enclosure = enclosure
 
     def __getstate__(self):
         state = self.__dict__.copy()
@@ -190,10 +194,7 @@ class NumberContext:
         """Current certified interval for tau."""
         if self.kind == "rational":
             raise ValueError("rational context has no enclosure")
-        with self._lock:
-            if self._cache is None:
-                self._cache = self._compute(self._bits)
-            return self._cache
+        return self._enclosure
 
     def refine(self) -> Tuple[Fraction, Fraction]:
         """Halve (at least) the enclosure width; PrecisionExhausted past the cap."""
@@ -204,13 +205,9 @@ class NumberContext:
                     f"(cap {_MAX_BITS})"
                 )
             self._bits *= 2
-            self._cache = self._compute(self._bits)
-            return self._cache
-
-    def _compute(self, bits: int) -> Tuple[Fraction, Fraction]:
-        if self.kind == "pi":
-            return _PI_START if bits == _PI_START_BITS else _pi_enclosure(bits)
-        return _surd_start(self.d) if bits == _PI_START_BITS else _sqrt_enclosure(self.d, bits)
+            self._enclosure = (_pi_enclosure(self._bits) if self.kind == "pi"
+                               else _sqrt_enclosure(self.d, self._bits))
+            return self._enclosure
 
     # -- construction ------------------------------------------------------
     def num(self, x0: RationalLike = 0, x1: RationalLike = 0) -> "ExactReal":

@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional, Tuple
 
 from .dynsys import compute_D, compute_S, maps_defined, measure_identity
-from .errors import BadTruncation, OracleInconsistency, RegionUnsupported
+from .errors import BadTruncation, ExtraNotInstalled, OracleInconsistency, RegionUnsupported
 from .lattice import NormalizedTriple
 
 
@@ -199,9 +199,16 @@ def numeric_frame_bounds(
     Raises BadTruncation, before building any array, when one array (or, on
     an irrational ratio, the t_samples truncated matrices together) would
     hold more than 2**24 entries, and before any float conversion when
-    t_samples or half_width alone is past that bound.
+    t_samples or half_width alone is past that bound.  Raises
+    ExtraNotInstalled when numpy, from the numeric extra, is absent.
     """
-    import numpy as np
+    try:
+        import numpy as np
+    except ImportError:
+        raise ExtraNotInstalled(
+            "numeric_frame_bounds needs numpy, from the numeric extra: "
+            "pip install 'gaborbox[numeric]'"
+        ) from None
 
     if half_width < 4:
         raise BadTruncation("half_width must be at least 4")

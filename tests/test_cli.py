@@ -362,6 +362,26 @@ def test_oversized_radicand_is_rejected_before_factoring(capsys, argv):
     assert time.monotonic() - t0 < 1.0
 
 
+def test_a_surd_command_factors_its_radicand_once_per_input(capsys, monkeypatch):
+    # once for the context and once for the literal: the context checks
+    # itself, and the CLI does not check it again
+    from gaborbox import cli, exactnum
+
+    calls = []
+    real = exactnum.square_free_decompose
+
+    def counted(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(exactnum, "square_free_decompose", counted)
+    monkeypatch.setattr(cli, "square_free_decompose", counted)
+    code, _, _ = run(capsys, "classify", "--context", "sqrt:999999999989",
+                     "--a", "sqrt(999999999989)/2000000", "--b", "1", "--c", "7/2")
+    assert code in (0, 3)
+    assert calls == [999999999989, 999999999989]
+
+
 def test_radicand_bound_is_inclusive():
     bound = 10**12  # = 2**12 * 5**12, a perfect square
     assert parse_number(f"sqrt({bound})", RATIONAL) == rat(10**6)
@@ -419,7 +439,8 @@ _NUMBERS = [
     "pi*pi", "1/pi", f"sqrt({_HUGE})", "9" * 5000, "-1", "-pi/4", "-sqrt(2)/2", "--json",
 ]
 _CONTEXTS = ["rational", "pi", "sqrt:2", "sqrt:3", "sqrt:8", "sqrt:1", "sqrt:4", "sqrt:",
-             f"sqrt:{_HUGE}", "bogus"]
+             f"sqrt:{_HUGE}", "bogus", "sqrt:0", "sqrt:1000000000001", "golden",
+             "sqrt:" + "9" * 5000]
 # a plot path that cannot be written: a directory, or a file in a missing one
 _UNWRITABLE = [str(Path(__file__).parent), str(Path(__file__).parent / "no-such-dir" / "x")]
 _VALID_TRIPLES = [
@@ -462,6 +483,10 @@ _argvs = st.one_of(
         st.sampled_from([os.devnull, *_UNWRITABLE]),
     ).map(lambda t: ["region-plot", f"--qmax={t[0][0]}", "--cmin=0", f"--cmax={t[0][1]}",
                      "--step-c=1/2", f"--out={t[1]}"]),
+    # axes outside the number grammar, or not rational
+    st.tuples(st.sampled_from(["amin", "amax", "cmin", "cmax", "step-c"]),
+              st.sampled_from(["0.5", "1e1", "pi", "1/0"])).map(
+        lambda t: ["region-plot", "--qmax=2", f"--{t[0]}={t[1]}", f"--out={os.devnull}"]),
     st.sampled_from([-1, 0, 1, 2, 65, 10**5]).map(lambda q: ["selftest", f"--qmax={q}"]),
     # command lines that do not parse
     st.sampled_from([[], ["bogus"], ["classify"], ["classify", "--a"], ["--json"],
@@ -473,6 +498,11 @@ _argvs = st.one_of(
 
 @given(argv=_argvs)
 @example(argv=["classify", "--a=1/2", "--b=1", "--c=3", "--context=sqrt:4"])
+@example(argv=["classify", "--a=1/2", "--b=1", "--c=3", "--context=sqrt:" + "9" * 5000])
+@example(argv=["region-plot", "--qmax=2", "--amin=0.5", f"--out={os.devnull}"])
+@example(argv=["region-plot", "--qmax=2", "--cmax=1e1", f"--out={os.devnull}"])
+@example(argv=["region-plot", "--qmax=2", "--step-c=pi", f"--out={os.devnull}"])
+@example(argv=["region-plot", "--qmax=2", "--amin=1/0", f"--out={os.devnull}"])
 @example(argv=["region-plot", "--qmax=2", "--cmax=2", f"--out={_UNWRITABLE[0]}"])
 @example(argv=["region-plot", "--qmax=2", "--cmax=2", f"--out={_UNWRITABLE[1]}"])
 @settings(max_examples=200, deadline=None)
@@ -682,6 +712,24 @@ def test_region_plot_rejects_bad_ranges(capsys):
      "no lattice steps a = p/q fall inside (amin, amax]"),
     (["region-plot", "--qmax", "3", "--cmin", "0", "--cmax", "1/8"],
      "no window lengths fall inside (cmin, cmax)"),
+    # NumberContext refuses a radicand; the CLI passes the spec on unchecked
+    (["classify", "--context", "sqrt:0", "--a", "1/2"], "sqrt context needs an integer >= 2, got 0"),
+    (["classify", "--context", "sqrt:1", "--a", "1/2"], "sqrt context needs an integer >= 2, got 1"),
+    (["classify", "--context", "sqrt:4", "--a", "1/2"], "sqrt:4 is rational; use the rational context"),
+    (["classify", "--context", "sqrt:1000000000001", "--a", "1/2"],
+     "sqrt argument must be at most 10**12, got a 40-bit integer"),
+    (["classify", "--context", "golden", "--a", "1/2"],
+     "unknown context 'golden'; use rational, pi or sqrt:D"),
+    pytest.param(["classify", "--context", "sqrt:" + "9" * 5000, "--a", "1/2"],
+                 "sqrt context radicand is too long",
+                 marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                          reason="interpreter has no int-string limit")),
+    # the axes read the number grammar: no decimal, exponent or basis
+    (["region-plot", "--qmax", "3", "--amin", "0.5"], "unexpected character '.' (column 2)"),
+    (["region-plot", "--qmax", "3", "--cmax", "1e1"], "unexpected character 'e' (column 2)"),
+    (["region-plot", "--qmax", "3", "--step-c", "pi"],
+     "'pi' uses pi; pass --context pi (current: rational)"),
+    (["region-plot", "--qmax", "3", "--amin", "1/0"], "division by zero (column 3)"),
 ])
 def test_input_checks_exit_1_with_their_error_line(capsys, tmp_path, argv, message):
     out = tmp_path / "cells.ppm"

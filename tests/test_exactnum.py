@@ -1,5 +1,6 @@
 """Exact number field: arithmetic, comparisons, floor/mod, the pi enclosure."""
 
+import threading
 import time
 from decimal import Decimal
 from fractions import Fraction as F
@@ -107,10 +108,12 @@ def test_square_free_decompose():
 def test_context_constructor_refuses_bad_kinds_and_radicands():
     with pytest.raises(ValueError, match="unknown context kind"):
         NumberContext("complex")
+    # a refused radicand is an input the CLI passes on as it is, so it raises
+    # the UnsupportedRange whose line the CLI prints
     for d in (None, 1, -3):
-        with pytest.raises(ValueError, match="d >= 2"):
+        with pytest.raises(UnsupportedRange, match=f"^sqrt context needs an integer >= 2, got {d}$"):
             NumberContext("surd", d=d)
-    with pytest.raises(ValueError, match="rational"):
+    with pytest.raises(UnsupportedRange, match="^sqrt:9 is rational; use the rational context$"):
         NumberContext("surd", d=9)
 
 
@@ -236,6 +239,19 @@ def test_fresh_pi_contexts_share_the_start_and_refine_alone():
     assert finer == _pi_enclosure(128) and one.enclosure() == finer
     assert two._bits == 64 and two.enclosure() == _pi_enclosure(64)
     assert pi_context().enclosure() == _pi_enclosure(64)
+
+
+def test_reading_an_enclosure_waits_for_no_refine():
+    # the start enclosure is built with the context, and a refine swaps in a
+    # whole new one, so only refine takes the lock
+    for ctx, start in ((pi_context(), _pi_enclosure(64)),
+                       (surd_context(5), _sqrt_enclosure(5, 64))):
+        got = []
+        with ctx._lock:  # as while another thread refines
+            reader = threading.Thread(target=lambda: got.append(ctx.enclosure()), daemon=True)
+            reader.start()
+            reader.join(5)
+            assert got == [start]
 
 
 def test_fresh_surd_contexts_share_the_start_per_radicand_and_refine_alone():

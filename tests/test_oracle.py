@@ -10,7 +10,12 @@ from pathlib import Path
 import pytest
 
 from gaborbox import classify, compute_D, compute_S, normalize, rat
-from gaborbox.errors import BadTruncation, OracleInconsistency, RegionUnsupported
+from gaborbox.errors import (
+    BadTruncation,
+    ExtraNotInstalled,
+    OracleInconsistency,
+    RegionUnsupported,
+)
 from gaborbox.exactnum import mod, pi_context, surd_context
 from gaborbox.lattice import PeriodicSet, RegionTag
 from gaborbox.dynsys import apply_R, apply_Rt
@@ -173,6 +178,13 @@ def test_numeric_bounds_input_guards():
         numeric_frame_bounds(NT77, t_samples=0)
     with pytest.raises(BadTruncation):
         numeric_frame_bounds(nt_of("3/4", 4, 3))  # needs max(a, b) < c
+
+
+def test_numeric_bounds_name_the_extra_without_numpy(monkeypatch):
+    # numpy comes with the numeric extra; a None entry makes `import numpy` fail
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    with pytest.raises(ExtraNotInstalled, match=r"pip install 'gaborbox\[numeric\]'$"):
+        numeric_frame_bounds(NT77)
 
 
 def test_numeric_bounds_refuse_oversized_arrays(monkeypatch):

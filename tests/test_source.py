@@ -1,6 +1,7 @@
 """Rules every module of the package, and every test oracle, follows."""
 
 import ast
+import json
 import os
 import re
 import subprocess
@@ -422,6 +423,73 @@ def test_numpy_is_imported_only_by_the_numeric_diagnostic():
                if name == "numpy"}
     assert allowed
     assert _package_imports("numpy") == allowed
+
+
+def test_cli_and_selftest_run_without_numpy(capsys):
+    # numpy is the numeric extra: with `import numpy` failing, classify and
+    # selftest print what they print with it, and the diagnostic names the extra
+    from gaborbox.cli import main
+
+    runs = [["classify", "--json", "--a", "13/17", "--b", "1", "--c", "75/17"],
+            ["selftest", "--qmax", "2"]]
+    script = (
+        "import contextlib, io, json, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from gaborbox import normalize, rat\n"
+        "from gaborbox.cli import main\n"
+        "from gaborbox.errors import ExtraNotInstalled\n"
+        "from gaborbox.oracle import numeric_frame_bounds\n"
+        "runs = []\n"
+        f"for argv in {runs!r}:\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        runs.append([main(argv), out.getvalue()])\n"
+        "try:\n"
+        "    numeric_frame_bounds(normalize(rat(1), rat(1), rat(3)))\n"
+        "    refused = None\n"
+        "except ExtraNotInstalled as e:\n"
+        "    refused = str(e)\n"
+        "print(json.dumps([runs, refused]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    without, refused = json.loads(out.stdout)
+    with_numpy = []
+    for argv in runs:
+        code = main(argv)
+        with_numpy.append([code, capsys.readouterr().out])
+    # classify --json also reports its own wall time
+    for got in (without, with_numpy):
+        payload = json.loads(got[0][1])
+        assert payload.pop("timings").keys() == {"classify_s"}
+        got[0][1] = payload
+    assert without == with_numpy
+    assert [code for code, _ in without] == [3, 0]
+    assert refused is not None and "gaborbox[numeric]" in refused
+
+
+def test_cli_reads_contexts_and_numbers_through_one_door():
+    # NumberContext alone decides which radicands make a context, and every
+    # numeric flag reads the number grammar: Fraction(str) would take 0.5,
+    # 1e1 and 1_0, so no Fraction call in cli takes a string
+    functions = _functions(SRC / "cli.py")
+    parse_context = next(fn for fn in functions if fn.name == "parse_context")
+    named = {node.id for node in ast.walk(parse_context) if isinstance(node, ast.Name)}
+    assert not named & {"check_radicand", "square_free_decompose"}
+    found = []
+    for fn in functions:
+        strings = {arg.arg for arg in fn.args.args + fn.args.kwonlyargs
+                   if arg.annotation is not None and ast.unparse(arg.annotation) == "str"}
+        for call in _calls(fn, "Fraction"):
+            for arg in call.args:
+                text = ast.unparse(arg)
+                if (isinstance(arg, ast.JoinedStr)
+                        or (isinstance(arg, ast.Constant) and isinstance(arg.value, str))
+                        or (isinstance(arg, ast.Name) and arg.id in strings)
+                        or text.startswith("args.") or ".group(" in text):
+                    found.append(f"{fn.name}:{call.lineno}: {ast.unparse(call)}")
+    assert found == []
 
 
 def test_pi_decisions_leave_mpmath_unloaded():
