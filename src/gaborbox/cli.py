@@ -1,10 +1,11 @@
 """Command-line interface.
 
-Numbers are written exactly: integers, fractions n/m, multiples of pi or
-sqrt(D), and sums/differences of those, e.g. '13/17', '23-11*pi/2',
-'15/2*sqrt(3)'.  A value using an irrational basis must be accompanied by
-the matching --context (pi or sqrt:D); the default context is rational and
-nothing is inferred silently.
+Numbers are written exactly in the grammar that `_parse` states: integers,
+fractions n/m, multiples of pi or sqrt(D), and sums/differences of those,
+e.g. '13/17', '23-11*pi/2', '15/2*sqrt(3)'.  A value with an irrational
+basis needs the matching --context (pi or sqrt:D); the default is rational
+and nothing is inferred silently.  The region-plot axes are rational, and
+a pi or sqrt(D) value there is refused with the name of its flag.
 
 Exit codes: 0 for a Frame (or stable-sampling) verdict, 3 for NotFrame
 (or unstable), 1 for any error, and for selftest 1 on pipeline
@@ -69,141 +70,105 @@ from .sampling import sampling_stable
 # number grammar
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"(?P<int>\d+)|(?P<name>pi|sqrt)|(?P<op>[+\-*/()])")
+_TOKEN_RE = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>pi|sqrt)|(?P<op>[+\-*/()])|(?P<bad>\S))")
 
 
 def _tokenize(text: str) -> List[Tuple[str, object, int]]:
+    """(kind, value, column) of every token, columns 1-based."""
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            raise NumberSyntaxError(f"unexpected character {ch!r}", i + 1)
-        col = i + 1
-        if m.lastgroup == "int":
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        value, col = m[kind], m.start(kind) + 1
+        if kind == "bad":
+            raise NumberSyntaxError(f"unexpected character {value!r}", col)
+        if kind == "int":
             try:
-                value = int(m.group())
+                value = int(value)
             except ValueError:  # longer than the interpreter's int-string limit
                 raise NumberSyntaxError("integer literal is too long", col) from None
-            tokens.append(("int", value, col))
-        elif m.lastgroup == "name":
-            tokens.append(("name", m.group(), col))
-        else:
-            tokens.append(("op", m.group(), col))
-        i = m.end()
+        tokens.append((kind, value, col))
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
+def _parse(text: str) -> Tuple[Fraction, Fraction, Optional[Tuple[str, Optional[int]]]]:
+    """(x0, x1, basis) for the value x0 + x1*basis of one exact number:
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+        expression := [+-] term (('+'|'-') term)*
+        term       := atom (('*'|'/') atom)*
+        atom       := INT | 'pi' | 'sqrt' '(' INT ')'
 
-    def take(self):
-        tok = self.peek()
-        if tok is None:
-            raise NumberSyntaxError("unexpected end of input", len(self.text) + 1)
-        self.pos += 1
+    basis is None, ("pi", None) or ("surd", d) with d square-free; a term
+    has at most one irrational factor and never divides by one, and an
+    expression has at most one basis.  Every error names its column.
+    """
+    tokens = _tokenize(text)
+    if not tokens:
+        raise NumberSyntaxError("empty number", 1)
+    taken = []  # the tokens read so far, so the cursor is at len(taken)
+
+    def take(want=None):
+        # the next token; given want, None (taking nothing) unless it is an op in want
+        if len(taken) == len(tokens):
+            raise NumberSyntaxError("unexpected end of input", len(text) + 1)
+        tok = tokens[len(taken)]
+        if want and (tok[0] != "op" or tok[1] not in want):
+            return None
+        taken.append(tok)
         return tok
 
-    def expect_op(self, op: str):
-        tok = self.take()
-        if tok[0] != "op" or tok[1] != op:
-            raise NumberSyntaxError(f"expected {op!r}", tok[2])
-        return tok
-
-    # expression := [+-] term (('+'|'-') term)*
-    def parse(self) -> Tuple[Fraction, Fraction, Optional[Tuple[str, Optional[int]]]]:
-        if not self.tokens:
-            raise NumberSyntaxError("empty number", 1)
-        x0 = Fraction(0)
-        x1 = Fraction(0)
-        basis: Optional[Tuple[str, Optional[int]]] = None
-        sign = 1
-        tok = self.peek()
-        if tok and tok[0] == "op" and tok[1] in "+-":
-            self.take()
-            sign = -1 if tok[1] == "-" else 1
-        while True:
-            coef, term_basis = self.parse_term()
-            coef *= sign
-            if term_basis is None:
-                x0 += coef
-            else:
-                if basis is not None and basis != term_basis:
-                    raise NumberSyntaxError(
-                        "at most one irrational basis may appear",
-                        self.tokens[self.pos - 1][2],
-                    )
-                basis = term_basis
-                x1 += coef
-            tok = self.peek()
-            if tok is None:
-                return x0, x1, basis
-            if tok[0] == "op" and tok[1] in "+-":
-                self.take()
-                sign = -1 if tok[1] == "-" else 1
-                continue
-            raise NumberSyntaxError("expected '+' or '-'", tok[2])
-
-    # term := atom (('*'|'/') atom)*
-    def parse_term(self) -> Tuple[Fraction, Optional[Tuple[str, Optional[int]]]]:
-        coef, basis = self.parse_atom("*")
-        while True:
-            tok = self.peek()
-            if tok is None or tok[0] != "op" or tok[1] not in "*/":
-                return coef, basis
-            op = self.take()[1]
-            c2, b2 = self.parse_atom(op)
-            if b2 is not None:
-                if op == "/":
-                    raise NumberSyntaxError(
-                        "cannot divide by an irrational", self.tokens[self.pos - 1][2]
-                    )
-                if basis is not None:
-                    raise NumberSyntaxError(
-                        "at most one irrational factor per term",
-                        self.tokens[self.pos - 1][2],
-                    )
-                basis = b2
-            if op == "*":
-                coef *= c2
-            else:
-                if c2 == 0:
-                    raise NumberSyntaxError(
-                        "division by zero", self.tokens[self.pos - 1][2]
-                    )
-                coef /= c2
-
-    # atom := INT | 'pi' | 'sqrt' '(' INT ')'
-    def parse_atom(self, op: str) -> Tuple[Fraction, Optional[Tuple[str, Optional[int]]]]:
-        tok = self.take()
-        if tok[0] == "int":
-            return Fraction(tok[1]), None
-        if tok[0] == "name" and tok[1] == "pi":
+    def atom():
+        kind, value, col = take()
+        if kind == "int":
+            return Fraction(value), None
+        if value == "pi":
             return Fraction(1), ("pi", None)
-        if tok[0] == "name" and tok[1] == "sqrt":
-            self.expect_op("(")
-            arg = self.take()
-            if arg[0] != "int":
-                raise NumberSyntaxError("sqrt needs an integer argument", arg[2])
-            self.expect_op(")")
-            if arg[1] == 0:
-                return Fraction(0), None
-            check_radicand(arg[1])
-            s, d = square_free_decompose(arg[1])
-            if d == 1:
-                return Fraction(s), None
-            return Fraction(s), ("surd", d)
-        raise NumberSyntaxError("expected a number, 'pi' or 'sqrt(...)'", tok[2])
+        if value != "sqrt":
+            raise NumberSyntaxError("expected a number, 'pi' or 'sqrt(...)'", col)
+        if not take("("):
+            raise NumberSyntaxError("expected '('", tokens[len(taken)][2])
+        kind, n, col = take()
+        if kind != "int":
+            raise NumberSyntaxError("sqrt needs an integer argument", col)
+        if not take(")"):
+            raise NumberSyntaxError("expected ')'", tokens[len(taken)][2])
+        if n == 0:
+            return Fraction(0), None
+        check_radicand(n)
+        s, d = square_free_decompose(n)
+        return Fraction(s), (None if d == 1 else ("surd", d))
+
+    x0 = x1 = Fraction(0)
+    basis = None
+    sign = take("+-")
+    while True:
+        coef, term_basis = atom()
+        while len(taken) < len(tokens) and (op := take("*/")):
+            c2, b2 = atom()
+            col = taken[-1][2]
+            if op[1] == "/":
+                if b2 is not None:
+                    raise NumberSyntaxError("cannot divide by an irrational", col)
+                if c2 == 0:
+                    raise NumberSyntaxError("division by zero", col)
+                coef /= c2
+            elif b2 is not None and term_basis is not None:
+                raise NumberSyntaxError("at most one irrational factor per term", col)
+            else:
+                coef *= c2
+                term_basis = term_basis or b2
+        if sign and sign[1] == "-":
+            coef = -coef
+        if term_basis is None:
+            x0 += coef
+        elif basis not in (None, term_basis):
+            raise NumberSyntaxError("at most one irrational basis may appear", taken[-1][2])
+        else:
+            basis = term_basis
+            x1 += coef
+        if len(taken) == len(tokens):
+            return x0, x1, basis
+        if not (sign := take("+-")):
+            raise NumberSyntaxError("expected '+' or '-'", tokens[len(taken)][2])
 
 
 def parse_number(text: str, ctx: NumberContext) -> ExactReal:
@@ -212,30 +177,18 @@ def parse_number(text: str, ctx: NumberContext) -> ExactReal:
     Raises NumberSyntaxError (with a column) on malformed input and
     ContextMismatch when the value needs a different basis than ctx.
     """
-    x0, x1, basis = _Parser(text).parse()
-    if basis is None:
-        return ctx.num(x0, Fraction(0))
-    kind, d = basis
-    if kind == "pi":
-        if ctx.kind != "pi":
-            raise ContextMismatch(
-                f"{text!r} uses pi; pass --context pi (current: {_ctx_name(ctx)})"
-            )
-        return ctx.num(x0, x1)
-    if ctx.kind != "surd" or ctx.d != d:
+    x0, x1, basis = _parse(text)
+    if basis is not None and basis != (ctx.kind, ctx.d):
+        d = basis[1]
         raise ContextMismatch(
-            f"{text!r} uses sqrt({d}); pass --context sqrt:{d} "
-            f"(current: {_ctx_name(ctx)})"
+            f"{text!r} uses {'pi' if d is None else f'sqrt({d})'}; pass --context "
+            f"{_ctx_name(*basis)} (current: {_ctx_name(ctx.kind, ctx.d)})"
         )
     return ctx.num(x0, x1)
 
 
-def _ctx_name(ctx: NumberContext) -> str:
-    if ctx.kind == "rational":
-        return "rational"
-    if ctx.kind == "pi":
-        return "pi"
-    return f"sqrt:{ctx.d}"
+def _ctx_name(kind: str, d: Optional[int]) -> str:
+    return kind if d is None else f"sqrt:{d}"
 
 
 def parse_context(spec: str) -> NumberContext:
@@ -618,10 +571,14 @@ def _write_output(write, path: str, mode: str, *table, **kwargs) -> None:
 def _cmd_region_plot(args) -> int:
     # axes, then outputs, then the sweep: a bad range or an unwritable path
     # fails before any cell is classified
-    avals, cvals = _sweep_axes(args.qmax, *(
-        parse_number(s, RATIONAL).x0
-        for s in (args.amin, args.amax, args.cmin, args.cmax, args.step_c)
-    ))
+    axes = []
+    for flag in ("--amin", "--amax", "--cmin", "--cmax", "--step-c"):
+        text = getattr(args, flag[2:].replace("-", "_"))
+        try:
+            axes.append(parse_number(text, RATIONAL).x0)
+        except ContextMismatch:  # region-plot has no --context: its axes are rational
+            raise UnsupportedRange(f"{flag} must be a rational number, got {text!r}") from None
+    avals, cvals = _sweep_axes(args.qmax, *axes)
     _check_writable(args.out)
     if args.csv:
         _check_writable(args.csv)

@@ -198,6 +198,8 @@ class NumberContext:
 
     def refine(self) -> Tuple[Fraction, Fraction]:
         """Halve (at least) the enclosure width; PrecisionExhausted past the cap."""
+        if self.kind == "rational":
+            raise ValueError("rational context has no enclosure")
         with self._lock:
             if self._bits * 2 > _MAX_BITS:
                 raise PrecisionExhausted(

@@ -24,7 +24,8 @@ from typing import NamedTuple, Optional, Tuple
 
 from .dynsys import compute_D, compute_S, maps_defined, measure_identity
 from .errors import BadTruncation, ExtraNotInstalled, OracleInconsistency, RegionUnsupported
-from .lattice import NormalizedTriple
+from .exactnum import rat
+from .lattice import NormalizedTriple, normalize
 
 
 # (first index, count, shift): a run of indices, counted on cyclically, that
@@ -352,15 +353,10 @@ def _brief(nt: NormalizedTriple) -> str:
 def on_grid_survey(qmax: int, c_lo: int, c_hi: int, regions):
     """Yield every normalized triple with b = 1, a = p/q < 1 (q <= qmax),
     c in the open interval (c_lo, c_hi) on the grid Z/q, in the given regions."""
-    from math import gcd as _gcd
-
-    from .exactnum import rat
-    from .lattice import normalize
-
     one = rat(1)
     for q in range(1, qmax + 1):
         for p in range(1, q):
-            if _gcd(p, q) != 1:
+            if math.gcd(p, q) != 1:
                 continue
             a = rat(Fraction(p, q))
             for k in range(c_lo * q + 1, c_hi * q):

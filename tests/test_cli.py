@@ -485,7 +485,7 @@ _argvs = st.one_of(
                      "--step-c=1/2", f"--out={t[1]}"]),
     # axes outside the number grammar, or not rational
     st.tuples(st.sampled_from(["amin", "amax", "cmin", "cmax", "step-c"]),
-              st.sampled_from(["0.5", "1e1", "pi", "1/0"])).map(
+              st.sampled_from(["0.5", "1e1", "pi", "sqrt(2)", "1/0"])).map(
         lambda t: ["region-plot", "--qmax=2", f"--{t[0]}={t[1]}", f"--out={os.devnull}"]),
     st.sampled_from([-1, 0, 1, 2, 65, 10**5]).map(lambda q: ["selftest", f"--qmax={q}"]),
     # command lines that do not parse
@@ -727,9 +727,12 @@ def test_region_plot_rejects_bad_ranges(capsys):
     # the axes read the number grammar: no decimal, exponent or basis
     (["region-plot", "--qmax", "3", "--amin", "0.5"], "unexpected character '.' (column 2)"),
     (["region-plot", "--qmax", "3", "--cmax", "1e1"], "unexpected character 'e' (column 2)"),
+    # region-plot has no --context: a non-rational axis names its flag
     (["region-plot", "--qmax", "3", "--step-c", "pi"],
-     "'pi' uses pi; pass --context pi (current: rational)"),
+     "--step-c must be a rational number, got 'pi'"),
     (["region-plot", "--qmax", "3", "--amin", "1/0"], "division by zero (column 3)"),
+    (["region-plot", "--qmax", "3", "--amax", "sqrt(2)"],
+     "--amax must be a rational number, got 'sqrt(2)'"),
 ])
 def test_input_checks_exit_1_with_their_error_line(capsys, tmp_path, argv, message):
     out = tmp_path / "cells.ppm"

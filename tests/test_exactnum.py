@@ -120,8 +120,10 @@ def test_context_constructor_refuses_bad_kinds_and_radicands():
 def test_rational_context_has_no_basis_or_enclosure():
     with pytest.raises(ValueError, match="no irrational basis"):
         RATIONAL.basis_symbol
-    with pytest.raises(ValueError, match="no enclosure"):
-        RATIONAL.enclosure()
+    for no_enclosure in (RATIONAL.enclosure, RATIONAL.refine):
+        with pytest.raises(ValueError, match="no enclosure"):
+            no_enclosure()
+    assert RATIONAL._bits == 64  # refine refused before it touched the shared context
 
 
 def test_only_ints_and_fractions_enter_as_exact_values():
